@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint fmt-check ci race-shard race-server shard-smoke fuzz-smoke coloring-smoke serve server-smoke recovery-smoke estimate-smoke tournament-smoke fleet-smoke faultstudy bench bench-parallel bench-estimate bench-go bench-figures validate experiments clean
+.PHONY: all build test vet lint fmt-check ci race-server perfbench-test fuzz-smoke coloring-smoke serve server-smoke recovery-smoke estimate-smoke tournament-smoke fleet-smoke faultstudy bench bench-estimate bench-go bench-figures validate experiments clean
 
 all: build vet test
 
@@ -33,8 +33,8 @@ fmt-check:
 # Mirrors .github/workflows/ci.yml so the same gate runs locally.
 ci: fmt-check lint build
 	$(GO) test -race ./...
-	$(MAKE) race-shard
-	$(MAKE) shard-smoke
+	$(MAKE) race-server
+	$(MAKE) perfbench-test
 	$(MAKE) fuzz-smoke
 	$(MAKE) coloring-smoke
 	$(MAKE) server-smoke
@@ -44,20 +44,20 @@ ci: fmt-check lint build
 	$(MAKE) fleet-smoke
 	$(GO) run ./cmd/faultstudy -quick
 	$(MAKE) bench
-	$(MAKE) bench-parallel
 	$(MAKE) bench-estimate
 
-# Dedicated race gate for the concurrent engine and the packages it
-# drives: -count=2 reruns defeat one-shot schedule luck. The simd job
-# daemon rides along — its queue/drain/stream paths are all goroutine
-# hand-offs.
-race-shard:
-	$(GO) test -race -count=2 ./internal/shard ./internal/hybrid ./internal/hier ./internal/server ./internal/fleet ./internal/coloring
+# Dedicated race gate for the simd job daemon and the worker fleet —
+# their queue/drain/stream/lease paths are all goroutine hand-offs — plus
+# the simulator packages they drive: -count=2 reruns defeat one-shot
+# schedule luck.
+race-server:
+	$(GO) test -race -count=2 ./internal/server ./internal/fleet ./internal/hybrid ./internal/hier ./internal/coloring
 
-# Shard-equivalence smoke: the differential matrix proving shards=N is
-# bit-identical to shards=1, under the race detector.
-shard-smoke:
-	$(GO) test -race -run 'TestShardEquivalence|TestShardForecastEquivalence' ./internal/shard
+# Self-test of the frozen repository benchmark (perfbench/, its own
+# module): it compiles against the simulator's API, so an API deletion
+# that would break the benchmark build fails here first.
+perfbench-test:
+	cd perfbench && $(GO) test ./...
 
 # Ten seconds of coverage-guided fuzzing per target, on top of the
 # checked-in corpora (which always replay as part of go test).
@@ -284,13 +284,6 @@ faultstudy:
 bench:
 	$(GO) run ./cmd/bench -quick -mixes 1,4 -policies BH,CA,CP_SD,TAP -out BENCH_hotpath.json
 
-# Set-sharded engine scaling curve (wall-clock vs shard count, with the
-# built-in fault-digest equivalence check). Shard counts are explicit so
-# the artifact always carries the 4-shard row; actual speedup depends on
-# the cores the machine grants.
-bench-parallel:
-	$(GO) run ./cmd/bench -parallel -quick -shards 1,2,4 -measure 2000000 -out BENCH_parallel.json
-
 # POST /v1/estimate fast-path latency and allocation gate: fails when the
 # cached p50 reaches 1 ms or a cache lookup allocates.
 bench-estimate:
@@ -325,5 +318,5 @@ experiments:
 	$(GO) run ./cmd/energy     -mixes 1,4,6,8           > results/energy.txt
 
 clean:
-	rm -f test_output.txt bench_output.txt BENCH_hotpath.json BENCH_parallel.json BENCH_estimate.json simd-smoke simd-recovery simd-estimate simd-fleet tournament-smoke-1.txt tournament-smoke-2.txt
+	rm -f test_output.txt bench_output.txt BENCH_hotpath.json BENCH_estimate.json simd-smoke simd-recovery simd-estimate simd-fleet tournament-smoke-1.txt tournament-smoke-2.txt
 	rm -rf recovery-smoke-data fleet-smoke-data

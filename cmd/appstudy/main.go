@@ -21,7 +21,7 @@ import (
 
 func main() {
 	cfg := core.QuickConfig()
-	policyName := flag.String("policy", cfg.PolicyName, "insertion policy")
+	policyName := flag.String("policy", cfg.PolicyName, "insertion policy: "+cliutil.PolicyNames())
 	cpth := flag.Int("cpth", cfg.CPth, "fixed threshold for CA/CA_RWR")
 	warmup := flag.Uint64("warmup", 1_000_000, "warm-up cycles")
 	measure := flag.Uint64("measure", 4_000_000, "measured cycles")

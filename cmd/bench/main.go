@@ -8,13 +8,6 @@
 //	bench -quick                               # CI baseline, writes BENCH_hotpath.json
 //	bench -quick -mixes 1,2 -policies BH,CP_SD # a smaller cross
 //	bench -cpuprofile cpu.out -memprofile mem.out -quick
-//
-// With -parallel it instead measures the set-sharded engine's wall-clock
-// scaling curve (1..GOMAXPROCS shards, same simulation at every count,
-// fault-digest equivalence checked) and writes BENCH_parallel.json:
-//
-//	bench -parallel -quick
-//	bench -parallel -shards 1,2,4,8 -out BENCH_parallel.json
 package main
 
 import (
@@ -34,15 +27,13 @@ import (
 func main() {
 	quick := flag.Bool("quick", false, "small configuration, short windows")
 	mixes := flag.String("mixes", "1", `mixes to bench: "all" or comma-separated 1-based list`)
-	policies := flag.String("policies", "all", `policies to bench: "all" or comma-separated names`)
+	policies := flag.String("policies", "all", `policies to bench: "all" or comma-separated names from `+cliutil.PolicyNames())
 	warmup := flag.Uint64("warmup", 0, "warm-up cycles (0 = preset default)")
 	measure := flag.Uint64("measure", 0, "measured cycles (0 = preset default)")
 	seed := flag.Uint64("seed", 1, "workload and endurance seed")
-	parallel := flag.Bool("parallel", false, "bench the set-sharded engine's scaling curve instead of the hot path")
 	estimate := flag.Bool("estimate", false, "bench the POST /v1/estimate cached fast path instead of the hot path (gates: p50 < 1 ms, 0 allocs per cache lookup)")
 	estIters := flag.Int("estimate-iters", 2000, "cached-estimate requests to measure with -estimate")
-	shardsArg := flag.String("shards", "", "comma-separated shard counts for -parallel (default 1..GOMAXPROCS)")
-	out := flag.String("out", "", `JSON report path ("" selects BENCH_hotpath.json, or BENCH_parallel.json with -parallel; "none" disables)`)
+	out := flag.String("out", "", `JSON report path ("" selects BENCH_hotpath.json, or BENCH_estimate.json with -estimate; "none" disables)`)
 	cpuprofile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep")
 	memprofile := flag.String("memprofile", "", "write a pprof heap profile after the sweep")
 	csvOut := flag.Bool("csv", false, "emit CSV on stdout")
@@ -77,7 +68,7 @@ func main() {
 
 	var rep *report.Report
 	var results []cliutil.TaskResult
-	var equivErr error
+	var gateErr error
 	defaultOut := "BENCH_hotpath.json"
 	if *estimate {
 		defaultOut = "BENCH_estimate.json"
@@ -86,46 +77,7 @@ func main() {
 		if rep == nil {
 			fatal(err)
 		}
-		equivErr = err // report first, then fail the gate
-	} else if *parallel {
-		defaultOut = "BENCH_parallel.json"
-		var shardList []int
-		if *shardsArg != "" {
-			var err error
-			if shardList, err = cliutil.ParseInts(*shardsArg); err != nil {
-				fatal(err)
-			}
-			if err := cliutil.ValidateShardCounts(cfg, shardList); err != nil {
-				fatal(err)
-			}
-		}
-		// The scaling curve measures one policy; honor an explicit
-		// single-policy -policies selection, keep the config default
-		// (the paper's CP_SD) otherwise.
-		if *policies != "all" {
-			polList, err := parsePolicies(*policies)
-			if err != nil {
-				fatal(err)
-			}
-			if len(polList) != 1 {
-				fatal(fmt.Errorf("-parallel measures a single policy, got %v", polList))
-			}
-			cfg.PolicyName = polList[0]
-		}
-		opt := experiments.ScalingOptions{
-			Base:    cfg,
-			Shards:  shardList,
-			Warmup:  w,
-			Measure: m,
-		}
-		rows, err := experiments.ParallelScalingBench(opt)
-		if err != nil {
-			fatal(err)
-		}
-		rep = experiments.ParallelScalingReport(opt, rows)
-		if !experiments.ScalingEquivalent(rows) {
-			equivErr = fmt.Errorf("fault digests diverge across shard counts — see the report")
-		}
+		gateErr = err // report first, then fail the gate
 	} else {
 		mixList, err := cliutil.ParseMixes(*mixes)
 		if err != nil {
@@ -185,8 +137,8 @@ func main() {
 	if err := cliutil.ErrOf(results); err != nil {
 		fatal(err)
 	}
-	if equivErr != nil {
-		fatal(equivErr)
+	if gateErr != nil {
+		fatal(gateErr)
 	}
 }
 

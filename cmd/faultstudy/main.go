@@ -38,7 +38,7 @@ type studyOptions struct {
 
 func main() {
 	nMixes := len(core.AllMixes())
-	policy := flag.String("policy", "CP_SD", "insertion policy")
+	policy := flag.String("policy", "CP_SD", "insertion policy: "+cliutil.PolicyNames())
 	mix := flag.Int("mix", 1, fmt.Sprintf("mix number (1-%d)", nMixes))
 	seed := flag.Uint64("seed", 1, "campaign and workload seed")
 	spec := flag.String("spec", "", "campaign spec JSON file (default: capacity ramp)")

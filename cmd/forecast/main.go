@@ -21,6 +21,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
@@ -31,7 +32,7 @@ import (
 
 func main() {
 	cfg := core.DefaultConfig()
-	policies := flag.String("policies", "standard", `comma-separated curve labels, "standard" or "core"`)
+	policies := flag.String("policies", "standard", `"standard", "core" or comma-separated curve labels: `+strings.Join(experiments.ForecastLabels(), ", "))
 	mixesFlag := flag.String("mixes", "1,4", fmt.Sprintf(`comma-separated mix numbers (1-%d) or "all"`, len(core.AllMixes())))
 	sram := flag.Int("sram", cfg.SRAMWays, "SRAM ways")
 	nvmWays := flag.Int("nvm", cfg.NVMWays, "NVM ways")
@@ -46,7 +47,6 @@ func main() {
 	step := flag.Float64("step", 0.025, "capacity drop per prediction phase")
 	rotate := flag.Bool("rotate", false, "enable Start-Gap-style inter-set wear leveling")
 	coloring := flag.String("coloring", "", `set coloring: "xor:mask=N", "rotate:interval=N,step=N", "wear:interval=N,pairs=N" or "off"`)
-	shards := flag.Int("shards", 1, "set shards; >1 forecasts on the parallel engine (bit-identical for any count)")
 	analyticFast := flag.Bool("analytic", false, "use the analytic fast path: one calibration window per cell instead of the full forecast loop (-warmup sizes the warm-up, -phase the calibration window)")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
@@ -65,13 +65,6 @@ func main() {
 		fatal(fmt.Errorf("-rotate and -coloring are mutually exclusive wear-leveling mechanisms"))
 	}
 	if err := cliutil.ApplyColoring(&cfg, *coloring); err != nil {
-		fatal(err)
-	}
-	if err := cliutil.ApplyShards(&cfg, *shards, cliutil.ShardIncompat{
-		When: *rotate,
-		Flag: "-rotate",
-		Why:  "moves blocks across shard boundaries; run inter-set rotation with -shards 1",
-	}); err != nil {
 		fatal(err)
 	}
 

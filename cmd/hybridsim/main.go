@@ -36,7 +36,7 @@ func main() {
 	def := core.DefaultConfig()
 	configPath := flag.String("config", "", "load a core.Config JSON file (flags set explicitly still override)")
 	tracePrefix := flag.String("trace", "", "replay recorded traces from prefix.coreN.trc instead of live generation")
-	policyName := flag.String("policy", def.PolicyName, "insertion policy (SRAM16, SRAM4, BH, BH_CP, CA, CA_RWR, CP_SD, CP_SD_Th, LHybrid, TAP)")
+	policyName := flag.String("policy", def.PolicyName, "insertion policy: "+cliutil.PolicyNames())
 	mix := flag.Int("mix", 1, fmt.Sprintf("mix number (1-%d: Table V plus skewed-traffic scenarios)", len(core.AllMixes())))
 	seed := flag.Uint64("seed", def.Seed, "deterministic seed")
 	scale := flag.Float64("scale", def.Scale, "workload footprint scale")
@@ -59,7 +59,6 @@ func main() {
 	prefetch := flag.Bool("prefetch", false, "enable the L2 stride prefetcher")
 	rrip := flag.Bool("rrip", false, "use fit-RRIP NVM replacement instead of fit-LRU")
 	checkEvery := flag.Uint64("checkevery", 0, "run the invariant checker every N LLC accesses (0 disables)")
-	shards := flag.Int("shards", 1, "set shards; >1 runs the parallel engine (bit-identical for any count)")
 	coloring := flag.String("coloring", "", `set coloring: "xor:mask=N", "rotate:interval=N,step=N", "wear:interval=N,pairs=N" or "off"`)
 	flag.Parse()
 
@@ -76,10 +75,6 @@ func main() {
 
 	// Explicitly set flags win over the config file; with no -config this
 	// reduces to the classic flags-over-defaults behaviour.
-	shardCount := cfg.Shards
-	if shardCount < 1 {
-		shardCount = 1
-	}
 	coloringSet := false
 	flag.Visit(func(f *flag.Flag) {
 		switch f.Name {
@@ -115,8 +110,6 @@ func main() {
 			cfg.NVMRRIP = *rrip
 		case "checkevery":
 			cfg.CheckEvery = *checkEvery
-		case "shards":
-			shardCount = *shards
 		case "coloring":
 			coloringSet = true
 		}
@@ -128,11 +121,7 @@ func main() {
 			fatal(err)
 		}
 	}
-	if err := cliutil.ApplyShards(&cfg, shardCount, cliutil.ShardIncompat{
-		When: *tracePrefix != "",
-		Flag: "-trace",
-		Why:  "replays through the sequential engine; run trace-driven studies with -shards 1",
-	}); err != nil {
+	if err := cfg.Validate(); err != nil {
 		fatal(err)
 	}
 
@@ -150,7 +139,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	defer h.Close()
 
 	if *capacity < 1 {
 		h.PreAge(*capacity)

@@ -35,7 +35,7 @@ import (
 
 func main() {
 	cfg := core.DefaultConfig()
-	policiesFlag := flag.String("policies", "league", `comma-separated policy names, or "league" for the default standings`)
+	policiesFlag := flag.String("policies", "league", `"league" for the default standings, or comma-separated policies: `+cliutil.PolicyNames())
 	mixesFlag := flag.String("mixes", "1,4", `comma-separated mix numbers (1-10) or "all"`)
 	bracketPath := flag.String("bracket", "", "JSON file with a tournament bracket for the TOURNAMENT entry")
 	sets := flag.Int("sets", cfg.LLCSets, "LLC sets")
@@ -46,7 +46,6 @@ func main() {
 	phase := flag.Uint64("phase", 10_000_000, "measured cycles per forecast phase")
 	warm := flag.Uint64("warmup", 2_000_000, "warm-up cycles per phase")
 	step := flag.Float64("step", 0.05, "capacity drop per prediction phase")
-	shards := flag.Int("shards", 1, "set shards; >1 runs each cell on the parallel engine (bit-identical for any count)")
 	quick := flag.Bool("quick", false, "CI smoke preset: small cache, short phases, accelerated endurance, mix 1 only")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
@@ -88,10 +87,6 @@ func main() {
 		}
 		cfg.Tournament = tc
 	}
-	if err := cliutil.ApplyShards(&cfg, *shards); err != nil {
-		fatal(err)
-	}
-
 	names := experiments.DefaultLeague()
 	if *policiesFlag != "league" {
 		names = nil

@@ -43,7 +43,7 @@ type options struct {
 func main() {
 	def := core.DefaultConfig()
 	nMixes := len(core.AllMixes())
-	policyName := flag.String("policy", def.PolicyName, "insertion policy")
+	policyName := flag.String("policy", def.PolicyName, "insertion policy: "+cliutil.PolicyNames())
 	mix := flag.Int("mix", 1, fmt.Sprintf("mix number (1-%d: Table V plus skewed-traffic scenarios)", nMixes))
 	seed := flag.Uint64("seed", def.Seed, "deterministic seed")
 	capacity := flag.Float64("capacity", 0.8, "age until this capacity fraction")

@@ -5,7 +5,6 @@
 package repro
 
 import (
-	"fmt"
 	"math"
 	"reflect"
 	"testing"
@@ -13,12 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/forecast"
 )
-
-// enginePolicies is the subset the sharded-engine scenarios cycle
-// through: a duelling compressing policy, a non-compressing baseline and
-// the prefetch-free TAP variant keep the matrix representative without
-// doubling every classic run.
-var enginePolicies = []string{"CP_SD", "LHybrid", "TAP"}
 
 func TestEveryPolicyEndToEndInvariants(t *testing.T) {
 	// Classic sequential engine: every policy.
@@ -47,37 +40,6 @@ func TestEveryPolicyEndToEndInvariants(t *testing.T) {
 			}
 		})
 	}
-	// Set-sharded engine: same invariants through the routed path, single
-	// sharded and parallel (a non-power-of-two shard count on 256 sets).
-	for _, name := range enginePolicies {
-		for _, shards := range []int{1, 3} {
-			name, shards := name, shards
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				t.Parallel()
-				cfg := core.QuickConfig()
-				cfg.PolicyName = name
-				cfg.Th = 4
-				cfg.Shards = shards
-				e, err := cfg.BuildEngine()
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer e.Close()
-				e.Run(3_000_000)
-				if err := e.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				snap := e.Snapshot()
-				if snap.Counter("llc.gets") == 0 || snap.Counter("llc.inserts") == 0 {
-					t.Fatalf("no traffic through the sharded engine: %v", snap.Counters)
-				}
-				if snap.Counter("llc.sram.inserts")+snap.Counter("llc.nvm.inserts") < snap.Counter("llc.inserts") {
-					t.Fatalf("insert accounting: %d+%d < %d", snap.Counter("llc.sram.inserts"),
-						snap.Counter("llc.nvm.inserts"), snap.Counter("llc.inserts"))
-				}
-			})
-		}
-	}
 }
 
 func TestAgedSystemInvariants(t *testing.T) {
@@ -105,34 +67,21 @@ func TestAgedSystemInvariants(t *testing.T) {
 }
 
 func TestEndToEndDeterminism(t *testing.T) {
-	// shards < 0 selects the classic sequential build; 1 and 2 drive the
-	// same scenario through the set-sharded engine, inline and parallel.
-	for _, shards := range []int{-1, 1, 2} {
-		run := func() core.Summary {
-			cfg := core.QuickConfig()
-			cfg.PolicyName = "CP_SD_Th"
-			cfg.Th = 4
-			if shards < 0 {
-				sys, err := cfg.Build()
-				if err != nil {
-					t.Fatal(err)
-				}
-				return core.Measure(sys, 500_000, 2_000_000)
-			}
-			cfg.Shards = shards
-			e, err := cfg.BuildEngine()
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer e.Close()
-			return core.MeasureEngine(e, 500_000, 2_000_000)
+	run := func() core.Summary {
+		cfg := core.QuickConfig()
+		cfg.PolicyName = "CP_SD_Th"
+		cfg.Th = 4
+		sys, err := cfg.Build()
+		if err != nil {
+			t.Fatal(err)
 		}
-		a, b := run(), run()
-		// DeepEqual also compares the full registry deltas, so every metric —
-		// not just the summary scalars — must reproduce bit-for-bit.
-		if !reflect.DeepEqual(a, b) {
-			t.Fatalf("shards=%d: non-deterministic end-to-end run:\n%+v\n%+v", shards, a, b)
-		}
+		return core.Measure(sys, 500_000, 2_000_000)
+	}
+	a, b := run(), run()
+	// DeepEqual also compares the full registry deltas, so every metric —
+	// not just the summary scalars — must reproduce bit-for-bit.
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("non-deterministic end-to-end run:\n%+v\n%+v", a, b)
 	}
 }
 

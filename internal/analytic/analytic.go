@@ -46,8 +46,7 @@ const HorizonSeconds = 20 * 12 * forecast.SecondsPerMonth
 // POST /v1/estimate body (decoded strictly over DefaultSpec).
 type Spec struct {
 	// Config is the simulation to estimate; omitted fields keep
-	// core.DefaultConfig values. Shards > 1 calibrates on the set-sharded
-	// engine (bit-identical rates, so it does not affect the cache key).
+	// core.DefaultConfig values.
 	Config core.Config `json:"config"`
 	// WarmupCycles run before the calibration window so the measured
 	// rates are steady-state, not cold-cache.
@@ -88,18 +87,12 @@ func (s Spec) Validate() error {
 
 // CacheKey content-addresses the spec's calibration: "est-" plus the
 // SHA-256 of the canonical JSON of every calibration-affecting input.
-// The shard count is normalised exactly like JobRequest.CacheKey (0 for
-// the sequential engine, 2 for any sharded run) — the engines are
-// bit-identical across shard counts but not across engine kinds. The
-// prefix keeps estimate artifacts distinguishable from job results in
-// the store's flat artifact namespace.
+// The retired shard count hashes as 0, exactly like JobRequest.CacheKey.
+// The prefix keeps estimate artifacts distinguishable from job results
+// in the store's flat artifact namespace.
 func (s Spec) CacheKey() string {
 	canon := s.Config
-	if canon.Shards > 1 {
-		canon.Shards = 2
-	} else {
-		canon.Shards = 0
-	}
+	canon.Shards = 0
 	blob, err := json.Marshal(struct {
 		Config      core.Config `json:"config"`
 		Warmup      uint64      `json:"warmup_cycles"`
@@ -161,9 +154,8 @@ func (c *Calibration) LifetimeMonths() float64 { return c.LifetimeSeconds / fore
 // warm up, reset the per-frame phase counters, measure the window — and
 // then, where the forecast would age one capacity step and re-measure,
 // ages all the way to the target in a single exact AgeFrames pass at
-// the measured rates. Deterministic: same spec, same calibration, for
-// every shard count (the engines are bit-identical and AgeFrames breaks
-// ties by the stable set-major frame order).
+// the measured rates. Deterministic: same spec, same calibration
+// (AgeFrames breaks ties by the stable set-major frame order).
 func Calibrate(ctx context.Context, spec Spec) (*Calibration, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -172,7 +164,6 @@ func Calibrate(ctx context.Context, spec Spec) (*Calibration, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer h.Close()
 	if spec.WarmupCycles > 0 {
 		if _, err := h.MeasureCtx(ctx, 0, spec.WarmupCycles, core.RunHooks{}); err != nil {
 			return nil, err

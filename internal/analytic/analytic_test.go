@@ -49,33 +49,23 @@ func TestCalibrateDeterminism(t *testing.T) {
 	}
 }
 
-// TestCalibrateShardEquivalence pins the planner's cache-key contract:
-// the set-sharded engine is bit-identical across shard counts, so every
-// sharded calibration of the same spec is byte-for-byte the same and
-// shares one content address.
-func TestCalibrateShardEquivalence(t *testing.T) {
-	spec2 := quickSpec()
-	spec2.Config.Shards = 2
-	spec4 := quickSpec()
-	spec4.Config.Shards = 4
-
-	a, err := Calibrate(context.Background(), spec2)
-	if err != nil {
-		t.Fatal(err)
+// TestSpecShards pins the retired shard knob: 0 and 1 keep the one
+// cache key they always shared, and anything above 1 fails validation
+// with a pointer at sweeps.
+func TestSpecShards(t *testing.T) {
+	one := quickSpec()
+	one.Config.Shards = 1
+	if one.CacheKey() != quickSpec().CacheKey() {
+		t.Fatal("shards=1 and shards=0 specs hash differently")
 	}
-	b, err := Calibrate(context.Background(), spec4)
-	if err != nil {
-		t.Fatal(err)
+	four := quickSpec()
+	four.Config.Shards = 4
+	err := four.Validate()
+	if err == nil || !strings.Contains(err.Error(), "/v1/sweeps") {
+		t.Fatalf("shards=4 spec: %v, want a rejection naming /v1/sweeps", err)
 	}
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("shard counts disagree:\n2: %+v\n4: %+v", a, b)
-	}
-	if spec2.CacheKey() != spec4.CacheKey() {
-		t.Fatal("sharded specs differing only in shard count must share a cache key")
-	}
-	seq := quickSpec()
-	if seq.CacheKey() == spec2.CacheKey() {
-		t.Fatal("sequential and sharded engines must not share a cache key")
+	if _, err := Calibrate(context.Background(), four); err == nil {
+		t.Fatal("Calibrate accepted shards=4")
 	}
 }
 

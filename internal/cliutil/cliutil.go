@@ -35,22 +35,9 @@ func ParseMixes(arg string) ([]int, error) {
 	return out, nil
 }
 
-// ParseInts converts a comma-separated list of positive integers (e.g. a
-// -shards selector) into a slice.
-func ParseInts(arg string) ([]int, error) {
-	var out []int
-	for _, tok := range strings.Split(arg, ",") {
-		v, err := strconv.Atoi(strings.TrimSpace(tok))
-		if err != nil || v < 1 {
-			return nil, fmt.Errorf("bad count %q (want a positive integer)", tok)
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("empty list")
-	}
-	return out, nil
-}
+// PolicyNames lists the registry's policies for -policy flag help, so
+// every cmd advertises exactly what core accepts.
+func PolicyNames() string { return strings.Join(core.Policies(), ", ") }
 
 // ParseColoring converts the conventional -coloring spec string into a
 // coloring config: "scheme[:key=value,...]" with scheme one of xor /
@@ -101,42 +88,4 @@ func ApplyColoring(cfg *core.Config, spec string) error {
 	}
 	cfg.Coloring = cc
 	return cfg.Validate()
-}
-
-// ShardIncompat names a flag combination a cmd cannot honor when the
-// sharded engine is selected (forecast's -rotate, hybridsim's -trace).
-type ShardIncompat struct {
-	When bool   // the incompatible flag was set
-	Flag string // its name, for the error message
-	Why  string // why it cannot combine with -shards > 1
-}
-
-// ApplyShards applies the conventional -shards flag to a config and
-// validates it, including the shared incompatibility rules (the
-// prefetcher and CheckEvery rejections live in core.Config.Validate) and
-// any cmd-specific ones. Every sharded cmd funnels its flag through here
-// instead of keeping a private copy of the checks.
-func ApplyShards(cfg *core.Config, shards int, extra ...ShardIncompat) error {
-	cfg.Shards = shards
-	if shards > 1 {
-		for _, inc := range extra {
-			if inc.When {
-				return fmt.Errorf("%s %s", inc.Flag, inc.Why)
-			}
-		}
-	}
-	return cfg.Validate()
-}
-
-// ValidateShardCounts checks every count of a -shards list against the
-// base config (bench -parallel sweeps several counts in one run).
-func ValidateShardCounts(cfg core.Config, counts []int) error {
-	for _, n := range counts {
-		c := cfg
-		c.Shards = n
-		if err := c.Validate(); err != nil {
-			return fmt.Errorf("shards=%d: %w", n, err)
-		}
-	}
-	return nil
 }

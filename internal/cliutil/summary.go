@@ -44,9 +44,6 @@ func RunReport(cfg core.Config, s core.Summary, opt RunReportOptions) *report.Re
 	rep.AddField("nvm_bytes_written", s.NVMBytesWritten)
 	rep.AddField("nvm_bytes_si", stats.FormatSI(float64(s.NVMBytesWritten)))
 	rep.AddField("nvm_capacity", s.Capacity)
-	if cfg.Shards > 1 {
-		rep.AddField("shards", cfg.Shards)
-	}
 	if opt.CPthWinner >= 0 {
 		rep.AddField("cpth_winner", opt.CPthWinner)
 	}

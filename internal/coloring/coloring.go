@@ -7,11 +7,8 @@
 //
 // A scheme maps the logical set index (block mod sets) to the physical
 // directory/frame row. The mapping only changes inside Epoch, which the
-// owner calls exactly once per epoch boundary: the sequential LLC from
-// its own EndEpoch, the shard router once at the quiescent epoch
-// barrier (so shards=N stays bit-identical to shards=1 — the remap is
-// a global, deterministic event ordered against every access stream).
-// When Epoch reports a change the owner must flush its directory, since
+// LLC calls exactly once per epoch boundary from its own EndEpoch. When
+// Epoch reports a change the LLC flushes the remapped rows, since their
 // resident blocks' rows moved under them.
 //
 // All schemes are deterministic: the wear-feedback scheme breaks wear

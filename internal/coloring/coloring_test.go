@@ -32,7 +32,7 @@ func TestXORPermutation(t *testing.T) {
 	}
 }
 
-// TestRotationPermutationEveryEpoch is the property the shard barrier
+// TestRotationPermutationEveryEpoch is the property the LLC's row flush
 // depends on: after every single Epoch call — advancing or not — the
 // mapping is still a bijection. It also pins the advance cadence (true
 // exactly every interval epochs) and full row coverage: with

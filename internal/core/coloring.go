@@ -23,9 +23,8 @@ const MaxColoringInterval = 1 << 20
 func ColoringSchemes() []string { return []string{ColoringXOR, ColoringRot, ColoringWear} }
 
 // ColoringConfig declares the inter-set wear-leveling (cache coloring)
-// scheme a config runs: a bijective logical-set→physical-row remap
-// applied by both the sequential LLC and the shard router (advanced at
-// the epoch barrier, so shards=N stays bit-identical to shards=1).
+// scheme a config runs: a bijective logical-set→physical-row remap the
+// LLC applies to every lookup and advances at its epoch boundaries.
 // Fields irrelevant to the selected scheme must stay zero; Validate
 // rejects mixed documents so a typo'd knob cannot be silently ignored.
 type ColoringConfig struct {
@@ -98,9 +97,7 @@ func (c Config) validateColoring(cc *ColoringConfig) error {
 }
 
 // buildColoring constructs the scheme the config selects, or nil when
-// coloring is off. Build wires it into the sequential LLC (self-
-// advancing); BuildEngine shares ONE instance across every shard clone
-// and the router, which alone advances it at the epoch barrier.
+// coloring is off. Build wires it into the LLC, which advances it.
 func (c Config) buildColoring() (hybrid.SetMapper, error) {
 	if c.Coloring == nil {
 		return nil, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -82,6 +83,35 @@ func TestBuildColoringSchemes(t *testing.T) {
 			t.Fatalf("%+v: mapper %v, err %v", cc, m, err)
 		}
 		assertBijection(t, m.Map, cfg.LLCSets)
+	}
+}
+
+// TestIdentityColoringMatchesClassic pins the zero-cost end of the
+// design: xor with mask 0 is the identity mapping, and a run with it
+// configured must be the run with coloring off — same summary, every
+// counter and gauge of the window, and the same per-frame wear.
+func TestIdentityColoringMatchesClassic(t *testing.T) {
+	run := func(cc *ColoringConfig) (Summary, []float64) {
+		cfg := QuickConfig()
+		cfg.Coloring = cc
+		sys, err := cfg.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := Measure(sys, 300_000, 1_500_000)
+		var wear []float64
+		for _, f := range sys.LLC().Array().Frames() {
+			wear = append(wear, f.Wear())
+		}
+		return sum, wear
+	}
+	plain, plainWear := run(nil)
+	id, idWear := run(&ColoringConfig{Scheme: ColoringXOR})
+	if !reflect.DeepEqual(plain, id) {
+		t.Fatalf("identity coloring changed the run:\n off %+v\n id  %+v", plain, id)
+	}
+	if !reflect.DeepEqual(plainWear, idWear) {
+		t.Fatal("identity coloring changed per-frame wear")
 	}
 }
 

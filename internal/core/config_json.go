@@ -12,7 +12,7 @@ import (
 // seed it with DefaultConfig (the convention of `hybridsim -config` and
 // the simd job API) and ship partial documents like
 //
-//	{"policy": "CA_RWR", "cpth": 40, "shards": 4}
+//	{"policy": "CA_RWR", "cpth": 40}
 //
 // The strictness matters operationally — a typoed field name fails loudly
 // instead of silently simulating the default.

@@ -11,7 +11,7 @@ func TestConfigJSONRoundTrip(t *testing.T) {
 	want.PolicyName = "CP_SD_Th"
 	want.Th, want.Tw = 8, 25
 	want.CPth = 42
-	want.Shards = 4
+	want.Shards = 1
 	want.AblationHCROnly = true
 
 	blob, err := want.MarshalCanonical()

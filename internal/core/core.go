@@ -92,8 +92,7 @@ type Config struct {
 	// Coloring selects inter-set wear-leveling (cache coloring): a
 	// bijective logical-set→physical-row remap applied to every LLC
 	// lookup, with rotation/wear-feedback schemes advancing at epoch
-	// boundaries (at the shard router's barrier under sharding, so any
-	// shard count stays bit-identical). nil disables coloring; the
+	// boundaries. nil disables coloring; the
 	// pointer is omitted from the canonical form when nil, so
 	// pre-coloring cache keys and golden configs are unchanged.
 	Coloring *ColoringConfig `json:"coloring,omitempty"`
@@ -110,14 +109,10 @@ type Config struct {
 	// accumulate on the checker, reachable via hier.System.AccessProbe.
 	CheckEvery uint64 `json:"check_every"`
 
-	// Shards selects the set-sharded parallel engine (internal/shard):
-	// the LLC's sets are split into this many contiguous shards applied
-	// by worker goroutines, bit-identical to Shards=1 by construction.
-	// 0 or 1 builds the engine single-sharded (inline, no goroutines).
-	// Only BuildEngine, MeasureEngine, BuildForecastTarget and
-	// NewRunHandle honor it; Build always constructs the classic
-	// sequential system. Shards > 1 is incompatible with
-	// EnablePrefetcher and CheckEvery.
+	// Shards is kept so that documents and canonical forms written while
+	// a set-sharded engine existed still decode and hash as before. Only
+	// 0 and 1 are valid, and both select the one sequential engine;
+	// parallelism comes from running many jobs at once (POST /v1/sweeps).
 	Shards int `json:"shards"`
 }
 

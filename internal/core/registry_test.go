@@ -5,7 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/dueling"
 	"repro/internal/hybrid"
+	"repro/internal/metrics"
 )
 
 // TestEveryRegisteredPolicyBuilds pins the registry against the drift
@@ -216,5 +218,40 @@ func TestTournamentBuildResolvesBracket(t *testing.T) {
 	sys.Run(500_000)
 	if err := sys.LLC().CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTournamentSubsumesLegacyCPSD is the full-stack differential: a
+// TOURNAMENT whose candidates are CA_RWR at the legacy CPth list must
+// reproduce CP_SD exactly — every counter and gauge of the window, the
+// epoch series and the NVM capacity. The two builds share nothing above
+// the dueling substrate: CP_SD goes through the top-level-policy path
+// (nil resolver), the tournament through per-set resolution.
+func TestTournamentSubsumesLegacyCPSD(t *testing.T) {
+	run := func(policy string, tc *TournamentConfig) (Summary, []metrics.Sample) {
+		cfg := QuickConfig()
+		cfg.PolicyName = policy
+		cfg.Tournament = tc
+		cfg.LLCSets = 96
+		cfg.EpochCycles = 100_000
+		cfg.EnduranceMean, cfg.EnduranceCV = 60_000, 0.3
+		sys, err := cfg.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Measure(sys, 300_000, 1_500_000), sys.EpochRing().Samples()
+	}
+	legacy := &TournamentConfig{}
+	for _, cpth := range dueling.DefaultCandidates {
+		legacy.Candidates = append(legacy.Candidates, TournamentCandidate{Policy: "CA_RWR", CPth: cpth})
+	}
+	ref, refEpochs := run("CP_SD", nil)
+	got, gotEpochs := run("TOURNAMENT", legacy)
+	got.Policy = ref.Policy
+	if !reflect.DeepEqual(ref, got) {
+		t.Fatalf("tournament diverged from CP_SD:\n CP_SD %+v\n tourn %+v", ref, got)
+	}
+	if !reflect.DeepEqual(refEpochs, gotEpochs) {
+		t.Fatal("tournament epoch series diverged from CP_SD")
 	}
 }

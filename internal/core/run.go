@@ -2,39 +2,23 @@ package core
 
 import (
 	"context"
-	"fmt"
 
-	"repro/internal/dueling"
 	"repro/internal/hier"
 	"repro/internal/hybrid"
 	"repro/internal/metrics"
 	"repro/internal/nvm"
-	"repro/internal/shard"
 )
 
-// RunHandle wraps a built simulation — sequential or set-sharded,
-// selected by Config.Shards — behind one uniform surface, so callers that
-// drive long runs (the simd job daemon, cmd/hybridsim) need a single code
-// path for both engines. Close must be called when done; it releases the
-// sharded engine's worker goroutines and is a no-op for the sequential
-// system.
+// RunHandle wraps a built simulation behind the surface callers that
+// drive long runs (the simd job daemon, cmd/hybridsim) need: chunked,
+// cancellable measurement plus the aging and telemetry accessors.
 type RunHandle struct {
-	cfg    Config
-	sys    *hier.System  // front-end (the engine's front for sharded runs)
-	engine *shard.Engine // non-nil when the sharded engine is driving
+	cfg Config
+	sys *hier.System
 }
 
-// NewRunHandle builds the simulation the config describes: the classic
-// sequential system for Shards <= 1, the set-sharded parallel engine
-// otherwise (bit-identical by PR 4's equivalence proof).
+// NewRunHandle builds the simulation the config describes.
 func (c Config) NewRunHandle() (*RunHandle, error) {
-	if c.Shards > 1 {
-		e, err := c.BuildEngine()
-		if err != nil {
-			return nil, err
-		}
-		return &RunHandle{cfg: c, sys: e.System(), engine: e}, nil
-	}
 	sys, err := c.Build()
 	if err != nil {
 		return nil, err
@@ -42,13 +26,9 @@ func (c Config) NewRunHandle() (*RunHandle, error) {
 	return &RunHandle{cfg: c, sys: sys}, nil
 }
 
-// NewRunHandleFromPrograms builds a sequential handle over caller-supplied
-// per-core programs (trace replays). The sharded engine constructs its
-// own per-shard stimulus, so Shards > 1 is rejected here.
+// NewRunHandleFromPrograms builds a handle over caller-supplied per-core
+// programs (trace replays).
 func (c Config) NewRunHandleFromPrograms(progs []hier.Program) (*RunHandle, error) {
-	if c.Shards > 1 {
-		return nil, fmt.Errorf("core: trace-driven programs replay through the sequential engine; got %d shards", c.Shards)
-	}
 	sys, err := c.BuildFromPrograms(progs)
 	if err != nil {
 		return nil, err
@@ -56,51 +36,28 @@ func (c Config) NewRunHandleFromPrograms(progs []hier.Program) (*RunHandle, erro
 	return &RunHandle{cfg: c, sys: sys}, nil
 }
 
-// Close releases the handle's resources (the sharded engine's workers).
-func (h *RunHandle) Close() {
-	if h.engine != nil {
-		h.engine.Close()
-	}
-}
-
 // Config returns the config the handle was built from.
 func (h *RunHandle) Config() Config { return h.cfg }
 
-// System returns the hierarchy front-end (the engine's front system when
-// sharded); its registry and epoch ring carry the run's telemetry.
+// System returns the hierarchy; its registry and epoch ring carry the
+// run's telemetry.
 func (h *RunHandle) System() *hier.System { return h.sys }
-
-// Sharded reports whether the set-sharded engine is driving.
-func (h *RunHandle) Sharded() bool { return h.engine != nil }
 
 // EpochRing returns the per-epoch sample ring of the run.
 func (h *RunHandle) EpochRing() *metrics.EpochRing { return h.sys.EpochRing() }
 
 // PolicyName names the insertion policy the handle simulates.
-func (h *RunHandle) PolicyName() string {
-	if h.engine != nil {
-		return h.engine.PolicyName()
-	}
-	return h.sys.LLC().Policy().Name()
-}
+func (h *RunHandle) PolicyName() string { return h.sys.LLC().Policy().Name() }
 
 // Capacity returns the NVM part's current effective capacity fraction.
-func (h *RunHandle) Capacity() float64 {
-	if h.engine != nil {
-		return h.engine.EffectiveCapacityFraction()
-	}
-	return h.sys.LLC().EffectiveCapacityFraction()
-}
+func (h *RunHandle) Capacity() float64 { return h.sys.LLC().EffectiveCapacityFraction() }
 
 // Frames returns the NVM frames in stable set-major order (nil for
 // SRAM-only configurations) — the order forecast.AgeFrames needs for a
-// bit-identical aging trajectory regardless of the engine kind. The
-// frames are live simulation state: callers must only touch them while
-// the handle is quiescent (between MeasureCtx calls).
+// bit-identical aging trajectory. The frames are live simulation state:
+// callers must only touch them while the handle is quiescent (between
+// MeasureCtx calls).
 func (h *RunHandle) Frames() []*nvm.Frame {
-	if h.engine != nil {
-		return h.engine.Frames()
-	}
 	if arr := h.sys.LLC().Array(); arr != nil {
 		return arr.Frames()
 	}
@@ -111,35 +68,18 @@ func (h *RunHandle) Frames() []*nvm.Frame {
 // measurement window for the analytic aging model (a no-op for SRAM-only
 // configurations).
 func (h *RunHandle) ResetPhase() {
-	if h.engine != nil {
-		h.engine.ResetPhase()
-		return
-	}
 	if arr := h.sys.LLC().Array(); arr != nil {
 		arr.ResetPhase()
 	}
 }
 
-// PreAge wears the NVM array to the target capacity fraction (PreAge /
-// PreAgeEngine depending on the engine kind).
-func (h *RunHandle) PreAge(targetCapacity float64) {
-	if h.engine != nil {
-		PreAgeEngine(h.engine, targetCapacity)
-		return
-	}
-	PreAge(h.sys, targetCapacity)
-}
+// PreAge wears the NVM array to the target capacity fraction (PreAge).
+func (h *RunHandle) PreAge(targetCapacity float64) { PreAge(h.sys, targetCapacity) }
 
 // DuelingWinner returns the set-dueling controller's current winner, when
 // the policy uses one.
 func (h *RunHandle) DuelingWinner() (int, bool) {
-	var d *dueling.Controller
-	var ok bool
-	if h.engine != nil {
-		d, ok = h.engine.Dueling()
-	} else {
-		d, ok = Dueling(h.sys)
-	}
+	d, ok := Dueling(h.sys)
 	if !ok {
 		return 0, false
 	}

@@ -63,41 +63,6 @@ func TestMeasureCtxMatchesMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
-	got, err := h.MeasureCtx(context.Background(), warmup, measure, RunHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	summariesBitIdentical(t, want, got)
-}
-
-// TestMeasureCtxShardedMatches runs the same check through the sharded
-// engine handle: the chunked MeasureCtx must reproduce the one-shot
-// MeasureEngine bit for bit. (The engine is its own reference — its
-// router answers front-end accesses as misses, so engine timing is
-// deliberately a different, N-invariant model from the sequential
-// system's; PR 4's equivalence holds across shard counts, not across
-// engine kinds.)
-func TestMeasureCtxShardedMatches(t *testing.T) {
-	const warmup, measure = 300_000, 1_100_000
-	cfg := QuickConfig()
-	cfg.Shards = 2
-
-	e, err := cfg.BuildEngine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := MeasureEngine(e, warmup, measure)
-	e.Close()
-
-	h, err := cfg.NewRunHandle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer h.Close()
-	if !h.Sharded() {
-		t.Fatal("expected the sharded engine")
-	}
 	got, err := h.MeasureCtx(context.Background(), warmup, measure, RunHooks{})
 	if err != nil {
 		t.Fatal(err)
@@ -111,7 +76,6 @@ func TestMeasureCtxHooks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
 
 	var epochs []int
 	var lastDone, lastTotal uint64
@@ -147,7 +111,6 @@ func TestMeasureCtxCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
 
 	var cps []Checkpoint
 	delivered := 0
@@ -183,7 +146,6 @@ func TestMeasureCtxCancellation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	fired := 0

@@ -102,19 +102,8 @@ func (c Config) Validate() error {
 	if c.LLCBanks < 0 || c.LLCBanks > MaxLLCBanks {
 		bad("LLC bank count %d outside [0,%d]", c.LLCBanks, MaxLLCBanks)
 	}
-	if c.Shards < 0 {
-		bad("negative shard count %d", c.Shards)
-	}
-	if c.Shards > 1 {
-		if c.Shards > c.LLCSets {
-			bad("%d shards exceed %d LLC sets", c.Shards, c.LLCSets)
-		}
-		if c.EnablePrefetcher {
-			bad("%d shards incompatible with the L2 prefetcher (prefetch tags need sequential LLC answers)", c.Shards)
-		}
-		if c.CheckEvery > 0 {
-			bad("%d shards incompatible with CheckEvery (the invariant checker probes the sequential LLC)", c.Shards)
-		}
+	if c.Shards < 0 || c.Shards > 1 {
+		bad("shards %d: only 0 or 1 is valid (the sequential engine); run configurations in parallel with POST /v1/sweeps", c.Shards)
 	}
 	return errors.Join(errs...)
 }

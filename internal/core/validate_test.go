@@ -16,6 +16,19 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	}
 }
 
+// TestValidateAcceptsSequentialShards pins that the two shard counts
+// written while the set-sharded engine existed for sequential runs (0 and
+// 1) still validate and build.
+func TestValidateAcceptsSequentialShards(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		cfg := QuickConfig()
+		cfg.Shards = n
+		if _, err := cfg.Build(); err != nil {
+			t.Fatalf("shards=%d: %v", n, err)
+		}
+	}
+}
+
 func TestValidateRejections(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -41,6 +54,10 @@ func TestValidateRejections(t *testing.T) {
 		{"nvmlat", func(c *Config) { c.NVMLatencyFactor = -1 }, "latency factor"},
 		{"prefetch", func(c *Config) { c.PrefetchDegree = -1 }, "prefetch"},
 		{"banks", func(c *Config) { c.LLCBanks = -1 }, "bank"},
+		{"shards-neg", func(c *Config) { c.Shards = -1 }, "shards"},
+		// The set-sharded engine is gone: the error must point the
+		// caller at the parallel path that remains.
+		{"shards-engine", func(c *Config) { c.Shards = 2 }, "/v1/sweeps"},
 		// Upper bounds: out-of-range geometry must fail at the submission
 		// boundary (the simd allowlist hardening), not OOM inside Build.
 		{"llc-sets-huge", func(c *Config) { c.LLCSets = MaxLLCSets + 1 }, "LLC sets"},

@@ -14,11 +14,7 @@
 // candidate means. The paper's CPth dueling attaches an integer
 // threshold per candidate (New / NewWithCandidates); the policy
 // tournament of internal/policy attaches a whole insertion policy per
-// candidate through the Payload index (NewTournament). The shard
-// engine's epoch barrier relies on AddVotes/MergeFrom/AdoptWinner being
-// exact integer sums over the per-candidate counters, so an N-way
-// tournament merged across shards picks exactly the winner a sequential
-// controller would have picked from the combined access stream.
+// candidate through the Payload index (NewTournament).
 package dueling
 
 import (
@@ -276,49 +272,6 @@ func (c *Controller) RegisterMetrics(reg *metrics.Registry) {
 // byte counters, for tests and diagnostics.
 func (c *Controller) EpochCounters() (hits, bytes []uint64) {
 	return append([]uint64(nil), c.hits...), append([]uint64(nil), c.bytes...)
-}
-
-// AddVotes folds external per-candidate vote counters into the open
-// epoch. Vote counts are plain sums, so accumulating shard-local sampler
-// counters this way and then calling EndEpoch selects exactly the winner
-// the sequential controller would have picked from the combined stream.
-func (c *Controller) AddVotes(hits, bytes []uint64) {
-	if len(hits) != len(c.cands) || len(bytes) != len(c.cands) {
-		panic(fmt.Sprintf("dueling: AddVotes arity %d/%d, want %d",
-			len(hits), len(bytes), len(c.cands)))
-	}
-	for k := range c.hits {
-		c.hits[k] += hits[k]
-		c.bytes[k] += bytes[k]
-	}
-}
-
-// MergeFrom folds other's open-epoch counters into c and clears them from
-// other, without touching either controller's winner or History. The shard
-// engine's epoch barrier calls it once per shard, in ascending shard
-// order, before closing the global epoch.
-func (c *Controller) MergeFrom(other *Controller) {
-	if len(other.cands) != len(c.cands) {
-		panic("dueling: MergeFrom across different candidate lists")
-	}
-	for k := range c.hits {
-		c.hits[k] += other.hits[k]
-		c.bytes[k] += other.bytes[k]
-		other.hits[k] = 0
-		other.bytes[k] = 0
-	}
-}
-
-// AdoptWinner copies other's follower choice into c without recording an
-// epoch. After the global controller closes an epoch, each shard
-// controller adopts its winner so follower sets everywhere use the
-// globally selected candidate — exactly what the sequential controller's
-// follower sets would see.
-func (c *Controller) AdoptWinner(other *Controller) {
-	if len(other.cands) != len(c.cands) {
-		panic("dueling: AdoptWinner across different candidate lists")
-	}
-	c.winner = other.winner
 }
 
 // OpenVoteTotals sums the open epoch's hit and byte counters across all

@@ -9,8 +9,7 @@ import (
 // dueling path: a 2-candidate tournament whose candidates carry the same
 // CPth values must be bit-exact with NewWithCandidates on the same event
 // stream — same per-set thresholds after every epoch, same winner
-// history — both sequentially and with the stream sharded by set and
-// folded through MergeFrom/AdoptWinner.
+// history.
 
 // lcg is a tiny deterministic generator so the vote stream is fixed.
 type lcg uint64
@@ -58,62 +57,6 @@ func TestTwoCandidateTournamentMatchesLegacySequential(t *testing.T) {
 		}
 		if !reflect.DeepEqual(legacy.History, tourn.History) {
 			t.Fatalf("th=%v: history diverged:\nlegacy %v\ntourn  %v", params.th, legacy.History, tourn.History)
-		}
-	}
-}
-
-func TestTwoCandidateTournamentMatchesLegacySharded(t *testing.T) {
-	const sets = 128
-	newTourn := func() *Controller {
-		return NewTournament(sets, []Candidate{
-			{Name: "CA_RWR@44", CPth: 44, Payload: 0},
-			{Name: "CA_RWR@58", CPth: 58, Payload: 1},
-		}, 0, 4, 5)
-	}
-	for _, shards := range []int{1, 2, 3, 8} {
-		global := newTourn()
-		locals := make([]*Controller, shards)
-		for i := range locals {
-			locals[i] = newTourn()
-		}
-		ref := NewWithCandidates(sets, []int{44, 58}, 4, 5)
-		shardOf := func(set int) int { return set * shards / sets }
-
-		rng := lcg(9)
-		for epoch := 0; epoch < 12; epoch++ {
-			for i := 0; i < 4000; i++ {
-				set := int(rng.next() % sets)
-				l := locals[shardOf(set)]
-				switch rng.next() % 3 {
-				case 0:
-					ref.RecordHit(set)
-					l.RecordHit(set)
-				default:
-					n := int(rng.next() % 80)
-					ref.RecordNVMBytes(set, n)
-					l.RecordNVMBytes(set, n)
-				}
-			}
-			// Epoch barrier: merge in ascending shard order, close the
-			// global epoch, adopt the winner everywhere.
-			for _, l := range locals {
-				global.MergeFrom(l)
-			}
-			ref.EndEpoch()
-			global.EndEpoch()
-			for _, l := range locals {
-				l.AdoptWinner(global)
-			}
-			// Every shard's view of every owned set must match the
-			// sequential legacy controller.
-			for s := 0; s < sets; s++ {
-				if got, want := locals[shardOf(s)].CPthFor(s), ref.CPthFor(s); got != want {
-					t.Fatalf("shards=%d epoch %d set %d: CPth %d, want %d", shards, epoch, s, got, want)
-				}
-			}
-		}
-		if !reflect.DeepEqual(global.History, ref.History) {
-			t.Fatalf("shards=%d: history diverged:\nref   %v\ntourn %v", shards, ref.History, global.History)
 		}
 	}
 }

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// N-way tournament counterpart of merge_test.go: opaque candidates
-// (several sharing one CPth, distinguished only by index/payload) are
-// voted on across shard controllers, merged at the barrier, and must
-// select exactly the winner a sequential controller picks from the
-// combined stream — under max-hits, its tie-break, and the Th/Tw rule.
+// N-way tournament selection: opaque candidates (several sharing one
+// CPth, distinguished only by index/payload) must be ranked under
+// max-hits, its tie-break, and the Th/Tw rule exactly like CPth
+// candidates.
 
 func policyCands() []Candidate {
 	return []Candidate{
@@ -20,7 +19,18 @@ func policyCands() []Candidate {
 	}
 }
 
-func TestTournamentMergeMatchesSequential(t *testing.T) {
+// cast records per-candidate votes on each candidate's first sampler set
+// (set k samples candidate k).
+func cast(c *Controller, hits, bytes []uint64) {
+	for k := range hits {
+		for i := uint64(0); i < hits[k]; i++ {
+			c.RecordHit(k)
+		}
+		c.RecordNVMBytes(k, int(bytes[k]))
+	}
+}
+
+func TestTournamentSelectionRule(t *testing.T) {
 	cases := []struct {
 		name    string
 		th, tw  float64
@@ -59,46 +69,22 @@ func TestTournamentMergeMatchesSequential(t *testing.T) {
 		},
 	}
 	for _, tc := range cases {
-		for _, shards := range []int{1, 2, 3, 8} {
-			seq := NewTournament(96, policyCands(), 0, tc.th, tc.tw)
-			seq.AddVotes(tc.hits, tc.bytes)
-			seq.EndEpoch()
-
-			global := NewTournament(96, policyCands(), 0, tc.th, tc.tw)
-			locals := make([]*Controller, shards)
-			hParts := splitVotes(tc.hits, shards)
-			bParts := splitVotes(tc.bytes, shards)
-			for i := range locals {
-				locals[i] = NewTournament(96, policyCands(), 0, tc.th, tc.tw)
-				locals[i].AddVotes(hParts[i], bParts[i])
-			}
-			for _, l := range locals {
-				global.MergeFrom(l)
-			}
-			global.EndEpoch()
-			for _, l := range locals {
-				l.AdoptWinner(global)
-			}
-
-			if got := global.WinnerIndex(); got != tc.wantIdx {
-				t.Errorf("%s/%d shards: merged winner index %d, want %d", tc.name, shards, got, tc.wantIdx)
-			}
-			if got, want := global.WinnerIndex(), seq.WinnerIndex(); got != want {
-				t.Errorf("%s/%d shards: merged winner %d != sequential %d", tc.name, shards, got, want)
-			}
-			if !reflect.DeepEqual(global.IdxHistory, seq.IdxHistory) {
-				t.Errorf("%s/%d shards: idx history %v != sequential %v", tc.name, shards, global.IdxHistory, seq.IdxHistory)
-			}
-			for i, l := range locals {
-				// Follower sets everywhere must resolve to the global
-				// winner; set 95 is a follower (95 % 32 = 31 > #cands).
-				if got, want := l.CandidateFor(95), seq.CandidateFor(95); got != want {
-					t.Errorf("%s/%d shards: shard %d follower candidate %d, want %d", tc.name, shards, i, got, want)
-				}
-				if h, b := l.OpenVoteTotals(); h != 0 || b != 0 {
-					t.Errorf("%s/%d shards: shard %d retains open votes (%d hits, %d bytes)", tc.name, shards, i, h, b)
-				}
-			}
+		c := NewTournament(96, policyCands(), 0, tc.th, tc.tw)
+		cast(c, tc.hits, tc.bytes)
+		c.EndEpoch()
+		if got := c.WinnerIndex(); got != tc.wantIdx {
+			t.Errorf("%s: winner index %d, want %d", tc.name, got, tc.wantIdx)
+		}
+		if !reflect.DeepEqual(c.IdxHistory, []int{tc.wantIdx}) {
+			t.Errorf("%s: idx history %v", tc.name, c.IdxHistory)
+		}
+		// Follower sets resolve to the winner; set 95 is a follower
+		// (95 % 32 = 31 > #cands).
+		if got := c.CandidateFor(95); got != tc.wantIdx {
+			t.Errorf("%s: follower candidate %d, want %d", tc.name, got, tc.wantIdx)
+		}
+		if h, b := c.OpenVoteTotals(); h != 0 || b != 0 {
+			t.Errorf("%s: epoch left open votes (%d hits, %d bytes)", tc.name, h, b)
 		}
 	}
 }
@@ -127,7 +113,7 @@ func TestTournamentSamplerAssignment(t *testing.T) {
 	if c.CandidateFor(95) != 3 {
 		t.Fatalf("initial follower candidate %d, want 3 (permissive start)", c.CandidateFor(95))
 	}
-	c.AddVotes([]uint64{9, 1, 1, 1}, []uint64{0, 0, 0, 0})
+	cast(c, []uint64{9, 1, 1, 1}, []uint64{0, 0, 0, 0})
 	c.EndEpoch()
 	if c.CandidateFor(95) != 0 {
 		t.Fatalf("follower candidate %d after epoch, want 0", c.CandidateFor(95))

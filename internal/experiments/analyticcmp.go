@@ -139,12 +139,11 @@ func AnalyticValidation(base core.Config, specs []ForecastSpec, mixes []int, fcf
 			cfg.MixID = m
 			spec.Mutate(&cfg)
 
-			target, done, err := cfg.BuildForecastTarget()
+			sys, err := cfg.Build()
 			if err != nil {
 				return err
 			}
-			sim := forecast.RunTarget(target, fcfg)
-			done()
+			sim := forecast.Run(sys, fcfg)
 
 			cal, err := analytic.Calibrate(context.Background(), AnalyticSpecFor(cfg, warmupCycles, calibrationCycles))
 			if err != nil {

@@ -34,6 +34,16 @@ func StandardForecastSpecs() []ForecastSpec {
 	}
 }
 
+// ForecastLabels lists the curve labels of StandardForecastSpecs.
+func ForecastLabels() []string {
+	all := StandardForecastSpecs()
+	out := make([]string, len(all))
+	for i, s := range all {
+		out[i] = s.Label
+	}
+	return out
+}
+
 // CoreForecastSpecs is the subset used by quick harness runs.
 func CoreForecastSpecs() []ForecastSpec {
 	all := StandardForecastSpecs()
@@ -69,11 +79,7 @@ func SelectForecastSpecs(arg string) ([]ForecastSpec, error) {
 			}
 		}
 		if !found {
-			valid := make([]string, len(all))
-			for i, s := range all {
-				valid[i] = s.Label
-			}
-			return nil, fmt.Errorf("unknown curve %q (valid: %s)", label, strings.Join(valid, ", "))
+			return nil, fmt.Errorf("unknown curve %q (valid: %s)", label, strings.Join(ForecastLabels(), ", "))
 		}
 	}
 	if len(out) == 0 {
@@ -102,8 +108,7 @@ type PolicyForecast struct {
 // The (spec, mix) simulations are independent and run in parallel on the
 // hardened pool: a failed cell is excluded from its policy's aggregates
 // and reported in the returned task records instead of aborting the
-// whole comparison. When base.Shards > 1 each cell runs on the
-// set-sharded engine (bit-identical output for every shard count).
+// whole comparison.
 func ForecastComparison(base core.Config, specs []ForecastSpec, mixes []int, fcfg forecast.Config) ([]PolicyForecast, []cliutil.TaskResult, error) {
 	results := make([]forecast.Result, len(specs)*len(mixes))
 	tasks := make([]cliutil.Task, len(results))
@@ -115,12 +120,11 @@ func ForecastComparison(base core.Config, specs []ForecastSpec, mixes []int, fcf
 			cfg := base
 			cfg.MixID = m
 			spec.Mutate(&cfg)
-			target, done, err := cfg.BuildForecastTarget()
+			sys, err := cfg.Build()
 			if err != nil {
 				return err
 			}
-			defer done()
-			results[i] = forecast.RunTarget(target, fcfg)
+			results[i] = forecast.Run(sys, fcfg)
 			return nil
 		}}
 	}

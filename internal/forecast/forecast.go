@@ -87,9 +87,9 @@ type Window struct {
 	NVMBytesWritten uint64
 }
 
-// Target abstracts the simulated system the forecast ages: the classic
-// sequential hierarchy (SystemTarget) or internal/shard's set-sharded
-// engine. Frames returns the NVM frames the forecast ages, in a stable
+// Target abstracts the simulated system the forecast ages: the
+// hierarchy (SystemTarget) or an instrumenting wrapper around it.
+// Frames returns the NVM frames the forecast ages, in a stable
 // set-major order (nil for SRAM-only configurations); the order matters
 // because the aging heap breaks simultaneous-death ties by insertion
 // order, so identical frame orders give bit-identical trajectories.
@@ -295,8 +295,7 @@ func Age(arr *nvm.Array, phaseSeconds, stopCapacity, maxSeconds float64) (elapse
 // rate/liveBytes and jumps discretely as bytes die; across frames, a
 // priority queue processes byte deaths in global time order, breaking
 // simultaneous-death ties by the frames' slice order — so a fixed frame
-// order gives a bit-identical trajectory regardless of how the frames
-// are partitioned across shard arrays.
+// order gives a bit-identical trajectory.
 func AgeFrames(frames []*nvm.Frame, phaseSeconds, stopCapacity, maxSeconds float64) (elapsed, capacity float64) {
 	rates := make([]float64, len(frames))
 	for i, f := range frames {

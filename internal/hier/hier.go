@@ -59,13 +59,6 @@ type Config struct {
 	// EpochRingCapacity bounds the per-epoch sample series the system
 	// retains (0 selects metrics.DefaultEpochRingCapacity).
 	EpochRingCapacity int
-
-	// Shards records how many set shards the LLC target is split into
-	// (internal/shard's engine plugs in a router target and sets this).
-	// The hierarchy front-end itself always runs single-threaded; the
-	// knob is carried here so System.Config reflects the execution mode.
-	// 0 or 1 means the classic sequential LLC.
-	Shards int
 }
 
 // DefaultConfig returns the scaled default configuration.
@@ -100,12 +93,10 @@ type Program interface {
 }
 
 // Target is the LLC as seen by the hierarchy front-end: per-core access
-// fan-out plus the epoch and metrics plumbing the system needs. The
-// sequential engine wraps a *hybrid.LLC (LLCTarget); the set-sharded
-// engine of internal/shard plugs in a router that forwards each call to
-// the worker owning the block's set. The core index identifies the
-// requesting core so routed inserts can be matched with the fetch that
-// created the L2 line (two cores may hold the same block privately).
+// fan-out plus the epoch and metrics plumbing the system needs. Build
+// wraps a *hybrid.LLC (LLCTarget); instrumenting wrappers around one
+// plug in through NewWithTarget. The core index identifies the
+// requesting core.
 type Target interface {
 	// GetS looks a block up with read intent on behalf of core.
 	GetS(core int, block uint64) hybrid.AccessResult
@@ -117,17 +108,11 @@ type Target interface {
 	CompressionEnabled() bool
 	// Thresholds exposes the CPth provider (for epoch-series sampling).
 	Thresholds() hybrid.ThresholdProvider
-	// EndEpoch closes a set-dueling epoch. A sharded target must fully
-	// quiesce, merge sampler votes and distribute the winner before
-	// returning, so the epoch sample recorded next reads settled state.
+	// EndEpoch closes a set-dueling epoch.
 	EndEpoch()
 	// Metrics returns the registry carrying the target's llc.* (and
 	// related) counters; the system registers its own on top.
 	Metrics() *metrics.Registry
-	// Sync blocks until every access issued so far has fully executed.
-	// The system calls it before reading the registry outside an epoch
-	// boundary. Sequential targets need not do anything.
-	Sync()
 }
 
 // llcTarget adapts the sequential *hybrid.LLC to the Target interface.
@@ -145,7 +130,6 @@ func (t llcTarget) CompressionEnabled() bool             { return t.l.Compressio
 func (t llcTarget) Thresholds() hybrid.ThresholdProvider { return t.l.Thresholds() }
 func (t llcTarget) EndEpoch()                            { t.l.EndEpoch() }
 func (t llcTarget) Metrics() *metrics.Registry           { return t.l.Metrics() }
-func (t llcTarget) Sync()                                {}
 
 // Core is one simulated core: a program plus private caches.
 type Core struct {
@@ -180,8 +164,8 @@ func (c *Core) L2() *cache.Cache { return c.l2 }
 type System struct {
 	cfg    Config
 	target Target
-	// llc is the concrete sequential LLC when the target wraps one; nil
-	// when a sharded router is plugged in (use Target then).
+	// llc is the concrete LLC when the system was built around one; nil
+	// when only a Target was supplied (use Target then).
 	llc   *hybrid.LLC
 	cores []*Core
 	// compress caches target.CompressionEnabled() (constant per run).
@@ -256,7 +240,7 @@ func NewFromPrograms(cfg Config, llc *hybrid.LLC, apps []Program) *System {
 }
 
 // NewWithTarget builds a system running the programs against an arbitrary
-// LLC target (a sequential LLC adapter or internal/shard's router).
+// LLC target (LLCTarget, or an instrumenting wrapper around an LLC).
 func NewWithTarget(cfg Config, t Target, apps []Program) *System {
 	if len(apps) == 0 {
 		panic("hier: no applications")
@@ -376,8 +360,8 @@ func (s *System) SetAccessProbe(p AccessProbe) { s.probe = p }
 // AccessProbe returns the currently attached probe (nil when none).
 func (s *System) AccessProbe() AccessProbe { return s.probe }
 
-// LLC returns the shared last-level cache, or nil when the system runs
-// against a sharded router target (use Target then).
+// LLC returns the shared last-level cache, or nil when the system was
+// built with NewWithTarget (use Target then).
 func (s *System) LLC() *hybrid.LLC { return s.llc }
 
 // Target returns the LLC target the front-end issues accesses to.
@@ -430,7 +414,6 @@ func (s *System) Run(cycles uint64) RunStats {
 		startInsts[i] = c.insts
 		startCycles[i] = c.cycles
 	}
-	s.target.Sync()
 	before := s.reg.Snapshot()
 
 	for {
@@ -448,7 +431,6 @@ func (s *System) Run(cycles uint64) RunStats {
 		s.closeEpochs()
 	}
 
-	s.target.Sync()
 	delta := s.reg.Snapshot().Delta(before)
 	out := RunStats{
 		Cycles:     s.Now() - start,
@@ -472,8 +454,7 @@ func (s *System) Run(cycles uint64) RunStats {
 }
 
 // closeEpochs closes set-dueling epochs as the global clock crosses
-// EpochCycles boundaries. The target's EndEpoch quiesces a sharded
-// engine, so the sample recordEpoch takes reads settled counters.
+// EpochCycles boundaries, recording one epoch sample per boundary.
 func (s *System) closeEpochs() {
 	for now := s.Now(); now >= s.epochEnd; {
 		s.target.EndEpoch()

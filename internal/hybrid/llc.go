@@ -54,10 +54,9 @@ type Config struct {
 	SetMapper SetMapper
 
 	// SetMapperAdvance makes the LLC advance the mapper at its own
-	// EndEpoch boundaries and flush the directory when the mapping
-	// changes. The sequential engine sets it; the shard engine leaves
-	// it false and advances the single shared mapper once per epoch at
-	// the router's barrier instead.
+	// EndEpoch boundaries and flush the remapped rows when the mapping
+	// changes. core.Build always sets it; without it the mapping stays
+	// fixed unless the caller advances the mapper itself.
 	SetMapperAdvance bool
 }
 
@@ -764,17 +763,17 @@ func (l *LLC) RotateNVMSets(n int) int {
 func (l *LLC) EndEpoch() {
 	l.thr.EndEpoch()
 	if l.mapper != nil && l.mapperAdvance {
-		old := l.SnapshotMapping(nil)
+		old := l.snapshotMapping(nil)
 		if l.mapper.Epoch(l.RowWear()) {
-			l.FlushRows(ChangedRows(old, l.mapper))
+			l.FlushRows(changedRows(old, l.mapper))
 		}
 	}
 }
 
-// SnapshotMapping records the mapper's current logical→physical row
+// snapshotMapping records the mapper's current logical→physical row
 // mapping into dst (grown as needed). Callers snapshot before advancing
-// the mapper and diff with ChangedRows to flush only the stale rows.
-func (l *LLC) SnapshotMapping(dst []int) []int {
+// the mapper and diff with changedRows to flush only the stale rows.
+func (l *LLC) snapshotMapping(dst []int) []int {
 	if cap(dst) < l.sets {
 		dst = make([]int, l.sets)
 	}
@@ -785,13 +784,13 @@ func (l *LLC) SnapshotMapping(dst []int) []int {
 	return dst
 }
 
-// ChangedRows diffs a pre-advance mapping snapshot against the mapper's
+// changedRows diffs a pre-advance mapping snapshot against the mapper's
 // current mapping and returns every physical row that hosts different
 // logical sets than before — the old and new images of each remapped
 // logical set (deduplicated, ascending). Those rows hold stale blocks;
 // all other rows still satisfy SetOf(block) == row and keep their
 // contents across the remap.
-func ChangedRows(old []int, m SetMapper) []int {
+func changedRows(old []int, m SetMapper) []int {
 	stale := make([]bool, len(old))
 	for s, prev := range old {
 		now := m.Map(s)
@@ -822,23 +821,12 @@ func (l *LLC) RowWear() []float64 {
 	return nvm.RowWearInto(l.rowWear, l.arr.Frames(), l.sets, l.arr.Ways())
 }
 
-// FlushDirectory invalidates every directory entry, SRAM and NVM alike,
-// writing dirty casualties back to memory — the refill model of a
-// hardware set-remap event (the coloring migration moves whole rows, so
-// unlike RotateNVMSets the SRAM ways move too). It returns the number
-// of entries flushed.
-func (l *LLC) FlushDirectory() int {
-	flushed := 0
-	for set := 0; set < l.sets; set++ {
-		flushed += l.flushRow(set)
-	}
-	return flushed
-}
-
 // FlushRows invalidates the directory entries of the listed physical
-// rows only — the selective form of FlushDirectory the coloring remap
-// uses, so a pairs-bounded wear-feedback swap pays for the rows it
-// moved instead of the whole cache. Returns the number of entries
+// rows, writing dirty casualties back to memory — the refill model of a
+// hardware set-remap event (the coloring migration moves whole rows, so
+// unlike RotateNVMSets the SRAM ways move too). Only the remapped rows
+// are flushed, so a pairs-bounded wear-feedback swap pays for the rows
+// it moved instead of the whole cache. Returns the number of entries
 // flushed.
 func (l *LLC) FlushRows(rows []int) int {
 	flushed := 0

@@ -114,8 +114,7 @@ func (i InsertInfo) Small() bool { return i.CBSize <= i.CPth }
 // Policy is an LLC insertion policy. The paper's policies are stateless
 // values describing behaviour, with all state in the LLC entries and
 // block tags; RRIP-family extensions may carry per-set state of their own
-// (deterministic, event-driven, and keyed by set so the set-sharded
-// engine stays bit-identical).
+// (deterministic, event-driven, and keyed by set so runs replay exactly).
 type Policy interface {
 	// Name returns the paper's identifier for the policy (e.g. "CP_SD").
 	Name() string
@@ -152,7 +151,7 @@ type Policy interface {
 type SetPolicyResolver interface {
 	// PolicyFor returns the policy governing a set. It must be
 	// deterministic given the controller state (sampler assignment plus
-	// adopted winner) so sharded execution resolves identically.
+	// current winner) so runs replay exactly.
 	PolicyFor(set int) Policy
 }
 
@@ -178,13 +177,9 @@ type RRIPInserter interface {
 // implement it; the interface lives here so the LLC does not depend on
 // that package.
 //
-// Epoch is called exactly once per epoch boundary — by the LLC itself
-// when Config.SetMapperAdvance is set (the sequential engine), or by
-// the shard router at the quiescent epoch barrier (all clones share
-// one mapper instance and the router advances it once, keeping
-// shards=N bit-identical to shards=1). A true return means the mapping
-// changed and the caller must flush every directory keyed by physical
-// row (LLC.FlushDirectory).
+// Epoch is called exactly once per epoch boundary, by the LLC itself
+// when Config.SetMapperAdvance is set. A true return means the mapping
+// changed; the LLC then flushes the directory rows whose mapping moved.
 type SetMapper interface {
 	// Map returns the physical row for a logical set index.
 	Map(logical int) int

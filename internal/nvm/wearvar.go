@@ -27,9 +27,7 @@ type WearVariation struct {
 }
 
 // RowWearInto fills dst (length sets) with each row's total frame wear,
-// iterating frames in set-major order — the one accumulation order both
-// the sequential array and the shard router's merged frame slice use,
-// so the sums associate identically for every shard count.
+// iterating frames in set-major order.
 func RowWearInto(dst []float64, frames []*Frame, sets, ways int) []float64 {
 	for s := 0; s < sets; s++ {
 		var t float64
@@ -42,11 +40,8 @@ func RowWearInto(dst []float64, frames []*Frame, sets, ways int) []float64 {
 }
 
 // WearVariationOf computes the metric family over an explicit set-major
-// frame slice. Both the sequential array gauges and the shard router's
-// merged gauges call exactly this function over frames in the same
-// global set-major order, which keeps the merged values bit-identical
-// to the sequential ones. A nil/empty slice or mismatched geometry
-// yields the zero value.
+// frame slice (the array gauges call it over the array's own frames). A
+// nil/empty slice or mismatched geometry yields the zero value.
 func WearVariationOf(frames []*Frame, sets, ways int) WearVariation {
 	var wv WearVariation
 	if len(frames) == 0 || sets < 1 || ways < 1 || sets*ways != len(frames) {

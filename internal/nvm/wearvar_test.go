@@ -94,8 +94,8 @@ func TestWearVariationEdges(t *testing.T) {
 	}
 }
 
-// TestRowWearInto pins the set-major accumulation the shard router's
-// merged gauges and the wearmap heat table both rely on.
+// TestRowWearInto pins the set-major accumulation the LLC's wear
+// feedback and the wearmap heat table both rely on.
 func TestRowWearInto(t *testing.T) {
 	rows := RowWearInto(make([]float64, 2), framesWithWear(1, 3, 5, 7), 2, 2)
 	approx(t, "row 0", rows[0], 4)
@@ -103,8 +103,7 @@ func TestRowWearInto(t *testing.T) {
 }
 
 // TestArrayWearVariationMatchesOf: the array method is exactly
-// WearVariationOf over its own frames — the equality the sequential and
-// sharded gauge paths both depend on.
+// WearVariationOf over its own frames.
 func TestArrayWearVariationMatchesOf(t *testing.T) {
 	arr := NewArray(4, 2, EnduranceModel{Mean: 1e6, CV: 0.2}, stats.NewRNG(11), ByteDisabling)
 	for i, f := range arr.Frames() {

@@ -34,8 +34,7 @@ const (
 	phaseRing = 4
 	// phaseDecayCap halves the per-set counters once their total reaches
 	// it. Decay is driven by the set's own event count — never by epochs —
-	// so each set's state depends only on its own stream and the sharded
-	// engine reproduces it exactly.
+	// so each set's state depends only on its own stream.
 	phaseDecayCap = 64
 	// phaseMajority: a class wins when it explains more than half of the
 	// decayed observations and at least phaseMinSamples were seen.

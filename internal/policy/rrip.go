@@ -16,8 +16,8 @@ const (
 
 // brripThrottle makes BRRIP insert at rrpvLong only every 32nd NVM
 // insertion of a set (deterministic, per-set — the bimodal low
-// probability of the literature without a random source, so sharded
-// execution stays bit-identical).
+// probability of the literature without a random source, so runs
+// replay bit for bit).
 const brripThrottle = 32
 
 // sizeClassRRPV modulates a base insertion RRPV by the compressed size
@@ -104,7 +104,7 @@ func (*SRRIP) InsertRRPV(info hybrid.InsertInfo) uint8 {
 // insertions are predicted "distant" (RRPV 3) except every 32nd
 // insertion of a set, which gets the SRRIP "long" prediction — the
 // classic anti-thrashing bimodal throttle, made deterministic with a
-// per-set counter so runs are replayable and shard-exact. The size
+// per-set counter so runs are replayable. The size
 // class modulates the result as for SRRIP.
 type BRRIP struct {
 	rripBase
@@ -135,7 +135,7 @@ func (p *BRRIP) InsertRRPV(info hybrid.InsertInfo) uint8 {
 // the class — distant for scans (their blocks will not return before
 // eviction), short for temporal phases, SRRIP's long otherwise. The
 // detector state is per-set and event-driven, so PAR is deterministic
-// and shard-exact like the rest of the family.
+// like the rest of the family.
 type PAR struct {
 	rripBase
 	det *PhaseDetector

@@ -13,8 +13,7 @@ import (
 // interface keeps this package free of a dueling dependency.
 type Selector interface {
 	// CandidateFor returns the candidate index for the set. It must be
-	// deterministic given the controller state so the set-sharded engine
-	// resolves sets identically at any shard count.
+	// deterministic given the controller state so runs replay exactly.
 	CandidateFor(set int) int
 }
 

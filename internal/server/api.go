@@ -25,8 +25,7 @@ import (
 // submission.
 type JobRequest struct {
 	// Config is the simulation to run; omitted fields keep
-	// core.DefaultConfig values. Config.Shards > 1 runs the set-sharded
-	// engine (bit-identical results, so it does not affect the cache key).
+	// core.DefaultConfig values.
 	Config core.Config `json:"config"`
 	// WarmupCycles and MeasureCycles bound the run window (defaults
 	// mirror cmd/hybridsim: 2M warm-up, 10M measured).
@@ -84,21 +83,11 @@ func (r JobRequest) Validate() error {
 // CacheKey returns the content address of the request's result: the
 // SHA-256 of the canonical JSON of every simulation-affecting input.
 // Rendering options (epochs/metrics tables) are excluded — they change
-// the report, not the simulation. The shard count is normalised before
-// hashing: PR 4's differential equivalence suite proves the set-sharded
-// engine bit-identical across every shard count >= 1, so submissions
-// differing only in engine parallelism share one cached result. What the
-// key must still distinguish is the engine kind — shards <= 1 runs the
-// classic sequential system, whose timing model (and therefore summary)
-// legitimately differs from the router's — so the canonical shard count
-// is 0 for sequential runs and 2 for any engine run.
+// the report, not the simulation. The retired shard count hashes as 0:
+// the only valid values, 0 and 1, run the same simulation.
 func (r JobRequest) CacheKey() string {
 	canon := r.Config
-	if canon.Shards > 1 {
-		canon.Shards = 2
-	} else {
-		canon.Shards = 0
-	}
+	canon.Shards = 0
 	blob, err := json.Marshal(struct {
 		Config   core.Config `json:"config"`
 		Warmup   uint64      `json:"warmup_cycles"`

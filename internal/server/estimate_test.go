@@ -354,12 +354,11 @@ func TestSweepAnalyticPlan(t *testing.T) {
 	fcfg.MaxPhases = 8
 	pts := make([]experiments.ParetoPoint, len(children))
 	for i, c := range children {
-		target, done, err := c.Request.Config.BuildForecastTarget()
+		sys, err := c.Request.Config.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		res := forecast.RunTarget(target, fcfg)
-		done()
+		res := forecast.Run(sys, fcfg)
 		life := res.LifetimeMonths()
 		if math.IsInf(res.LifetimeSeconds, 1) {
 			life = math.Inf(1)

@@ -288,7 +288,6 @@ func RunRequestArtifact(ctx context.Context, request json.RawMessage, onProgress
 	if err != nil {
 		return nil, err
 	}
-	defer h.Close()
 	if req.Capacity < 1 {
 		h.PreAge(req.Capacity)
 	}

@@ -846,16 +846,21 @@ func (m *Manager) requeueJob(j *Job, reason requeueReason, attempt int, worker, 
 	return true
 }
 
-// finishJob publishes a job's terminal state: counters, cache and
-// artifact on success, journal entry always. The artifact is written
+// finishJob publishes a job's terminal state: counters, artifact and
+// cache entry on success, journal entry always. The artifact is written
 // before its journal entry, so a journaled completion implies the
-// artifact exists (at-least-once execution, idempotent artifacts) —
-// and before j.finish flips the in-memory state, so an observer woken
-// by awaitTerminal can already read the artifact.
+// artifact exists (at-least-once execution, idempotent artifacts).
+// Artifact and cache entry both land before j.finish flips the
+// in-memory state, so an observer that sees the job completed can
+// already read the artifact, and a resubmission of its key hits the
+// cache. A racing duplicate completion puts a byte-identical result
+// under the same content address, so publishing before the
+// terminal-state check is harmless.
 func (m *Manager) finishJob(j *Job, state JobState, res *Result, err error, outcome cliutil.TaskResult) {
 	var sha string
 	if state == StateCompleted {
 		sha = m.storeResult(j, res)
+		m.cache.put(j.cacheKey, res)
 	}
 	if !j.finish(state, res, err) {
 		// Already terminal: a racing completion (remote upload vs local
@@ -865,7 +870,6 @@ func (m *Manager) finishJob(j *Job, state JobState, res *Result, err error, outc
 	}
 	switch state {
 	case StateCompleted:
-		m.cache.put(j.cacheKey, res)
 		m.completed.Add(1)
 		m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(StateCompleted),
 			Sweep: j.sweepID, Label: j.label, CacheKey: j.cacheKey,
@@ -915,7 +919,6 @@ func (m *Manager) simulate(ctx context.Context, j *Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer h.Close()
 	if j.req.Capacity < 1 {
 		h.PreAge(j.req.Capacity)
 	}

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -203,6 +204,98 @@ func TestRecoveryRerunsInterruptedJob(t *testing.T) {
 	}
 	if j3.ID() != "job-000003" {
 		t.Fatalf("post-recovery ID %s, want job-000003", j3.ID())
+	}
+}
+
+// TestRecoveryFailsRetiredEngineJobs boots over a journal written while
+// the set-sharded engine existed: one "shards":2 job completed (its
+// artifact on disk) and one still queued, next to two classic jobs.
+// Boot must succeed; both engine jobs read failed with an unrecoverable
+// reason naming shards, and the classic jobs are served as before.
+func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
+	dir := t.TempDir()
+	classic, err := DecodeJobRequest([]byte(testBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rerun := classic
+	rerun.Config.Seed++
+	engine := classic
+	engine.Config.Shards = 2
+	classicBlob, _ := json.Marshal(classic)
+	rerunBlob, _ := json.Marshal(rerun)
+	engineBlob, _ := json.Marshal(engine)
+	engineKey := strings.Repeat("e", 64) // the old engine-kind content address
+
+	artifact, err := RunRequestArtifact(context.Background(), classicBlob, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir)
+	classicSHA, err := st.PutArtifact(classic.CacheKey(), artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	engineSHA, err := st.PutArtifact(engineKey, artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(e jobstore.Entry) {
+		t.Helper()
+		if err := st.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	job := func(id, state, key string, req []byte, sha string) {
+		must(jobstore.Entry{Kind: jobstore.KindJob, ID: id, State: state,
+			CacheKey: key, Request: req, ArtifactSHA: sha})
+	}
+	job("job-000001", string(StateQueued), engineKey, engineBlob, "")
+	job("job-000001", string(StateCompleted), engineKey, nil, engineSHA)
+	job("job-000002", string(StateQueued), engineKey, engineBlob, "")
+	job("job-000003", string(StateQueued), classic.CacheKey(), classicBlob, "")
+	job("job-000003", string(StateCompleted), classic.CacheKey(), nil, classicSHA)
+	job("job-000004", string(StateQueued), rerun.CacheKey(), rerunBlob, "")
+
+	m, err := NewManager(Options{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: st})
+	if err != nil {
+		t.Fatalf("boot refused over a journal with engine jobs: %v", err)
+	}
+	defer m.Close()
+	srv := httptest.NewServer(NewHandler(m, nil))
+	defer srv.Close()
+
+	for _, id := range []string{"job-000001", "job-000002"} {
+		resp, err := http.Get(srv.URL + "/v1/jobs/" + id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var jr JobResponse
+		err = json.NewDecoder(resp.Body).Decode(&jr)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if jr.State != StateFailed || !strings.Contains(jr.Error, "unrecoverable") || !strings.Contains(jr.Error, "shards") {
+			t.Fatalf("engine job %s: state %s, error %q; want failed, unrecoverable: … shards", id, jr.State, jr.Error)
+		}
+	}
+
+	j3, ok := m.Job("job-000003")
+	if !ok {
+		t.Fatal("classic completed job lost")
+	}
+	if s3 := j3.Status(); s3.State != StateCompleted || !s3.CacheHit || !s3.Recovered {
+		t.Fatalf("classic completed job: %+v", s3)
+	}
+	getReport(t, srv.URL, "job-000003")
+	j4, ok := m.Job("job-000004")
+	if !ok {
+		t.Fatal("classic queued job lost")
+	}
+	j4.awaitTerminal()
+	if s4 := j4.Status(); s4.State != StateCompleted || s4.CacheHit {
+		t.Fatalf("classic queued job did not re-run: %+v (%v)", s4, j4.Err())
 	}
 }
 

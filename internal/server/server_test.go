@@ -91,7 +91,6 @@ func referenceReport(t *testing.T, body string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer h.Close()
 	if req.Capacity < 1 {
 		h.PreAge(req.Capacity)
 	}
@@ -419,16 +418,12 @@ func TestCacheKeySemantics(t *testing.T) {
 		t.Fatal("rendering options changed the cache key")
 	}
 
-	// Engine runs share one key for every shard count (PR 4 bit
-	// identity), but must not collide with the sequential run.
-	s2, s4 := base, base
-	s2.Config.Shards = 2
-	s4.Config.Shards = 4
-	if s2.CacheKey() != s4.CacheKey() {
-		t.Fatal("shards=2 and shards=4 hash differently")
-	}
-	if s2.CacheKey() == base.CacheKey() {
-		t.Fatal("engine and sequential runs share a cache key")
+	// shards 0 and 1 both name the sequential engine and keep the one
+	// key they always shared.
+	one := base
+	one.Config.Shards = 1
+	if one.CacheKey() != base.CacheKey() {
+		t.Fatal("shards=1 and shards=0 hash differently")
 	}
 
 	seed := base
@@ -440,6 +435,69 @@ func TestCacheKeySemantics(t *testing.T) {
 	window.MeasureCycles++
 	if window.CacheKey() == base.CacheKey() {
 		t.Fatal("window change kept the cache key")
+	}
+}
+
+// TestShardsRejectedOnEveryEndpoint pins that a request for the retired
+// set-sharded engine fails at every HTTP entry point with a 400 that
+// points at sweeps, the parallel path that remains.
+func TestShardsRejectedOnEveryEndpoint(t *testing.T) {
+	m := newTestManager(t, Options{Workers: 1})
+	srv := httptest.NewServer(NewHandler(m, nil))
+	defer srv.Close()
+	cases := []struct{ path, body string }{
+		{"/v1/jobs", `{"config": {"shards": 4}}`},
+		{"/v1/estimate", `{"config": {"shards": 4}}`},
+		{"/v1/sweeps", `{"axes": [{"field": "shards", "values": [4]}]}`},
+		{"/v1/sweeps", `{"base": {"config": {"shards": 4}}, "axes": [{"field": "cpth", "values": [30, 40]}]}`},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(srv.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("POST %s %s: status %d, want 400 (%s)", c.path, c.body, resp.StatusCode, b)
+		}
+		if !strings.Contains(string(b), "/v1/sweeps") {
+			t.Errorf("POST %s %s: error does not point at /v1/sweeps: %s", c.path, c.body, b)
+		}
+	}
+	if n := len(m.Jobs()); n != 0 {
+		t.Fatalf("%d jobs queued by rejected requests", n)
+	}
+}
+
+// TestResubmitAtCompletionHitsCache resubmits each job's key from the
+// status-poll loop the moment the job reads completed: the result must
+// already be in the cache by then, so the resubmission is a hit rather
+// than a second run.
+func TestResubmitAtCompletionHitsCache(t *testing.T) {
+	m := newTestManager(t, Options{Workers: 2, QueueDepth: 4, CacheSize: 64})
+	for i := 0; i < 16; i++ {
+		req := DefaultJobRequest()
+		req.Config = core.QuickConfig()
+		req.Config.Seed = uint64(100 + i)
+		req.WarmupCycles, req.MeasureCycles = 0, 20_000
+		j, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for !j.State().Terminal() {
+			runtime.Gosched()
+		}
+		if st := j.State(); st != StateCompleted {
+			t.Fatalf("job %s ended %s: %v", j.ID(), st, j.Err())
+		}
+		again, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !again.Status().CacheHit {
+			t.Fatalf("resubmission %d of a completed key missed the cache", i)
+		}
 	}
 }
 

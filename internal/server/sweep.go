@@ -88,7 +88,6 @@ var sweepAxisSetters = map[string]func(*JobRequest, json.RawMessage) error{
 	"endurance_cv":       func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Config.EnduranceCV) },
 	"nvm_latency_factor": func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Config.NVMLatencyFactor) },
 	"nvm_rrip":           func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Config.NVMRRIP) },
-	"shards":             func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Config.Shards) },
 	"tournament": func(r *JobRequest, v json.RawMessage) error {
 		// Decode into a fresh bracket — overwriting through the base's
 		// pointer would leak one child's bracket into its siblings.
@@ -151,6 +150,11 @@ func (s SweepSpec) Validate() error {
 	seen := make(map[string]bool, len(s.Axes))
 	for i, ax := range s.Axes {
 		if _, ok := sweepAxisSetters[ax.Field]; !ok {
+			if ax.Field == "shards" {
+				// The retired set-sharded engine's knob: say where
+				// parallelism lives now instead of "unknown field".
+				return fmt.Errorf("sweep spec: axis %d: shards is no longer an axis; the children of one POST /v1/sweeps already run in parallel", i)
+			}
 			return fmt.Errorf("sweep spec: axis %d: unknown field %q", i, ax.Field)
 		}
 		if seen[ax.Field] {

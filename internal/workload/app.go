@@ -164,29 +164,6 @@ func (a *App) ContentInto(dst []byte, block uint64) []byte {
 	return GenContentInto(dst, classOf(&a.prof, a.seed, local), a.seed, local, a.versions[local])
 }
 
-// Version returns the block's current content version (the number of
-// stores recorded by BumpVersion). The shard engine samples it on the
-// front-end thread and ships it with the insert event, so shard workers
-// can regenerate the exact content later via ContentForVersion.
-func (a *App) Version(block uint64) uint32 {
-	if !a.Owns(block) {
-		panic(fmt.Sprintf("workload: block %#x not owned by %s", block, a.prof.Name))
-	}
-	return a.versions[block-a.base]
-}
-
-// ContentForVersion writes the block's contents at an explicit version
-// into dst, like ContentInto but independent of the app's mutable version
-// table. It reads only the app's immutable profile and seed, so it is safe
-// to call concurrently with the front-end thread that advances versions.
-func (a *App) ContentForVersion(dst []byte, block uint64, version uint32) []byte {
-	if !a.Owns(block) {
-		panic(fmt.Sprintf("workload: block %#x not owned by %s", block, a.prof.Name))
-	}
-	local := block - a.base
-	return GenContentInto(dst, classOf(&a.prof, a.seed, local), a.seed, local, version)
-}
-
 // SkewChunks is the interleave factor of the zipfian set-pressure
 // pattern: blocks are grouped by index mod SkewChunks, and the zipf head
 // concentrates on the lowest chunk numbers. A power of two, so each
