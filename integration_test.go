@@ -5,8 +5,10 @@
 package repro
 
 import (
+	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -39,6 +41,48 @@ func TestEveryPolicyEndToEndInvariants(t *testing.T) {
 				t.Fatalf("insert accounting: %d+%d < %d", st.SRAMInserts, st.NVMInserts, st.Inserts)
 			}
 		})
+	}
+	// The retired shard knob: shards=1 names the sequential engine and
+	// must run exactly like the default, while a parallel shard count
+	// (here a non-power-of-two on 256 sets) is refused with a pointer at
+	// sweeps, the job-level parallel path.
+	for _, name := range []string{"CP_SD", "LHybrid", "TAP"} {
+		for _, shards := range []int{1, 3} {
+			name, shards := name, shards
+			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
+				t.Parallel()
+				cfg := core.QuickConfig()
+				cfg.PolicyName = name
+				cfg.Th = 4
+				cfg.Shards = shards
+				sys, err := cfg.Build()
+				if shards > 1 {
+					if err == nil || !strings.Contains(err.Error(), "/v1/sweeps") {
+						t.Fatalf("Build: %v, want a rejection naming /v1/sweeps", err)
+					}
+					if _, err := cfg.NewRunHandle(); err == nil || !strings.Contains(err.Error(), "/v1/sweeps") {
+						t.Fatalf("NewRunHandle: %v, want a rejection naming /v1/sweeps", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.Run(3_000_000)
+				if err := sys.LLC().CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				cfg.Shards = 0
+				ref, err := cfg.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.Run(3_000_000)
+				if st, want := sys.LLC().Stats, ref.LLC().Stats; !reflect.DeepEqual(st, want) {
+					t.Fatalf("shards=1 stats differ from shards=0:\n got %+v\nwant %+v", st, want)
+				}
+			})
+		}
 	}
 }
 

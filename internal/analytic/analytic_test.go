@@ -49,15 +49,32 @@ func TestCalibrateDeterminism(t *testing.T) {
 	}
 }
 
-// TestSpecShards pins the retired shard knob: 0 and 1 keep the one
-// cache key they always shared, and anything above 1 fails validation
-// with a pointer at sweeps.
-func TestSpecShards(t *testing.T) {
+// TestCalibrateShardEquivalence: shards 0 and 1 both name the
+// sequential engine, so they share one cache key and must calibrate to
+// the same result.
+func TestCalibrateShardEquivalence(t *testing.T) {
+	zero := quickSpec()
 	one := quickSpec()
 	one.Config.Shards = 1
-	if one.CacheKey() != quickSpec().CacheKey() {
+	if one.CacheKey() != zero.CacheKey() {
 		t.Fatal("shards=1 and shards=0 specs hash differently")
 	}
+	a, err := Calibrate(context.Background(), zero)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Calibrate(context.Background(), one)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, b) {
+		t.Fatalf("shard counts disagree:\n0: %+v\n1: %+v", a, b)
+	}
+}
+
+// TestSpecShards pins the retired shard knob: anything above 1 fails
+// validation with a pointer at sweeps.
+func TestSpecShards(t *testing.T) {
 	four := quickSpec()
 	four.Config.Shards = 4
 	err := four.Validate()

@@ -70,6 +70,37 @@ func TestMeasureCtxMatchesMeasure(t *testing.T) {
 	summariesBitIdentical(t, want, got)
 }
 
+// TestMeasureCtxShardedMatches: a config that names the sequential shard
+// count (shards=1) shares the default's cache key, so its run handle
+// must reproduce the default's one-shot Measure bit for bit; a parallel
+// shard count gets no handle at all.
+func TestMeasureCtxShardedMatches(t *testing.T) {
+	const warmup, measure = 300_000, 1_100_000
+	cfg := QuickConfig()
+
+	sys, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Measure(sys, warmup, measure)
+
+	cfg.Shards = 1
+	h, err := cfg.NewRunHandle()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := h.MeasureCtx(context.Background(), warmup, measure, RunHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	summariesBitIdentical(t, want, got)
+
+	cfg.Shards = 2
+	if _, err := cfg.NewRunHandle(); err == nil {
+		t.Fatal("NewRunHandle accepted shards=2")
+	}
+}
+
 func TestMeasureCtxHooks(t *testing.T) {
 	cfg := QuickConfig() // 500k-cycle epochs
 	h, err := cfg.NewRunHandle()

@@ -60,3 +60,59 @@ func TestTwoCandidateTournamentMatchesLegacySequential(t *testing.T) {
 		}
 	}
 }
+
+// TestTwoCandidateTournamentMatchesLegacySharded: an epoch's outcome
+// depends only on its vote totals, not on the order the votes arrive.
+// The tournament receives each epoch's stream regrouped into contiguous
+// set ranges (all of range 0's votes, then range 1's, ...) while the
+// legacy controller sees it in arrival order; per-set thresholds and
+// the winner history must still match.
+func TestTwoCandidateTournamentMatchesLegacySharded(t *testing.T) {
+	const sets = 128
+	type vote struct{ set, bytes int } // bytes < 0 marks a hit
+	for _, ranges := range []int{1, 2, 3, 8} {
+		legacy := NewWithCandidates(sets, []int{44, 58}, 4, 5)
+		tourn := NewTournament(sets, []Candidate{
+			{Name: "CA_RWR@44", CPth: 44, Payload: 0},
+			{Name: "CA_RWR@58", CPth: 58, Payload: 1},
+		}, 0, 4, 5)
+		rangeOf := func(set int) int { return set * ranges / sets }
+
+		rng := lcg(9)
+		for epoch := 0; epoch < 12; epoch++ {
+			byRange := make([][]vote, ranges)
+			for i := 0; i < 4000; i++ {
+				set := int(rng.next() % sets)
+				v := vote{set: set, bytes: -1}
+				if rng.next()%3 != 0 {
+					v.bytes = int(rng.next() % 80)
+				}
+				if v.bytes < 0 {
+					legacy.RecordHit(set)
+				} else {
+					legacy.RecordNVMBytes(set, v.bytes)
+				}
+				byRange[rangeOf(set)] = append(byRange[rangeOf(set)], v)
+			}
+			for _, vs := range byRange {
+				for _, v := range vs {
+					if v.bytes < 0 {
+						tourn.RecordHit(v.set)
+					} else {
+						tourn.RecordNVMBytes(v.set, v.bytes)
+					}
+				}
+			}
+			legacy.EndEpoch()
+			tourn.EndEpoch()
+			for s := 0; s < sets; s++ {
+				if got, want := tourn.CPthFor(s), legacy.CPthFor(s); got != want {
+					t.Fatalf("ranges=%d epoch %d set %d: CPth %d, want %d", ranges, epoch, s, got, want)
+				}
+			}
+		}
+		if !reflect.DeepEqual(tourn.History, legacy.History) {
+			t.Fatalf("ranges=%d: history diverged:\nlegacy %v\ntourn  %v", ranges, legacy.History, tourn.History)
+		}
+	}
+}

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"errors"
+	"reflect"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -123,6 +125,35 @@ func TestParallelDeterminism(t *testing.T) {
 	for i := range a.Rows {
 		if a.Rows[i] != b.Rows[i] {
 			t.Fatalf("row %d differs: %+v vs %+v", i, a.Rows[i], b.Rows[i])
+		}
+	}
+}
+
+// TestParallelScalingBench: job-level fan-out is the parallel path, and
+// it must be exact at any width. The CPth sweep pinned to one proc (the
+// pool then runs one task at a time, in order) is the serial baseline;
+// the same sweep at 2 and 4 procs must reproduce it bit for bit.
+func TestParallelScalingBench(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var base CPthSweep
+	for _, procs := range []int{1, 2, 4} {
+		runtime.GOMAXPROCS(procs)
+		s, results, err := Fig6And7CPthSweep(quickBase(), []int{0}, 100_000, 300_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cliutil.ErrOf(results); err != nil {
+			t.Fatalf("procs=%d: %v", procs, err)
+		}
+		if len(s.Rows) == 0 || s.BHHits == 0 {
+			t.Fatalf("procs=%d: empty sweep %+v", procs, s)
+		}
+		if procs == 1 {
+			base = s
+			continue
+		}
+		if !reflect.DeepEqual(s, base) {
+			t.Fatalf("procs=%d: sweep differs from the serial baseline:\n got %+v\nwant %+v", procs, s, base)
 		}
 	}
 }
