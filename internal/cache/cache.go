@@ -8,7 +8,8 @@ import "fmt"
 
 // Line is one cache line's bookkeeping state. Data contents are not stored
 // at the private levels; the hierarchy keeps authoritative block contents
-// in its memory model.
+// in its memory model. Holders of a *Line may change Dirty and Flags; the
+// cache owns Valid and Block.
 type Line struct {
 	Valid bool
 	Dirty bool
@@ -16,13 +17,20 @@ type Line struct {
 	// the LHybrid loop-block tag or the TAP hit counter.
 	Flags uint8
 	Block uint64 // block address (byte address >> 6)
-	last  uint64 // LRU timestamp
 }
 
 // Cache is a set-associative, write-back cache with true LRU replacement.
+//
+// The two per-way fields every access scans live in dense arrays beside
+// the lines: blocks (the tag compare of Lookup/Access) and last (the LRU
+// scan of VictimWay), so a 16-way set's scan reads two host cache lines.
+// Only Insert, Access, Touch and Invalidate write them.
 type Cache struct {
 	sets, ways int
-	lines      []Line // sets*ways, set-major
+	setMask    uint64   // sets-1 when sets is a power of two, else 0
+	lines      []Line   // sets*ways, set-major
+	blocks     []uint64 // blocks[i] == lines[i].Block
+	last       []uint64 // LRU timestamp of lines[i]; 0 exactly when invalid
 	tick       uint64
 
 	// Statistics.
@@ -34,7 +42,29 @@ func New(sets, ways int) *Cache {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache: invalid geometry %dx%d", sets, ways))
 	}
-	return &Cache{sets: sets, ways: ways, lines: make([]Line, sets*ways)}
+	n := sets * ways
+	return &Cache{
+		sets: sets, ways: ways, setMask: SetMask(sets),
+		lines: make([]Line, n), blocks: make([]uint64, n), last: make([]uint64, n),
+	}
+}
+
+// SetMask returns sets-1 when sets is a power of two above one, else 0:
+// the mask that replaces the modulo in set indexing (see SetIndex).
+func SetMask(sets int) uint64 {
+	if sets > 1 && sets&(sets-1) == 0 {
+		return uint64(sets - 1)
+	}
+	return 0
+}
+
+// SetIndex returns block mod sets, using mask (from SetMask(sets)) in
+// place of the 64-bit division when sets is a power of two.
+func SetIndex(block uint64, sets int, mask uint64) int {
+	if mask != 0 {
+		return int(block & mask)
+	}
+	return int(block % uint64(sets))
 }
 
 // NewBySize returns a cache of sizeBytes bytes with the given
@@ -54,7 +84,7 @@ func (c *Cache) Sets() int { return c.sets }
 func (c *Cache) Ways() int { return c.ways }
 
 // SetOf returns the set index for a block address.
-func (c *Cache) SetOf(block uint64) int { return int(block % uint64(c.sets)) }
+func (c *Cache) SetOf(block uint64) int { return SetIndex(block, c.sets, c.setMask) }
 
 // line returns the line at (set, way).
 func (c *Cache) line(set, way int) *Line { return &c.lines[set*c.ways+way] }
@@ -62,55 +92,69 @@ func (c *Cache) line(set, way int) *Line { return &c.lines[set*c.ways+way] }
 // Line exposes the line at (set, way) for policy inspection.
 func (c *Cache) Line(set, way int) *Line { return c.line(set, way) }
 
+// find returns the flat index of block's line, or -1 when absent.
+func (c *Cache) find(block uint64) int {
+	base := c.SetOf(block) * c.ways
+	for i, b := range c.blocks[base : base+c.ways] {
+		if b == block && c.lines[base+i].Valid {
+			return base + i
+		}
+	}
+	return -1
+}
+
 // Lookup finds block and returns its way. It does not update LRU state or
 // statistics; use Access for the common path.
 func (c *Cache) Lookup(block uint64) (way int, ok bool) {
-	set := c.SetOf(block)
-	for w := 0; w < c.ways; w++ {
-		if l := c.line(set, w); l.Valid && l.Block == block {
-			return w, true
-		}
+	if i := c.find(block); i >= 0 {
+		return i % c.ways, true
 	}
 	return -1, false
+}
+
+// Find returns block's line, or nil when absent. Like Lookup it updates
+// neither LRU state nor statistics.
+func (c *Cache) Find(block uint64) *Line {
+	if i := c.find(block); i >= 0 {
+		return &c.lines[i]
+	}
+	return nil
 }
 
 // Touch marks (set, way) as most recently used.
 func (c *Cache) Touch(set, way int) {
 	c.tick++
-	c.line(set, way).last = c.tick
+	c.last[set*c.ways+way] = c.tick
 }
 
 // Access looks up block, updating hit/miss statistics and LRU order on a
 // hit. isWrite marks the line dirty on hit. It returns the hit line (nil on
 // miss).
 func (c *Cache) Access(block uint64, isWrite bool) *Line {
-	set := c.SetOf(block)
-	for w := 0; w < c.ways; w++ {
-		l := c.line(set, w)
-		if l.Valid && l.Block == block {
-			c.Hits++
-			c.Touch(set, w)
-			if isWrite {
-				l.Dirty = true
-			}
-			return l
-		}
+	i := c.find(block)
+	if i < 0 {
+		c.Misses++
+		return nil
 	}
-	c.Misses++
-	return nil
+	c.Hits++
+	c.tick++
+	c.last[i] = c.tick
+	l := &c.lines[i]
+	if isWrite {
+		l.Dirty = true
+	}
+	return l
 }
 
 // VictimWay returns the way to replace in set: an invalid way if one
-// exists, otherwise the LRU way.
+// exists, otherwise the LRU way. Invalid ways carry timestamp 0, so both
+// cases are the first way with the smallest timestamp.
 func (c *Cache) VictimWay(set int) int {
+	base := set * c.ways
 	lru, lruTick := 0, ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		l := c.line(set, w)
-		if !l.Valid {
-			return w
-		}
-		if l.last < lruTick {
-			lru, lruTick = w, l.last
+	for w, t := range c.last[base : base+c.ways] {
+		if t < lruTick {
+			lru, lruTick = w, t
 		}
 	}
 	return lru
@@ -123,7 +167,8 @@ func (c *Cache) VictimWay(set int) int {
 func (c *Cache) Insert(block uint64, dirty bool, flags uint8) (evicted Line) {
 	set := c.SetOf(block)
 	w := c.VictimWay(set)
-	l := c.line(set, w)
+	i := set*c.ways + w
+	l := &c.lines[i]
 	evicted = *l
 	if evicted.Valid {
 		c.Evictions++
@@ -131,28 +176,25 @@ func (c *Cache) Insert(block uint64, dirty bool, flags uint8) (evicted Line) {
 			c.DirtyEvictions++
 		}
 	}
-	l.Valid = true
-	l.Dirty = dirty
-	l.Flags = flags
-	l.Block = block
+	*l = Line{Valid: true, Dirty: dirty, Flags: flags, Block: block}
+	c.blocks[i] = block
 	c.Touch(set, w)
 	return evicted
 }
 
 // Invalidate removes block from the cache, returning its prior state.
 func (c *Cache) Invalidate(block uint64) (old Line, ok bool) {
-	set := c.SetOf(block)
-	for w := 0; w < c.ways; w++ {
-		l := c.line(set, w)
-		if l.Valid && l.Block == block {
-			old = *l
-			l.Valid = false
-			l.Dirty = false
-			l.Flags = 0
-			return old, true
-		}
+	i := c.find(block)
+	if i < 0 {
+		return Line{}, false
 	}
-	return Line{}, false
+	l := &c.lines[i]
+	old = *l
+	l.Valid = false
+	l.Dirty = false
+	l.Flags = 0
+	c.last[i] = 0
+	return old, true
 }
 
 // LRUOrder returns the ways of set ordered from MRU to LRU, considering
@@ -165,8 +207,9 @@ func (c *Cache) LRUOrder(set int) []int {
 		}
 	}
 	// Insertion sort by descending timestamp; associativity is small.
+	last := c.last[set*c.ways:]
 	for i := 1; i < len(ways); i++ {
-		for j := i; j > 0 && c.line(set, ways[j]).last > c.line(set, ways[j-1]).last; j-- {
+		for j := i; j > 0 && last[ways[j]] > last[ways[j-1]]; j-- {
 			ways[j], ways[j-1] = ways[j-1], ways[j]
 		}
 	}
@@ -196,4 +239,21 @@ func (c *Cache) HitRate() float64 {
 // ResetStats clears the statistics counters without touching contents.
 func (c *Cache) ResetStats() {
 	c.Hits, c.Misses, c.Evictions, c.DirtyEvictions = 0, 0, 0, 0
+}
+
+// CheckInvariants verifies the dense per-way arrays against the lines:
+// every line's blocks entry equals its Block, and its timestamp is zero
+// exactly when the line is invalid. It returns the first violation.
+func (c *Cache) CheckInvariants() error {
+	for i := range c.lines {
+		l := &c.lines[i]
+		set, way := i/c.ways, i%c.ways
+		if l.Valid && c.blocks[i] != l.Block {
+			return fmt.Errorf("cache: set %d way %d mirrors block %#x, holds %#x", set, way, c.blocks[i], l.Block)
+		}
+		if l.Valid != (c.last[i] != 0) {
+			return fmt.Errorf("cache: set %d way %d valid=%v with timestamp %d", set, way, l.Valid, c.last[i])
+		}
+	}
+	return nil
 }

@@ -3,6 +3,8 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/stats"
 )
 
 func TestGeometry(t *testing.T) {
@@ -200,10 +202,63 @@ func TestCacheInvariants(t *testing.T) {
 				seen[l.Block] = true
 			}
 		}
-		return true
+		return c.CheckInvariants() == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSetOfNonPowerOfTwo checks set indexing against the plain modulo on
+// a geometry whose set count is not a power of two (the mask fast path
+// must not apply) and on one whose count is.
+func TestSetOfNonPowerOfTwo(t *testing.T) {
+	r := stats.NewRNG(8)
+	for _, sets := range []int{96, 128, 1} {
+		c := New(sets, 16)
+		for i := 0; i < 5000; i++ {
+			b := r.Uint64()
+			if got, want := c.SetOf(b), int(b%uint64(sets)); got != want {
+				t.Fatalf("sets %d: SetOf(%#x) = %d, want %d", sets, b, got, want)
+			}
+		}
+	}
+	// Fill a 96-set cache past capacity: lookups and victims must stay
+	// within each block's own set.
+	c := New(96, 2)
+	for b := uint64(0); b < 96*5; b++ {
+		c.Insert(b, b%3 == 0, 0)
+	}
+	for b := uint64(96 * 3); b < 96*5; b++ {
+		if _, ok := c.Lookup(b); !ok {
+			t.Fatalf("block %d evicted by a block of another set", b)
+		}
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestFindReturnsTheLine pins Find against Lookup + Line and checks that
+// it leaves LRU order and statistics alone.
+func TestFindReturnsTheLine(t *testing.T) {
+	c := New(4, 2)
+	c.Insert(8, false, 3)
+	c.Insert(4, false, 0)
+	if c.Find(12) != nil {
+		t.Fatal("Find of an absent block returned a line")
+	}
+	l := c.Find(8)
+	w, ok := c.Lookup(8)
+	if l == nil || !ok || l != c.Line(c.SetOf(8), w) || l.Flags != 3 {
+		t.Fatalf("Find(8) = %+v, Lookup way %d ok %v", l, w, ok)
+	}
+	c.Insert(0, false, 0) // block 8 is still LRU: Find did not touch it
+	if c.Find(8) != nil {
+		t.Fatal("Find updated LRU order")
+	}
+	if c.Hits != 0 || c.Misses != 0 {
+		t.Fatalf("Find counted statistics: %d hits %d misses", c.Hits, c.Misses)
 	}
 }
 

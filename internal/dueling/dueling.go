@@ -69,7 +69,9 @@ type Controller struct {
 
 	// History records the winning CPth of every closed epoch; IdxHistory
 	// records the winning candidate index (the policy-tournament view,
-	// where several candidates may share one CPth).
+	// where several candidates may share one CPth). Both start with room
+	// for historyReserve epochs, so closing an epoch allocates nothing
+	// until a run passes that many.
 	History    []int
 	IdxHistory []int
 
@@ -102,6 +104,10 @@ func NewWithCandidates(sets int, cpths []int, th, tw float64) *Controller {
 	return NewTournament(sets, cands, GroupDivisor, th, tw)
 }
 
+// historyReserve is the epoch count the winner histories are sized for
+// up front: 128M cycles at the default 2M-cycle epoch.
+const historyReserve = 64
+
 // NewTournament builds an N-way tournament controller over opaque
 // candidates. divisor is the number of equal set classes (each candidate
 // samples on sets/divisor sets; 0 selects GroupDivisor); the candidate
@@ -124,6 +130,9 @@ func NewTournament(sets int, cands []Candidate, divisor int, th, tw float64) *Co
 		winner:  len(cands) - 1,
 		Th:      th,
 		Tw:      tw,
+
+		History:    make([]int, 0, historyReserve),
+		IdxHistory: make([]int, 0, historyReserve),
 	}
 	for s := range c.group {
 		g := s % divisor

@@ -598,8 +598,7 @@ func (s *System) fillL2(c *Core, block uint64, dirty bool, flags uint8) {
 func (s *System) fillL1(c *Core, block uint64, dirty bool) {
 	ev := c.l1.Insert(block, dirty, 0)
 	if ev.Valid && ev.Dirty {
-		if w, ok := c.l2.Lookup(ev.Block); ok {
-			l := c.l2.Line(c.l2.SetOf(ev.Block), w)
+		if l := c.l2.Find(ev.Block); l != nil {
 			l.Dirty = true
 			tag := hybrid.UnpackTag(l.Flags)
 			tag.LB = false
@@ -613,8 +612,7 @@ func (s *System) fillL1(c *Core, block uint64, dirty bool) {
 
 // clearLB clears the loop-block tag of a block in L2 after a store.
 func (s *System) clearLB(c *Core, block uint64) {
-	if w, ok := c.l2.Lookup(block); ok {
-		l := c.l2.Line(c.l2.SetOf(block), w)
+	if l := c.l2.Find(block); l != nil {
 		tag := hybrid.UnpackTag(l.Flags)
 		tag.LB = false
 		l.Flags = tag.Pack()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/bdi"
+	"repro/internal/cache"
 	"repro/internal/metrics"
 	"repro/internal/nvm"
 )
@@ -121,18 +122,28 @@ func (s *Stats) HitRate() float64 {
 type entry struct {
 	valid bool
 	dirty bool
-	block uint64
 	cb    uint8 // compressed size of the stored block
 	rrpv  uint8 // re-reference prediction value (RRIP NVM replacement)
 	tag   BlockTag
-	last  uint64
+	block uint64
 }
 
 // LLC is the hybrid last-level cache. Ways [0, SRAMWays) are SRAM;
 // ways [SRAMWays, SRAMWays+NVMWays) map to NVM frames.
+//
+// The fields the per-access scans read sit in dense arrays beside the
+// entries, indexed like them (set*ways + way): blocks mirrors each
+// valid entry's block for the tag compare of find, and last holds the
+// LRU timestamps the victim scans compare, 0 exactly for invalid ways.
+// Only fill and clear write an entry's validity or block, and they keep
+// both arrays in step; CheckInvariants verifies the mirrors.
 type LLC struct {
 	sets, sramWays, nvmWays int
+	nways                   int    // sramWays + nvmWays
+	setMask                 uint64 // cache.SetMask(sets)
 	entries                 []entry
+	blocks                  []uint64 // blocks[i] == entries[i].block for valid entries
+	last                    []uint64 // LRU timestamp of entries[i]; 0 exactly when invalid
 	arr                     *nvm.Array
 	pol                     Policy
 	thr                     ThresholdProvider
@@ -144,11 +155,6 @@ type LLC struct {
 	resolver                SetPolicyResolver // non-nil for tournament meta-policies
 	polRRIP                 RRIPInserter      // non-nil when pol itself is RRIP-family
 	reg                     *metrics.Registry
-	// capScratch caches each way's effective capacity for the duration of
-	// one victim-selection pass, so the fit-check loops resolve each frame
-	// (and its set remap) once instead of per candidate comparison. Owned
-	// by the LLC; only valid inside a single insert.
-	capScratch []int
 
 	mapper        SetMapper
 	mapperAdvance bool
@@ -185,17 +191,21 @@ func New(cfg Config) *LLC {
 	if thr == nil {
 		thr = FixedThreshold(bdi.BlockSize)
 	}
+	n := cfg.Sets * (cfg.SRAMWays + cfg.NVMWays)
 	l := &LLC{
 		sets:        cfg.Sets,
 		sramWays:    cfg.SRAMWays,
 		nvmWays:     cfg.NVMWays,
-		entries:     make([]entry, cfg.Sets*(cfg.SRAMWays+cfg.NVMWays)),
+		nways:       cfg.SRAMWays + cfg.NVMWays,
+		setMask:     cache.SetMask(cfg.Sets),
+		entries:     make([]entry, n),
+		blocks:      make([]uint64, n),
+		last:        make([]uint64, n),
 		pol:         cfg.Policy,
 		thr:         thr,
 		hcrOnly:     cfg.HCROnly,
 		noGetXInval: cfg.NoGetXInvalidate,
 		nvmRepl:     cfg.NVMReplacement,
-		capScratch:  make([]int, cfg.SRAMWays+cfg.NVMWays),
 	}
 	l.resolver, _ = cfg.Policy.(SetPolicyResolver)
 	l.polRRIP, _ = cfg.Policy.(RRIPInserter)
@@ -244,14 +254,14 @@ func (l *LLC) CompressionEnabled() bool { return l.pol.Compressed() }
 // holding it: the logical index (block mod sets) pushed through the
 // coloring mapper when one is configured.
 func (l *LLC) SetOf(block uint64) int {
-	s := int(block % uint64(l.sets))
+	s := cache.SetIndex(block, l.sets, l.setMask)
 	if l.mapper != nil {
 		s = l.mapper.Map(s)
 	}
 	return s
 }
 
-func (l *LLC) ways() int { return l.sramWays + l.nvmWays }
+func (l *LLC) ways() int { return l.nways }
 
 // policyFor resolves the policy governing a set: the tournament
 // candidate assigned to (or adopted by) the set for meta-policies, the
@@ -273,7 +283,11 @@ func (l *LLC) rripFor(set int) RRIPInserter {
 	return l.polRRIP
 }
 
-func (l *LLC) entryAt(set, way int) *entry { return &l.entries[set*l.ways()+way] }
+// slot returns the flat index of (set, way) into the entry, blocks and
+// last arrays (and the materialized-mode side arrays).
+func (l *LLC) slot(set, way int) int { return set*l.nways + way }
+
+func (l *LLC) entryAt(set, way int) *entry { return &l.entries[l.slot(set, way)] }
 
 func (l *LLC) partOf(way int) Partition {
 	if way < l.sramWays {
@@ -286,17 +300,36 @@ func (l *LLC) frameOf(set, way int) *nvm.Frame {
 	return l.arr.Frame(set, way-l.sramWays)
 }
 
-func (l *LLC) touch(e *entry) {
+// touch makes the entry at (set, way) the most recently used.
+func (l *LLC) touch(set, way int) {
 	l.tick++
-	e.last = l.tick
+	l.last[l.slot(set, way)] = l.tick
+}
+
+// fill installs a valid entry at (set, way) and makes it MRU.
+func (l *LLC) fill(set, way int, e entry) {
+	i := l.slot(set, way)
+	l.entries[i] = e
+	l.blocks[i] = e.block
+	l.touch(set, way)
+}
+
+// clear invalidates the entry at (set, way). The blocks mirror keeps its
+// stale value; find checks validity on a match.
+func (l *LLC) clear(set, way int) {
+	i := l.slot(set, way)
+	l.entries[i] = entry{}
+	l.last[i] = 0
 }
 
 func (l *LLC) find(block uint64) (set, way int, e *entry) {
 	set = l.SetOf(block)
-	for w := 0; w < l.ways(); w++ {
-		c := l.entryAt(set, w)
-		if c.valid && c.block == block {
-			return set, w, c
+	base := set * l.nways
+	for w, b := range l.blocks[base : base+l.nways] {
+		if b == block {
+			if c := &l.entries[base+w]; c.valid {
+				return set, w, c
+			}
 		}
 	}
 	return set, -1, nil
@@ -332,7 +365,7 @@ func (l *LLC) GetS(block uint64) AccessResult {
 		e.tag.Hits++
 	}
 	e.rrpv = 0 // RRIP: near-immediate re-reference
-	l.touch(e)
+	l.touch(set, way)
 	return AccessResult{Hit: true, Part: part, Tag: e.tag}
 }
 
@@ -367,12 +400,12 @@ func (l *LLC) GetX(block uint64) AccessResult {
 		// dirty data and will overwrite it on eviction.
 		e.tag = tag
 		e.dirty = false
-		l.touch(e)
+		l.touch(set, way)
 		return res
 	}
 	l.Stats.InvalidatedOnGetX++
 	l.clearMaterialized(set, way)
-	*e = entry{}
+	l.clear(set, way)
 	return res
 }
 
@@ -446,7 +479,7 @@ func (l *LLC) updateInPlace(set, way int, e *entry, dirty bool, tag BlockTag, cb
 			// The rewritten block no longer fits its aged frame: reinsert
 			// through the normal policy path.
 			block := e.block
-			*e = entry{}
+			l.clear(set, way)
 			l.clearMaterialized(set, way)
 			l.Stats.Inserts++
 			l.insertFresh(set, block, dirty, tag, cb, content)
@@ -459,7 +492,7 @@ func (l *LLC) updateInPlace(set, way int, e *entry, dirty bool, tag BlockTag, cb
 	e.dirty = true
 	e.cb = uint8(cb)
 	e.tag = tag
-	l.touch(e)
+	l.touch(set, way)
 }
 
 func (l *LLC) recordNVMWrite(set int, f *nvm.Frame, cb int) {
@@ -486,25 +519,17 @@ func (l *LLC) insertNVM(set int, block uint64, dirty bool, tag BlockTag, cb int,
 		rrpv = ri.InsertRRPV(InsertInfo{Set: set, Block: block, Dirty: dirty, CBSize: cb, Tag: tag, CPth: l.thr.CPthFor(set)})
 	}
 	l.evict(set, victim)
-	e := l.entryAt(set, victim)
-	*e = entry{valid: true, dirty: dirty, block: block, cb: uint8(cb), tag: tag, rrpv: rrpv}
-	l.touch(e)
+	l.fill(set, victim, entry{valid: true, dirty: dirty, block: block, cb: uint8(cb), tag: tag, rrpv: rrpv})
 	l.Stats.NVMInserts++
 	l.recordNVMWrite(set, l.frameOf(set, victim), cb)
 	l.rememberContent(set, victim, content)
 	return true
 }
 
-// nvmCaps refreshes capScratch with each NVM way's effective capacity for
-// the current set. Capacities only change when a write lands, so one
-// snapshot is valid for a whole victim-selection pass.
-func (l *LLC) nvmCaps(set int) []int {
-	caps := l.capScratch
-	for w := l.sramWays; w < l.ways(); w++ {
-		caps[w] = l.frameOf(set, w).EffectiveCapacity()
-	}
-	return caps
-}
+// nvmCaps returns the effective capacity of each of set's NVM frames,
+// indexed by NVM way (way - SRAMWays): the array's published capacity
+// row, current through every write, aging pass and remap.
+func (l *LLC) nvmCaps(set int) []uint8 { return l.arr.CapRow(set) }
 
 // chooseNVMVictim picks the NVM way to fill for a cb-sized block, or -1
 // when no frame fits.
@@ -514,18 +539,18 @@ func (l *LLC) chooseNVMVictim(set, cb int) int {
 		return l.chooseNVMVictimRRIP(set, cb)
 	default:
 		caps := l.nvmCaps(set)
+		last := l.last[l.slot(set, l.sramWays):l.slot(set, l.nways)]
 		victim := -1
 		victimTick := ^uint64(0)
-		for w := l.sramWays; w < l.ways(); w++ {
-			if cb > caps[w] {
+		for w, t := range last {
+			if cb > int(caps[w]) {
 				continue
 			}
-			e := l.entryAt(set, w)
-			if !e.valid {
-				return w
+			if t == 0 {
+				return l.sramWays + w // invalid way
 			}
-			if e.last < victimTick {
-				victim, victimTick = w, e.last
+			if t < victimTick {
+				victim, victimTick = l.sramWays+w, t
 			}
 		}
 		return victim
@@ -539,7 +564,7 @@ func (l *LLC) chooseNVMVictimRRIP(set, cb int) int {
 	caps := l.nvmCaps(set)
 	anyFit := false
 	for w := l.sramWays; w < l.ways(); w++ {
-		if cb <= caps[w] {
+		if cb <= int(caps[w-l.sramWays]) {
 			anyFit = true
 			if !l.entryAt(set, w).valid {
 				return w
@@ -551,7 +576,7 @@ func (l *LLC) chooseNVMVictimRRIP(set, cb int) int {
 	}
 	for {
 		for w := l.sramWays; w < l.ways(); w++ {
-			if cb > caps[w] {
+			if cb > int(caps[w-l.sramWays]) {
 				continue
 			}
 			if l.entryAt(set, w).rrpv >= 3 {
@@ -559,7 +584,7 @@ func (l *LLC) chooseNVMVictimRRIP(set, cb int) int {
 			}
 		}
 		for w := l.sramWays; w < l.ways(); w++ {
-			if cb <= caps[w] {
+			if cb <= int(caps[w-l.sramWays]) {
 				if e := l.entryAt(set, w); e.valid && e.rrpv < 3 {
 					e.rrpv++
 				}
@@ -578,8 +603,8 @@ func (l *LLC) insertSRAM(set int, block uint64, dirty bool, tag BlockTag, cb int
 		return
 	}
 	way := -1
-	for w := 0; w < l.sramWays; w++ {
-		if !l.entryAt(set, w).valid {
+	for w, t := range l.last[l.slot(set, 0):l.slot(set, l.sramWays)] {
+		if t == 0 { // invalid way
 			way = w
 			break
 		}
@@ -599,9 +624,7 @@ func (l *LLC) insertSRAM(set int, block uint64, dirty bool, tag BlockTag, cb int
 			l.evict(set, way)
 		}
 	}
-	e := l.entryAt(set, way)
-	*e = entry{valid: true, dirty: dirty, block: block, cb: uint8(cb), tag: tag}
-	l.touch(e)
+	l.fill(set, way, entry{valid: true, dirty: dirty, block: block, cb: uint8(cb), tag: tag})
 	l.Stats.SRAMInserts++
 	l.rememberContent(set, way, content)
 }
@@ -614,8 +637,8 @@ func (l *LLC) chooseSRAMVictim(set int) int {
 		best, bestTick := -1, uint64(0)
 		for w := 0; w < l.sramWays; w++ {
 			e := l.entryAt(set, w)
-			if e.valid && e.tag.LB && e.last >= bestTick {
-				best, bestTick = w, e.last
+			if t := l.last[l.slot(set, w)]; e.valid && e.tag.LB && t >= bestTick {
+				best, bestTick = w, t
 			}
 		}
 		if best >= 0 {
@@ -623,9 +646,9 @@ func (l *LLC) chooseSRAMVictim(set int) int {
 		}
 	}
 	lru, lruTick := 0, ^uint64(0)
-	for w := 0; w < l.sramWays; w++ {
-		if e := l.entryAt(set, w); e.last < lruTick {
-			lru, lruTick = w, e.last
+	for w, t := range l.last[l.slot(set, 0):l.slot(set, l.sramWays)] {
+		if t < lruTick {
+			lru, lruTick = w, t
 		}
 	}
 	return lru
@@ -646,7 +669,7 @@ func (l *LLC) migrate(set, way int) bool {
 	}
 	l.Stats.Migrations++
 	l.clearMaterialized(set, way)
-	*e = entry{}
+	l.clear(set, way)
 	return true
 }
 
@@ -657,39 +680,36 @@ func (l *LLC) evict(set, way int) {
 		l.Stats.Writebacks++
 	}
 	l.clearMaterialized(set, way)
-	*e = entry{}
+	l.clear(set, way)
 }
 
 // insertGlobal implements the NVM-unaware BH/BH_CP replacement: one
 // (Fit-)LRU list across both parts. The victim is the LRU entry among the
 // frames the incoming block fits in; SRAM frames always fit.
 func (l *LLC) insertGlobal(set int, block uint64, dirty bool, tag BlockTag, cb int, content []byte) {
-	var caps []int
+	var caps []uint8
 	if l.nvmWays > 0 {
 		caps = l.nvmCaps(set)
 	}
 	victim := -1
 	victimTick := ^uint64(0)
-	for w := 0; w < l.ways(); w++ {
-		if l.partOf(w) == NVM && cb > caps[w] {
+	for w, t := range l.last[l.slot(set, 0):l.slot(set, l.nways)] {
+		if w >= l.sramWays && cb > int(caps[w-l.sramWays]) {
 			continue
 		}
-		e := l.entryAt(set, w)
-		if !e.valid {
+		if t == 0 { // invalid way
 			victim = w
 			break
 		}
-		if e.last < victimTick {
-			victim, victimTick = w, e.last
+		if t < victimTick {
+			victim, victimTick = w, t
 		}
 	}
 	if victim < 0 {
 		return // nothing fits anywhere: bypass
 	}
 	l.evict(set, victim)
-	e := l.entryAt(set, victim)
-	*e = entry{valid: true, dirty: dirty, block: block, cb: uint8(cb), tag: tag}
-	l.touch(e)
+	l.fill(set, victim, entry{valid: true, dirty: dirty, block: block, cb: uint8(cb), tag: tag})
 	if l.partOf(victim) == NVM {
 		l.Stats.NVMInserts++
 		l.recordNVMWrite(set, l.frameOf(set, victim), cb)
@@ -710,17 +730,18 @@ func (l *LLC) InvalidateUnfit() int {
 	}
 	dropped := 0
 	for set := 0; set < l.sets; set++ {
+		caps := l.nvmCaps(set)
 		for w := l.sramWays; w < l.ways(); w++ {
 			e := l.entryAt(set, w)
 			if !e.valid {
 				continue
 			}
-			if !l.frameOf(set, w).Fits(int(e.cb)) {
+			if int(e.cb) > int(caps[w-l.sramWays]) {
 				if e.dirty {
 					l.Stats.Writebacks++
 				}
 				l.clearMaterialized(set, w)
-				*e = entry{}
+				l.clear(set, w)
 				dropped++
 			}
 		}
@@ -749,7 +770,7 @@ func (l *LLC) RotateNVMSets(n int) int {
 				l.Stats.Writebacks++
 			}
 			l.clearMaterialized(set, w)
-			*e = entry{}
+			l.clear(set, w)
 			flushed++
 		}
 	}
@@ -847,7 +868,7 @@ func (l *LLC) flushRow(set int) int {
 			l.Stats.Writebacks++
 		}
 		l.clearMaterialized(set, w)
-		*e = entry{}
+		l.clear(set, w)
 		flushed++
 	}
 	return flushed
@@ -883,16 +904,31 @@ func (l *LLC) Contains(block uint64) bool {
 }
 
 // CheckInvariants verifies the LLC's structural invariants: no duplicate
-// blocks, correct set mapping, statistics consistency, and (after an
-// InvalidateUnfit pass) every NVM-resident block fitting its frame. It is
-// exported for integration tests and returns the first violation found.
+// blocks, correct set mapping, statistics consistency, no block resident
+// in a dead frame, and the dense mirrors — each valid way's blocks entry
+// equals its entry's block, its timestamp is zero exactly when the way is
+// invalid, and every NVM frame's published capacity equals its
+// EffectiveCapacity. It is exported for integration tests and returns the
+// first violation found.
 func (l *LLC) CheckInvariants() error {
+	if l.arr != nil {
+		if err := l.arr.CheckCapRows(); err != nil {
+			return fmt.Errorf("hybrid: %w", err)
+		}
+	}
 	for set := 0; set < l.sets; set++ {
 		seen := make(map[uint64]int, l.ways())
 		for w := 0; w < l.ways(); w++ {
 			e := l.entryAt(set, w)
+			i := l.slot(set, w)
+			if e.valid != (l.last[i] != 0) {
+				return fmt.Errorf("hybrid: set %d way %d valid=%v with timestamp %d", set, w, e.valid, l.last[i])
+			}
 			if !e.valid {
 				continue
+			}
+			if l.blocks[i] != e.block {
+				return fmt.Errorf("hybrid: set %d way %d mirrors block %#x, holds %#x", set, w, l.blocks[i], e.block)
 			}
 			if prev, dup := seen[e.block]; dup {
 				return fmt.Errorf("hybrid: block %#x in set %d ways %d and %d", e.block, set, prev, w)
@@ -946,7 +982,7 @@ func (l *LLC) ViewEntry(set, way int) EntryView {
 		Dirty: e.dirty,
 		Block: e.block,
 		CB:    int(e.cb),
-		Last:  e.last,
+		Last:  l.last[l.slot(set, way)],
 		Part:  l.partOf(way),
 	}
 }

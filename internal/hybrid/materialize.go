@@ -49,9 +49,6 @@ func (l *LLC) initMaterialize() {
 // Materialized reports whether the LLC runs the full data path.
 func (l *LLC) Materialized() bool { return l.data != nil }
 
-// slot returns the flat entry index.
-func (l *LLC) slot(set, way int) int { return set*l.ways() + way }
-
 // rememberContent records the true contents for a freshly filled slot; for
 // NVM slots it also writes the physical image through the data path (which
 // applies the frame wear itself).

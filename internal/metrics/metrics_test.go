@@ -128,6 +128,33 @@ func TestEpochRingWraparound(t *testing.T) {
 	}
 }
 
+// TestEpochRingReusesStorage pins the ring's storage discipline: samples
+// handed out by Samples survive later overwrites, and once full the ring
+// records without allocating.
+func TestEpochRingReusesStorage(t *testing.T) {
+	ring := NewEpochRing(ringChunk+2, "a", "b")
+	for e := 0; e < ringChunk+2; e++ {
+		ring.Record(e, 0, float64(e), -float64(e))
+	}
+	before := ring.Samples()
+	e := ringChunk + 2
+	if allocs := testing.AllocsPerRun(50, func() {
+		ring.Record(e, 0, float64(e), -float64(e))
+		e++
+	}); allocs != 0 {
+		t.Fatalf("recording into a full ring allocates %.1f times", allocs)
+	}
+	for i, s := range before {
+		if s.Epoch != i || s.Values[0] != float64(i) || s.Values[1] != -float64(i) {
+			t.Fatalf("earlier sample %d changed to %+v", i, s)
+		}
+	}
+	last := ring.Samples()[ring.Len()-1]
+	if last.Epoch != e-1 || last.Values[0] != float64(e-1) {
+		t.Fatalf("newest sample %+v, want epoch %d", last, e-1)
+	}
+}
+
 func TestEpochRingDefaults(t *testing.T) {
 	ring := NewEpochRing(0, "ipc")
 	if ring.Capacity() != DefaultEpochRingCapacity {

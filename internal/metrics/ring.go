@@ -10,14 +10,20 @@ type Sample struct {
 
 // EpochRing records a fixed number of per-epoch samples, overwriting the
 // oldest once full, so arbitrarily long simulations keep a bounded,
-// retrievable time series. Recording happens at epoch boundaries only —
-// it is off the simulation hot path and may allocate.
+// retrievable time series. Sample values live in storage the ring
+// allocates ringChunk samples at a time and reuses once it wraps, so
+// recording allocates once per ringChunk epochs while the ring fills and
+// never after.
 type EpochRing struct {
 	columns []string
 	samples []Sample
-	head    int // next write position once the ring is full
-	total   int // samples ever recorded
+	spare   []float64 // unused value storage for the next samples
+	head    int       // next write position once the ring is full
+	total   int       // samples ever recorded
 }
+
+// ringChunk is how many samples' value storage the ring allocates at once.
+const ringChunk = 64
 
 // DefaultEpochRingCapacity bounds the series kept by default: enough for
 // 2 G cycles of 2 M-cycle epochs.
@@ -61,21 +67,36 @@ func (r *EpochRing) Record(epoch int, cycles uint64, values ...float64) {
 	if len(values) != len(r.columns) {
 		panic("metrics: epoch sample arity mismatch")
 	}
-	s := Sample{Epoch: epoch, Cycles: cycles, Values: append([]float64(nil), values...)}
 	r.total++
 	if len(r.samples) < cap(r.samples) {
-		r.samples = append(r.samples, s)
+		n := len(values)
+		if len(r.spare) < n {
+			r.spare = make([]float64, min(ringChunk, cap(r.samples)-len(r.samples))*n)
+		}
+		vals := r.spare[:n:n]
+		r.spare = r.spare[n:]
+		copy(vals, values)
+		r.samples = append(r.samples, Sample{Epoch: epoch, Cycles: cycles, Values: vals})
 		return
 	}
-	r.samples[r.head] = s
+	s := &r.samples[r.head]
+	s.Epoch, s.Cycles = epoch, cycles
+	copy(s.Values, values)
 	r.head = (r.head + 1) % len(r.samples)
 }
 
-// Samples returns the retained samples oldest-first, as a copy.
+// Samples returns the retained samples oldest-first, as a deep copy: the
+// ring reuses its value storage once it wraps.
 func (r *EpochRing) Samples() []Sample {
 	out := make([]Sample, 0, len(r.samples))
 	out = append(out, r.samples[r.head:]...)
 	out = append(out, r.samples[:r.head]...)
+	vals := make([]float64, len(out)*len(r.columns))
+	for i := range out {
+		v := vals[i*len(r.columns) : (i+1)*len(r.columns) : (i+1)*len(r.columns)]
+		copy(v, out[i].Values)
+		out[i].Values = v
+	}
 	return out
 }
 

@@ -1,11 +1,20 @@
 package nvm
 
+import "fmt"
+
 // Array is the NVM portion of the hybrid LLC data array: sets x ways
 // frames, each with independent per-byte endurance. It also owns the
 // global wear-leveling counter.
+//
+// The frames live in one backing slice, and each publishes its effective
+// capacity into caps, a dense byte per frame in the same physical
+// set-major order. Only Frame methods write caps, so a row read through
+// CapRow is exact after any write, aging pass, fault injection or restore.
 type Array struct {
 	sets, ways int
-	frames     []*Frame
+	backing    []Frame
+	frames     []*Frame // &backing[i], the view Frames returns
+	caps       []uint8  // caps[i] == frames[i].EffectiveCapacity()
 	counter    WearLevelCounter
 	gran       Granularity
 	model      EnduranceModel
@@ -24,12 +33,38 @@ func NewArray(sets, ways int, model EnduranceModel, s Sampler, gran Granularity)
 	if sets <= 0 || ways < 0 {
 		panic("nvm: invalid array geometry")
 	}
-	a := &Array{sets: sets, ways: ways, gran: gran, model: model}
-	a.frames = make([]*Frame, sets*ways)
-	for i := range a.frames {
-		a.frames[i] = NewFrame(model, s, gran)
+	a := newArray(sets, ways, model, gran)
+	for _, f := range a.frames {
+		f.sample(model, s, gran)
+	}
+	a.publishAll()
+	return a
+}
+
+// newArray allocates the frame storage and capacity rows of an array,
+// binding each frame to its capacity slot. The frames are left zero for
+// the caller to fill.
+func newArray(sets, ways int, model EnduranceModel, gran Granularity) *Array {
+	n := sets * ways
+	a := &Array{
+		sets: sets, ways: ways, gran: gran, model: model,
+		backing: make([]Frame, n),
+		frames:  make([]*Frame, n),
+		caps:    make([]uint8, n),
+	}
+	for i := range a.backing {
+		a.frames[i] = &a.backing[i]
 	}
 	return a
+}
+
+// publishAll binds every frame to its capacity slot and publishes its
+// current capacity.
+func (a *Array) publishAll() {
+	for i, f := range a.frames {
+		f.capSlot = &a.caps[i]
+		f.publish()
+	}
 }
 
 // Sets returns the number of sets.
@@ -44,14 +79,41 @@ func (a *Array) Granularity() Granularity { return a.gran }
 // Model returns the endurance model the array was built with.
 func (a *Array) Model() EnduranceModel { return a.model }
 
-// Frame returns the frame backing the logical (set, way) position under
-// the current inter-set rotation.
-func (a *Array) Frame(set, way int) *Frame {
+// physRow maps a logical set to its physical frame row under the current
+// inter-set rotation.
+func (a *Array) physRow(set int) int {
 	phys := set + a.remap
 	if phys >= a.sets {
 		phys -= a.sets
 	}
-	return a.frames[phys*a.ways+way]
+	return phys
+}
+
+// Frame returns the frame backing the logical (set, way) position under
+// the current inter-set rotation.
+func (a *Array) Frame(set, way int) *Frame {
+	return a.frames[a.physRow(set)*a.ways+way]
+}
+
+// CapRow returns the effective capacities of the frames backing logical
+// set set under the current inter-set rotation: CapRow(set)[w] ==
+// Frame(set, w).EffectiveCapacity(). The slice aliases the array's
+// storage; it stays current as the frames age and must not be written.
+func (a *Array) CapRow(set int) []uint8 {
+	i := a.physRow(set) * a.ways
+	return a.caps[i : i+a.ways : i+a.ways]
+}
+
+// CheckCapRows verifies that every frame's published capacity equals its
+// EffectiveCapacity, returning the first mismatch.
+func (a *Array) CheckCapRows() error {
+	for i, f := range a.frames {
+		if got, want := int(a.caps[i]), f.EffectiveCapacity(); got != want {
+			return fmt.Errorf("nvm: frame %d (row %d way %d) publishes capacity %d, has %d",
+				i, i/a.ways, i%a.ways, got, want)
+		}
+	}
+	return nil
 }
 
 // SetRemap returns the current inter-set rotation offset.

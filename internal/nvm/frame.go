@@ -75,28 +75,46 @@ type Sampler interface {
 // that are still alive share the same accumulated per-byte wear; a byte
 // dies when that shared wear level crosses its sampled endurance limit.
 // This is the same analytic treatment as the paper's forecast procedure.
+//
+// The fields the write path touches come first, ahead of the 528-byte
+// limits array, so a write reads one or two host cache lines of the frame.
 type Frame struct {
-	limits [FrameBytes]float64 // per-byte endurance (writes)
-	order  [FrameBytes]uint8   // byte indices sorted by ascending limit
-	faulty FaultMap
-	live   int
-	wear   float64 // per-live-byte accumulated writes
-	next   int     // index into order of the next byte to die
-	gran   Granularity
-	dead   bool // frame disabled (always true when live < MinECB)
-
+	wear float64 // per-live-byte accumulated writes
+	// nextLimit caches limits[order[next]] (+Inf once next reaches
+	// FrameBytes), so a write that kills no byte costs one compare.
+	nextLimit float64
 	// phaseWritten counts bytes written to this frame during the current
 	// simulation phase; the forecast turns it into a write rate.
 	phaseWritten uint64
 	// totalWritten counts bytes written over the frame's whole life; it
 	// survives ResetPhase and feeds the metrics registry.
 	totalWritten uint64
+	faultLo      uint64 // fault map bits of bytes 0..63
+	// capSlot is where the frame publishes its EffectiveCapacity whenever
+	// it changes: the frame's entry in its array's dense capacity rows
+	// (see Array.CapRow). nil for a frame built outside an array.
+	capSlot *uint8
+	faultHi uint8 // fault map bits of bytes 64..65
+	live    uint8 // non-faulty bytes
+	next    uint8 // index into order of the next byte to die
+	dead    bool  // frame disabled (always true when live < MinECB)
+	gran    Granularity
+
+	order  [FrameBytes]uint8   // byte indices sorted by ascending limit
+	limits [FrameBytes]float64 // per-byte endurance (writes)
 }
 
 // NewFrame samples per-byte endurance from model using s and returns a
 // fully functional frame with the given disabling granularity.
 func NewFrame(model EnduranceModel, s Sampler, gran Granularity) *Frame {
-	f := &Frame{live: FrameBytes, gran: gran}
+	f := &Frame{}
+	f.sample(model, s, gran)
+	return f
+}
+
+// sample initialises f in place as a fresh frame with sampled limits.
+func (f *Frame) sample(model EnduranceModel, s Sampler, gran Granularity) {
+	*f = Frame{live: FrameBytes, gran: gran}
 	sigma := model.Mean * model.CV
 	for i := range f.limits {
 		f.limits[i] = s.TruncNormal(model.Mean, sigma, 1)
@@ -109,7 +127,42 @@ func NewFrame(model EnduranceModel, s Sampler, gran Granularity) *Frame {
 	for i, v := range idx {
 		f.order[i] = uint8(v)
 	}
-	return f
+	f.syncNext()
+}
+
+// syncNext refreshes the cached next-death limit after next moved.
+func (f *Frame) syncNext() {
+	if int(f.next) < FrameBytes {
+		f.nextLimit = f.limits[f.order[f.next]]
+	} else {
+		f.nextLimit = math.Inf(1)
+	}
+}
+
+// publish writes the frame's effective capacity into its capacity slot.
+// Every mutator that changes live or dead calls it, so the array's
+// capacity rows never go stale.
+func (f *Frame) publish() {
+	if f.capSlot != nil {
+		*f.capSlot = uint8(f.EffectiveCapacity())
+	}
+}
+
+// faulty reports whether byte i is disabled.
+func (f *Frame) faulty(i int) bool {
+	if i < 64 {
+		return f.faultLo&(1<<uint(i)) != 0
+	}
+	return f.faultHi&(1<<uint(i-64)) != 0
+}
+
+// setFaulty disables byte i in the fault map.
+func (f *Frame) setFaulty(i int) {
+	if i < 64 {
+		f.faultLo |= 1 << uint(i)
+	} else {
+		f.faultHi |= 1 << uint(i-64)
+	}
 }
 
 // Granularity returns the frame's disabling granularity.
@@ -120,7 +173,7 @@ func (f *Frame) LiveBytes() int {
 	if f.dead {
 		return 0
 	}
-	return f.live
+	return int(f.live)
 }
 
 // Dead reports whether the frame can no longer hold any block.
@@ -133,7 +186,7 @@ func (f *Frame) EffectiveCapacity() int {
 	if f.dead {
 		return 0
 	}
-	c := f.live - MetaBytes
+	c := int(f.live) - MetaBytes
 	if c < 1 {
 		return 0
 	}
@@ -147,7 +200,7 @@ func (f *Frame) EffectiveCapacity() int {
 func (f *Frame) Fits(cbSize int) bool { return cbSize <= f.EffectiveCapacity() }
 
 // FaultMap returns a copy of the frame's fault map.
-func (f *Frame) FaultMap() FaultMap { return f.faulty }
+func (f *Frame) FaultMap() FaultMap { return FaultMap{lo: f.faultLo, hi: uint64(f.faultHi)} }
 
 // Wear returns the shared per-live-byte accumulated write count.
 func (f *Frame) Wear() float64 { return f.wear }
@@ -155,8 +208,8 @@ func (f *Frame) Wear() float64 { return f.wear }
 // NextLimit returns the endurance limit of the next byte to die, or +Inf if
 // every byte has already failed.
 func (f *Frame) NextLimit() float64 {
-	for i := f.next; i < FrameBytes; i++ {
-		if !f.faulty.Get(int(f.order[i])) {
+	for i := int(f.next); i < FrameBytes; i++ {
+		if !f.faulty(int(f.order[i])) {
 			return f.limits[f.order[i]]
 		}
 	}
@@ -184,21 +237,26 @@ func (f *Frame) AddWear(delta float64) int {
 		return 0
 	}
 	f.wear += delta
+	if f.nextLimit > f.wear {
+		return 0 // the common case: no limit crossed
+	}
 	died := 0
-	for f.next < FrameBytes && f.limits[f.order[f.next]] <= f.wear {
+	for int(f.next) < FrameBytes && f.limits[f.order[f.next]] <= f.wear {
 		bi := int(f.order[f.next])
 		f.next++
-		if f.faulty.Get(bi) {
+		if f.faulty(bi) {
 			continue // already disabled by fault injection
 		}
-		f.faulty.Set(bi)
+		f.setFaulty(bi)
 		f.live--
 		died++
 	}
+	f.syncNext()
 	if died > 0 {
 		if f.gran == FrameDisabling || f.live < MinECB {
 			f.dead = true
 		}
+		f.publish()
 	}
 	return died
 }
@@ -221,7 +279,7 @@ func (f *Frame) PhaseWritten() uint64 { return f.phaseWritten }
 func (f *Frame) TotalWritten() uint64 { return f.totalWritten }
 
 // FaultyBytes returns the number of disabled bytes in the frame.
-func (f *Frame) FaultyBytes() int { return FrameBytes - f.live }
+func (f *Frame) FaultyBytes() int { return FrameBytes - int(f.live) }
 
 // ResetPhase clears the phase byte-write counter.
 func (f *Frame) ResetPhase() { f.phaseWritten = 0 }
@@ -230,24 +288,28 @@ func (f *Frame) ResetPhase() { f.phaseWritten = 0 }
 // fault-injection layer uses it for frame-kill campaigns. Wear state and
 // the fault map keep their current values; only the dead flag changes, so
 // a disabled frame reports zero live bytes and zero effective capacity.
-func (f *Frame) Disable() { f.dead = true }
+func (f *Frame) Disable() {
+	f.dead = true
+	f.publish()
+}
 
 // InjectFault forcibly disables byte i (used by fault-injection tests).
 func (f *Frame) InjectFault(i int) {
-	if f.dead || f.faulty.Get(i) {
+	if f.dead || f.faulty(i) {
 		return
 	}
-	f.faulty.Set(i)
+	f.setFaulty(i)
 	f.live--
-	// Keep order bookkeeping consistent: mark the byte's limit as already
-	// passed by swapping it to the front region conceptually; simplest is
-	// to recompute next pointer lazily by skipping already-faulty bytes.
-	for f.next < FrameBytes && f.faulty.Get(int(f.order[f.next])) {
+	// Keep the death order consistent: skip the next pointer past bytes
+	// already disabled, so nextLimit names a live byte.
+	for int(f.next) < FrameBytes && f.faulty(int(f.order[f.next])) {
 		f.next++
 	}
+	f.syncNext()
 	if f.gran == FrameDisabling || f.live < MinECB {
 		f.dead = true
 	}
+	f.publish()
 }
 
 // FaultMap is a 66-bit bitmap; bit i set means byte i is faulty.

@@ -26,7 +26,7 @@ func (a *Array) Stats() ArrayStats {
 	for _, f := range a.frames {
 		st.BytesWritten += f.totalWritten
 		st.PhaseBytesWritten += f.phaseWritten
-		st.FaultyBytes += FrameBytes - f.live
+		st.FaultyBytes += f.FaultyBytes()
 		have += f.EffectiveCapacity()
 		if f.dead {
 			st.DeadFrames++

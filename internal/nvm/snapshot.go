@@ -43,8 +43,8 @@ func (a *Array) Snapshot() ArraySnapshot {
 		s.Frames[i] = FrameSnapshot{
 			Limits:  f.limits,
 			Wear:    f.wear,
-			FaultLo: f.faulty.lo,
-			FaultHi: f.faulty.hi,
+			FaultLo: f.faultLo,
+			FaultHi: uint64(f.faultHi),
 			Dead:    f.dead,
 		}
 	}
@@ -57,25 +57,22 @@ func RestoreArray(s ArraySnapshot) (*Array, error) {
 		return nil, fmt.Errorf("nvm: inconsistent snapshot geometry %dx%d with %d frames",
 			s.Sets, s.Ways, len(s.Frames))
 	}
-	a := &Array{sets: s.Sets, ways: s.Ways, gran: s.Granularity, model: s.Model, remap: s.Remap}
+	a := newArray(s.Sets, s.Ways, s.Model, s.Granularity)
+	a.remap = s.Remap
 	a.counter.Advance(s.Counter)
-	a.frames = make([]*Frame, len(s.Frames))
 	for i, fs := range s.Frames {
-		f, err := restoreFrame(fs, s.Granularity)
-		if err != nil {
-			return nil, fmt.Errorf("nvm: frame %d: %w", i, err)
-		}
-		a.frames[i] = f
+		restoreFrame(a.frames[i], fs, s.Granularity)
 	}
+	a.publishAll()
 	return a, nil
 }
 
-// restoreFrame rebuilds a frame from persistent state, recomputing the
-// derived fields (sort order, live count, next-death pointer).
-func restoreFrame(s FrameSnapshot, gran Granularity) (*Frame, error) {
-	f := &Frame{limits: s.Limits, gran: gran, live: FrameBytes}
+// restoreFrame rebuilds f from persistent state, recomputing the derived
+// fields (sort order, live count, next-death pointer).
+func restoreFrame(f *Frame, s FrameSnapshot, gran Granularity) {
+	*f = Frame{limits: s.Limits, gran: gran}
 	// Rebuild the ascending-limit order.
-	idx := make([]int, FrameBytes)
+	var idx [FrameBytes]int
 	for i := range idx {
 		idx[i] = i
 	}
@@ -87,20 +84,17 @@ func restoreFrame(s FrameSnapshot, gran Granularity) (*Frame, error) {
 	for i, v := range idx {
 		f.order[i] = uint8(v)
 	}
-	// Replay the fault map.
-	f.faulty = FaultMap{lo: s.FaultLo, hi: s.FaultHi}
-	live := FrameBytes - f.faulty.Count()
-	if live < 0 {
-		return nil, fmt.Errorf("invalid fault map")
-	}
-	f.live = live
+	// Replay the fault map; bits past byte 65 carry no byte.
+	f.faultLo, f.faultHi = s.FaultLo, uint8(s.FaultHi&0x3)
+	live := FrameBytes - f.FaultMap().Count()
+	f.live = uint8(live)
 	f.wear = s.Wear
 	// Advance the next-death pointer past already-dead bytes.
-	for f.next < FrameBytes && f.faulty.Get(int(f.order[f.next])) {
+	for int(f.next) < FrameBytes && f.faulty(int(f.order[f.next])) {
 		f.next++
 	}
+	f.syncNext()
 	f.dead = s.Dead || (gran == FrameDisabling && live < FrameBytes) || live < MinECB
-	return f, nil
 }
 
 // WriteSnapshot gob-encodes the array state to w.

@@ -170,6 +170,10 @@ func TestLeaseExpiryRequeuesForSecondWorker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Run the job before the hand-over: the artifact is a pure function
+	// of the request, and w2 below must upload within its own 150 ms
+	// lease, which a simulation under -race can outlast.
+	artifact, sha := executeGrant(t, g1)
 	// w1 goes silent; the lease expires and the job is requeued.
 	deadline := time.Now().Add(10 * time.Second)
 	var g2 *fleet.Grant
@@ -193,7 +197,6 @@ func TestLeaseExpiryRequeuesForSecondWorker(t *testing.T) {
 	}
 
 	// w2 completes.
-	artifact, sha := executeGrant(t, g2)
 	cr, err := m.CompleteLease(g2.Token, fleet.CompleteRequest{Artifact: artifact, ArtifactSHA: sha})
 	if err != nil || cr.Resolution != fleet.ResolutionCompleted {
 		t.Fatalf("w2 complete = %+v, %v", cr, err)

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/jobstore"
 )
@@ -479,9 +480,20 @@ func TestCheckpointEntriesJournaled(t *testing.T) {
 	if j.State() != StateCompleted {
 		t.Fatalf("job %s (%v)", j.State(), j.Err())
 	}
-	entries, err := jobstore.Replay(dir)
-	if err != nil {
-		t.Fatal(err)
+	// The job reads completed before finishJob journals the completion,
+	// so wait (bounded) for the journal to catch up before asserting.
+	var entries []jobstore.Entry
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		if entries, err = jobstore.Replay(dir); err != nil {
+			t.Fatal(err)
+		}
+		if rec, ok := jobstore.Reduce(entries).Job(j.ID()); ok && rec.State == string(StateCompleted) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("journal never recorded the completion")
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 	var ckpts int
 	var lastProgress uint64
