@@ -29,6 +29,7 @@ import (
 	"repro/internal/check"
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/hier"
 	"repro/internal/report"
 )
 
@@ -125,40 +126,32 @@ func main() {
 		fatal(err)
 	}
 
-	var h *core.RunHandle
+	var sys *hier.System
 	var err error
 	if *tracePrefix != "" {
 		progs, perr := cliutil.LoadMixPrograms(*tracePrefix, cfg.MixID, cfg.Seed, cfg.Scale)
 		if perr != nil {
 			fatal(perr)
 		}
-		h, err = cfg.NewRunHandleFromPrograms(progs)
+		sys, err = cfg.BuildFromPrograms(progs)
 	} else {
-		h, err = cfg.NewRunHandle()
+		sys, err = cfg.Build()
 	}
 	if err != nil {
 		fatal(err)
 	}
-
-	if *capacity < 1 {
-		h.PreAge(*capacity)
-	}
-	s, err := h.MeasureCtx(context.Background(), *warmup, *measure, core.RunHooks{})
+	res, err := core.RunWindow(context.Background(), sys, *capacity, *warmup, *measure, core.RunHooks{})
 	if err != nil {
 		fatal(err)
 	}
-	cpthWinner := -1
-	if w, ok := h.DuelingWinner(); ok {
-		cpthWinner = w
-	}
 
-	opt := cliutil.RunReportOptions{CPthWinner: cpthWinner, Metrics: *allMetrics}
+	opt := cliutil.RunReportOptions{CPthWinner: res.CPthWinner, Metrics: *allMetrics}
 	if *epochs {
-		opt.Epochs = h.EpochRing().Samples()
+		opt.Epochs = res.Epochs
 	}
-	rep := cliutil.RunReport(cfg, s, opt)
+	rep := cliutil.RunReport(cfg, res.Summary, opt)
 	var checkErr error
-	if chk, ok := h.System().AccessProbe().(*check.Checker); ok {
+	if chk, ok := sys.AccessProbe().(*check.Checker); ok {
 		chk.ReportInto(rep)
 		checkErr = chk.Err()
 	}

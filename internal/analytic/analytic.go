@@ -160,17 +160,21 @@ func Calibrate(ctx context.Context, spec Spec) (*Calibration, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	h, err := spec.Config.NewRunHandle()
+	sys, err := spec.Config.Build()
 	if err != nil {
 		return nil, err
 	}
 	if spec.WarmupCycles > 0 {
-		if _, err := h.MeasureCtx(ctx, 0, spec.WarmupCycles, core.RunHooks{}); err != nil {
+		if _, err := core.MeasureCtx(ctx, sys, 0, spec.WarmupCycles, core.RunHooks{}); err != nil {
 			return nil, err
 		}
 	}
-	h.ResetPhase()
-	sum, err := h.MeasureCtx(ctx, 0, spec.CalibrationCycles, core.RunHooks{})
+	var frames []*nvm.Frame // stable set-major order, as AgeFrames needs
+	if arr := sys.LLC().Array(); arr != nil {
+		arr.ResetPhase()
+		frames = arr.Frames()
+	}
+	sum, err := core.MeasureCtx(ctx, sys, 0, spec.CalibrationCycles, core.RunHooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -185,7 +189,6 @@ func Calibrate(ctx context.Context, spec Spec) (*Calibration, error) {
 		CalibrationCycles: spec.CalibrationCycles,
 		TargetCapacity:    spec.TargetCapacity,
 	}
-	frames := h.Frames()
 	if len(frames) == 0 {
 		cal.Censored = true // SRAM-only: nothing to wear out
 		return cal, nil

@@ -6,6 +6,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -291,25 +292,12 @@ type Summary struct {
 	Metrics metrics.Snapshot
 }
 
-// Measure warms the system up and measures a window, returning a summary.
+// Measure warms the system up and measures a window, returning a
+// summary: MeasureCtx without hooks, under a context that never cancels
+// (MeasureCtx's only error), so there is no error to return.
 func Measure(sys *hier.System, warmupCycles, measureCycles uint64) Summary {
-	sys.Run(warmupCycles)
-	r := sys.Run(measureCycles)
-	return Summary{
-		Policy:          sys.LLC().Policy().Name(),
-		MeanIPC:         r.MeanIPC,
-		HitRate:         r.LLC.HitRate(),
-		Hits:            r.LLC.Hits,
-		Misses:          r.LLC.Misses,
-		NVMBytesWritten: r.LLC.NVMBytesWritten,
-		NVMBlockWrites:  r.LLC.NVMBlockWrites,
-		SRAMHits:        r.LLC.SRAMHits,
-		NVMHits:         r.LLC.NVMHits,
-		Inserts:         r.LLC.Inserts,
-		Migrations:      r.LLC.Migrations,
-		Capacity:        sys.LLC().EffectiveCapacityFraction(),
-		Metrics:         r.Metrics,
-	}
+	s, _ := MeasureCtx(context.Background(), sys, warmupCycles, measureCycles, RunHooks{})
+	return s
 }
 
 // MeasureMixes runs the same config across several mixes and returns the

@@ -6,84 +6,34 @@ import (
 	"repro/internal/hier"
 	"repro/internal/hybrid"
 	"repro/internal/metrics"
-	"repro/internal/nvm"
 )
 
-// RunHandle wraps a built simulation behind the surface callers that
-// drive long runs (the simd job daemon, cmd/hybridsim) need: chunked,
-// cancellable measurement plus the aging and telemetry accessors.
-type RunHandle struct {
-	cfg Config
-	sys *hier.System
+// Result is everything one measured run leaves behind: the window's
+// summary, the retained epoch series, and the set-dueling winner
+// (negative for non-dueling policies). Results are immutable once
+// returned, so caches and late readers share them freely.
+type Result struct {
+	Summary    Summary
+	Epochs     []metrics.Sample
+	CPthWinner int
 }
 
-// NewRunHandle builds the simulation the config describes.
-func (c Config) NewRunHandle() (*RunHandle, error) {
-	sys, err := c.Build()
+// RunWindow is the single-run procedure every caller shares — the simd
+// job pool, the fleet worker and cmd/hybridsim: pre-age the built
+// system's NVM part to capacity (1 or more leaves it fresh), measure the
+// window with MeasureCtx, then collect the retained epoch series and the
+// dueling winner.
+func RunWindow(ctx context.Context, sys *hier.System, capacity float64, warmupCycles, measureCycles uint64, hooks RunHooks) (*Result, error) {
+	PreAge(sys, capacity)
+	sum, err := MeasureCtx(ctx, sys, warmupCycles, measureCycles, hooks)
 	if err != nil {
 		return nil, err
 	}
-	return &RunHandle{cfg: c, sys: sys}, nil
-}
-
-// NewRunHandleFromPrograms builds a handle over caller-supplied per-core
-// programs (trace replays).
-func (c Config) NewRunHandleFromPrograms(progs []hier.Program) (*RunHandle, error) {
-	sys, err := c.BuildFromPrograms(progs)
-	if err != nil {
-		return nil, err
+	winner := -1
+	if d, ok := Dueling(sys); ok {
+		winner = d.Winner()
 	}
-	return &RunHandle{cfg: c, sys: sys}, nil
-}
-
-// Config returns the config the handle was built from.
-func (h *RunHandle) Config() Config { return h.cfg }
-
-// System returns the hierarchy; its registry and epoch ring carry the
-// run's telemetry.
-func (h *RunHandle) System() *hier.System { return h.sys }
-
-// EpochRing returns the per-epoch sample ring of the run.
-func (h *RunHandle) EpochRing() *metrics.EpochRing { return h.sys.EpochRing() }
-
-// PolicyName names the insertion policy the handle simulates.
-func (h *RunHandle) PolicyName() string { return h.sys.LLC().Policy().Name() }
-
-// Capacity returns the NVM part's current effective capacity fraction.
-func (h *RunHandle) Capacity() float64 { return h.sys.LLC().EffectiveCapacityFraction() }
-
-// Frames returns the NVM frames in stable set-major order (nil for
-// SRAM-only configurations) — the order forecast.AgeFrames needs for a
-// bit-identical aging trajectory. The frames are live simulation state:
-// callers must only touch them while the handle is quiescent (between
-// MeasureCtx calls).
-func (h *RunHandle) Frames() []*nvm.Frame {
-	if arr := h.sys.LLC().Array(); arr != nil {
-		return arr.Frames()
-	}
-	return nil
-}
-
-// ResetPhase clears the per-frame phase write counters, starting a fresh
-// measurement window for the analytic aging model (a no-op for SRAM-only
-// configurations).
-func (h *RunHandle) ResetPhase() {
-	if arr := h.sys.LLC().Array(); arr != nil {
-		arr.ResetPhase()
-	}
-}
-
-// PreAge wears the NVM array to the target capacity fraction (PreAge).
-func (h *RunHandle) PreAge(targetCapacity float64) { PreAge(h.sys, targetCapacity) }
-
-// DuelingWinner returns the set-dueling controller's current winner, when
-// the policy uses one.
-func (h *RunHandle) DuelingWinner() (int, bool) {
-	d, ok := Dueling(h.sys)
-	if !ok {
-		return 0, false
-	}
-	return d.Winner(), true
+	return &Result{Summary: sum, Epochs: sys.EpochRing().Samples(), CPthWinner: winner}, nil
 }
 
 // RunHooks observe a windowed run while it executes. All callbacks fire
@@ -115,19 +65,20 @@ type Checkpoint struct {
 	Epochs      int    // epoch samples recorded since the run began
 }
 
-// MeasureCtx is the cancellable, observable form of Measure: it warms the
-// simulation up and measures a window, running in epoch-sized chunks so
-// the context is honoured and the hooks fire at epoch boundaries. The
-// chunking is invisible to the result — the scheduler steps the
-// furthest-behind core against absolute cycle targets, so the step
-// sequence, and therefore the summary, is bit-identical to the one-shot
-// Measure (pinned by TestMeasureCtxMatchesMeasure). On cancellation the
-// context error is returned and the simulation stops at the next chunk
-// boundary with its state intact (checkpoint-cancel).
-func (h *RunHandle) MeasureCtx(ctx context.Context, warmupCycles, measureCycles uint64, hooks RunHooks) (Summary, error) {
+// MeasureCtx warms the system up and measures a window, returning its
+// summary; it is the one place a Summary is built from a run. It runs in
+// epoch-sized chunks so the context is honoured and the hooks fire at
+// epoch boundaries. The chunking is invisible to the result — the
+// scheduler steps the furthest-behind core against absolute cycle
+// targets, so the step sequence, and therefore the summary, is
+// bit-identical to one hier.System.Run call per window (pinned by
+// TestMeasureCtxMatchesMeasure). On cancellation the context error is
+// returned and the simulation stops at the next chunk boundary with its
+// state intact (checkpoint-cancel).
+func MeasureCtx(ctx context.Context, sys *hier.System, warmupCycles, measureCycles uint64, hooks RunHooks) (Summary, error) {
 	total := warmupCycles + measureCycles
-	start := h.sys.Now()
-	ring := h.sys.EpochRing()
+	start := sys.Now()
+	ring := sys.EpochRing()
 	seen := ring.Total()
 	epoch0 := seen
 	emit := func() {
@@ -146,7 +97,7 @@ func (h *RunHandle) MeasureCtx(ctx context.Context, warmupCycles, measureCycles 
 		}
 		// The scheduler can overshoot a chunk target by a few cycles;
 		// clamp so the final report is exactly total/total.
-		done := h.sys.Now() - start
+		done := sys.Now() - start
 		if done > total {
 			done = total
 		}
@@ -163,10 +114,10 @@ func (h *RunHandle) MeasureCtx(ctx context.Context, warmupCycles, measureCycles 
 			})
 		}
 	}
-	chunk := h.sys.Config().EpochCycles
+	chunk := sys.Config().EpochCycles
 	runTo := func(target uint64) error {
 		for {
-			now := h.sys.Now()
+			now := sys.Now()
 			if now >= target {
 				return nil
 			}
@@ -177,29 +128,29 @@ func (h *RunHandle) MeasureCtx(ctx context.Context, warmupCycles, measureCycles 
 			if remaining := target - now; step > remaining {
 				step = remaining
 			}
-			h.sys.Run(step)
+			sys.Run(step)
 			emit()
 		}
 	}
 
-	if err := runTo(h.sys.Now() + warmupCycles); err != nil {
+	if err := runTo(sys.Now() + warmupCycles); err != nil {
 		return Summary{}, err
 	}
 
 	// Measured window: bracket the chunked runs with a registry snapshot
 	// and per-core instruction/cycle marks, mirroring what hier.Run does
 	// internally for a single window.
-	cores := h.sys.Cores()
+	cores := sys.Cores()
 	insts0 := make([]uint64, len(cores))
 	cycles0 := make([]uint64, len(cores))
 	for i, c := range cores {
 		insts0[i], cycles0[i] = c.Insts(), c.Cycles()
 	}
-	before := h.sys.Metrics().Snapshot()
-	if err := runTo(h.sys.Now() + measureCycles); err != nil {
+	before := sys.Metrics().Snapshot()
+	if err := runTo(sys.Now() + measureCycles); err != nil {
 		return Summary{}, err
 	}
-	delta := h.sys.Metrics().Snapshot().Delta(before)
+	delta := sys.Metrics().Snapshot().Delta(before)
 
 	var sum float64
 	for i, c := range cores {
@@ -211,7 +162,7 @@ func (h *RunHandle) MeasureCtx(ctx context.Context, warmupCycles, measureCycles 
 	}
 	st := hybrid.StatsFromSnapshot(delta)
 	return Summary{
-		Policy:          h.PolicyName(),
+		Policy:          sys.LLC().Policy().Name(),
 		MeanIPC:         sum / float64(len(cores)),
 		HitRate:         st.HitRate(),
 		Hits:            st.Hits,
@@ -222,7 +173,7 @@ func (h *RunHandle) MeasureCtx(ctx context.Context, warmupCycles, measureCycles 
 		NVMHits:         st.NVMHits,
 		Inserts:         st.Inserts,
 		Migrations:      st.Migrations,
-		Capacity:        h.Capacity(),
+		Capacity:        sys.LLC().EffectiveCapacityFraction(),
 		Metrics:         delta,
 	}, nil
 }

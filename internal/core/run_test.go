@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/metrics"
@@ -11,7 +12,7 @@ import (
 
 // summariesBitIdentical compares every summary field, floats by bit
 // pattern — the chunked MeasureCtx must not merely approximate the
-// one-shot Measure, it must reproduce it exactly.
+// one-shot window, it must reproduce it exactly.
 func summariesBitIdentical(t *testing.T, want, got Summary) {
 	t.Helper()
 	if want.Policy != got.Policy {
@@ -44,73 +45,93 @@ func summariesBitIdentical(t *testing.T, want, got Summary) {
 	}
 }
 
+// oneShot is the reference the chunked runner must reproduce: one
+// hier.System.Run call for the warm-up and one for the window, condensed
+// field for field.
+func oneShot(t *testing.T, cfg Config, warmup, measure uint64) Summary {
+	t.Helper()
+	sys, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Run(warmup)
+	r := sys.Run(measure)
+	return Summary{
+		Policy:          sys.LLC().Policy().Name(),
+		MeanIPC:         r.MeanIPC,
+		HitRate:         r.LLC.HitRate(),
+		Hits:            r.LLC.Hits,
+		Misses:          r.LLC.Misses,
+		NVMBytesWritten: r.LLC.NVMBytesWritten,
+		NVMBlockWrites:  r.LLC.NVMBlockWrites,
+		SRAMHits:        r.LLC.SRAMHits,
+		NVMHits:         r.LLC.NVMHits,
+		Inserts:         r.LLC.Inserts,
+		Migrations:      r.LLC.Migrations,
+		Capacity:        sys.LLC().EffectiveCapacityFraction(),
+		Metrics:         r.Metrics,
+	}
+}
+
+// chunked measures a freshly built system through MeasureCtx.
+func chunked(t *testing.T, cfg Config, warmup, measure uint64) Summary {
+	t.Helper()
+	sys, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := MeasureCtx(context.Background(), sys, warmup, measure, RunHooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
 // TestMeasureCtxMatchesMeasure pins the determinism claim the simd
 // result cache and the chunked-run hooks rest on: running the window in
 // epoch-sized chunks with cancellation checks produces a bit-identical
-// summary to the one-shot Measure. The window deliberately does not
-// divide evenly into QuickConfig's epoch size.
+// summary, registry delta included, to a direct hier.System.Run of the
+// warm-up and the window. The window deliberately does not divide
+// evenly into QuickConfig's epoch size.
 func TestMeasureCtxMatchesMeasure(t *testing.T) {
 	const warmup, measure = 300_000, 1_100_000
 	cfg := QuickConfig()
-
-	sys, err := cfg.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Measure(sys, warmup, measure)
-
-	h, err := cfg.NewRunHandle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := h.MeasureCtx(context.Background(), warmup, measure, RunHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := oneShot(t, cfg, warmup, measure)
+	got := chunked(t, cfg, warmup, measure)
 	summariesBitIdentical(t, want, got)
+	if !reflect.DeepEqual(want.Metrics, got.Metrics) {
+		t.Error("registry delta of the chunked window differs from the one-shot run's")
+	}
 }
 
 // TestMeasureCtxShardedMatches: a config that names the sequential shard
-// count (shards=1) shares the default's cache key, so its run handle
-// must reproduce the default's one-shot Measure bit for bit; a parallel
-// shard count gets no handle at all.
+// count (shards=1) shares the default's cache key, so its run must
+// reproduce the default's one-shot window bit for bit; a parallel shard
+// count builds no system at all.
 func TestMeasureCtxShardedMatches(t *testing.T) {
 	const warmup, measure = 300_000, 1_100_000
 	cfg := QuickConfig()
-
-	sys, err := cfg.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Measure(sys, warmup, measure)
+	want := oneShot(t, cfg, warmup, measure)
 
 	cfg.Shards = 1
-	h, err := cfg.NewRunHandle()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := h.MeasureCtx(context.Background(), warmup, measure, RunHooks{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	summariesBitIdentical(t, want, got)
+	summariesBitIdentical(t, want, chunked(t, cfg, warmup, measure))
 
 	cfg.Shards = 2
-	if _, err := cfg.NewRunHandle(); err == nil {
-		t.Fatal("NewRunHandle accepted shards=2")
+	if _, err := cfg.Build(); err == nil {
+		t.Fatal("Build accepted shards=2")
 	}
 }
 
 func TestMeasureCtxHooks(t *testing.T) {
 	cfg := QuickConfig() // 500k-cycle epochs
-	h, err := cfg.NewRunHandle()
+	sys, err := cfg.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var epochs []int
 	var lastDone, lastTotal uint64
-	_, err = h.MeasureCtx(context.Background(), 200_000, 1_300_000, RunHooks{
+	_, err = MeasureCtx(context.Background(), sys, 200_000, 1_300_000, RunHooks{
 		OnEpoch:    func(s metrics.Sample) { epochs = append(epochs, s.Epoch) },
 		OnProgress: func(done, total uint64) { lastDone, lastTotal = done, total },
 	})
@@ -138,14 +159,14 @@ func TestMeasureCtxHooks(t *testing.T) {
 // OnEpoch), and the final checkpoint reports the full window.
 func TestMeasureCtxCheckpoints(t *testing.T) {
 	cfg := QuickConfig() // 500k-cycle epochs
-	h, err := cfg.NewRunHandle()
+	sys, err := cfg.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var cps []Checkpoint
 	delivered := 0
-	_, err = h.MeasureCtx(context.Background(), 200_000, 1_300_000, RunHooks{
+	_, err = MeasureCtx(context.Background(), sys, 200_000, 1_300_000, RunHooks{
 		OnEpoch: func(metrics.Sample) { delivered++ },
 		OnCheckpoint: func(cp Checkpoint) {
 			if cp.Epochs > delivered {
@@ -173,14 +194,14 @@ func TestMeasureCtxCheckpoints(t *testing.T) {
 
 func TestMeasureCtxCancellation(t *testing.T) {
 	cfg := QuickConfig()
-	h, err := cfg.NewRunHandle()
+	sys, err := cfg.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	fired := 0
-	_, err = h.MeasureCtx(ctx, 0, 50_000_000, RunHooks{
+	_, err = MeasureCtx(ctx, sys, 0, 50_000_000, RunHooks{
 		OnEpoch: func(metrics.Sample) {
 			fired++
 			if fired == 2 {
@@ -191,17 +212,17 @@ func TestMeasureCtxCancellation(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	now := h.System().Now()
+	now := sys.Now()
 	if now == 0 || now >= 50_000_000 {
 		t.Fatalf("expected a partial run, stopped at cycle %d", now)
 	}
 
 	// A pre-canceled context stops before simulating anything further.
-	before := h.System().Now()
-	if _, err := h.MeasureCtx(ctx, 0, 1_000_000, RunHooks{}); !errors.Is(err, context.Canceled) {
+	before := sys.Now()
+	if _, err := MeasureCtx(ctx, sys, 0, 1_000_000, RunHooks{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
-	if h.System().Now() != before {
-		t.Fatalf("pre-canceled run advanced the clock %d -> %d", before, h.System().Now())
+	if sys.Now() != before {
+		t.Fatalf("pre-canceled run advanced the clock %d -> %d", before, sys.Now())
 	}
 }

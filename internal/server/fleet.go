@@ -100,7 +100,7 @@ func (m *Manager) grantJob(j *Job, workerID string) (*fleet.Grant, bool) {
 		// (expiry removes the lease before requeueing), so this is a
 		// bookkeeping bug; fail the job loudly rather than lose it.
 		m.log.Error("lease grant refused", "job", j.id, "worker", workerID, "err", err)
-		m.finishJob(j, StateFailed, nil, err, cliutil.TaskResult{})
+		m.finishJob(j, StateFailed, err, cliutil.TaskResult{})
 		return nil, false
 	}
 	j.setWorker(workerID)
@@ -144,10 +144,12 @@ func (m *Manager) HeartbeatLease(token string, hb fleet.HeartbeatRequest) (fleet
 // digest, codec decode, cache key against the job's content address —
 // *before* the lease is resolved or anything is journaled, so a corrupt
 // upload leaves both the lease and the job untouched (the worker can
-// retry, or the lease expires and the job requeues). Duplicate
-// completions (a revived worker racing the replacement that already
-// finished the job) are resolved idempotently: the bytes are verified,
-// found to carry the same content address, and discarded.
+// retry, or the lease expires and the job requeues). A verified upload
+// is published through publishCompletion, the path a local result
+// takes. Duplicate completions (a revived worker racing the replacement
+// that already finished the job) are resolved idempotently: the bytes
+// are verified, found to carry the same content address, and counted
+// and journaled nowhere.
 func (m *Manager) CompleteLease(token string, req fleet.CompleteRequest) (fleet.CompleteResponse, error) {
 	l, state := m.leases.Peek(token)
 	if l == nil {
@@ -168,7 +170,7 @@ func (m *Manager) CompleteLease(token string, req fleet.CompleteRequest) (fleet.
 		return fleet.CompleteResponse{}, fmt.Errorf("%w: artifact sha %s, declared %s",
 			ErrArtifactMismatch, got, req.ArtifactSHA)
 	}
-	res, key, err := decodeResultKeyed(req.Artifact)
+	res, key, err := decodeResult(req.Artifact)
 	if err != nil {
 		return fleet.CompleteResponse{}, fmt.Errorf("%w: %v", ErrArtifactMismatch, err)
 	}
@@ -183,8 +185,16 @@ func (m *Manager) CompleteLease(token string, req fleet.CompleteRequest) (fleet.
 		// re-run yet, in which case this upload completes the job).
 		m.log.Warn("lease expired during upload", "job", j.id, "lease", token, "err", err)
 	}
-	resolution := m.completeRemote(j, l, res, req.Artifact, req.ArtifactSHA)
-	return fleet.CompleteResponse{Resolution: resolution, JobID: j.id}, nil
+	if !m.publishCompletion(j, res, completion{blob: req.Artifact, worker: l.Worker, lease: l.Token, start: l.Granted}) {
+		// The duplicate-completion race: the verified bytes are dropped,
+		// which is safe because content addressing makes them identical
+		// to the bytes already stored.
+		m.leasesDup.Add(1)
+		m.log.Info("duplicate completion resolved by hash", "job", j.id,
+			"worker", l.Worker, "lease", l.Token, "sha", req.ArtifactSHA)
+		return fleet.CompleteResponse{Resolution: fleet.ResolutionDuplicate, JobID: j.id}, nil
+	}
+	return fleet.CompleteResponse{Resolution: fleet.ResolutionCompleted, JobID: j.id}, nil
 }
 
 // completeRemoteFailure resolves a lease whose worker reported an
@@ -198,40 +208,8 @@ func (m *Manager) completeRemoteFailure(token string, l *fleet.Lease, j *Job, re
 			return fleet.CompleteResponse{Resolution: fleet.ResolutionRequeued, JobID: j.id}
 		}
 	}
-	m.finishJob(j, StateFailed, nil, fmt.Errorf("worker %s: %w", l.Worker, cause), cliutil.TaskResult{})
+	m.finishJob(j, StateFailed, fmt.Errorf("worker %s: %w", l.Worker, cause), cliutil.TaskResult{})
 	return fleet.CompleteResponse{Resolution: fleet.ResolutionFailed, JobID: j.id}
-}
-
-// completeRemote ingests a verified remote artifact: blob into the
-// store first (journaled completion implies the artifact exists, same
-// ordering finishJob keeps), then the in-memory transition. When the
-// job is already terminal — the duplicate-completion race — nothing is
-// counted or journaled twice; the verified bytes are simply dropped,
-// which is safe because content addressing makes them identical to the
-// bytes already stored.
-func (m *Manager) completeRemote(j *Job, l *fleet.Lease, res *Result, blob []byte, sha string) string {
-	if m.store != nil {
-		if _, err := m.store.PutArtifact(j.cacheKey, blob); err != nil {
-			m.log.Error("remote artifact write failed", "job", j.id, "key", j.cacheKey, "err", err)
-			sha = ""
-		}
-	}
-	if !j.finish(StateCompleted, res, nil) {
-		m.leasesDup.Add(1)
-		m.log.Info("duplicate completion resolved by hash", "job", j.id,
-			"worker", l.Worker, "lease", l.Token, "sha", sha)
-		return fleet.ResolutionDuplicate
-	}
-	m.cache.put(j.cacheKey, res)
-	m.completed.Add(1)
-	m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(StateCompleted),
-		Sweep: j.sweepID, Label: j.label, CacheKey: j.cacheKey,
-		Attempt: j.Attempts(), ArtifactSHA: sha, Worker: l.Worker, Lease: l.Token})
-	m.observeDuration(time.Since(l.Granted))
-	m.log.Info("job completed remotely", "job", j.id, "sweep", j.sweepID,
-		"worker", l.Worker, "lease", l.Token,
-		"mean_ipc", res.Summary.MeanIPC, "attempts", j.Attempts())
-	return fleet.ResolutionCompleted
 }
 
 // Leases lists the active fleet leases (GET /v1/leases).
@@ -273,35 +251,25 @@ func (m *Manager) leaseExpiryLoop() {
 }
 
 // RunRequestArtifact is the fleet worker's executor: it decodes a
-// strict-canonical request document, runs it through the same engine
-// path the coordinator's local pool uses, and returns the encoded
-// artifact bytes. The engine is bit-exact and the codec deterministic,
-// so the bytes are identical to what local execution of the same
-// request would have stored — the property that makes remote leases,
-// duplicate uploads, and artifact hash checks all compose.
+// strict-canonical request document, runs it through core.RunWindow —
+// the same single-run procedure the coordinator's local pool uses — and
+// returns the encoded artifact bytes. The engine is bit-exact and the
+// codec deterministic, so the bytes are identical to what local
+// execution of the same request would have stored — the property that
+// makes remote leases, duplicate uploads, and artifact hash checks all
+// compose.
 func RunRequestArtifact(ctx context.Context, request json.RawMessage, onProgress func(done, total uint64)) ([]byte, error) {
 	req, err := DecodeJobRequest(request)
 	if err != nil {
 		return nil, err
 	}
-	h, err := req.Config.NewRunHandle()
+	sys, err := req.Config.Build()
 	if err != nil {
 		return nil, err
 	}
-	if req.Capacity < 1 {
-		h.PreAge(req.Capacity)
-	}
-	sum, err := h.MeasureCtx(ctx, req.WarmupCycles, req.MeasureCycles, core.RunHooks{OnProgress: onProgress})
+	res, err := core.RunWindow(ctx, sys, req.Capacity, req.WarmupCycles, req.MeasureCycles, core.RunHooks{OnProgress: onProgress})
 	if err != nil {
 		return nil, err
 	}
-	winner := -1
-	if w, ok := h.DuelingWinner(); ok {
-		winner = w
-	}
-	return encodeResult(req.CacheKey(), &Result{
-		Summary:    sum,
-		Epochs:     h.EpochRing().Samples(),
-		CPthWinner: winner,
-	})
+	return encodeResult(req.CacheKey(), res)
 }

@@ -241,6 +241,56 @@ func TestLeaseExpiryRequeuesForSecondWorker(t *testing.T) {
 	}
 }
 
+// TestCompletionCachedBeforeTerminal is the deterministic guard on the
+// publication order: from inside the onTerminal hook — the instant a
+// job's state turns terminal — the cache must already hold the job's
+// key and the store its artifact, for a local pool completion and for a
+// CompleteLease completion alike.
+func TestCompletionCachedBeforeTerminal(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+	}{{"local", 1}, {"lease", -1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			st := openStore(t, t.TempDir())
+			m := newTestManager(t, Options{Workers: tc.workers, QueueDepth: 4, CacheSize: 8, Store: st})
+			type seen struct {
+				id             string
+				cached, stored bool
+			}
+			obs := make(chan seen, 1)
+			m.onTerminal = func(j *Job) {
+				_, cached := m.cache.get(j.cacheKey)
+				obs <- seen{j.id, cached, st.HasArtifact(j.cacheKey)}
+			}
+			j := submitOne(t, m, leaseTestBody)
+			if tc.workers < 0 {
+				g, err := m.AcquireLease(context.Background(), "w1", time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				artifact, sha := executeGrant(t, g)
+				resp, err := m.CompleteLease(g.Token, fleet.CompleteRequest{Artifact: artifact, ArtifactSHA: sha})
+				if err != nil || resp.Resolution != fleet.ResolutionCompleted {
+					t.Fatalf("complete: %q, %v", resp.Resolution, err)
+				}
+			}
+			var o seen
+			select {
+			case o = <-obs:
+			case <-time.After(30 * time.Second):
+				t.Fatal("job never turned terminal")
+			}
+			if j.State() != StateCompleted {
+				t.Fatalf("job %s (%v)", j.State(), j.Err())
+			}
+			if o.id != j.ID() || !o.cached || !o.stored {
+				t.Fatalf("at the terminal transition of %s: cached=%v stored=%v", o.id, o.cached, o.stored)
+			}
+		})
+	}
+}
+
 // TestDuplicateCompletionIdempotent exercises the revived-worker race
 // on the ingestion path itself: a verified upload for a job that
 // reached its terminal state a moment earlier is resolved as a
@@ -253,7 +303,7 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 		t.Fatal(err)
 	}
 	artifact, sha := executeGrant(t, g)
-	res, key, err := decodeResultKeyed(artifact)
+	res, key, err := decodeResult(artifact)
 	if err != nil || key != j.CacheKey() {
 		t.Fatal(err)
 	}
@@ -263,9 +313,9 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 	if !j.finish(StateCompleted, res, nil) {
 		t.Fatal("setup finish failed")
 	}
-	lease := &fleet.Lease{Token: g.Token, JobID: g.JobID, Worker: "w1", Attempt: g.Attempt, Granted: time.Now()}
-	if got := m.completeRemote(j, lease, res, artifact, sha); got != fleet.ResolutionDuplicate {
-		t.Fatalf("resolution = %q, want duplicate", got)
+	resp, err := m.CompleteLease(g.Token, fleet.CompleteRequest{Artifact: artifact, ArtifactSHA: sha})
+	if err != nil || resp.Resolution != fleet.ResolutionDuplicate {
+		t.Fatalf("resolution = %q (err %v), want duplicate", resp.Resolution, err)
 	}
 	if m.leasesDup.Load() != 1 || m.completed.Load() != 0 {
 		t.Fatalf("dup=%d completed=%d", m.leasesDup.Load(), m.completed.Load())
@@ -301,11 +351,22 @@ func TestCorruptArtifactRejectedWithoutPoisoning(t *testing.T) {
 
 	garbage := []byte(`{"not":"an artifact"}`)
 	gsum := sha256.Sum256(garbage)
+	res, _, err := decodeResult(artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := encodeResult("another-key", res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fsum := sha256.Sum256(foreign)
 	cases := []fleet.CompleteRequest{
 		// Declared hash does not match the bytes (bit rot in transit).
 		{Artifact: artifact, ArtifactSHA: "deadbeef"},
 		// Hash matches but the bytes are not a decodable artifact.
 		{Artifact: garbage, ArtifactSHA: hex.EncodeToString(gsum[:])},
+		// Hash and codec match, but the artifact is another request's.
+		{Artifact: foreign, ArtifactSHA: hex.EncodeToString(fsum[:])},
 	}
 	for i, c := range cases {
 		status, body := post(c)

@@ -1,8 +1,14 @@
 package server
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/fleet"
 )
 
 // FuzzSweepSpecDecode fuzzes the sweep submission boundary with
@@ -70,6 +76,73 @@ func FuzzEstimateSpecDecode(f *testing.F) {
 		}
 		if strings.ContainsAny(key[4:], "/\\.") {
 			t.Fatalf("cache key %q escapes the artifact namespace (body %q)", key, doc)
+		}
+	})
+}
+
+// FuzzLeaseComplete fuzzes lease completion on a granted lease with
+// arbitrary artifact bytes, declared digest, error text and transient
+// flag. It must never panic. An upload resolves the lease and completes
+// the job only when the digest, the decode and the cache key all match;
+// any other upload leaves the lease active and the job running. An
+// error report always resolves the lease (requeue or failure).
+// Checked-in seeds live under testdata/fuzz/FuzzLeaseComplete.
+func FuzzLeaseComplete(f *testing.F) {
+	req, err := DecodeJobRequest([]byte(leaseTestBody))
+	if err != nil {
+		f.Fatal(err)
+	}
+	digest := func(b []byte) string {
+		sum := sha256.Sum256(b)
+		return hex.EncodeToString(sum[:])
+	}
+	valid, err := encodeResult(req.CacheKey(), &Result{CPthWinner: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	other, err := encodeResult("another-key", &Result{CPthWinner: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid, digest(valid), "", false)
+	f.Add(valid, digest(other), "", false)
+	f.Add(other, digest(other), "", false)
+	f.Add([]byte(`{"version":2}`), digest([]byte(`{"version":2}`)), "", false)
+	f.Add([]byte(nil), "", "worker panicked", true)
+	f.Add(valid, digest(valid), "simulation failed", false)
+	f.Fuzz(func(t *testing.T, artifact []byte, sha, errText string, transient bool) {
+		m, err := NewManager(Options{Workers: -1, QueueDepth: 1, CacheSize: NoCache,
+			Retries: 1, LeaseTTL: time.Minute})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer m.Close()
+		j, err := m.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := m.AcquireLease(context.Background(), "w1", time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := m.CompleteLease(g.Token, fleet.CompleteRequest{
+			Artifact: artifact, ArtifactSHA: sha, Error: errText, Transient: transient})
+		_, lease := m.leases.Peek(g.Token)
+		if errText != "" {
+			if err != nil || lease == fleet.TokenActive {
+				t.Fatalf("error report: err %v, lease %v", err, lease)
+			}
+			return
+		}
+		_, key, derr := decodeResult(artifact)
+		if sha == digest(artifact) && derr == nil && key == j.CacheKey() {
+			if err != nil || resp.Resolution != fleet.ResolutionCompleted || j.State() != StateCompleted {
+				t.Fatalf("matching upload: err %v, resolution %q, job %s", err, resp.Resolution, j.State())
+			}
+			return
+		}
+		if err == nil || lease != fleet.TokenActive || j.State() != StateRunning {
+			t.Fatalf("mismatched upload: err %v, lease %v, job %s", err, lease, j.State())
 		}
 	})
 }

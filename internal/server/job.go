@@ -10,15 +10,9 @@ import (
 	"repro/internal/metrics"
 )
 
-// Result is everything a completed run leaves behind: the measured
-// summary, the retained epoch series, and the set-dueling winner
-// (negative for non-dueling policies). Results are immutable once
-// published, so the cache and late readers share them freely.
-type Result struct {
-	Summary    core.Summary
-	Epochs     []metrics.Sample
-	CPthWinner int
-}
+// Result is a completed job's outcome: core.RunWindow's result, shared
+// by the cache, the artifact codec and late readers.
+type Result = core.Result
 
 // Job is one queued simulation run. All mutable state sits behind the
 // mutex; readers get consistent copies and live epoch followers block on

@@ -135,6 +135,10 @@ type Manager struct {
 	// start of every attempt. Tests use it to inject transient faults
 	// (panics) on chosen attempts.
 	beforeAttempt func(j *Job, attempt int) error
+	// onTerminal, when set, runs the moment markTerminal turns a job's
+	// in-memory state terminal, before anything is counted or journaled.
+	// Tests use it to observe what is already published at that instant.
+	onTerminal func(*Job)
 }
 
 // NewManager starts a manager: its workers are live and pulling from the
@@ -458,7 +462,7 @@ func (m *Manager) runSweep(sw *Sweep, jobs []*Job) {
 	aborted := false
 	for _, j := range jobs {
 		if aborted {
-			m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+			m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
 			continue
 		}
 		if j.State().Terminal() { // cache hit or recovered-complete child
@@ -468,13 +472,13 @@ func (m *Manager) runSweep(sw *Sweep, jobs []*Job) {
 		case sem <- struct{}{}:
 		case <-m.drainc:
 			aborted = true
-			m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+			m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
 			continue
 		}
 		if !m.enqueueBlocking(j) {
 			<-sem
 			aborted = true
-			m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+			m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
 			continue
 		}
 		watchers.Add(1)
@@ -561,7 +565,7 @@ func (m *Manager) planSweep(sw *Sweep, jobs []*Job) {
 		if onFrontier {
 			continue
 		}
-		m.finishJob(jobs[idx[k]], StateScreened, nil, nil, cliutil.TaskResult{})
+		m.finishJob(jobs[idx[k]], StateScreened, nil, cliutil.TaskResult{})
 		screened++
 	}
 	m.log.Info("sweep planned", "sweep", sw.id, "estimated", len(pts),
@@ -613,7 +617,7 @@ func (m *Manager) Drain(ctx context.Context) error {
 		for {
 			select {
 			case j := <-m.queue:
-				m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+				m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
 				continue
 			default:
 			}
@@ -748,12 +752,11 @@ func (m *Manager) runJob(j *Job) {
 
 	err := outcome.Err
 	if err == nil {
-		m.observeDuration(time.Since(start))
-		m.finishJob(j, StateCompleted, res, nil, outcome)
+		m.publishCompletion(j, res, completion{start: start})
 		return
 	}
 	if errors.Is(err, context.Canceled) {
-		m.finishJob(j, StateCanceled, nil, err, outcome)
+		m.finishJob(j, StateCanceled, err, outcome)
 		return
 	}
 	transient := outcome.Panicked || outcome.TimedOut || errors.Is(err, context.DeadlineExceeded)
@@ -765,7 +768,7 @@ func (m *Manager) runJob(j *Job) {
 	if errors.Is(err, context.DeadlineExceeded) {
 		err = fmt.Errorf("job timeout %v exceeded after %d attempt(s)", m.opts.JobTimeout, attempt)
 	}
-	m.finishJob(j, StateFailed, nil, err, outcome)
+	m.finishJob(j, StateFailed, err, outcome)
 }
 
 // requeueReason distinguishes why a running job goes back on the queue.
@@ -826,7 +829,7 @@ func (m *Manager) requeueJob(j *Job, reason requeueReason, attempt int, worker, 
 	}
 	m.mu.Unlock()
 	if draining {
-		m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+		m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
 		return true
 	}
 	go func() {
@@ -835,47 +838,103 @@ func (m *Manager) requeueJob(j *Job, reason requeueReason, attempt int, worker, 
 			select {
 			case <-time.After(delay):
 			case <-m.rootCtx.Done():
-				m.finishJob(j, StateCanceled, nil, context.Canceled, cliutil.TaskResult{})
+				m.finishJob(j, StateCanceled, context.Canceled, cliutil.TaskResult{})
 				return
 			}
 		}
 		if !m.enqueueBlocking(j) {
-			m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+			m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
 		}
 	}()
 	return true
 }
 
-// finishJob publishes a job's terminal state: counters, artifact and
-// cache entry on success, journal entry always. The artifact is written
-// before its journal entry, so a journaled completion implies the
-// artifact exists (at-least-once execution, idempotent artifacts).
-// Artifact and cache entry both land before j.finish flips the
-// in-memory state, so an observer that sees the job completed can
-// already read the artifact, and a resubmission of its key hits the
-// cache. A racing duplicate completion puts a byte-identical result
-// under the same content address, so publishing before the
-// terminal-state check is harmless.
-func (m *Manager) finishJob(j *Job, state JobState, res *Result, err error, outcome cliutil.TaskResult) {
-	var sha string
-	if state == StateCompleted {
-		sha = m.storeResult(j, res)
-		m.cache.put(j.cacheKey, res)
+// completion describes where a successful run came from. A fleet
+// upload carries its verified artifact bytes, worker and lease; a local
+// run leaves them empty and its result is encoded on publication.
+type completion struct {
+	blob   []byte    // verified upload; nil to encode the result
+	worker string    // fleet worker; empty for the local pool
+	lease  string    // fleet lease token; empty for the local pool
+	start  time.Time // attempt start, for the Retry-After estimate
+}
+
+// publishCompletion is the one path a successful run takes to the
+// completed state, wherever it ran. The steps keep a fixed order: the
+// artifact into the store, the result into the cache, the in-memory
+// transition, then — only when this call made the transition — the
+// counter, the duration sample, the journal entry and the log line.
+// Artifact before journal means a journaled completion implies the
+// artifact exists (at-least-once execution, idempotent artifacts);
+// artifact and cache before j.finish mean an observer who sees the job
+// completed can already read its artifact, and a resubmission of its
+// key hits the cache. False means the job was already terminal (a
+// racing duplicate completion, or a cancel that won) and nothing was
+// counted or journaled; the artifact and cache entry it put are
+// byte-identical to the winner's under content addressing.
+func (m *Manager) publishCompletion(j *Job, res *Result, c completion) bool {
+	sha := m.storeArtifact(j, res, c.blob)
+	m.cache.put(j.cacheKey, res)
+	if !m.markTerminal(j, StateCompleted, res, nil) {
+		return false
 	}
+	m.completed.Add(1)
+	m.observeDuration(time.Since(c.start))
+	m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(StateCompleted),
+		Sweep: j.sweepID, Label: j.label, CacheKey: j.cacheKey,
+		Attempt: j.Attempts(), ArtifactSHA: sha, Worker: c.worker, Lease: c.lease})
+	m.log.Info("job completed", "job", j.id, "sweep", j.sweepID, "worker", c.worker, "lease", c.lease,
+		"mean_ipc", res.Summary.MeanIPC, "epochs", len(res.Epochs), "attempts", j.Attempts())
+	return true
+}
+
+// markTerminal flips the job's in-memory state through j.finish and,
+// when this call made the transition, fires the onTerminal hook at that
+// instant.
+func (m *Manager) markTerminal(j *Job, state JobState, res *Result, err error) bool {
 	if !j.finish(state, res, err) {
+		return false
+	}
+	if hook := m.onTerminal; hook != nil {
+		hook(j)
+	}
+	return true
+}
+
+// storeArtifact writes the job's artifact — blob, or the result's
+// encoding when blob is nil — and returns its SHA-256, or "" when the
+// manager has no store or the write failed (recovery then re-runs the
+// job instead of loading a blob that is not there).
+func (m *Manager) storeArtifact(j *Job, res *Result, blob []byte) string {
+	if m.store == nil {
+		return ""
+	}
+	if blob == nil {
+		var err error
+		if blob, err = encodeResult(j.cacheKey, res); err != nil {
+			m.log.Error("artifact encode failed", "job", j.id, "key", j.cacheKey, "err", err)
+			return ""
+		}
+	}
+	sha, err := m.store.PutArtifact(j.cacheKey, blob)
+	if err != nil {
+		m.log.Error("artifact write failed", "job", j.id, "key", j.cacheKey, "err", err)
+		return ""
+	}
+	return sha
+}
+
+// finishJob publishes an unsuccessful terminal state — canceled,
+// screened or failed — with its counter, journal entry and log line.
+// Success goes through publishCompletion.
+func (m *Manager) finishJob(j *Job, state JobState, err error, outcome cliutil.TaskResult) {
+	if !m.markTerminal(j, state, nil, err) {
 		// Already terminal: a racing completion (remote upload vs local
 		// re-run) or a cancel chasing a finished job. The first terminal
 		// state won; counting or journaling a second would lie.
 		return
 	}
 	switch state {
-	case StateCompleted:
-		m.completed.Add(1)
-		m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(StateCompleted),
-			Sweep: j.sweepID, Label: j.label, CacheKey: j.cacheKey,
-			Attempt: j.Attempts(), ArtifactSHA: sha})
-		m.log.Info("job completed", "job", j.id, "sweep", j.sweepID,
-			"mean_ipc", res.Summary.MeanIPC, "epochs", len(res.Epochs), "attempts", j.Attempts())
 	case StateCanceled:
 		m.canceled.Add(1)
 		m.journalJob(j, string(StateCanceled), err)
@@ -892,35 +951,12 @@ func (m *Manager) finishJob(j *Job, state JobState, res *Result, err error, outc
 	}
 }
 
-// storeResult writes the result's artifact and returns its SHA-256, or
-// "" when the manager has no store or the write failed (recovery then
-// re-runs the job instead of loading a blob that is not there).
-func (m *Manager) storeResult(j *Job, res *Result) string {
-	if m.store == nil {
-		return ""
-	}
-	blob, err := encodeResult(j.cacheKey, res)
-	if err != nil {
-		m.log.Error("artifact encode failed", "job", j.id, "key", j.cacheKey, "err", err)
-		return ""
-	}
-	sha, err := m.store.PutArtifact(j.cacheKey, blob)
-	if err != nil {
-		m.log.Error("artifact write failed", "job", j.id, "key", j.cacheKey, "err", err)
-		return ""
-	}
-	return sha
-}
-
 // simulate builds and measures the job's run, streaming epochs and
 // progress into the job as it goes and journaling throttled checkpoints.
 func (m *Manager) simulate(ctx context.Context, j *Job) (*Result, error) {
-	h, err := j.req.Config.NewRunHandle()
+	sys, err := j.req.Config.Build()
 	if err != nil {
 		return nil, err
-	}
-	if j.req.Capacity < 1 {
-		h.PreAge(j.req.Capacity)
 	}
 	hooks := core.RunHooks{
 		OnEpoch:    j.addEpoch,
@@ -935,19 +971,7 @@ func (m *Manager) simulate(ctx context.Context, j *Job) (*Result, error) {
 				Progress: cp.Cycles, Total: cp.TotalCycles})
 		}
 	}
-	sum, err := h.MeasureCtx(ctx, j.req.WarmupCycles, j.req.MeasureCycles, hooks)
-	if err != nil {
-		return nil, err
-	}
-	winner := -1
-	if w, ok := h.DuelingWinner(); ok {
-		winner = w
-	}
-	return &Result{
-		Summary:    sum,
-		Epochs:     h.EpochRing().Samples(),
-		CPthWinner: winner,
-	}, nil
+	return core.RunWindow(ctx, sys, j.req.Capacity, j.req.WarmupCycles, j.req.MeasureCycles, hooks)
 }
 
 // recoverFromStore replays the journal into live state: completed jobs
@@ -1032,7 +1056,7 @@ func (m *Manager) recoverFromStore() error {
 			defer m.wg.Done()
 			for _, j := range requeue {
 				if !m.enqueueBlocking(j) {
-					m.finishJob(j, StateCanceled, nil, ErrDraining, cliutil.TaskResult{})
+					m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
 				}
 			}
 		}()
@@ -1042,7 +1066,7 @@ func (m *Manager) recoverFromStore() error {
 
 // rebuildJob reconstructs one job from its reduced journal record,
 // returning it plus whether it still needs to run. Completed jobs load
-// their artifact (missing or corrupt → re-run); failed jobs stay
+// their artifact (missing, corrupt or another key's → re-run); failed jobs stay
 // failed; canceled standalone jobs stay canceled, but canceled children
 // of an unfinished sweep re-run — the cancel came from a drain, and the
 // resumed sweep still owes their results.
@@ -1065,12 +1089,18 @@ func (m *Manager) rebuildJob(rec *jobstore.JobRecord, ownerState string) (j *Job
 	case string(StateCompleted):
 		data, ok, err := m.store.GetArtifact(j.cacheKey, rec.ArtifactSHA)
 		if err == nil && ok {
-			if res, derr := decodeResult(data); derr == nil {
+			// The key check matters when the journal recorded no digest
+			// (cache-hit completions): the file under this key's name
+			// must still be this key's artifact.
+			var res *Result
+			var key string
+			if res, key, err = decodeResult(data); err == nil && key != j.cacheKey {
+				err = fmt.Errorf("artifact holds key %s", key)
+			}
+			if err == nil {
 				j.completeFromCache(res)
 				m.cache.put(j.cacheKey, res)
 				return j, false
-			} else {
-				err = derr
 			}
 		}
 		if err != nil {

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/jobstore"
 )
 
@@ -175,7 +176,7 @@ func TestRecoveryRerunsInterruptedJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := decodeResult(blob)
+	res, _, err := decodeResult(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,6 +206,49 @@ func TestRecoveryRerunsInterruptedJob(t *testing.T) {
 	}
 	if j3.ID() != "job-000003" {
 		t.Fatalf("post-recovery ID %s, want job-000003", j3.ID())
+	}
+}
+
+// TestRecoveryRerunsArtifactOfAnotherKey boots over a completion
+// journaled without a digest — the form a cache-hit submission writes —
+// whose artifact file holds bytes encoded for another cache key. The
+// store cannot hash-check it, so recovery must check the embedded key
+// and re-run the job rather than serve another request's result.
+func TestRecoveryRerunsArtifactOfAnotherKey(t *testing.T) {
+	dir := t.TempDir()
+	req, err := DecodeJobRequest([]byte(leaseTestBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir)
+	foreign, err := encodeResult("another-key", &Result{CPthWinner: -1, Summary: core.Summary{Policy: "FOREIGN"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.PutArtifact(req.CacheKey(), foreign); err != nil {
+		t.Fatal(err)
+	}
+	reqBlob, _ := json.Marshal(req)
+	if err := st.Append(jobstore.Entry{Kind: jobstore.KindJob, ID: "job-000001",
+		State: string(StateCompleted), CacheKey: req.CacheKey(), Request: reqBlob}); err != nil {
+		t.Fatal(err)
+	}
+
+	m, err := NewManager(Options{Workers: 1, QueueDepth: 4, CacheSize: 8, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	j, ok := m.Job("job-000001")
+	if !ok {
+		t.Fatal("job not recovered")
+	}
+	j.awaitTerminal()
+	if st := j.Status(); st.State != StateCompleted || st.CacheHit {
+		t.Fatalf("recovered job %+v (%v), want a completed re-run", st, j.Err())
+	}
+	if got := j.Result().Summary.Policy; got != req.Config.PolicyName {
+		t.Fatalf("served policy %q, want a re-run of %q", got, req.Config.PolicyName)
 	}
 }
 
@@ -480,7 +524,7 @@ func TestCheckpointEntriesJournaled(t *testing.T) {
 	if j.State() != StateCompleted {
 		t.Fatalf("job %s (%v)", j.State(), j.Err())
 	}
-	// The job reads completed before finishJob journals the completion,
+	// The job reads completed before publishCompletion journals it,
 	// so wait (bounded) for the journal to catch up before asserting.
 	var entries []jobstore.Entry
 	for deadline := time.Now().Add(10 * time.Second); ; {
@@ -523,7 +567,7 @@ func TestCheckpointEntriesJournaled(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("artifact load: ok=%v err=%v", ok, err)
 	}
-	if _, err := decodeResult(data); err != nil {
+	if _, _, err := decodeResult(data); err != nil {
 		t.Fatal(err)
 	}
 }

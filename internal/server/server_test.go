@@ -78,8 +78,8 @@ func waitCompleted(t *testing.T, url, id string) JobResponse {
 	return JobResponse{}
 }
 
-// referenceReport runs the submission through the same engine entry
-// points cmd/hybridsim uses and renders it through the shared
+// referenceReport runs the submission through core.RunWindow, the
+// single-run procedure cmd/hybridsim uses, and renders it through the shared
 // cliutil.RunReport — the byte-identical reference for the served job.
 func referenceReport(t *testing.T, body string) []byte {
 	t.Helper()
@@ -87,27 +87,20 @@ func referenceReport(t *testing.T, body string) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := req.Config.NewRunHandle()
+	sys, err := req.Config.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if req.Capacity < 1 {
-		h.PreAge(req.Capacity)
-	}
-	s, err := h.MeasureCtx(context.Background(), req.WarmupCycles, req.MeasureCycles, core.RunHooks{})
+	res, err := core.RunWindow(context.Background(), sys, req.Capacity, req.WarmupCycles, req.MeasureCycles, core.RunHooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	winner := -1
-	if w, ok := h.DuelingWinner(); ok {
-		winner = w
-	}
-	opt := cliutil.RunReportOptions{CPthWinner: winner, Metrics: req.Metrics}
+	opt := cliutil.RunReportOptions{CPthWinner: res.CPthWinner, Metrics: req.Metrics}
 	if req.Epochs {
-		opt.Epochs = h.EpochRing().Samples()
+		opt.Epochs = res.Epochs
 	}
 	var buf bytes.Buffer
-	if err := cliutil.RunReport(req.Config, s, opt).WriteJSON(&buf); err != nil {
+	if err := cliutil.RunReport(req.Config, res.Summary, opt).WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -109,32 +109,20 @@ func encodeResult(key string, r *Result) ([]byte, error) {
 	return blob, nil
 }
 
-// decodeResultKeyed rebuilds a Result and also returns the cache key
-// recorded inside the artifact, so remote-upload ingestion can verify
-// the worker ran the job it was leased (the key is the content address
-// of the request; an artifact claiming a different key is either a bug
-// or a forgery, and is rejected before anything is journaled).
-func decodeResultKeyed(data []byte) (*Result, string, error) {
+// decodeResult rebuilds a Result from artifact bytes and returns the
+// cache key recorded inside the artifact, rejecting documents of a
+// different codec version rather than misreading them. The key lets
+// every reader check the bytes belong to the job it wants: remote-upload
+// ingestion refuses an artifact for another request before anything is
+// journaled, and recovery re-runs a job whose stored file carries
+// another key.
+func decodeResult(data []byte) (*Result, string, error) {
 	var doc artifactDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, "", fmt.Errorf("server: decode artifact: %w", err)
 	}
-	res, err := decodeResult(data)
-	if err != nil {
-		return nil, "", err
-	}
-	return res, doc.Key, nil
-}
-
-// decodeResult rebuilds a Result from artifact bytes, rejecting
-// documents of a different codec version rather than misreading them.
-func decodeResult(data []byte) (*Result, error) {
-	var doc artifactDoc
-	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("server: decode artifact: %w", err)
-	}
 	if doc.Version != artifactVersion {
-		return nil, fmt.Errorf("server: artifact version %d, this build reads %d", doc.Version, artifactVersion)
+		return nil, "", fmt.Errorf("server: artifact version %d, this build reads %d", doc.Version, artifactVersion)
 	}
 	res := &Result{
 		CPthWinner: doc.CPthWinner,
@@ -176,5 +164,5 @@ func decodeResult(data []byte) (*Result, error) {
 			res.Epochs[i] = s
 		}
 	}
-	return res, nil
+	return res, doc.Key, nil
 }

@@ -51,7 +51,7 @@ func TestArtifactResultRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeResult(blob)
+	got, _, err := decodeResult(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,10 +111,10 @@ func TestArtifactCodecCoversSummary(t *testing.T) {
 // TestArtifactVersionRejected pins forward-compatibility behaviour: a
 // blob from a different codec version is an error, never misread.
 func TestArtifactVersionRejected(t *testing.T) {
-	if _, err := decodeResult([]byte(`{"version":999,"key":"k"}`)); err == nil {
+	if _, _, err := decodeResult([]byte(`{"version":999,"key":"k"}`)); err == nil {
 		t.Fatal("decoded an artifact from the future")
 	}
-	if _, err := decodeResult([]byte(`not json`)); err == nil {
+	if _, _, err := decodeResult([]byte(`not json`)); err == nil {
 		t.Fatal("decoded garbage")
 	}
 }
@@ -126,7 +126,7 @@ func TestDecodeResultEmptyMaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := decodeResult(blob)
+	got, _, err := decodeResult(blob)
 	if err != nil {
 		t.Fatal(err)
 	}
