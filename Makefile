@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint fmt-check ci race-server perfbench-test fuzz-smoke coloring-smoke serve server-smoke recovery-smoke estimate-smoke tournament-smoke fleet-smoke faultstudy bench bench-estimate bench-go bench-figures validate experiments clean
+.PHONY: all build test vet lint fmt-check ci race-server perfbench-test fuzz-smoke coloring-smoke serve server-smoke recovery-smoke estimate-smoke tournament-smoke fleet-smoke faultstudy bench-estimate bench-record bench-go bench-figures validate experiments clean
 
 all: build vet test
 
@@ -43,7 +43,6 @@ ci: fmt-check lint build
 	$(MAKE) tournament-smoke
 	$(MAKE) fleet-smoke
 	$(GO) run ./cmd/faultstudy -quick
-	$(MAKE) bench
 	$(MAKE) bench-estimate
 
 # Dedicated race gate for the simd job daemon and the worker fleet —
@@ -67,6 +66,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzSweepSpecDecode$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzEstimateSpecDecode$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzLeaseComplete$$' -fuzztime=10s ./internal/server
+	$(GO) test -run='^$$' -fuzz='^FuzzJournalReplay$$' -fuzztime=10s ./internal/jobstore
 	$(GO) test -run='^$$' -fuzz='^FuzzColoringConfigDecode$$' -fuzztime=10s ./internal/core
 
 # Wear-leveling smoke: the wear-feedback coloring on the zipfian
@@ -279,16 +279,15 @@ fleet-smoke:
 faultstudy:
 	$(GO) run ./cmd/faultstudy -quick
 
-# Hot-path performance baseline: ns/allocs/bytes per LLC access across a
-# mix×policy cross on the quick configuration. CI uploads the JSON as an
-# artifact; compare two runs by diffing the files.
-bench:
-	$(GO) run ./cmd/bench -quick -mixes 1,4 -policies BH,CA,CP_SD,TAP -out BENCH_hotpath.json
-
 # POST /v1/estimate fast-path latency and allocation gate: fails when the
-# cached p50 reaches 1 ms or a cache lookup allocates.
+# cached p50 reaches 1 ms or a cached Estimator.Lookup allocates.
 bench-estimate:
-	$(GO) run ./cmd/bench -estimate -out BENCH_estimate.json
+	$(GO) test -run '^$$' -bench '^BenchmarkEstimateFastPath$$' -benchtime 2000x ./internal/server
+
+# Append this commit's perfbench medians and quartiles to BENCH_perfbench.json
+# (5 runs of 20 s per workload and seed; about 15 minutes).
+bench-record:
+	bash scripts/bench-record.sh
 
 # Full go-test benchmark suite: one benchmark per paper table/figure,
 # plus the ablation/extension benches and the substrate microbenchmarks.
@@ -319,5 +318,5 @@ experiments:
 	$(GO) run ./cmd/energy     -mixes 1,4,6,8           > results/energy.txt
 
 clean:
-	rm -f test_output.txt bench_output.txt BENCH_hotpath.json BENCH_estimate.json simd-smoke simd-recovery simd-estimate simd-fleet tournament-smoke-1.txt tournament-smoke-2.txt
+	rm -f test_output.txt bench_output.txt simd-smoke simd-recovery simd-estimate simd-fleet tournament-smoke-1.txt tournament-smoke-2.txt
 	rm -rf recovery-smoke-data fleet-smoke-data

@@ -45,7 +45,6 @@ func main() {
 	phase := flag.Uint64("phase", 10_000_000, "measured cycles per forecast phase")
 	warm := flag.Uint64("warmup", 2_000_000, "warm-up cycles per phase")
 	step := flag.Float64("step", 0.025, "capacity drop per prediction phase")
-	rotate := flag.Bool("rotate", false, "enable Start-Gap-style inter-set wear leveling")
 	coloring := flag.String("coloring", "", `set coloring: "xor:mask=N", "rotate:interval=N,step=N", "wear:interval=N,pairs=N" or "off"`)
 	analyticFast := flag.Bool("analytic", false, "use the analytic fast path: one calibration window per cell instead of the full forecast loop (-warmup sizes the warm-up, -phase the calibration window)")
 	csvOut := flag.Bool("csv", false, "emit CSV")
@@ -59,11 +58,6 @@ func main() {
 	cfg.NVMLatencyFactor = *nvmlat
 	cfg.Scale = *scale
 	cfg.LLCSets = *sets
-	// Both mechanisms remap set indices; layering them would make the wear
-	// attribution ambiguous, so the combination is rejected outright.
-	if *rotate && *coloring != "" && *coloring != "off" {
-		fatal(fmt.Errorf("-rotate and -coloring are mutually exclusive wear-leveling mechanisms"))
-	}
 	if err := cliutil.ApplyColoring(&cfg, *coloring); err != nil {
 		fatal(err)
 	}
@@ -81,7 +75,6 @@ func main() {
 	fcfg.PhaseCycles = *phase
 	fcfg.WarmupCycles = *warm
 	fcfg.CapacityStep = *step
-	fcfg.InterSetRotation = *rotate
 
 	var fs []experiments.PolicyForecast
 	var results []cliutil.TaskResult

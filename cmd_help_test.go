@@ -46,7 +46,6 @@ func TestCmdPolicyHelp(t *testing.T) {
 		{"faultstudy", "policy", core.Policies()},
 		{"appstudy", "policy", core.Policies()},
 		{"wearmap", "policy", core.Policies()},
-		{"bench", "policies", core.Policies()},
 		{"tournament", "policies", core.Policies()},
 		{"forecast", "policies", experiments.ForecastLabels()},
 	}

@@ -129,10 +129,10 @@ func (c *Calibration) Estimate(b Bounds) Estimate {
 // Estimator caches calibrations by spec content address and serves
 // estimates from them. The cached path is the sub-millisecond fast path
 // POST /v1/estimate pins: an RLock, a map probe and a by-value Estimate
-// assembly — zero heap allocations (cmd/bench -estimate enforces it).
-// Concurrent misses on the same key collapse into one calibration
-// (per-key singleflight); misses on different keys calibrate in
-// parallel.
+// assembly — zero heap allocations (server.BenchmarkEstimateFastPath
+// enforces it). Concurrent misses on the same key collapse into one
+// calibration (per-key singleflight); misses on different keys
+// calibrate in parallel.
 type Estimator struct {
 	bounds *BoundsTable
 

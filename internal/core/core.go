@@ -146,7 +146,11 @@ func DefaultConfig() Config {
 // QuickConfig returns a smaller configuration suitable for tests and the
 // benchmark harness: 256-set LLC, proportionally smaller footprints and
 // L2, shorter epochs. Working sets still overflow the LLC so policies
-// remain differentiated.
+// remain differentiated, but they do not reproduce the paper's shapes:
+// Fig 10a's orderings invert, with CP_SD's IPC above BH's and CP_SD's
+// lifetime below LHybrid's. Read a QuickConfig ordering as a pinned
+// behaviour of the model, never as a paper result; DefaultConfig holds
+// the shapes.
 func QuickConfig() Config {
 	c := DefaultConfig()
 	c.LLCSets = 256

@@ -36,11 +36,6 @@ type Config struct {
 	// MaxPredictSeconds bounds one prediction phase; with no NVM write
 	// traffic the capacity would never drop.
 	MaxPredictSeconds float64
-	// InterSetRotation enables Start-Gap-style set-level wear leveling:
-	// the logical-to-physical set mapping rotates by one row per
-	// prediction phase, spreading set-skewed write traffic across all
-	// physical frame rows over the device lifetime.
-	InterSetRotation bool
 }
 
 // DefaultConfig returns forecast parameters for the scaled system.
@@ -110,8 +105,6 @@ type Target interface {
 	InvalidateUnfit() int
 	// AdvanceWearCounter rotates the global wear-leveling counter.
 	AdvanceWearCounter(n int)
-	// RotateSets applies inter-set wear leveling (Config.InterSetRotation).
-	RotateSets(n int) int
 }
 
 // sysTarget adapts *hier.System to Target.
@@ -144,7 +137,6 @@ func (t sysTarget) CapacityFraction() float64 { return t.sys.LLC().Array().Effec
 func (t sysTarget) LiveFrames() int           { return t.sys.LLC().Array().LiveFrames() }
 func (t sysTarget) InvalidateUnfit() int      { return t.sys.LLC().InvalidateUnfit() }
 func (t sysTarget) AdvanceWearCounter(n int)  { t.sys.LLC().Array().Counter().Advance(n) }
-func (t sysTarget) RotateSets(n int) int      { return t.sys.LLC().RotateNVMSets(n) }
 
 // Run executes the forecast on a sequential system until its LLC's NVM
 // capacity reaches cfg.TargetCapacity.
@@ -198,9 +190,6 @@ func RunTarget(t Target, cfg Config) Result {
 		// Rotate the global wear-leveling counter, as hardware does over
 		// long periods (§III-B1).
 		t.AdvanceWearCounter(7)
-		if cfg.InterSetRotation {
-			t.RotateSets(1)
-		}
 		if newCap <= cfg.TargetCapacity {
 			res.LifetimeSeconds = elapsed
 			// One final measurement at the target capacity.

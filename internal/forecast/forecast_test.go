@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/coloring"
 	"repro/internal/hier"
 	"repro/internal/hybrid"
 	"repro/internal/nvm"
@@ -259,13 +260,28 @@ func TestAgeScaleInvariance(t *testing.T) {
 	}
 }
 
-// TestRunWithInterSetRotation: the rotation option must not break the
-// forecast and must keep capacity monotone.
-func TestRunWithInterSetRotation(t *testing.T) {
-	sys := forecastSystem(t, policy.CARWR{PolicyName: "CP_SD"}, nil, 2e4)
-	cfg := quickForecastConfig()
-	cfg.InterSetRotation = true
-	res := Run(sys, cfg)
+// TestRunWithRotatingColoring: a forecast over an LLC whose coloring
+// rotates the set mapping every epoch must keep capacity monotone, and
+// the mapping must actually move.
+func TestRunWithRotatingColoring(t *testing.T) {
+	apps, err := workload.NewMix(0, 1, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rot, err := coloring.NewRotation(256, 1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	llc := hybrid.New(hybrid.Config{
+		Sets: 256, SRAMWays: 4, NVMWays: 12,
+		Policy:    policy.CARWR{PolicyName: "CP_SD"},
+		Endurance: nvm.EnduranceModel{Mean: 2e4, CV: 0.2},
+		Sampler:   stats.NewRNG(3),
+		SetMapper: rot, SetMapperAdvance: true,
+	})
+	hcfg := hier.DefaultConfig()
+	hcfg.EpochCycles = 250_000
+	res := Run(hier.New(hcfg, llc, apps), quickForecastConfig())
 	if len(res.Points) < 2 {
 		t.Fatalf("%d points", len(res.Points))
 	}
@@ -274,7 +290,7 @@ func TestRunWithInterSetRotation(t *testing.T) {
 			t.Fatal("capacity increased under rotation")
 		}
 	}
-	if sys.LLC().Array().SetRemap() == 0 {
+	if rot.Offset() == 0 {
 		t.Error("rotation never advanced")
 	}
 }

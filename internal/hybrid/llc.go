@@ -753,7 +753,10 @@ func (l *LLC) InvalidateUnfit() int {
 // by n rows and flushes all NVM-resident entries, whose physical frames
 // have changed (the hardware scheme migrates the lines; we model the
 // migration as a refill, writing dirty casualties back to memory). It
-// returns the number of entries flushed.
+// returns the number of entries flushed. No simulator path calls it:
+// set-level wear leveling runs through the SetMapper (internal/coloring),
+// and the method stays for the frozen benchmark (perfbench/), which
+// compiles against it.
 func (l *LLC) RotateNVMSets(n int) int {
 	if l.arr == nil || n == 0 {
 		return 0

@@ -16,7 +16,8 @@
 // rename, so a crash never leaves a half-written artifact under its
 // final name. A crash can truncate the journal's last line — Replay
 // tolerates exactly that (the torn tail is dropped, anything before it
-// is intact because every append syncs).
+// is intact because every append syncs), and Open ends the torn line
+// before the next append can extend it.
 package jobstore
 
 import (
@@ -26,6 +27,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -90,11 +92,39 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, artifactsDir), 0o755); err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
-	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, journalName), os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("jobstore: %w", err)
 	}
+	if err := endTornLine(f); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("jobstore: %w", err)
+	}
 	return &Store{root: dir, journal: f}, nil
+}
+
+// endTornLine makes the journal end on a line boundary before the first
+// append. A crash mid-append leaves a final line without its newline;
+// appending after it would glue the next entry onto it, turning a
+// tolerated torn tail into corruption before the tail. A final line that
+// parses (only the newline was lost) is terminated, as Replay keeps it;
+// any other is cut off, as Replay drops it.
+func endTornLine(f *os.File) error {
+	data, err := io.ReadAll(f)
+	if err != nil || len(data) == 0 || data[len(data)-1] == '\n' {
+		return err
+	}
+	start := bytes.LastIndexByte(data, '\n') + 1
+	var e Entry
+	if json.Unmarshal(bytes.TrimSpace(data[start:]), &e) == nil {
+		_, err = f.Write([]byte{'\n'})
+	} else {
+		err = f.Truncate(int64(start))
+	}
+	if err != nil {
+		return err
+	}
+	return f.Sync()
 }
 
 // Root returns the store's root directory.
@@ -146,20 +176,20 @@ func Replay(dir string) ([]Entry, error) {
 	var entries []Entry
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	lastComplete := true
+	torn := ""
 	for sc.Scan() {
 		line := bytes.TrimSpace(sc.Bytes())
 		if len(line) == 0 {
 			continue
 		}
+		if torn != "" {
+			return nil, fmt.Errorf("jobstore: corrupt journal line before the tail: %q", torn)
+		}
 		var e Entry
 		if err := json.Unmarshal(line, &e); err != nil {
 			// Only the final line may be torn; remember and verify.
-			lastComplete = false
+			torn = string(line)
 			continue
-		}
-		if !lastComplete {
-			return nil, fmt.Errorf("jobstore: corrupt journal line before the tail: %q", line)
 		}
 		entries = append(entries, e)
 	}
@@ -182,10 +212,11 @@ func (s *Store) artifactPath(key string) (string, error) {
 // PutArtifact durably stores the result blob under its cache key and
 // returns the SHA-256 of the bytes (hex), for the completion journal
 // entry. The write is temp-file + rename: a crash leaves either the old
-// artifact or the new one, never a torn file. Re-putting an existing
-// key is a no-op (artifacts are content-addressed by their inputs, and
-// the simulator is deterministic, so the bytes cannot legitimately
-// differ).
+// artifact or the new one, never a torn file. Re-putting the bytes a key
+// already holds is a no-op. Artifacts are content-addressed by their
+// inputs and the simulator is deterministic, so differing bytes mean the
+// file on disk is corrupt or belongs to another key: it is replaced, or
+// every later boot would re-run the job again.
 func (s *Store) PutArtifact(key string, data []byte) (string, error) {
 	path, err := s.artifactPath(key)
 	if err != nil {
@@ -193,7 +224,7 @@ func (s *Store) PutArtifact(key string, data []byte) (string, error) {
 	}
 	sum := sha256.Sum256(data)
 	sha := hex.EncodeToString(sum[:])
-	if _, err := os.Stat(path); err == nil {
+	if old, err := os.ReadFile(path); err == nil && bytes.Equal(old, data) {
 		return sha, nil
 	}
 	tmp, err := os.CreateTemp(filepath.Dir(path), key+".tmp*")

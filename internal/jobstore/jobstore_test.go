@@ -108,6 +108,53 @@ func TestReplayToleratesTornTail(t *testing.T) {
 	}
 }
 
+// TestOpenEndsTornLine reopens a journal a crash left mid-line and
+// appends to it: a torn fragment is cut off, a complete entry that lost
+// only its newline is kept, and either way the journal still replays.
+func TestOpenEndsTornLine(t *testing.T) {
+	for _, c := range []struct {
+		name, tail string
+		want       int
+	}{
+		{"torn", `{"ts":"2026-01-01T00:00:00Z","kind":"job","id":"jo`, 2},
+		{"newline lost", `{"ts":"2026-01-01T00:00:00Z","kind":"job","id":"b","state":"queued"}`, 3},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Append(Entry{Kind: KindJob, ID: "a", State: "queued"}); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+			f, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.WriteString(c.tail)
+			f.Close()
+
+			s, err = Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			if err := s.Append(Entry{Kind: KindJob, ID: "c", State: "queued"}); err != nil {
+				t.Fatal(err)
+			}
+			got, err := Replay(dir)
+			if err != nil {
+				t.Fatalf("replay after reopening a torn journal: %v", err)
+			}
+			if len(got) != c.want || got[len(got)-1].ID != "c" {
+				t.Fatalf("replayed %+v, want %d entries ending in c", got, c.want)
+			}
+		})
+	}
+}
+
 func TestReplayRejectsMidJournalCorruption(t *testing.T) {
 	s := openTestStore(t)
 	if err := s.Append(Entry{Kind: KindJob, ID: "a", State: "queued"}); err != nil {
@@ -165,6 +212,44 @@ func TestArtifactRoundTripAndVerify(t *testing.T) {
 	}
 	if n := s.CountArtifacts(); n != 1 {
 		t.Fatalf("CountArtifacts = %d", n)
+	}
+}
+
+// TestPutArtifactReplacesDifferentBytes: a key whose file holds other
+// bytes (a corrupt or foreign artifact) is overwritten by the next put,
+// and re-putting the same bytes leaves the file in place.
+func TestPutArtifactReplacesDifferentBytes(t *testing.T) {
+	s := openTestStore(t)
+	key := "0123abcd"
+	if _, err := s.PutArtifact(key, []byte(`{"bad":true}`)); err != nil {
+		t.Fatal(err)
+	}
+	good := []byte(`{"version":1,"summary":{}}`)
+	sha, err := s.PutArtifact(key, good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := s.GetArtifact(key, sha)
+	if err != nil || !ok || string(got) != string(good) {
+		t.Fatalf("after replace: %q %v %v", got, ok, err)
+	}
+	path := filepath.Join(s.Root(), "artifacts", key)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.PutArtifact(key, good); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !os.SameFile(before, after) {
+		t.Fatal("re-putting identical bytes rewrote the file")
+	}
+	if n := s.CountArtifacts(); n != 1 {
+		t.Fatalf("CountArtifacts = %d, want 1 (temp file left behind?)", n)
 	}
 }
 

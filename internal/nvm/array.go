@@ -20,10 +20,10 @@ type Array struct {
 	model      EnduranceModel
 
 	// remap is the inter-set rotation offset: logical set s maps to the
-	// physical frame row (s + remap) mod sets. Rotating it periodically
-	// (a Start-Gap-style scheme) levels wear across the set dimension,
-	// complementing the intra-frame counter (§II-A lists sets, frames and
-	// bytes as the three wear-leveling dimensions).
+	// physical frame row (s + remap) mod sets. Only LLC.RotateNVMSets
+	// advances it, and only the frozen benchmark (perfbench/) still
+	// calls that; the simulator levels the set dimension through
+	// internal/coloring's set mappers instead.
 	remap int
 }
 

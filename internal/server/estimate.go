@@ -12,7 +12,7 @@ import (
 // This file is the POST /v1/estimate surface: the analytic fast path as
 // a synchronous endpoint. Unlike /v1/jobs — whose runs take seconds and
 // queue — an estimate answers inline: a cached calibration is an RLock
-// and a map probe (sub-millisecond, pinned by cmd/bench -estimate); a
+// and a map probe (sub-millisecond, pinned by BenchmarkEstimateFastPath); a
 // miss runs the short calibration simulation on the request goroutine
 // and content-addresses the result in the jobstore, so no spec is ever
 // calibrated twice across restarts.
@@ -45,10 +45,6 @@ type EstimateResponse struct {
 	Estimate    analytic.Estimate     `json:"estimate"`
 	Calibration *analytic.Calibration `json:"calibration,omitempty"`
 }
-
-// Estimator exposes the manager's analytic estimator (cmd/bench pins
-// its fast-path lookup).
-func (m *Manager) Estimator() *analytic.Estimator { return m.est }
 
 // Estimate answers an estimate query: memory cache, then store
 // artifact, then a fresh calibration (per-key singleflight, journaled

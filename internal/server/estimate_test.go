@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -69,7 +70,7 @@ func TestEstimateSpecDecodeDefaults(t *testing.T) {
 	}
 }
 
-func postEstimate(t *testing.T, url, body string) (*http.Response, []byte) {
+func postEstimate(t testing.TB, url, body string) (*http.Response, []byte) {
 	t.Helper()
 	resp, err := http.Post(url+"/v1/estimate", "application/json", strings.NewReader(body))
 	if err != nil {
@@ -462,4 +463,56 @@ func waitSweepDone(t *testing.T, m *Manager, id string) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("sweep %s did not finish", id)
+}
+
+// estimateBudget is the latency the cached POST /v1/estimate path must
+// hold: the analytic fast path's whole point is answering before a
+// simulation could even warm up.
+const estimateBudget = time.Millisecond
+
+// BenchmarkEstimateFastPath is the fast-path gate of POST /v1/estimate
+// (make bench-estimate). After the first query calibrates, each
+// iteration is one cached query over a loopback listener; the run fails
+// when their p50 reaches estimateBudget or when a cached
+// Estimator.Lookup allocates. It is a benchmark, not a test, so the
+// race-enabled test run never asserts on wall time.
+func BenchmarkEstimateFastPath(b *testing.B) {
+	m := newTestManager(b, Options{Workers: 2})
+	srv := httptest.NewServer(NewHandler(m, nil))
+	defer srv.Close()
+	if resp, body := postEstimate(b, srv.URL, estimateTestBody); resp.StatusCode != http.StatusOK {
+		b.Fatalf("calibrating query: %d\n%s", resp.StatusCode, body)
+	}
+
+	lat := make([]time.Duration, b.N)
+	b.ResetTimer()
+	for i := range lat {
+		t0 := time.Now()
+		if resp, body := postEstimate(b, srv.URL, estimateTestBody); resp.StatusCode != http.StatusOK {
+			b.Fatalf("cached query: %d\n%s", resp.StatusCode, body)
+		}
+		lat[i] = time.Since(t0)
+	}
+	b.StopTimer()
+	slices.Sort(lat)
+	p50, p99 := lat[len(lat)/2], lat[len(lat)*99/100]
+	b.ReportMetric(float64(p50.Nanoseconds())/1e3, "p50-us")
+	b.ReportMetric(float64(p99.Nanoseconds())/1e3, "p99-us")
+
+	spec, err := DecodeEstimateSpec([]byte(estimateTestBody))
+	if err != nil {
+		b.Fatal(err)
+	}
+	key := spec.CacheKey()
+	allocs := testing.AllocsPerRun(1000, func() {
+		if _, ok := m.est.Lookup(key); !ok {
+			b.Fatal("calibration evicted mid-run")
+		}
+	})
+	if p50 >= estimateBudget {
+		b.Fatalf("cached estimate p50 %v reaches the %v budget", p50, estimateBudget)
+	}
+	if allocs != 0 {
+		b.Fatalf("Estimator.Lookup allocates %.1f times per call, want 0", allocs)
+	}
 }

@@ -252,6 +252,65 @@ func TestRecoveryRerunsArtifactOfAnotherKey(t *testing.T) {
 	}
 }
 
+// TestRecoveryReplacesForeignArtifact boots twice over a store whose
+// completed job's artifact belongs to another key. The first boot
+// re-runs the job and must replace the foreign file; the second must
+// then serve the job from its artifact at boot, without running it.
+func TestRecoveryReplacesForeignArtifact(t *testing.T) {
+	dir := t.TempDir()
+	req, err := DecodeJobRequest([]byte(leaseTestBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st1 := openStore(t, dir)
+	foreign, err := encodeResult("another-key", &Result{CPthWinner: -1, Summary: core.Summary{Policy: "FOREIGN"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st1.PutArtifact(req.CacheKey(), foreign); err != nil {
+		t.Fatal(err)
+	}
+	reqBlob, _ := json.Marshal(req)
+	if err := st1.Append(jobstore.Entry{Kind: jobstore.KindJob, ID: "job-000001",
+		State: string(StateCompleted), CacheKey: req.CacheKey(), Request: reqBlob}); err != nil {
+		t.Fatal(err)
+	}
+
+	m1, err := NewManager(Options{Workers: 1, QueueDepth: 4, CacheSize: 8, Store: st1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	j1, ok := m1.Job("job-000001")
+	if !ok {
+		t.Fatal("job not recovered on the first boot")
+	}
+	j1.awaitTerminal()
+	if st := j1.Status(); st.State != StateCompleted || st.CacheHit {
+		t.Fatalf("first boot: %+v (%v), want a completed re-run", st, j1.Err())
+	}
+	m1.Close()
+	st1.Close()
+
+	m2, err := NewManager(Options{Workers: 1, QueueDepth: 4, CacheSize: 8, Store: openStore(t, dir)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	j2, ok := m2.Job("job-000001")
+	if !ok {
+		t.Fatal("job not recovered on the second boot")
+	}
+	if st := j2.Status(); st.State != StateCompleted || !st.CacheHit {
+		t.Fatalf("second boot: %+v (%v), want the job served from its artifact", st, j2.Err())
+	}
+	if got := j2.Result().Summary.Policy; got != req.Config.PolicyName {
+		t.Fatalf("second boot served policy %q, want %q", got, req.Config.PolicyName)
+	}
+	if n := m2.completed.Load(); n != 0 {
+		t.Fatalf("second boot ran %d jobs, want 0", n)
+	}
+}
+
 // TestRecoveryFailsRetiredEngineJobs boots over a journal written while
 // the set-sharded engine existed: one "shards":2 job completed (its
 // artifact on disk) and one still queued, next to two classic jobs.

@@ -28,7 +28,7 @@ const testBody = `{
   "epochs": true
 }`
 
-func newTestManager(t *testing.T, opts Options) *Manager {
+func newTestManager(t testing.TB, opts Options) *Manager {
 	t.Helper()
 	m, err := NewManager(opts)
 	if err != nil {
