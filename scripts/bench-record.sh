@@ -17,7 +17,8 @@ secs=20
 seeds="1 7"
 out=BENCH_perfbench.json
 
-tmp=$(mktemp -d)
+mkdir -p .bench_build
+tmp=$(mktemp -d .bench_build/record.XXXXXX) # inside the checkout, like run.sh's files
 trap 'rm -rf "$tmp"' EXIT
 for w in $(jq -r '.workloads[].name' BENCHMARK.json); do
 	for s in $seeds; do
