@@ -172,31 +172,30 @@ func TestCalibrationCodec(t *testing.T) {
 }
 
 func TestEstimatorGetAndLookup(t *testing.T) {
-	e := NewEstimator(nil)
+	e := NewEstimator()
 	spec := quickSpec()
 	key := spec.CacheKey()
-	if _, ok := e.Lookup(key); ok {
+	if _, _, ok := e.Lookup(key); ok {
 		t.Fatal("lookup hit on an empty cache")
 	}
-	est, cached, err := e.Get(context.Background(), spec)
+	cal, err := e.Do(context.Background(), key, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cached {
-		t.Fatal("first Get reported cached")
+	est, got, ok := e.Lookup(key)
+	if !ok || got != cal {
+		t.Fatalf("lookup after Do: ok=%v, calibration %p, want %p", ok, got, cal)
 	}
-	if est.IPCErrorBound <= 0 || est.LifetimeErrorBound <= 0 {
-		t.Fatalf("estimate carries no bounds: %+v", est)
+	if want := DefaultBounds(); est.IPCErrorBound != want.IPC ||
+		(!cal.Redistributed && est.LifetimeErrorBound != want.Lifetime) {
+		t.Fatalf("estimate carries bounds %v/%v, want %+v", est.IPCErrorBound, est.LifetimeErrorBound, want)
 	}
-	again, cached, err := e.Get(context.Background(), spec)
+	again, err := e.Do(context.Background(), key, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cached {
-		t.Fatal("second Get missed the cache")
-	}
-	if !reflect.DeepEqual(est, again) {
-		t.Fatalf("cached estimate drifted:\n%+v\n%+v", est, again)
+	if again != cal {
+		t.Fatal("second Do recalibrated instead of serving the cache")
 	}
 	if e.Len() != 1 {
 		t.Fatalf("cache holds %d entries, want 1", e.Len())
@@ -208,7 +207,7 @@ func TestEstimatorGetAndLookup(t *testing.T) {
 // instead of simulating again, and a canceled waiter unblocks with the
 // context error.
 func TestEstimatorSingleflightJoin(t *testing.T) {
-	e := NewEstimator(nil)
+	e := NewEstimator()
 	call := &calibrateCall{done: make(chan struct{})}
 	e.inflight["k"] = call
 
@@ -241,27 +240,28 @@ func TestEstimatorSingleflightJoin(t *testing.T) {
 }
 
 func TestEstimatorConcurrentGets(t *testing.T) {
-	e := NewEstimator(nil)
+	e := NewEstimator()
 	spec := quickSpec()
+	key := spec.CacheKey()
 	const n = 8
-	ests := make([]Estimate, n)
+	cals := make([]*Calibration, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			est, _, err := e.Get(context.Background(), spec)
+			cal, err := e.Do(context.Background(), key, spec)
 			if err != nil {
 				t.Error(err)
 				return
 			}
-			ests[i] = est
+			cals[i] = cal
 		}(i)
 	}
 	wg.Wait()
 	for i := 1; i < n; i++ {
-		if !reflect.DeepEqual(ests[0], ests[i]) {
-			t.Fatalf("concurrent gets disagree:\n%+v\n%+v", ests[0], ests[i])
+		if cals[i] != cals[0] {
+			t.Fatalf("concurrent calls got different calibrations:\n%+v\n%+v", cals[0], cals[i])
 		}
 	}
 	if e.Len() != 1 {
@@ -272,29 +272,18 @@ func TestEstimatorConcurrentGets(t *testing.T) {
 // TestLookupZeroAlloc pins the fast path POST /v1/estimate rides: a
 // cache hit assembles the estimate without touching the heap.
 func TestLookupZeroAlloc(t *testing.T) {
-	e := NewEstimator(nil)
+	e := NewEstimator()
 	spec := quickSpec()
 	key := spec.CacheKey()
-	if _, _, err := e.Get(context.Background(), spec); err != nil {
+	if _, err := e.Do(context.Background(), key, spec); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok := e.Lookup(key); !ok {
+		if _, _, ok := e.Lookup(key); !ok {
 			t.Fatal("lookup missed")
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("Lookup allocates %v objects per call, want 0", allocs)
-	}
-}
-
-func TestBoundsTable(t *testing.T) {
-	tab := NewBoundsTable(Bounds{IPC: 0.5, Lifetime: 0.5})
-	tab.Set("BH", 0, Bounds{IPC: 0.01, Lifetime: 0.1})
-	if b := tab.For("BH", 0); b.IPC != 0.01 {
-		t.Fatalf("cell lookup returned %+v", b)
-	}
-	if b := tab.For("BH", 1); b.IPC != 0.5 {
-		t.Fatalf("fallback lookup returned %+v", b)
 	}
 }

@@ -9,7 +9,8 @@ import (
 
 // Estimate is the wire form of one analytic answer: the young operating
 // point, the closed-form lifetime, and the relative error bounds the
-// estimator was validated to stay within for this (policy, mix) cell.
+// estimator was cross-validated to stay within (DefaultBounds, widened
+// for redistributed calibrations).
 // Consumers that rank or screen on an estimate must inflate by the
 // bounds — the sweep planner keeps any config another config does not
 // dominate by more than the combined margins.
@@ -32,20 +33,20 @@ type Estimate struct {
 	Redistributed  bool    `json:"redistributed,omitempty"`
 
 	// IPCErrorBound and LifetimeErrorBound are the relative error bounds
-	// (|analytic−forecast|/forecast) this cell's estimates were
-	// cross-validated to respect. The differential accuracy suite fails
-	// if a seeded cell ever exceeds its own reported bound.
+	// (|analytic−forecast|/forecast) the estimate carries. The
+	// differential accuracy suite fails if a seeded cell ever exceeds
+	// its own reported bound.
 	IPCErrorBound      float64 `json:"ipc_error_bound"`
 	LifetimeErrorBound float64 `json:"lifetime_error_bound"`
 }
 
-// Bounds is one cell's relative error bounds.
+// Bounds is a pair of relative error bounds.
 type Bounds struct {
 	IPC      float64 `json:"ipc"`
 	Lifetime float64 `json:"lifetime"`
 }
 
-// DefaultBounds returns the global fallback bounds, fitted by
+// DefaultBounds returns the bounds every estimate carries, fitted by
 // cross-validating the analytic estimator against the full forecast
 // across the seeded mix × policy matrix (experiments.AnalyticValidation,
 // worst observed errors 0.021 IPC / 0.153 lifetime over the BH, LHybrid
@@ -70,46 +71,13 @@ func DefaultBounds() Bounds {
 // inform, they do not screen.
 const RedistributedLifetimeBound = 1.2
 
-// cellKey identifies one (policy, mix) bounds cell.
-type cellKey struct {
-	policy string
-	mix    int
-}
-
-// BoundsTable maps (policy, mix) cells to their validated error bounds,
-// falling back to a default for cells never cross-validated. The table
-// is immutable after construction (Set during setup only) — lookups are
-// concurrent and allocation-free.
-type BoundsTable struct {
-	fallback Bounds
-	cells    map[cellKey]Bounds
-}
-
-// NewBoundsTable builds a table over the given fallback.
-func NewBoundsTable(fallback Bounds) *BoundsTable {
-	return &BoundsTable{fallback: fallback, cells: make(map[cellKey]Bounds)}
-}
-
-// Set records one cell's bounds. Not safe to call concurrently with
-// lookups — populate the table before sharing it.
-func (t *BoundsTable) Set(policy string, mix int, b Bounds) {
-	t.cells[cellKey{policy, mix}] = b
-}
-
-// For returns the bounds for a cell, or the fallback.
-func (t *BoundsTable) For(policy string, mix int) Bounds {
-	if b, ok := t.cells[cellKey{policy, mix}]; ok {
-		return b
-	}
-	return t.fallback
-}
-
-// Estimate assembles the wire answer from a calibration and its bounds.
-// A redistributed calibration widens its own lifetime bound to at least
-// RedistributedLifetimeBound — the bound travels with the model that
-// produced the number, not just the (policy, mix) cell.
-func (c *Calibration) Estimate(b Bounds) Estimate {
-	if c.Redistributed && b.Lifetime < RedistributedLifetimeBound {
+// Estimate assembles the wire answer from a calibration under
+// DefaultBounds. A redistributed calibration widens its lifetime bound
+// to RedistributedLifetimeBound — the bound travels with the model that
+// produced the number.
+func (c *Calibration) Estimate() Estimate {
+	b := DefaultBounds()
+	if c.Redistributed {
 		b.Lifetime = RedistributedLifetimeBound
 	}
 	return Estimate{
@@ -134,8 +102,6 @@ func (c *Calibration) Estimate(b Bounds) Estimate {
 // calibration (per-key singleflight); misses on different keys
 // calibrate in parallel.
 type Estimator struct {
-	bounds *BoundsTable
-
 	mu       sync.RWMutex
 	cache    map[string]*Calibration
 	inflight map[string]*calibrateCall
@@ -147,37 +113,25 @@ type calibrateCall struct {
 	err  error
 }
 
-// NewEstimator builds an estimator over a bounds table (nil selects
-// DefaultBounds for every cell).
-func NewEstimator(bounds *BoundsTable) *Estimator {
-	if bounds == nil {
-		bounds = NewBoundsTable(DefaultBounds())
-	}
+// NewEstimator builds an empty estimator.
+func NewEstimator() *Estimator {
 	return &Estimator{
-		bounds:   bounds,
 		cache:    make(map[string]*Calibration),
 		inflight: make(map[string]*calibrateCall),
 	}
 }
 
-// Lookup serves an estimate from the calibration cache; ok is false on
-// a miss. This is the zero-allocation fast path.
-func (e *Estimator) Lookup(key string) (est Estimate, ok bool) {
+// Lookup serves an estimate and the calibration it came from out of
+// the cache; ok is false on a miss. This is the zero-allocation fast
+// path.
+func (e *Estimator) Lookup(key string) (est Estimate, cal *Calibration, ok bool) {
 	e.mu.RLock()
-	cal := e.cache[key]
+	cal = e.cache[key]
 	e.mu.RUnlock()
 	if cal == nil {
-		return Estimate{}, false
+		return Estimate{}, nil, false
 	}
-	return cal.Estimate(e.bounds.For(cal.Policy, cal.MixID)), true
-}
-
-// Calibration returns the cached calibration for a key, if any.
-func (e *Estimator) Calibration(key string) (*Calibration, bool) {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	cal, ok := e.cache[key]
-	return cal, ok
+	return cal.Estimate(), cal, true
 }
 
 // Put installs an externally obtained calibration (a store artifact) in
@@ -188,32 +142,11 @@ func (e *Estimator) Put(key string, cal *Calibration) {
 	e.mu.Unlock()
 }
 
-// EstimateOf assembles the wire answer for a calibration using the
-// estimator's bounds table.
-func (e *Estimator) EstimateOf(cal *Calibration) Estimate {
-	return cal.Estimate(e.bounds.For(cal.Policy, cal.MixID))
-}
-
 // Len reports the number of cached calibrations.
 func (e *Estimator) Len() int {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	return len(e.cache)
-}
-
-// Get serves an estimate, calibrating on a cache miss. cached reports
-// whether the answer came from the cache (including joining another
-// goroutine's in-flight calibration after it lands).
-func (e *Estimator) Get(ctx context.Context, spec Spec) (est Estimate, cached bool, err error) {
-	key := spec.CacheKey()
-	if est, ok := e.Lookup(key); ok {
-		return est, true, nil
-	}
-	cal, err := e.Do(ctx, key, spec)
-	if err != nil {
-		return Estimate{}, false, err
-	}
-	return e.EstimateOf(cal), false, nil
 }
 
 // Do calibrates the spec under per-key singleflight and caches the

@@ -47,22 +47,6 @@ type RunHooks struct {
 	// OnProgress reports cycles completed out of the total requested
 	// window (warm-up + measurement).
 	OnProgress func(done, total uint64)
-	// OnCheckpoint fires after every completed run chunk, once the
-	// chunk's epochs have been delivered — the point at which the run's
-	// observable state (progress, epoch count) is consistent and safe to
-	// persist. The simd job store journals these so a killed daemon
-	// knows how far each job had come; the simulator's bit-exact
-	// determinism means recovery re-executes from the config and
-	// provably re-reaches the same checkpoint.
-	OnCheckpoint func(Checkpoint)
-}
-
-// Checkpoint is a consistent progress mark of a chunked run: the cycles
-// completed of the requested window and the epochs closed so far.
-type Checkpoint struct {
-	Cycles      uint64 // completed cycles of the window (clamped to Total)
-	TotalCycles uint64 // requested window: warm-up + measurement
-	Epochs      int    // epoch samples recorded since the run began
 }
 
 // MeasureCtx warms the system up and measures a window, returning its
@@ -74,13 +58,12 @@ type Checkpoint struct {
 // bit-identical to one hier.System.Run call per window (pinned by
 // TestMeasureCtxMatchesMeasure). On cancellation the context error is
 // returned and the simulation stops at the next chunk boundary with its
-// state intact (checkpoint-cancel).
+// state intact.
 func MeasureCtx(ctx context.Context, sys *hier.System, warmupCycles, measureCycles uint64, hooks RunHooks) (Summary, error) {
 	total := warmupCycles + measureCycles
 	start := sys.Now()
 	ring := sys.EpochRing()
 	seen := ring.Total()
-	epoch0 := seen
 	emit := func() {
 		if hooks.OnEpoch != nil {
 			if t := ring.Total(); t > seen {
@@ -103,15 +86,6 @@ func MeasureCtx(ctx context.Context, sys *hier.System, warmupCycles, measureCycl
 		}
 		if hooks.OnProgress != nil {
 			hooks.OnProgress(done, total)
-		}
-		if hooks.OnCheckpoint != nil {
-			// After epoch delivery: the checkpoint's epoch count never
-			// runs ahead of what OnEpoch observers have seen.
-			hooks.OnCheckpoint(Checkpoint{
-				Cycles:      done,
-				TotalCycles: total,
-				Epochs:      ring.Total() - epoch0,
-			})
 		}
 	}
 	chunk := sys.Config().EpochCycles

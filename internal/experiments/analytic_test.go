@@ -36,7 +36,7 @@ func TestAnalyticDifferentialAccuracy(t *testing.T) {
 	// verdict is age-stable.
 	mixes := []int{0, 3, 6}
 
-	cells, taskResults, err := AnalyticValidation(base, specs, mixes, fcfg, 200_000, 600_000, nil)
+	cells, taskResults, err := AnalyticValidation(base, specs, mixes, fcfg, 200_000, 600_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -120,13 +120,10 @@ func relErr(est, ref float64) float64 {
 // AnalyticValidation cross-validates the analytic estimator against the
 // full forecast over a mix × policy matrix: each cell runs both paths
 // (in parallel across cells on the hardened pool) and reports the
-// relative errors. The bounds table (nil selects the defaults) fills
-// each estimate's reported bounds, so callers can assert
-// cell.WithinBounds — exactly what the differential accuracy suite does.
-func AnalyticValidation(base core.Config, specs []ForecastSpec, mixes []int, fcfg forecast.Config, warmupCycles, calibrationCycles uint64, bounds *analytic.BoundsTable) ([]AnalyticCell, []cliutil.TaskResult, error) {
-	if bounds == nil {
-		bounds = analytic.NewBoundsTable(analytic.DefaultBounds())
-	}
+// relative errors. Each estimate carries the bounds the service would
+// report, so callers can assert cell.WithinBounds — exactly what the
+// differential accuracy suite does.
+func AnalyticValidation(base core.Config, specs []ForecastSpec, mixes []int, fcfg forecast.Config, warmupCycles, calibrationCycles uint64) ([]AnalyticCell, []cliutil.TaskResult, error) {
 	cells := make([]AnalyticCell, len(specs)*len(mixes))
 	ok := make([]bool, len(cells))
 	tasks := make([]cliutil.Task, len(cells))
@@ -155,7 +152,7 @@ func AnalyticValidation(base core.Config, specs []ForecastSpec, mixes []int, fcf
 				Mix:               m,
 				SimCensored:       math.IsInf(sim.LifetimeSeconds, 1),
 				SimLifetimeMonths: sim.LifetimeMonths(),
-				Est:               cal.Estimate(bounds.For(cal.Policy, m)),
+				Est:               cal.Estimate(),
 			}
 			if len(sim.Points) > 0 {
 				cell.SimYoungIPC = sim.Points[0].MeanIPC

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-
-	"repro/internal/cliutil"
-)
+import "repro/internal/cliutil"
 
 // runTasks fans sweep work out on the shared hardened pool (package
 // cliutil): default worker count, no per-task deadline, continue on
@@ -15,16 +11,4 @@ import (
 // records instead of aborting the sweep.
 func runTasks(tasks []cliutil.Task) []cliutil.TaskResult {
 	return cliutil.RunTasks(tasks, cliutil.PoolConfig{})
-}
-
-// forEachIndex runs fn(i) for i in [0, n) on the pool and returns the
-// joined failures (nil when all succeeded). Unlike the pre-pool version
-// it does not stop at the first error: every index runs.
-func forEachIndex(n int, fn func(i int) error) error {
-	tasks := make([]cliutil.Task, n)
-	for i := range tasks {
-		i := i
-		tasks[i] = cliutil.Task{Name: fmt.Sprintf("index %d", i), Run: func() error { return fn(i) }}
-	}
-	return cliutil.ErrOf(runTasks(tasks))
 }

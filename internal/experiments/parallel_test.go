@@ -1,72 +1,13 @@
 package experiments
 
 import (
-	"errors"
 	"reflect"
 	"runtime"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/cliutil"
 )
 
-func TestForEachIndexVisitsAll(t *testing.T) {
-	var mask [100]int32
-	if err := forEachIndex(100, func(i int) error {
-		atomic.AddInt32(&mask[i], 1)
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range mask {
-		if v != 1 {
-			t.Fatalf("index %d visited %d times", i, v)
-		}
-	}
-}
-
-func TestForEachIndexPropagatesError(t *testing.T) {
-	sentinel := errors.New("boom")
-	err := forEachIndex(50, func(i int) error {
-		if i == 13 {
-			return sentinel
-		}
-		return nil
-	})
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestForEachIndexZero(t *testing.T) {
-	if err := forEachIndex(0, func(int) error { return errors.New("never") }); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestForEachIndexContinuesPastError: unlike the pre-pool version, one
-// failing index must not prevent the rest from running.
-func TestForEachIndexContinuesPastError(t *testing.T) {
-	var ran int32
-	err := forEachIndex(20, func(i int) error {
-		atomic.AddInt32(&ran, 1)
-		if i == 2 {
-			return errors.New("boom")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("error swallowed")
-	}
-	if ran != 20 {
-		t.Fatalf("only %d of 20 indices ran", ran)
-	}
-}
-
-// TestPerAppStudySurvivesInjectedPanic: a deliberately crashing task
-// (injected via the shared REPRO_FAULT_PANIC_TASK hook) must not take
-// down the sweep — the other applications still produce rows and the
-// crash comes back as a structured failure record.
 func TestPerAppStudySurvivesInjectedPanic(t *testing.T) {
 	t.Setenv(cliutil.PanicTaskEnv, "app=xz17")
 	cfg := quickBase()

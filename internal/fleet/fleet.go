@@ -71,7 +71,7 @@ type Grant struct {
 	Request json.RawMessage `json:"request"`
 }
 
-// HeartbeatRequest renews a lease and reports checkpoint progress.
+// HeartbeatRequest renews a lease and reports progress.
 type HeartbeatRequest struct {
 	// ProgressCycles / TotalCycles mirror the chunked runner's
 	// progress hook so the coordinator's job status stays live.

@@ -55,8 +55,6 @@ type Entry struct {
 	Error       string          `json:"error,omitempty"`
 	Request     json.RawMessage `json:"request,omitempty"`      // creation: the decoded-and-revalidated submission
 	ArtifactSHA string          `json:"artifact_sha,omitempty"` // completion: SHA-256 of the artifact bytes
-	Progress    uint64          `json:"progress,omitempty"`     // checkpoint: cycles completed
-	Total       uint64          `json:"total,omitempty"`        // checkpoint: cycles requested
 
 	// Sweep entries.
 	Spec     json.RawMessage `json:"spec,omitempty"`     // creation: the sweep spec document
@@ -68,10 +66,6 @@ const (
 	KindJob   = "job"
 	KindSweep = "sweep"
 )
-
-// StateCheckpoint is the journal-only pseudo-state recording run
-// progress; it never becomes a job's lifecycle state.
-const StateCheckpoint = "checkpoint"
 
 // Store is an open journal + artifact directory. All methods are safe
 // for concurrent use.
@@ -309,12 +303,9 @@ type JobRecord struct {
 	State       string
 	CacheKey    string
 	Attempt     int
-	Worker      string
 	Error       string
 	Request     json.RawMessage
 	ArtifactSHA string
-	Progress    uint64
-	Total       uint64
 }
 
 // SweepRecord is the reduced state of one sweep after journal replay.
@@ -347,8 +338,8 @@ func (r *Reduced) Sweep(id string) (*SweepRecord, bool) {
 }
 
 // Reduce folds replayed entries into the latest state of every job and
-// sweep. Later entries win field-by-field: a checkpoint updates
-// progress without clearing the creation request, a completion records
+// sweep. Later entries win field-by-field: a transition updates the
+// state without clearing the creation request, a completion records
 // the artifact hash, and so on.
 func Reduce(entries []Entry) *Reduced {
 	r := &Reduced{
@@ -364,10 +355,6 @@ func Reduce(entries []Entry) *Reduced {
 				r.jobIndex[e.ID] = j
 				r.Jobs = append(r.Jobs, j)
 			}
-			if e.State == StateCheckpoint {
-				j.Progress, j.Total = e.Progress, e.Total
-				continue
-			}
 			j.State = e.State
 			if e.Sweep != "" {
 				j.Sweep = e.Sweep
@@ -380,9 +367,6 @@ func Reduce(entries []Entry) *Reduced {
 			}
 			if e.Attempt > j.Attempt {
 				j.Attempt = e.Attempt
-			}
-			if e.Worker != "" {
-				j.Worker = e.Worker
 			}
 			if e.Error != "" {
 				j.Error = e.Error

@@ -24,7 +24,6 @@ func TestJournalAppendReplay(t *testing.T) {
 		{Kind: KindSweep, ID: "sweep-000001", State: "running", Spec: []byte(`{"axes":[]}`), Children: []string{"job-000001"}},
 		{Kind: KindJob, ID: "job-000001", Sweep: "sweep-000001", State: "queued", CacheKey: "aa", Request: []byte(`{"config":{}}`)},
 		{Kind: KindJob, ID: "job-000001", State: "running", Attempt: 1},
-		{Kind: KindJob, ID: "job-000001", State: StateCheckpoint, Progress: 500, Total: 1000},
 		{Kind: KindJob, ID: "job-000001", State: "completed", ArtifactSHA: "deadbeef"},
 		{Kind: KindSweep, ID: "sweep-000001", State: "completed"},
 	}
@@ -58,9 +57,6 @@ func TestJournalAppendReplay(t *testing.T) {
 	if j.State != "completed" || j.Sweep != "sweep-000001" || j.CacheKey != "aa" ||
 		j.Attempt != 1 || j.ArtifactSHA != "deadbeef" || len(j.Request) == 0 {
 		t.Fatalf("reduced job %+v", j)
-	}
-	if j.Progress != 500 || j.Total != 1000 {
-		t.Fatalf("checkpoint not folded: %+v", j)
 	}
 	sw, ok := r.Sweep("sweep-000001")
 	if !ok {

@@ -54,10 +54,9 @@ type EstimateResponse struct {
 func (m *Manager) Estimate(ctx context.Context, spec analytic.Spec) (EstimateResponse, error) {
 	m.estimates.Add(1)
 	key := spec.CacheKey()
-	if cal, ok := m.est.Calibration(key); ok {
+	if est, cal, ok := m.est.Lookup(key); ok {
 		m.estCacheHits.Add(1)
-		return EstimateResponse{CacheKey: key, CacheHit: true,
-			Estimate: m.est.EstimateOf(cal), Calibration: cal}, nil
+		return EstimateResponse{CacheKey: key, CacheHit: true, Estimate: est, Calibration: cal}, nil
 	}
 	if m.store != nil {
 		if data, ok, err := m.store.GetArtifact(key, ""); ok && err == nil {
@@ -65,7 +64,7 @@ func (m *Manager) Estimate(ctx context.Context, spec analytic.Spec) (EstimateRes
 				m.est.Put(key, cal)
 				m.estCacheHits.Add(1)
 				return EstimateResponse{CacheKey: key, CacheHit: true,
-					Estimate: m.est.EstimateOf(cal), Calibration: cal}, nil
+					Estimate: cal.Estimate(), Calibration: cal}, nil
 			} else {
 				m.log.Warn("estimate artifact unusable, recalibrating", "key", key, "err", derr)
 			}
@@ -88,5 +87,5 @@ func (m *Manager) Estimate(ctx context.Context, spec analytic.Spec) (EstimateRes
 	}
 	m.log.Info("estimate calibrated", "key", key, "policy", cal.Policy,
 		"mix", cal.MixID+1, "young_ipc", cal.YoungIPC, "censored", cal.Censored)
-	return EstimateResponse{CacheKey: key, Estimate: m.est.EstimateOf(cal), Calibration: cal}, nil
+	return EstimateResponse{CacheKey: key, Estimate: cal.Estimate(), Calibration: cal}, nil
 }

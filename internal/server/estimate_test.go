@@ -505,7 +505,7 @@ func BenchmarkEstimateFastPath(b *testing.B) {
 	}
 	key := spec.CacheKey()
 	allocs := testing.AllocsPerRun(1000, func() {
-		if _, ok := m.est.Lookup(key); !ok {
+		if _, _, ok := m.est.Lookup(key); !ok {
 			b.Fatal("calibration evicted mid-run")
 		}
 	})

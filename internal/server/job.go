@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -24,7 +23,6 @@ type Job struct {
 	sweepID   string // owning sweep, empty for standalone submissions
 	label     string // sweep-child axis label ("policy=CA,cpth=40")
 	submitted time.Time
-	cancel    context.CancelFunc
 
 	mu        sync.Mutex
 	state     JobState
@@ -40,7 +38,6 @@ type Job struct {
 	result    *Result
 	err       error
 	cacheHit  bool
-	lastCkpt  time.Time          // last journaled checkpoint (throttling)
 	estimate  *analytic.Estimate // planner's analytic estimate, when planned
 }
 
@@ -183,20 +180,6 @@ func (j *Job) awaitTerminal() {
 		}
 		<-ch
 	}
-}
-
-// shouldCheckpoint reports whether enough time has passed since the
-// last journaled checkpoint (negative interval means always), claiming
-// the slot when it has.
-func (j *Job) shouldCheckpoint(interval time.Duration) bool {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	now := time.Now()
-	if interval >= 0 && now.Sub(j.lastCkpt) < interval {
-		return false
-	}
-	j.lastCkpt = now
-	return true
 }
 
 // addEpoch appends a newly closed epoch sample (a RunHooks.OnEpoch

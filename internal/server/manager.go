@@ -45,7 +45,7 @@ type Options struct {
 	// rejects submissions with ErrQueueFull (backpressure, not
 	// buffering). <= 0 defaults to 64.
 	QueueDepth int
-	// JobTimeout cancels a run attempt that exceeds it (checkpoint-cancel
+	// JobTimeout cancels a run attempt that exceeds it (it stops
 	// at the next epoch boundary); 0 disables the deadline. With retries
 	// enabled the deadline is per attempt.
 	JobTimeout time.Duration
@@ -65,9 +65,6 @@ type Options struct {
 	// uniform draw from [0, Base·2^(attempt-1)] capped at Max). Zero
 	// values pick the cliutil defaults.
 	RetryBackoff cliutil.Backoff
-	// CheckpointEvery throttles journal checkpoint entries per job; 0
-	// defaults to 1s, negative journals every epoch checkpoint (tests).
-	CheckpointEvery time.Duration
 	// LeaseTTL is the fleet lease heartbeat budget: a remote worker that
 	// misses it has its lease expired and its job requeued. 0 uses
 	// fleet.DefaultTTL.
@@ -157,9 +154,6 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	if opts.CheckpointEvery == 0 {
-		opts.CheckpointEvery = time.Second
-	}
 	cacheSize := opts.CacheSize
 	switch {
 	case cacheSize == NoCache:
@@ -183,7 +177,7 @@ func NewManager(opts Options) (*Manager, error) {
 		rootCancel: cancel,
 		jobs:       make(map[string]*Job),
 		sweeps:     make(map[string]*Sweep),
-		est:        analytic.NewEstimator(nil),
+		est:        analytic.NewEstimator(),
 	}
 	m.reg = metrics.NewRegistry()
 	counter := func(name string, v *atomic.Uint64) {
@@ -732,7 +726,6 @@ func (m *Manager) runJob(j *Job) {
 	if m.opts.JobTimeout > 0 {
 		ctx, cancel = context.WithTimeout(ctx, m.opts.JobTimeout)
 	}
-	j.cancel = cancel
 
 	var res *Result
 	outcome := cliutil.RunTask(cliutil.Task{
@@ -952,25 +945,13 @@ func (m *Manager) finishJob(j *Job, state JobState, err error, outcome cliutil.T
 }
 
 // simulate builds and measures the job's run, streaming epochs and
-// progress into the job as it goes and journaling throttled checkpoints.
+// progress into the job as it goes.
 func (m *Manager) simulate(ctx context.Context, j *Job) (*Result, error) {
 	sys, err := j.req.Config.Build()
 	if err != nil {
 		return nil, err
 	}
-	hooks := core.RunHooks{
-		OnEpoch:    j.addEpoch,
-		OnProgress: j.setProgress,
-	}
-	if m.store != nil {
-		hooks.OnCheckpoint = func(cp core.Checkpoint) {
-			if !j.shouldCheckpoint(m.opts.CheckpointEvery) {
-				return
-			}
-			m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: jobstore.StateCheckpoint,
-				Progress: cp.Cycles, Total: cp.TotalCycles})
-		}
-	}
+	hooks := core.RunHooks{OnEpoch: j.addEpoch, OnProgress: j.setProgress}
 	return core.RunWindow(ctx, sys, j.req.Capacity, j.req.WarmupCycles, j.req.MeasureCycles, hooks)
 }
 
@@ -1124,7 +1105,9 @@ func (m *Manager) rebuildJob(rec *jobstore.JobRecord, ownerState string) (j *Job
 		}
 		j.finish(StateCanceled, nil, errors.New(rec.Error))
 		return j, false
-	default: // queued, running, retrying, or a torn creation → run it
+	default:
+		// queued, running, retrying, a checkpoint line from an older
+		// journal, or a torn creation → run it
 		return j, true
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -142,8 +143,18 @@ func TestRecoveryRerunsInterruptedJob(t *testing.T) {
 	must(jobstore.Entry{Kind: jobstore.KindJob, ID: "job-000001", State: string(StateQueued),
 		CacheKey: req.CacheKey(), Request: reqBlob})
 	must(jobstore.Entry{Kind: jobstore.KindJob, ID: "job-000001", State: string(StateRunning)})
-	must(jobstore.Entry{Kind: jobstore.KindJob, ID: "job-000001", State: jobstore.StateCheckpoint,
-		Progress: 250_000, Total: 800_000})
+	// Journals written before checkpoints were retired hold progress
+	// lines; one must replay as a non-terminal state that re-runs.
+	journal, err := os.OpenFile(filepath.Join(dir, "journal.jsonl"), os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := journal.WriteString(`{"ts":"2026-01-01T00:00:00Z","kind":"job","id":"job-000001","state":"checkpoint","progress":250000,"total":800000}` + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := journal.Close(); err != nil {
+		t.Fatal(err)
+	}
 	must(jobstore.Entry{Kind: jobstore.KindJob, ID: "job-000002", State: string(StateQueued),
 		CacheKey: "deadbeef", Request: reqBlob})
 	must(jobstore.Entry{Kind: jobstore.KindJob, ID: "job-000002", State: string(StateFailed),
@@ -476,8 +487,7 @@ func TestSweepCrashRecovery(t *testing.T) {
 		if e.Kind == jobstore.KindSweep && e.State == string(SweepCompleted) {
 			continue
 		}
-		if e.Kind == jobstore.KindJob && interrupted[e.ID] &&
-			(e.State == string(StateCompleted) || e.State == jobstore.StateCheckpoint) {
+		if e.Kind == jobstore.KindJob && interrupted[e.ID] && e.State == string(StateCompleted) {
 			continue
 		}
 		line, err := json.Marshal(e)
@@ -559,23 +569,25 @@ func TestRecoveryRejectsCorruptJournal(t *testing.T) {
 	}
 }
 
-// TestCheckpointEntriesJournaled pins the checkpoint pipeline: with the
-// throttle disabled a run journals progress entries between running and
-// completed.
-func TestCheckpointEntriesJournaled(t *testing.T) {
+// TestJournalHoldsTransitionsOnly pins what a local job costs the
+// journal: a fresh run journals exactly queued, running and completed
+// (the last with its artifact digest), and a resubmission served from
+// the cache journals exactly one completed entry. Recovery reads
+// nothing else, so nothing else is fsynced.
+func TestJournalHoldsTransitionsOnly(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	m, err := NewManager(Options{Workers: 1, QueueDepth: 2, CacheSize: NoCache,
-		Store: st, CheckpointEvery: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer m.Close()
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, CacheSize: 8, Store: st})
+	// Hold the worker until Submit has journaled the creation, so the
+	// running entry cannot overtake it.
+	created := make(chan struct{})
+	m.beforeRun = func(*Job) { <-created }
 	req, err := DecodeJobRequest([]byte(testBody))
 	if err != nil {
 		t.Fatal(err)
 	}
 	j, err := m.Submit(req)
+	close(created)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -598,27 +610,23 @@ func TestCheckpointEntriesJournaled(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	var ckpts int
-	var lastProgress uint64
-	for _, e := range entries {
-		if e.State == jobstore.StateCheckpoint {
-			ckpts++
-			if e.Progress < lastProgress {
-				t.Fatalf("checkpoint progress went backwards: %d after %d", e.Progress, lastProgress)
+	states := func(entries []jobstore.Entry, id string) []string {
+		var out []string
+		for _, e := range entries {
+			if e.Kind == jobstore.KindJob && e.ID == id {
+				out = append(out, e.State)
 			}
-			lastProgress = e.Progress
 		}
+		return out
 	}
-	if ckpts == 0 {
-		t.Fatal("no checkpoint entries journaled")
+	want := []string{string(StateQueued), string(StateRunning), string(StateCompleted)}
+	if got := states(entries, j.ID()); !slices.Equal(got, want) {
+		t.Fatalf("fresh job journaled %v, want %v", got, want)
 	}
-	if lastProgress != req.WarmupCycles+req.MeasureCycles {
-		t.Fatalf("final checkpoint at %d, want %d", lastProgress, req.WarmupCycles+req.MeasureCycles)
+	if last := entries[len(entries)-1]; last.ArtifactSHA == "" {
+		t.Fatalf("completion entry %+v carries no artifact digest", last)
 	}
-	// The journal's final state for the job is completed with an
-	// artifact digest.
-	red := jobstore.Reduce(entries)
-	rec, ok := red.Job(j.ID())
+	rec, ok := jobstore.Reduce(entries).Job(j.ID())
 	if !ok || rec.State != string(StateCompleted) || rec.ArtifactSHA == "" {
 		t.Fatalf("reduced record %+v", rec)
 	}
@@ -628,5 +636,23 @@ func TestCheckpointEntriesJournaled(t *testing.T) {
 	}
 	if _, _, err := decodeResult(data); err != nil {
 		t.Fatal(err)
+	}
+
+	// Submit journals a cache hit before it returns.
+	hit, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !hit.Status().CacheHit {
+		t.Fatal("resubmission missed the cache")
+	}
+	if entries, err = jobstore.Replay(dir); err != nil {
+		t.Fatal(err)
+	}
+	if got := states(entries, hit.ID()); !slices.Equal(got, []string{string(StateCompleted)}) {
+		t.Fatalf("cache hit journaled %v, want [completed]", got)
+	}
+	if len(entries) != len(want)+1 {
+		t.Fatalf("journal holds %d entries, want %d", len(entries), len(want)+1)
 	}
 }

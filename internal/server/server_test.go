@@ -557,8 +557,9 @@ func TestGracefulDrain(t *testing.T) {
 }
 
 // TestDrainDeadlineCancelsInFlight pins the forced path: when the drain
-// context expires, running jobs are checkpoint-canceled rather than run
-// to completion, and Drain still waits for the workers to settle.
+// context expires, running jobs are canceled at an epoch boundary
+// rather than run to completion, and Drain still waits for the workers
+// to settle.
 func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, CacheSize: NoCache})
 

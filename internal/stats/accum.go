@@ -3,7 +3,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean is a Welford online accumulator for mean and variance.
@@ -37,104 +36,6 @@ func (m *Mean) Variance() float64 {
 
 // StdDev returns the population standard deviation.
 func (m *Mean) StdDev() float64 { return math.Sqrt(m.Variance()) }
-
-// Histogram is a fixed-bucket integer histogram over [0, len(buckets)*width).
-// Values beyond the last bucket land in the overflow count.
-type Histogram struct {
-	width    int64
-	buckets  []int64
-	overflow int64
-	total    int64
-}
-
-// NewHistogram builds a histogram with n buckets of the given width.
-func NewHistogram(n int, width int64) *Histogram {
-	if n <= 0 || width <= 0 {
-		panic("stats: histogram needs positive bucket count and width")
-	}
-	return &Histogram{width: width, buckets: make([]int64, n)}
-}
-
-// Add records one sample.
-func (h *Histogram) Add(v int64) {
-	h.total++
-	if v < 0 {
-		v = 0
-	}
-	i := v / h.width
-	if i >= int64(len(h.buckets)) {
-		h.overflow++
-		return
-	}
-	h.buckets[i]++
-}
-
-// Total returns the number of samples recorded.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.buckets[i] }
-
-// Overflow returns the number of samples beyond the last bucket.
-func (h *Histogram) Overflow() int64 { return h.overflow }
-
-// Percentile returns the lower edge of the bucket containing the p-th
-// percentile (p in [0,100]). Overflowed samples report the histogram limit.
-func (h *Histogram) Percentile(p float64) int64 {
-	if h.total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(p / 100 * float64(h.total)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i, c := range h.buckets {
-		cum += c
-		if cum >= target {
-			return int64(i) * h.width
-		}
-	}
-	return int64(len(h.buckets)) * h.width
-}
-
-// Ratio safely divides a by b, returning 0 when b is 0.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
-// GeoMean returns the geometric mean of xs, ignoring non-positive entries.
-func GeoMean(xs []float64) float64 {
-	var sum float64
-	var n int
-	for _, x := range xs {
-		if x > 0 {
-			sum += math.Log(x)
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return math.Exp(sum / float64(n))
-}
-
-// Median returns the median of xs (0 for empty input). It does not modify xs.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := append([]float64(nil), xs...)
-	sort.Float64s(c)
-	m := len(c) / 2
-	if len(c)%2 == 1 {
-		return c[m]
-	}
-	return (c[m-1] + c[m]) / 2
-}
 
 // FormatSI renders v with an SI suffix (K, M, G, T) for human-readable
 // experiment output, e.g. 2500000 -> "2.50M".

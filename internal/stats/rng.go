@@ -111,23 +111,3 @@ func (r *RNG) TruncNormal(mean, stddev, lo float64) float64 {
 	}
 	return lo
 }
-
-// Perm fills a permutation of [0, n) into a freshly allocated slice using
-// the Fisher-Yates shuffle.
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
-// Fork returns a new RNG derived from this one's stream, useful for giving
-// independent substreams to parallel components while keeping determinism.
-func (r *RNG) Fork() *RNG {
-	return NewRNG(r.Uint64())
-}

@@ -96,26 +96,6 @@ func TestTruncNormalRespectsFloor(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(3)
-	p := r.Perm(100)
-	seen := make([]bool, 100)
-	for _, v := range p {
-		if v < 0 || v >= 100 || seen[v] {
-			t.Fatalf("invalid permutation element %d", v)
-		}
-		seen[v] = true
-	}
-}
-
-func TestForkIndependence(t *testing.T) {
-	r := NewRNG(13)
-	f := r.Fork()
-	if f.Uint64() == r.Uint64() {
-		t.Error("forked stream mirrors parent")
-	}
-}
-
 func TestMeanAccumulator(t *testing.T) {
 	var m Mean
 	for _, v := range []float64{1, 2, 3, 4, 5} {
@@ -133,75 +113,6 @@ func TestMeanEmpty(t *testing.T) {
 	var m Mean
 	if m.Mean() != 0 || m.Variance() != 0 || m.StdDev() != 0 {
 		t.Fatal("empty accumulator should report zeros")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 10)
-	for v := int64(0); v < 100; v++ {
-		h.Add(v)
-	}
-	h.Add(1000) // overflow
-	h.Add(-5)   // clamped to bucket 0
-	if h.Total() != 102 {
-		t.Fatalf("total = %d, want 102", h.Total())
-	}
-	if h.Bucket(0) != 11 {
-		t.Fatalf("bucket 0 = %d, want 11", h.Bucket(0))
-	}
-	if h.Overflow() != 1 {
-		t.Fatalf("overflow = %d, want 1", h.Overflow())
-	}
-	if p := h.Percentile(50); p != 40 {
-		t.Fatalf("p50 = %d, want 40", p)
-	}
-}
-
-func TestHistogramPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewHistogram(0, 1) did not panic")
-		}
-	}()
-	NewHistogram(0, 1)
-}
-
-func TestRatio(t *testing.T) {
-	if Ratio(10, 2) != 5 {
-		t.Error("ratio 10/2 != 5")
-	}
-	if Ratio(1, 0) != 0 {
-		t.Error("ratio with zero denominator should be 0")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{1, 100})
-	if math.Abs(got-10) > 1e-9 {
-		t.Fatalf("geomean = %v, want 10", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("empty geomean should be 0")
-	}
-	if GeoMean([]float64{-1, 0}) != 0 {
-		t.Error("non-positive-only geomean should be 0")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if Median([]float64{3, 1, 2}) != 2 {
-		t.Error("odd median")
-	}
-	if Median([]float64{4, 1, 2, 3}) != 2.5 {
-		t.Error("even median")
-	}
-	if Median(nil) != 0 {
-		t.Error("empty median")
-	}
-	xs := []float64{5, 1}
-	Median(xs)
-	if xs[0] != 5 {
-		t.Error("median mutated input")
 	}
 }
 
