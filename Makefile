@@ -98,13 +98,19 @@ serve:
 
 # Daemon smoke: boot simd on a scratch port, submit a quick job over
 # HTTP, poll it to completion, pull the epoch stream, and check that a
-# resubmission is served from the result cache.
+# resubmission is served from the result cache. Then boot a second
+# daemon with one worker and a one-job queue: with a long job running
+# and one more waiting, a third submission must bounce with 429 and a
+# Retry-After header.
 SMOKE_ADDR = 127.0.0.1:18080
+SMOKE_QUEUE_ADDR = 127.0.0.1:18084
 SMOKE_BODY = {"config":{"llc_sets":256,"scale":0.15,"l2_size_kb":64,"epoch_cycles":200000},"warmup_cycles":100000,"measure_cycles":600000}
+SMOKE_LONG_BODY = {"config":{"llc_sets":256,"scale":0.15,"l2_size_kb":64,"epoch_cycles":200000},"warmup_cycles":0,"measure_cycles":4000000000}
 server-smoke:
 	@$(GO) build -o simd-smoke ./cmd/simd
 	@./simd-smoke -addr $(SMOKE_ADDR) >/dev/null 2>&1 & pid=$$!; \
-	trap 'kill $$pid 2>/dev/null; rm -f simd-smoke' EXIT; \
+	./simd-smoke -addr $(SMOKE_QUEUE_ADDR) -workers 1 -queue 1 >/dev/null 2>&1 & qpid=$$!; \
+	trap 'kill $$pid 2>/dev/null; kill -9 $$qpid 2>/dev/null; rm -f simd-smoke' EXIT; \
 	ok=; for i in $$(seq 1 50); do \
 		curl -fs http://$(SMOKE_ADDR)/healthz >/dev/null 2>&1 && ok=1 && break; sleep 0.1; \
 	done; \
@@ -125,7 +131,26 @@ server-smoke:
 	hit=$$(curl -fs -X POST -d '$(SMOKE_BODY)' http://$(SMOKE_ADDR)/v1/jobs \
 		| sed -n 's/.*"cache_hit": *\(true\|false\).*/\1/p' | head -1); \
 	[ "$$hit" = true ] || { echo "resubmission was not a cache hit"; exit 1; }; \
-	echo "server-smoke: job $$id completed, $$epochs epochs streamed, cache hit on resubmit"
+	ok=; for i in $$(seq 1 50); do \
+		curl -fs http://$(SMOKE_QUEUE_ADDR)/healthz >/dev/null 2>&1 && ok=1 && break; sleep 0.1; \
+	done; \
+	[ -n "$$ok" ] || { echo "simd -queue 1 never came up"; exit 1; }; \
+	long=$$(curl -fs -X POST -d '$(SMOKE_LONG_BODY)' http://$(SMOKE_QUEUE_ADDR)/v1/jobs \
+		| sed -n 's/.*"id": *"\([^"]*\)".*/\1/p' | head -1); \
+	[ -n "$$long" ] || { echo "long submission returned no job id"; exit 1; }; \
+	state=; for i in $$(seq 1 100); do \
+		state=$$(curl -fs http://$(SMOKE_QUEUE_ADDR)/v1/jobs/$$long \
+			| sed -n 's/.*"state": *"\([^"]*\)".*/\1/p' | head -1); \
+		[ "$$state" = running ] && break; sleep 0.1; \
+	done; \
+	[ "$$state" = running ] || { echo "long job $$long never started (state '$$state')"; exit 1; }; \
+	code=$$(curl -s -o /dev/null -w '%{http_code}' -X POST -d '$(SMOKE_BODY)' http://$(SMOKE_QUEUE_ADDR)/v1/jobs); \
+	[ "$$code" = 202 ] || { echo "second submission got $$code, want 202"; exit 1; }; \
+	hdrs=$$(curl -s -o /dev/null -D - -X POST -d '$(SMOKE_BODY)' http://$(SMOKE_QUEUE_ADDR)/v1/jobs | tr -d '\r'); \
+	echo "$$hdrs" | head -1 | grep -q ' 429' || { echo "third submission: $$(echo "$$hdrs" | head -1), want 429"; exit 1; }; \
+	retry=$$(echo "$$hdrs" | sed -n 's/^[Rr]etry-[Aa]fter: *\([0-9][0-9]*\)$$/\1/p'); \
+	[ -n "$$retry" ] || { echo "429 without a Retry-After header"; exit 1; }; \
+	echo "server-smoke: job $$id completed, $$epochs epochs streamed, cache hit on resubmit; full queue answered 429, Retry-After $$retry"
 
 # Crash-recovery smoke: boot simd with a durable data directory, submit
 # a four-child sweep, SIGKILL the daemon once at least one child has

@@ -54,7 +54,7 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "concurrent local simulations (0 = GOMAXPROCS)")
-	queue := flag.Int("queue", 64, "queued-job bound; full queue returns 429")
+	queue := flag.Int("queue", 64, "waiting-job backlog at which POST /v1/jobs returns 429 (sweeps are paced, not refused)")
 	jobTimeout := flag.Duration("jobtimeout", 0, "per-job deadline (0 = none)")
 	cacheSize := flag.Int("cachesize", 256, "result cache entries (0 = disable)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown deadline")

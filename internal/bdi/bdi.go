@@ -290,13 +290,6 @@ func CompressInto(scratch []byte, block []byte) Compressed {
 	return Compressed{enc, data}
 }
 
-// CompressedSize returns only the compressed size of block, a convenience
-// for policy decisions that do not need the payload.
-//
-// Deprecated: use SizeOf, which computes the same value without building
-// payload bytes.
-func CompressedSize(block []byte) int { return SizeOf(block) }
-
 // Decompress reconstructs the original 64-byte block. It returns an error
 // if the payload length does not match the encoding, which in hardware
 // corresponds to a corrupted CE field.

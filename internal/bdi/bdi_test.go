@@ -267,10 +267,10 @@ func TestCompressPanicsOnBadSize(t *testing.T) {
 	Compress(make([]byte, 32))
 }
 
-func TestCompressedSizeMatchesCompress(t *testing.T) {
+func TestSizeOfMatchesCompress(t *testing.T) {
 	b := block64(func(i int) byte { return byte(i) })
-	if CompressedSize(b) != Compress(b).Size() {
-		t.Error("CompressedSize disagrees with Compress")
+	if SizeOf(b) != Compress(b).Size() {
+		t.Error("SizeOf disagrees with Compress")
 	}
 }
 

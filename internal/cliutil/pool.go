@@ -7,17 +7,17 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"repro/internal/report"
 )
 
 // This file is the hardened fan-out runner shared by the long-running
 // experiment drivers (cpthsweep, thsweep, appstudy, forecast,
-// faultstudy). Every task runs with a recover() barrier and an optional
-// deadline; failures become structured records instead of aborting the
-// whole sweep, so an hours-long run always produces a report — with the
-// casualties listed in it.
+// faultstudy). Every task runs behind a recover() barrier; failures
+// become structured records instead of aborting the whole sweep, so an
+// hours-long run always produces a report — with the casualties listed
+// in it.
 
 // PanicTaskEnv names the environment variable that makes the pool panic
 // inside the task whose Name matches its value. It exists to prove the
@@ -38,7 +38,6 @@ type TaskResult struct {
 	Name     string
 	Err      error
 	Panicked bool   // Err came from a recovered panic
-	TimedOut bool   // Err came from the per-task deadline
 	Stack    string // goroutine stack for panics (not rendered in tables)
 }
 
@@ -52,32 +51,16 @@ func (r TaskResult) Kind() string {
 		return "ok"
 	case r.Panicked:
 		return "panic"
-	case r.TimedOut:
-		return "timeout"
-	case errors.Is(r.Err, ErrSkipped):
-		return "skipped"
 	default:
 		return "error"
 	}
 }
 
-// ErrSkipped marks tasks never started because StopOnError ended the
-// sweep early.
-var ErrSkipped = errors.New("cliutil: task skipped after earlier failure")
-
 // PoolConfig tunes RunTasks. The zero value is the hardened default:
-// GOMAXPROCS workers, no deadline, continue on error.
+// GOMAXPROCS workers, every task runs whatever the others do.
 type PoolConfig struct {
 	// Workers caps concurrent tasks; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Timeout is the per-task deadline; 0 disables it. A task past its
-	// deadline is recorded as TimedOut and abandoned — its goroutine
-	// keeps running (Go cannot kill it) but the pool moves on.
-	Timeout time.Duration
-	// StopOnError stops claiming new tasks after the first failure;
-	// unstarted tasks are recorded with ErrSkipped. The default (false)
-	// runs everything regardless of failures.
-	StopOnError bool
 }
 
 // RunTasks executes the tasks on a worker pool and returns one result
@@ -85,9 +68,6 @@ type PoolConfig struct {
 // even though execution is concurrent.
 func RunTasks(tasks []Task, cfg PoolConfig) []TaskResult {
 	results := make([]TaskResult, len(tasks))
-	for i, t := range tasks {
-		results[i] = TaskResult{Name: t.Name, Err: ErrSkipped}
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -95,40 +75,20 @@ func RunTasks(tasks []Task, cfg PoolConfig) []TaskResult {
 	if workers > len(tasks) {
 		workers = len(tasks)
 	}
-	if workers == 0 {
-		return results
-	}
 	var (
-		wg      sync.WaitGroup
-		mu      sync.Mutex
-		next    int
-		stopped bool
+		wg   sync.WaitGroup
+		next atomic.Int64
 	)
-	claim := func() (int, bool) {
-		mu.Lock()
-		defer mu.Unlock()
-		if stopped || next >= len(tasks) {
-			return 0, false
-		}
-		i := next
-		next++
-		return i, true
-	}
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
 			for {
-				i, ok := claim()
-				if !ok {
+				i := int(next.Add(1)) - 1
+				if i >= len(tasks) {
 					return
 				}
-				results[i] = runOne(tasks[i], cfg.Timeout)
-				if results[i].Failed() && cfg.StopOnError {
-					mu.Lock()
-					stopped = true
-					mu.Unlock()
-				}
+				results[i] = RunTask(tasks[i])
 			}
 		}()
 	}
@@ -136,52 +96,23 @@ func RunTasks(tasks []Task, cfg PoolConfig) []TaskResult {
 	return results
 }
 
-// RunTask executes one task behind the pool's recover barrier and
-// optional deadline, outside any pool. The simd job manager runs every
-// queued job through it, so a panicking simulation becomes a failed job
-// record instead of a dead daemon.
-func RunTask(t Task, timeout time.Duration) TaskResult { return runOne(t, timeout) }
-
-type taskOutcome struct {
-	err      error
-	panicked bool
-	stack    string
-}
-
-// runOne executes a single task behind a recover barrier, honouring the
-// per-task deadline.
-func runOne(t Task, timeout time.Duration) TaskResult {
-	res := TaskResult{Name: t.Name}
-	done := make(chan taskOutcome, 1)
-	go func() {
-		defer func() {
-			if r := recover(); r != nil {
-				done <- taskOutcome{
-					err:      fmt.Errorf("panic: %v", r),
-					panicked: true,
-					stack:    string(debug.Stack()),
-				}
-			}
-		}()
-		if want := os.Getenv(PanicTaskEnv); want != "" && want == t.Name {
-			panic(fmt.Sprintf("deliberate fault injection (%s=%s)", PanicTaskEnv, want))
+// RunTask executes one task inline behind the pool's recover barrier,
+// outside any pool. The simd job manager runs every queued job through
+// it, so a panicking simulation becomes a failed job record instead of
+// a dead daemon.
+func RunTask(t Task) (res TaskResult) {
+	res.Name = t.Name
+	defer func() {
+		if r := recover(); r != nil {
+			res.Err = fmt.Errorf("panic: %v", r)
+			res.Panicked = true
+			res.Stack = string(debug.Stack())
 		}
-		done <- taskOutcome{err: t.Run()}
 	}()
-	if timeout <= 0 {
-		o := <-done
-		res.Err, res.Panicked, res.Stack = o.err, o.panicked, o.stack
-		return res
+	if want := os.Getenv(PanicTaskEnv); want != "" && want == t.Name {
+		panic(fmt.Sprintf("deliberate fault injection (%s=%s)", PanicTaskEnv, want))
 	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case o := <-done:
-		res.Err, res.Panicked, res.Stack = o.err, o.panicked, o.stack
-	case <-timer.C:
-		res.TimedOut = true
-		res.Err = fmt.Errorf("exceeded deadline %v (abandoned)", timeout)
-	}
+	res.Err = t.Run()
 	return res
 }
 

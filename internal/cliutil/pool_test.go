@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/report"
 )
@@ -82,44 +81,6 @@ func TestRunTasksRecoversPanics(t *testing.T) {
 	}
 	if fails[0].Stack == "" {
 		t.Fatal("no stack captured")
-	}
-}
-
-func TestRunTasksDeadline(t *testing.T) {
-	block := make(chan struct{})
-	defer close(block)
-	tasks := []Task{
-		{Name: "fast", Run: func() error { return nil }},
-		{Name: "hung", Run: func() error { <-block; return nil }},
-		{Name: "fast2", Run: func() error { return nil }},
-	}
-	results := RunTasks(tasks, PoolConfig{Workers: 1, Timeout: 20 * time.Millisecond})
-	if results[0].Failed() || results[2].Failed() {
-		t.Fatalf("fast tasks failed: %+v", results)
-	}
-	if !results[1].TimedOut || results[1].Kind() != "timeout" {
-		t.Fatalf("hung task: %+v", results[1])
-	}
-}
-
-func TestRunTasksStopOnError(t *testing.T) {
-	results := RunTasks(namedTasks(30, func(i int) error {
-		if i == 0 {
-			return errors.New("first")
-		}
-		return nil
-	}), PoolConfig{Workers: 1, StopOnError: true})
-	skipped := 0
-	for _, r := range results {
-		if errors.Is(r.Err, ErrSkipped) {
-			skipped++
-		}
-	}
-	if skipped != 29 {
-		t.Fatalf("%d skipped, want 29", skipped)
-	}
-	if Failures(results)[1].Kind() != "skipped" {
-		t.Fatalf("kind = %s", Failures(results)[1].Kind())
 	}
 }
 

@@ -7,9 +7,6 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/hier"
-	"repro/internal/hybrid"
-	"repro/internal/nvm"
-	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -89,32 +86,17 @@ func PerAppStudy(base core.Config, policyName string, warmup, measure uint64) ([
 	return out, results, nil
 }
 
-// buildHomogeneous constructs a system running four copies of one profile,
-// reusing the config's geometry and policy selection.
+// buildHomogeneous builds the config's system — policy, LLC, hierarchy
+// and checker exactly as core.Config.Build makes them — running four
+// copies of one profile in place of the config's mix.
 func buildHomogeneous(cfg core.Config, prof workload.Profile) (*hier.System, error) {
-	pol, thr, sram, nvmW, err := core.BuildPolicy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	apps := make([]*workload.App, 4)
-	for i := range apps {
-		p := prof.Scale(cfg.Scale)
-		apps[i], err = workload.NewApp(p, uint64(i+1)*workload.AppSpacing, cfg.Seed+uint64(i)*7919)
+	progs := make([]hier.Program, 4)
+	for i := range progs {
+		app, err := workload.NewApp(prof.Scale(cfg.Scale), uint64(i+1)*workload.AppSpacing, cfg.Seed+uint64(i)*7919)
 		if err != nil {
 			return nil, err
 		}
+		progs[i] = app
 	}
-	llc := hybrid.New(hybrid.Config{
-		Sets: cfg.LLCSets, SRAMWays: sram, NVMWays: nvmW,
-		Policy: pol, Thresholds: thr,
-		Endurance: nvm.EnduranceModel{Mean: cfg.EnduranceMean, CV: cfg.EnduranceCV},
-		Sampler:   stats.NewRNG(cfg.Seed ^ 0xE7D5),
-	})
-	hcfg := hier.Config{
-		L1Sets: cfg.L1Sets, L1Ways: cfg.L1Ways,
-		L2Sets: cfg.L2SizeKB * 1024 / (cfg.L2Ways * 64), L2Ways: cfg.L2Ways,
-		EpochCycles: cfg.EpochCycles, IssueWidth: 4,
-		Lat: cfg.Latencies(), Banks: cfg.LLCBanks,
-	}
-	return hier.New(hcfg, llc, apps), nil
+	return cfg.BuildFromPrograms(progs)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -297,5 +298,33 @@ func TestPerAppStudy(t *testing.T) {
 	}
 	if _, _, err := PerAppStudy(cfg, "NOPE", 1, 1); err == nil {
 		t.Error("unknown policy accepted")
+	}
+}
+
+// TestPerAppStudyHonoursConfig pins that the per-app study builds its
+// systems from the whole config, ablations and NVM replacement
+// included: flipping either knob must move the rows.
+func TestPerAppStudyHonoursConfig(t *testing.T) {
+	study := func(cfg core.Config) []AppRow {
+		t.Helper()
+		cfg.Scale = 0.08
+		rows, taskResults, err := PerAppStudy(cfg, "CA", 100_000, 400_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fails := cliutil.Failures(taskResults); len(fails) != 0 {
+			t.Fatalf("task failures: %+v", fails)
+		}
+		return rows
+	}
+	base := study(quickBase())
+	rrip := quickBase()
+	rrip.NVMRRIP = true
+	hcr := quickBase()
+	hcr.AblationHCROnly = true
+	for name, cfg := range map[string]core.Config{"NVMRRIP": rrip, "AblationHCROnly": hcr} {
+		if rows := study(cfg); reflect.DeepEqual(rows, base) {
+			t.Errorf("%s left every per-app row unchanged", name)
+		}
 	}
 }

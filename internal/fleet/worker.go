@@ -158,7 +158,7 @@ func (w *Worker) runLease(kill context.Context, g *Grant, log *slog.Logger) {
 			return err
 		}
 		return w.upload(g, artifact, log)
-	}}, 0)
+	}})
 	close(hbDone)
 	hb.Wait()
 

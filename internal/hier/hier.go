@@ -55,10 +55,6 @@ type Config struct {
 	// requests to a busy bank queue, so cores interfere realistically.
 	// 0 disables contention modelling.
 	Banks int
-
-	// EpochRingCapacity bounds the per-epoch sample series the system
-	// retains (0 selects metrics.DefaultEpochRingCapacity).
-	EpochRingCapacity int
 }
 
 // DefaultConfig returns the scaled default configuration.
@@ -83,8 +79,6 @@ type Program interface {
 	Owns(block uint64) bool
 	// BumpVersion records a store to a block, changing its content.
 	BumpVersion(block uint64)
-	// Content returns the block's current 64-byte contents.
-	Content(block uint64) []byte
 	// ContentInto writes the block's current 64-byte contents into dst
 	// when its capacity suffices (allocating otherwise) and returns the
 	// slice; the hierarchy uses it on the per-insert hot path so content
@@ -267,13 +261,13 @@ func NewWithTarget(cfg Config, t Target, apps []Program) *System {
 		}
 		s.cores = append(s.cores, c)
 	}
-	s.registerMetrics(t.Metrics(), cfg.EpochRingCapacity)
+	s.registerMetrics(t.Metrics())
 	return s
 }
 
 // registerMetrics attaches the hierarchy's counters to the LLC's registry
 // and sets up the per-epoch sample ring.
-func (s *System) registerMetrics(reg *metrics.Registry, ringCap int) {
+func (s *System) registerMetrics(reg *metrics.Registry) {
 	s.reg = reg
 	reg.Counter("sys.mem_fetches", &s.MemFetches)
 	reg.Counter("sys.bank_stall_cycles", &s.BankStallCycles)
@@ -292,7 +286,7 @@ func (s *System) registerMetrics(reg *metrics.Registry, ringCap int) {
 		})
 	}
 
-	s.ring = metrics.NewEpochRing(ringCap, EpochColumns...)
+	s.ring = metrics.NewEpochRing(metrics.DefaultEpochRingCapacity, EpochColumns...)
 	s.epochRead = make([]func() uint64, len(epochDeltaCounters))
 	s.epochPrev = make([]uint64, len(epochDeltaCounters))
 	for i, name := range epochDeltaCounters {

@@ -161,7 +161,7 @@ func TestDataPathProperty(t *testing.T) {
 		st, err := d.WriteBlock(content, f, int(counter)%nvm.FrameBytes)
 		if err != nil {
 			// Only acceptable when the block genuinely doesn't fit.
-			return bdi.CompressedSize(content) > f.EffectiveCapacity()
+			return bdi.SizeOf(content) > f.EffectiveCapacity()
 		}
 		if doFlip {
 			st.FlipStoredBit(int(flip) % st.MeaningfulBits())
@@ -196,7 +196,7 @@ func TestDataPathSizesMatchSimulator(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want := bdi.CompressedSize(content) + nvm.MetaBytes
+		want := bdi.SizeOf(content) + nvm.MetaBytes
 		if st.ECBLen != want {
 			t.Errorf("%s: data path ECB %dB, simulator accounts %dB", name, st.ECBLen, want)
 		}

@@ -48,8 +48,8 @@ var (
 // maxAcquireWait caps the long-poll budget a worker may request.
 const maxAcquireWait = 30 * time.Second
 
-// AcquireLease hands the next runnable job to a fleet worker: it pulls
-// from the same queue the local pool drains, marks the job running,
+// AcquireLease hands the next runnable job to a fleet worker: it takes
+// from the same run queue the local pool drains, marks the job running,
 // grants a lease, and journals the transition with the worker and
 // token. With no runnable job it waits up to wait (capped) before
 // returning ErrNoWork; a draining manager refuses with ErrDraining.
@@ -64,25 +64,22 @@ func (m *Manager) AcquireLease(ctx context.Context, workerID string, wait time.D
 	if wait > maxAcquireWait {
 		wait = maxAcquireWait
 	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
+	waitCtx, cancel := context.WithTimeout(ctx, wait)
+	defer cancel()
 	for {
-		if m.Draining() {
-			return nil, ErrDraining
-		}
-		select {
-		case j := <-m.queue:
-			g, ok := m.grantJob(j, workerID)
-			if !ok { // canceled while queued; take the next one
-				continue
+		j := m.take(waitCtx.Done(), false)
+		switch {
+		case j != nil:
+			if g, ok := m.grantJob(j, workerID); ok {
+				return g, nil
 			}
-			return g, nil
-		case <-m.drainc:
+			// canceled while queued; take the next one
+		case m.Draining():
 			return nil, ErrDraining
-		case <-timer.C:
-			return nil, ErrNoWork
-		case <-ctx.Done():
+		case ctx.Err() != nil:
 			return nil, ctx.Err()
+		default:
+			return nil, ErrNoWork
 		}
 	}
 }
@@ -96,7 +93,7 @@ func (m *Manager) grantJob(j *Job, workerID string) (*fleet.Grant, bool) {
 	attempt := j.beginAttempt()
 	l, err := m.leases.Grant(j.id, workerID, attempt)
 	if err != nil {
-		// A job dequeued from the channel cannot hold an active lease
+		// A job taken from the run queue cannot hold an active lease
 		// (expiry removes the lease before requeueing), so this is a
 		// bookkeeping bug; fail the job loudly rather than lose it.
 		m.log.Error("lease grant refused", "job", j.id, "worker", workerID, "err", err)

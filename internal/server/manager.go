@@ -41,9 +41,9 @@ type Options struct {
 	// GOMAXPROCS. Negative runs no local pool at all — a remote-only
 	// coordinator whose queue is drained exclusively by fleet leases.
 	Workers int
-	// QueueDepth bounds jobs accepted but not yet running; a full queue
-	// rejects submissions with ErrQueueFull (backpressure, not
-	// buffering). <= 0 defaults to 64.
+	// QueueDepth is the backlog of waiting jobs at which Submit refuses
+	// with ErrQueueFull (HTTP 429). Sweep children, retries, requeues and
+	// recovered jobs count toward it but are never refused. <= 0 is 64.
 	QueueDepth int
 	// JobTimeout cancels a run attempt that exceeds it (it stops
 	// at the next epoch boundary); 0 disables the deadline. With retries
@@ -87,7 +87,6 @@ type Manager struct {
 	cache      *resultCache
 	est        *analytic.Estimator
 	store      *jobstore.Store
-	queue      chan *Job
 	drainc     chan struct{} // closed when draining starts
 	rootCtx    context.Context
 	rootCancel context.CancelFunc
@@ -95,7 +94,7 @@ type Manager struct {
 	reg        *metrics.Registry
 	leases     *fleet.Table
 
-	mu       sync.Mutex // guards jobs/order/sweeps/sweepOrder/draining/seq/sweepSeq and queue sends vs drain
+	mu       sync.Mutex // guards the fields below
 	jobs     map[string]*Job
 	order    []string
 	sweeps   map[string]*Sweep
@@ -103,6 +102,9 @@ type Manager struct {
 	draining bool
 	seq      uint64
 	sweepSeq uint64
+	ready    []*Job        // the run queue: runnable jobs, oldest first
+	reserved int           // slots Submit holds while it journals
+	readyc   chan struct{} // closed and replaced on every push and on drain
 
 	submitted       atomic.Uint64
 	completed       atomic.Uint64
@@ -171,8 +173,8 @@ func NewManager(opts Options) (*Manager, error) {
 		log:        log,
 		cache:      newResultCache(cacheSize),
 		store:      opts.Store,
-		queue:      make(chan *Job, opts.QueueDepth),
 		drainc:     make(chan struct{}),
+		readyc:     make(chan struct{}),
 		rootCtx:    ctx,
 		rootCancel: cancel,
 		jobs:       make(map[string]*Job),
@@ -198,7 +200,7 @@ func NewManager(opts Options) (*Manager, error) {
 	counter("server.estimates.requested", &m.estimates)
 	counter("server.estimates.calibrations", &m.estCalibrations)
 	counter("server.estimates.cache_hits", &m.estCacheHits)
-	m.reg.GaugeFunc("server.queue.depth", func() float64 { return float64(len(m.queue)) })
+	m.reg.GaugeFunc("server.queue.depth", func() float64 { return float64(m.queueLen()) })
 	m.reg.GaugeFunc("server.jobs.running", func() float64 { return float64(m.running.Load()) })
 	m.reg.GaugeFunc("server.cache.entries", func() float64 { return float64(m.cache.len()) })
 	m.reg.GaugeFunc("server.estimates.cached", func() float64 { return float64(m.est.Len()) })
@@ -308,7 +310,9 @@ func (m *Manager) journalJob(j *Job, state string, err error) {
 // Submit validates nothing (callers decode+validate the request) and
 // enqueues a job, serving it straight from the result cache when the
 // content address hits. ErrQueueFull and ErrDraining report backpressure
-// and shutdown respectively.
+// and shutdown respectively. An accepted job reserves its slot, then
+// journals queued, then becomes runnable: no worker can claim a job
+// whose creation is not yet on disk, and a refusal journals nothing.
 func (m *Manager) Submit(req JobRequest) (*Job, error) {
 	key := req.CacheKey()
 	if res, ok := m.cache.get(key); ok {
@@ -334,16 +338,14 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 		m.mu.Unlock()
 		return nil, ErrDraining
 	}
-	j := newJob(m.nextIDLocked(), req)
-	select {
-	case m.queue <- j:
-	default:
-		m.seq-- // ID not spent
+	if len(m.ready)+m.reserved >= m.opts.QueueDepth {
 		m.mu.Unlock()
 		m.queueRejects.Add(1)
-		m.log.Warn("job rejected: queue full", "depth", cap(m.queue))
+		m.log.Warn("job rejected: queue full", "depth", m.opts.QueueDepth)
 		return nil, ErrQueueFull
 	}
+	m.reserved++
+	j := newJob(m.nextIDLocked(), req)
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
 	m.mu.Unlock()
@@ -351,6 +353,7 @@ func (m *Manager) Submit(req JobRequest) (*Job, error) {
 	m.cacheMisses.Add(1)
 	m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(StateQueued),
 		CacheKey: key, Request: marshalRequest(req)})
+	m.push(j, true)
 	m.log.Info("job queued", "job", j.id, "key", key,
 		"policy", j.req.Config.PolicyName, "mix", j.req.Config.MixID+1)
 	return j, nil
@@ -410,6 +413,7 @@ func (m *Manager) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	}
 	m.sweeps[sw.id] = sw
 	m.sweepOrd = append(m.sweepOrd, sw.id)
+	m.wg.Add(1) // under m.mu while not draining, so it cannot race Drain's Wait
 	m.mu.Unlock()
 
 	m.sweepsSubd.Add(1)
@@ -428,8 +432,6 @@ func (m *Manager) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	}
 	m.log.Info("sweep submitted", "sweep", sw.id, "name", spec.Name,
 		"children", len(jobs), "cache_hits", hits, "concurrency", spec.concurrency())
-
-	m.wg.Add(1)
 	go m.runSweep(sw, jobs)
 	return sw, nil
 }
@@ -441,11 +443,11 @@ func (m *Manager) nextIDLocked() string {
 }
 
 // runSweep is the per-sweep scheduler goroutine: it admits children
-// into the execution queue at most `concurrency` at a time (blocking —
-// sweeps pace themselves instead of tripping queue backpressure) and
-// finalizes the sweep when every child is terminal. A drain cancels
-// children not yet admitted; the sweep ends canceled and a restart over
-// the same store resumes it.
+// into the run queue at most `concurrency` at a time (sweeps pace
+// themselves; QueueDepth never refuses them) and finalizes the sweep
+// when every child is terminal. A drain cancels children not yet
+// admitted; the sweep ends canceled and a restart over the same store
+// resumes it.
 func (m *Manager) runSweep(sw *Sweep, jobs []*Job) {
 	defer m.wg.Done()
 	if sw.spec.Plan == PlanAnalytic {
@@ -455,24 +457,15 @@ func (m *Manager) runSweep(sw *Sweep, jobs []*Job) {
 	var watchers sync.WaitGroup
 	aborted := false
 	for _, j := range jobs {
-		if aborted {
-			m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
-			continue
-		}
 		if j.State().Terminal() { // cache hit or recovered-complete child
 			continue
 		}
 		select {
 		case sem <- struct{}{}:
-		case <-m.drainc:
-			aborted = true
-			m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
-			continue
+		case <-m.drainc: // push cancels the child
 		}
-		if !m.enqueueBlocking(j) {
-			<-sem
+		if !m.push(j, false) {
 			aborted = true
-			m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
 			continue
 		}
 		watchers.Add(1)
@@ -566,28 +559,65 @@ func (m *Manager) planSweep(sw *Sweep, jobs []*Job) {
 		"screened", screened, "kept", len(pts)-screened)
 }
 
-// enqueueBlocking queues a job, waiting for space instead of rejecting;
-// it fails only once the manager starts draining.
-func (m *Manager) enqueueBlocking(j *Job) bool {
+// push is the one way a job becomes runnable; it never blocks or
+// refuses for capacity. reserved says j fills a slot Submit reserved,
+// which takers wait for even while draining. Any other push into a
+// draining manager cancels the job instead and reports false.
+func (m *Manager) push(j *Job, reserved bool) bool {
+	m.mu.Lock()
+	if reserved {
+		m.reserved--
+	} else if m.draining {
+		m.mu.Unlock()
+		m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
+		return false
+	}
+	m.ready = append(m.ready, j)
+	m.wakeLocked()
+	m.mu.Unlock()
+	return true
+}
+
+// take is the one way a job leaves the run queue: it claims the oldest
+// ready job, waiting until stop closes (nil waits forever) and
+// returning nil then. Draining, a drainQueue taker (a local worker or a
+// remote-only Drain) empties the queue and its reserved slots before
+// getting nil; any other taker (a fleet lease) gets nil at once.
+func (m *Manager) take(stop <-chan struct{}, drainQueue bool) *Job {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	for {
-		m.mu.Lock()
-		if m.draining {
-			m.mu.Unlock()
-			return false
+		if m.draining && (!drainQueue || len(m.ready) == 0 && m.reserved == 0) {
+			return nil
 		}
-		select {
-		case m.queue <- j:
-			m.mu.Unlock()
-			return true
-		default:
+		if len(m.ready) > 0 {
+			j := m.ready[0]
+			m.ready = m.ready[1:]
+			return j
 		}
+		wake := m.readyc
 		m.mu.Unlock()
 		select {
-		case <-m.drainc:
-			return false
-		case <-time.After(5 * time.Millisecond):
+		case <-wake:
+			m.mu.Lock()
+		case <-stop:
+			m.mu.Lock()
+			return nil
 		}
 	}
+}
+
+// wakeLocked releases every taker blocked in take; the caller holds m.mu.
+func (m *Manager) wakeLocked() {
+	close(m.readyc)
+	m.readyc = make(chan struct{})
+}
+
+// queueLen returns how many jobs wait in the run queue.
+func (m *Manager) queueLen() int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return len(m.ready)
 }
 
 // Drain stops accepting submissions, lets queued and running jobs finish,
@@ -600,22 +630,17 @@ func (m *Manager) Drain(ctx context.Context) error {
 	if !m.draining {
 		m.draining = true
 		close(m.drainc)
+		m.wakeLocked()
 	}
 	m.mu.Unlock()
 	// A remote-only coordinator has no local pool to drain the queue,
-	// and fleet acquires are refused once draining — cancel what queued
-	// jobs remain so sweep watchers (and therefore m.wg) can finish.
+	// and fleet acquires are refused once draining — cancel what is
+	// still ready so sweep watchers (and therefore m.wg) can finish.
 	// In-flight leases still complete through CompleteLease or expire
 	// into a draining requeue, which also cancels.
 	if m.opts.Workers == 0 {
-		for {
-			select {
-			case j := <-m.queue:
-				m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
-				continue
-			default:
-			}
-			break
+		for j := m.take(nil, true); j != nil; j = m.take(nil, true) {
+			m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
 		}
 	}
 	done := make(chan struct{})
@@ -640,26 +665,12 @@ func (m *Manager) Close() {
 	m.Drain(context.Background())
 }
 
-// worker pulls jobs until draining starts, then drains the queue and
-// exits. Any job enqueued before the drain flag flipped is in the
-// buffer before drainc closes (both happen under m.mu), so graceful
-// drains never strand a queued job.
+// worker runs jobs off the run queue until a drain has emptied it;
+// graceful drains never strand a queued job (see take and push).
 func (m *Manager) worker() {
 	defer m.wg.Done()
-	for {
-		select {
-		case j := <-m.queue:
-			m.runJob(j)
-		case <-m.drainc:
-			for {
-				select {
-				case j := <-m.queue:
-					m.runJob(j)
-				default:
-					return
-				}
-			}
-		}
+	for j := m.take(nil, true); j != nil; j = m.take(nil, true) {
+		m.runJob(j)
 	}
 }
 
@@ -688,7 +699,7 @@ func (m *Manager) RetryAfterSeconds() int {
 	if mean <= 0 {
 		return 1
 	}
-	backlog := float64(len(m.queue) + 1)
+	backlog := float64(m.queueLen() + 1)
 	workers := m.opts.Workers
 	if workers < 1 {
 		workers = 1 // remote-only: assume at least one fleet worker
@@ -740,7 +751,7 @@ func (m *Manager) runJob(j *Job) {
 			res = r
 			return err
 		},
-	}, 0)
+	})
 	cancel()
 
 	err := outcome.Err
@@ -752,7 +763,7 @@ func (m *Manager) runJob(j *Job) {
 		m.finishJob(j, StateCanceled, err, outcome)
 		return
 	}
-	transient := outcome.Panicked || outcome.TimedOut || errors.Is(err, context.DeadlineExceeded)
+	transient := outcome.Panicked || errors.Is(err, context.DeadlineExceeded)
 	if transient && attempt < m.opts.Retries+1 && m.rootCtx.Err() == nil {
 		if m.requeueJob(j, requeueRetry, attempt, "", "", err) {
 			return
@@ -780,10 +791,10 @@ const (
 // backoff and fleet lease expiry alike — so the counters, journal
 // entries, and backoff accounting cannot drift between them. It flips
 // the job running → queued, journals the transition (with the worker
-// and lease for expiries), and re-enqueues after the reason's delay
-// without holding a pool worker. False means the job was not running
-// anymore (already terminal, or racing another requeue) and nothing
-// was done.
+// and lease for expiries), and pushes it after the reason's delay
+// without holding a pool worker; a draining manager cancels it instead.
+// False means the job was not running anymore (already terminal, or
+// racing another requeue) and nothing was done.
 func (m *Manager) requeueJob(j *Job, reason requeueReason, attempt int, worker, lease string, cause error) bool {
 	if !j.markRequeued() {
 		return false
@@ -811,10 +822,10 @@ func (m *Manager) requeueJob(j *Job, reason requeueReason, attempt int, worker, 
 	}
 	m.journal(entry)
 
-	// The re-enqueue goroutine joins m.wg so Drain waits for it — but
-	// only when the manager is not already draining (Add would race
-	// Drain's Wait); a draining manager cancels the job on the spot,
-	// which is what enqueueBlocking would do anyway.
+	// The push goroutine joins m.wg so Drain waits for it — but only
+	// when the manager is not already draining (Add would race Drain's
+	// Wait); a draining manager cancels the job on the spot, as push
+	// would.
 	m.mu.Lock()
 	draining := m.draining
 	if !draining {
@@ -827,16 +838,11 @@ func (m *Manager) requeueJob(j *Job, reason requeueReason, attempt int, worker, 
 	}
 	go func() {
 		defer m.wg.Done()
-		if delay > 0 {
-			select {
-			case <-time.After(delay):
-			case <-m.rootCtx.Done():
-				m.finishJob(j, StateCanceled, context.Canceled, cliutil.TaskResult{})
-				return
-			}
-		}
-		if !m.enqueueBlocking(j) {
-			m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
+		select {
+		case <-time.After(delay):
+			m.push(j, false)
+		case <-m.rootCtx.Done():
+			m.finishJob(j, StateCanceled, context.Canceled, cliutil.TaskResult{})
 		}
 	}()
 	return true
@@ -957,7 +963,7 @@ func (m *Manager) simulate(ctx context.Context, j *Job) (*Result, error) {
 
 // recoverFromStore replays the journal into live state: completed jobs
 // come back served from their artifacts (hash-verified when the journal
-// recorded a digest), interrupted jobs are re-enqueued to run again from
+// recorded a digest), interrupted jobs are pushed to run again from
 // their recorded requests — the simulator is bit-exact deterministic, so
 // the re-run produces the same artifact bytes — and unfinished sweeps
 // resume scheduling, skipping children that already have results.
@@ -976,7 +982,7 @@ func (m *Manager) recoverFromStore() error {
 		sweepState[sr.ID] = sr.State
 	}
 
-	var requeue []*Job
+	requeued := 0
 	for _, rec := range red.Jobs {
 		if n, ok := parseSeq(rec.ID, "job"); ok && n > m.seq {
 			m.seq = n
@@ -987,8 +993,9 @@ func (m *Manager) recoverFromStore() error {
 		m.order = append(m.order, j.id)
 		m.mu.Unlock()
 		m.recovered.Add(1)
-		if runnable && rec.Sweep == "" {
-			requeue = append(requeue, j) // sweep children are re-admitted by their scheduler
+		if runnable && rec.Sweep == "" { // sweep children are re-admitted by their scheduler
+			m.push(j, false)
+			requeued++
 		}
 	}
 
@@ -1027,21 +1034,7 @@ func (m *Manager) recoverFromStore() error {
 	}
 
 	m.log.Info("journal replayed", "entries", len(entries),
-		"jobs", len(red.Jobs), "sweeps", len(red.Sweeps), "requeued", len(requeue))
-
-	// Re-enqueue interrupted standalone jobs off the constructor path —
-	// there may be more of them than the queue holds.
-	if len(requeue) > 0 {
-		m.wg.Add(1)
-		go func() {
-			defer m.wg.Done()
-			for _, j := range requeue {
-				if !m.enqueueBlocking(j) {
-					m.finishJob(j, StateCanceled, ErrDraining, cliutil.TaskResult{})
-				}
-			}
-		}()
-	}
+		"jobs", len(red.Jobs), "sweeps", len(red.Sweeps), "requeued", requeued)
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -578,16 +579,11 @@ func TestJournalHoldsTransitionsOnly(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
 	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, CacheSize: 8, Store: st})
-	// Hold the worker until Submit has journaled the creation, so the
-	// running entry cannot overtake it.
-	created := make(chan struct{})
-	m.beforeRun = func(*Job) { <-created }
 	req, err := DecodeJobRequest([]byte(testBody))
 	if err != nil {
 		t.Fatal(err)
 	}
 	j, err := m.Submit(req)
-	close(created)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -654,5 +650,43 @@ func TestJournalHoldsTransitionsOnly(t *testing.T) {
 	}
 	if len(entries) != len(want)+1 {
 		t.Fatalf("journal holds %d entries, want %d", len(entries), len(want)+1)
+	}
+}
+
+// TestQueuedJournaledBeforeClaim pins the creation order with no hold on
+// the worker: by the time any worker claims a fresh job, its queued
+// entry — the one that carries the request document recovery re-runs
+// from — is already in the journal. A claim that beat the entry would
+// let a crash leave a running record with no request behind it.
+func TestQueuedJournaledBeforeClaim(t *testing.T) {
+	dir := t.TempDir()
+	m := newTestManager(t, Options{Workers: 2, QueueDepth: 4, CacheSize: NoCache, Store: openStore(t, dir)})
+	var mu sync.Mutex
+	var early []string
+	m.beforeRun = func(j *Job) {
+		entries, err := jobstore.Replay(dir)
+		rec, ok := jobstore.Reduce(entries).Job(j.ID())
+		if err != nil || !ok || rec.State != string(StateQueued) || len(rec.Request) == 0 {
+			mu.Lock()
+			early = append(early, j.ID())
+			mu.Unlock()
+		}
+	}
+	req, err := DecodeJobRequest([]byte(testBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := make([]*Job, 3)
+	for i := range jobs {
+		req.Config.Seed++
+		if jobs[i], err = m.Submit(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, j := range jobs {
+		j.awaitTerminal()
+	}
+	if len(early) > 0 {
+		t.Fatalf("jobs %v were claimed before their queued entry was journaled", early)
 	}
 }

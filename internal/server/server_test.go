@@ -11,11 +11,13 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/cliutil"
 	"repro/internal/core"
+	"repro/internal/jobstore"
 )
 
 // testBody is a small submission: a quick-sized config with short epochs
@@ -388,6 +390,140 @@ func TestQueueFullBackpressure(t *testing.T) {
 	}
 	if got := m.Registry().Snapshot().Counter("server.queue.rejects"); got != 1 {
 		t.Fatalf("queue rejects = %d, want 1", got)
+	}
+}
+
+// TestQueueDepthRefusesOnlyStandaloneSubmits pins the run queue's
+// contract with the worker held: standalone submissions are accepted
+// until QueueDepth jobs wait and refused after, with nothing journaled
+// for the refusal, while a sweep with more children than QueueDepth is
+// admitted in full without blocking its scheduler.
+func TestQueueDepthRefusesOnlyStandaloneSubmits(t *testing.T) {
+	dir := t.TempDir()
+	release := make(chan struct{})
+	entered := make(chan string, 7) // one per job the test submits
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, CacheSize: NoCache, Store: openStore(t, dir)})
+	m.beforeRun = func(j *Job) {
+		entered <- j.ID()
+		<-release
+	}
+	var freeOnce sync.Once
+	free := func() { freeOnce.Do(func() { close(release) }) }
+	defer free()
+	req, err := DecodeJobRequest([]byte(testBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func() error {
+		req.Config.Seed++
+		_, err := m.Submit(req)
+		return err
+	}
+
+	// One job holds the worker; two more fill the queue; the fourth bounces.
+	if err := submit(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("worker never claimed job 1")
+	}
+	for i := 0; i < 2; i++ {
+		if err := submit(); err != nil {
+			t.Fatalf("job %d: %v", i+2, err)
+		}
+	}
+	if err := submit(); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("job 4: %v, want ErrQueueFull", err)
+	}
+	entries, err := jobstore.Replay(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(entries) != 3 || len(m.Jobs()) != 3 {
+		t.Fatalf("refusal left a trace: %d journal entries, %d jobs, want 3 and 3", len(entries), len(m.Jobs()))
+	}
+
+	// A four-child sweep enters the full queue anyway: every child waits.
+	spec, err := DecodeSweepSpec([]byte(`{
+	  "base": {"config": {"llc_sets": 256, "scale": 0.15, "l2_size_kb": 64, "epoch_cycles": 200000},
+	           "warmup_cycles": 50000, "measure_cycles": 200000},
+	  "axes": [{"field": "cpth", "values": [20, 30, 40, 50]}],
+	  "concurrency": 4
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw, err := m.SubmitSweep(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(10 * time.Second); m.queueLen() != 6; {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue holds %d jobs, want 2 standalone + 4 sweep children", m.queueLen())
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if err := submit(); !errors.Is(err, ErrQueueFull) {
+		t.Fatalf("standalone submit behind the sweep: %v, want ErrQueueFull", err)
+	}
+	if got := m.Registry().Snapshot().Counter("server.queue.rejects"); got != 2 {
+		t.Fatalf("queue rejects = %d, want 2", got)
+	}
+	free()
+	for deadline := time.Now().Add(60 * time.Second); sw.State() != SweepCompleted; {
+		if time.Now().After(deadline) {
+			t.Fatalf("sweep stuck in %s", sw.State())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestRequeueWhileDrainingCancels pins the drain side of the run queue:
+// an attempt that fails transiently after the drain began is not pushed
+// back for a retry no worker would take — the job ends canceled and
+// Drain returns.
+func TestRequeueWhileDrainingCancels(t *testing.T) {
+	m := newTestManager(t, Options{
+		Workers: 1, QueueDepth: 2, CacheSize: NoCache,
+		Retries: 2, RetryBackoff: backoffFast(),
+	})
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	m.beforeAttempt = func(j *Job, attempt int) error {
+		close(entered)
+		<-release
+		panic("injected transient fault")
+	}
+	req, err := DecodeJobRequest([]byte(testBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	j, err := m.Submit(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-entered
+	drained := make(chan error, 1)
+	go func() { drained <- m.Drain(context.Background()) }()
+	for !m.Draining() {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	select {
+	case err := <-drained:
+		if err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("drain never returned")
+	}
+	if st := j.State(); st != StateCanceled || !errors.Is(j.Err(), ErrDraining) {
+		t.Fatalf("job %v (%v), want canceled by the drain", st, j.Err())
+	}
+	if n := j.Attempts(); n != 1 {
+		t.Fatalf("%d attempts, want 1", n)
 	}
 }
 

@@ -17,10 +17,8 @@ type Program struct {
 type ContentModel interface {
 	Owns(block uint64) bool
 	BumpVersion(block uint64)
-	Content(block uint64) []byte
-	// ContentInto is the allocation-free variant: it writes the contents
-	// into dst when its capacity suffices and returns the (possibly grown)
-	// slice.
+	// ContentInto writes the block's current 64-byte contents into dst
+	// when its capacity suffices and returns the (possibly grown) slice.
 	ContentInto(dst []byte, block uint64) []byte
 }
 
@@ -37,9 +35,6 @@ func (p *Program) Owns(block uint64) bool { return p.content.Owns(block) }
 
 // BumpVersion implements hier.Program.
 func (p *Program) BumpVersion(block uint64) { p.content.BumpVersion(block) }
-
-// Content implements hier.Program.
-func (p *Program) Content(block uint64) []byte { return p.content.Content(block) }
 
 // ContentInto implements hier.Program without allocating.
 func (p *Program) ContentInto(dst []byte, block uint64) []byte {
