@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 )
 
 // FrameBytes is the physical size of an NVM frame: 64 data bytes plus two
@@ -119,15 +118,23 @@ func (f *Frame) sample(model EnduranceModel, s Sampler, gran Granularity) {
 	for i := range f.limits {
 		f.limits[i] = s.TruncNormal(model.Mean, sigma, 1)
 	}
-	idx := make([]int, FrameBytes)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return f.limits[idx[a]] < f.limits[idx[b]] })
-	for i, v := range idx {
-		f.order[i] = uint8(v)
-	}
+	f.sortOrder()
 	f.syncNext()
+}
+
+// sortOrder sets order to the byte indices by ascending limit, equal
+// limits in byte-index order. Sampling and restoring both build the death
+// order here, so a restored frame dies exactly like its source. The
+// stable insertion sort runs in place on the frame and allocates nothing.
+func (f *Frame) sortOrder() {
+	for i := range f.order {
+		b := uint8(i)
+		j := i
+		for ; j > 0 && f.limits[f.order[j-1]] > f.limits[b]; j-- {
+			f.order[j] = f.order[j-1]
+		}
+		f.order[j] = b
+	}
 }
 
 // syncNext refreshes the cached next-death limit after next moved.

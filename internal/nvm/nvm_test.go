@@ -327,6 +327,19 @@ func TestArrayBasics(t *testing.T) {
 	}
 }
 
+// TestNewArrayAllocsPerFrame pins set-up cost: building an array makes
+// the same allocations whatever its frame count, because sampling a frame
+// and ordering its byte deaths allocate nothing.
+func TestNewArrayAllocsPerFrame(t *testing.T) {
+	allocs := func(sets, ways int) float64 {
+		r := stats.NewRNG(1)
+		return testing.AllocsPerRun(10, func() { NewArray(sets, ways, testModel, r, ByteDisabling) })
+	}
+	if small, large := allocs(4, 2), allocs(64, 12); large != small {
+		t.Fatalf("NewArray allocates %v times for 4x2 frames but %v for 64x12", small, large)
+	}
+}
+
 func TestArrayCapacityDrops(t *testing.T) {
 	a := NewArray(4, 2, testModel, stats.NewRNG(3), FrameDisabling)
 	for _, f := range a.Frames() {

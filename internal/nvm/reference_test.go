@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -23,8 +24,15 @@ type refFrame struct {
 	dead   bool
 }
 
+// newRefFrame copies f's limits and granularity, and derives the death
+// order from the limits itself, so a wrong order in f shows as a mismatch.
 func newRefFrame(f *Frame) *refFrame {
-	return &refFrame{limits: f.limits, order: f.order, live: FrameBytes, gran: f.gran}
+	r := &refFrame{limits: f.limits, live: FrameBytes, gran: f.gran}
+	for i := range r.order {
+		r.order[i] = uint8(i)
+	}
+	sort.SliceStable(r.order[:], func(a, b int) bool { return r.limits[r.order[a]] < r.limits[r.order[b]] })
+	return r
 }
 
 func (r *refFrame) liveBytes() int {

@@ -71,19 +71,7 @@ func RestoreArray(s ArraySnapshot) (*Array, error) {
 // fields (sort order, live count, next-death pointer).
 func restoreFrame(f *Frame, s FrameSnapshot, gran Granularity) {
 	*f = Frame{limits: s.Limits, gran: gran}
-	// Rebuild the ascending-limit order.
-	var idx [FrameBytes]int
-	for i := range idx {
-		idx[i] = i
-	}
-	for i := 1; i < len(idx); i++ {
-		for j := i; j > 0 && f.limits[idx[j]] < f.limits[idx[j-1]]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
-		}
-	}
-	for i, v := range idx {
-		f.order[i] = uint8(v)
-	}
+	f.sortOrder()
 	// Replay the fault map; bits past byte 65 carry no byte.
 	f.faultLo, f.faultHi = s.FaultLo, uint8(s.FaultHi&0x3)
 	live := FrameBytes - f.FaultMap().Count()

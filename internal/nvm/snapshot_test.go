@@ -95,33 +95,36 @@ func TestSnapshotRejectsCorrupt(t *testing.T) {
 }
 
 // Property: for arbitrary wear patterns, snapshot/restore preserves
-// per-frame capacity and the next-death limit.
+// per-frame capacity, the next-death limit and the death order, also when
+// every byte's limit ties (CV 0).
 func TestSnapshotProperty(t *testing.T) {
-	f := func(seed uint64, wears []uint16) bool {
-		a := NewArray(2, 2, testModel, stats.NewRNG(seed), ByteDisabling)
-		for i, w := range wears {
-			if i >= len(a.Frames()) {
-				break
+	for _, model := range []EnduranceModel{testModel, {Mean: testModel.Mean, CV: 0}} {
+		f := func(seed uint64, wears []uint16) bool {
+			a := NewArray(2, 2, model, stats.NewRNG(seed), ByteDisabling)
+			for i, w := range wears {
+				if i >= len(a.Frames()) {
+					break
+				}
+				a.Frames()[i].AddWear(float64(w))
 			}
-			a.Frames()[i].AddWear(float64(w))
-		}
-		b, err := RestoreArray(a.Snapshot())
-		if err != nil {
-			return false
-		}
-		for i := range a.Frames() {
-			fa, fb := a.Frames()[i], b.Frames()[i]
-			if fa.EffectiveCapacity() != fb.EffectiveCapacity() {
+			b, err := RestoreArray(a.Snapshot())
+			if err != nil {
 				return false
 			}
-			na, nb := fa.NextLimit(), fb.NextLimit()
-			if na != nb && !(math.IsInf(na, 1) && math.IsInf(nb, 1)) {
-				return false
+			for i := range a.Frames() {
+				fa, fb := a.Frames()[i], b.Frames()[i]
+				if fa.EffectiveCapacity() != fb.EffectiveCapacity() || fa.order != fb.order {
+					return false
+				}
+				na, nb := fa.NextLimit(), fb.NextLimit()
+				if na != nb && !(math.IsInf(na, 1) && math.IsInf(nb, 1)) {
+					return false
+				}
 			}
+			return true
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("model %+v: %v", model, err)
+		}
 	}
 }

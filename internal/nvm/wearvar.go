@@ -2,7 +2,7 @@ package nvm
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // WearVariation is the inter/intra-set wear-variation metric family: how
@@ -105,7 +105,7 @@ func giniOfFrames(frames []*Frame) float64 {
 	if total <= 0 {
 		return 0
 	}
-	sort.Float64s(xs)
+	slices.Sort(xs)
 	var weighted float64
 	for i, x := range xs {
 		weighted += float64(i+1) * x
