@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint fmt-check ci race-server perfbench-test fuzz-smoke coloring-smoke serve server-smoke recovery-smoke estimate-smoke tournament-smoke fleet-smoke faultstudy bench-estimate bench-record bench-go bench-figures validate experiments clean
+.PHONY: all build test vet lint fmt-check ci race-server perfbench-test fuzz-smoke coloring-smoke serve server-smoke recovery-smoke estimate-smoke tournament-smoke fleet-smoke faultstudy bench-estimate bench-record bench-ab bench-go bench-figures validate experiments clean
 
 all: build vet test
 
@@ -313,6 +313,16 @@ bench-estimate:
 # (5 runs of 20 s per workload and seed; about 15 minutes).
 bench-record:
 	bash scripts/bench-record.sh
+
+# A/B of the committed HEAD against PARENT in alternating pairs of 20 s
+# perfbench runs: per end-to-end metric, medians, quartiles and the
+# pairs the change wins. Example: make bench-ab PARENT=HEAD~1 SEED=7
+PARENT ?= HEAD~1
+WORKLOAD ?= service_mixed
+SEED ?= 1
+PAIRS ?= 10
+bench-ab:
+	bash scripts/bench-ab.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 # Full go-test benchmark suite: one benchmark per paper table/figure,
 # plus the ablation/extension benches and the substrate microbenchmarks.

@@ -26,6 +26,10 @@
 // kill one at any instant and its lease expires on the coordinator,
 // which requeues the job for the next worker.
 //
+// -pprof 127.0.0.1:6060 serves the runtime profiles (net/http/pprof)
+// under /debug/pprof/ on a listener of their own, in both modes; the API
+// listener never routes them. It is off by default.
+//
 // SIGINT/SIGTERM drains gracefully in both modes: the server stops
 // accepting and lets jobs finish (up to -drain); a worker finishes and
 // uploads its in-flight lease, then exits. A second signal cancels
@@ -39,7 +43,9 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"net"
 	"net/http"
+	"net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -66,6 +72,7 @@ func main() {
 	join := flag.String("join", "", "coordinator base URL for -worker mode")
 	workerID := flag.String("worker-id", "", "worker identity in leases and logs (default hostname-pid)")
 	logFormat := flag.String("log-format", "text", "log encoding: text or json")
+	pprofAddr := flag.String("pprof", "", "serve net/http/pprof under /debug/pprof/ on this separate address (empty = off)")
 	flag.Parse()
 
 	log, err := newLogger(*logFormat)
@@ -74,6 +81,15 @@ func main() {
 		os.Exit(2)
 	}
 	slog.SetDefault(log)
+
+	if *pprofAddr != "" {
+		ln, err := servePprof(*pprofAddr)
+		if err != nil {
+			log.Error("pprof listener", "addr", *pprofAddr, "err", err)
+			os.Exit(1)
+		}
+		log.Info("pprof listening", "addr", ln.Addr().String())
+	}
 
 	if *workerMode {
 		os.Exit(runWorker(log, *join, *workerID, *drain))
@@ -163,6 +179,25 @@ func newLogger(format string) (*slog.Logger, error) {
 		return nil, fmt.Errorf("simd: -log-format %q (want text or json)", format)
 	}
 	return slog.New(h), nil
+}
+
+// servePprof listens on addr and serves the runtime profiles there, on
+// a mux of their own, until the listener is closed. Importing
+// net/http/pprof also registers them on http.DefaultServeMux, which simd
+// never serves.
+func servePprof(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	go http.Serve(ln, mux)
+	return ln, nil
 }
 
 // runWorker is -worker mode: a stateless fleet pull loop against the

@@ -79,8 +79,10 @@ type Sampler interface {
 // limits array, so a write reads one or two host cache lines of the frame.
 type Frame struct {
 	wear float64 // per-live-byte accumulated writes
-	// nextLimit caches limits[order[next]] (+Inf once next reaches
-	// FrameBytes), so a write that kills no byte costs one compare.
+	// nextLimit is at most the limit of the next live byte to die, so a
+	// write that kills no byte costs one compare. Once the order is
+	// built it caches limits[order[next]] (+Inf once next reaches
+	// FrameBytes); before that it is the smallest live byte's limit.
 	nextLimit float64
 	// phaseWritten counts bytes written to this frame during the current
 	// simulation phase; the forecast turns it into a write rate.
@@ -98,8 +100,9 @@ type Frame struct {
 	next    uint8 // index into order of the next byte to die
 	dead    bool  // frame disabled (always true when live < MinECB)
 	gran    Granularity
+	sorted  bool // order and next are built (see ensureOrder)
 
-	order  [FrameBytes]uint8   // byte indices sorted by ascending limit
+	order  [FrameBytes]uint8   // byte indices by ascending limit, once sorted
 	limits [FrameBytes]float64 // per-byte endurance (writes)
 }
 
@@ -118,14 +121,40 @@ func (f *Frame) sample(model EnduranceModel, s Sampler, gran Granularity) {
 	for i := range f.limits {
 		f.limits[i] = s.TruncNormal(model.Mean, sigma, 1)
 	}
+	f.nextLimit = f.minLiveLimit()
+}
+
+// minLiveLimit returns the smallest limit of a live byte, or +Inf if
+// every byte is disabled. It is the nextLimit of a frame whose order is
+// not built yet: exactly limits[order[next]] once ensureOrder runs.
+func (f *Frame) minLiveLimit() float64 {
+	m := math.Inf(1)
+	for i, l := range f.limits {
+		if l < m && !f.faulty(i) {
+			m = l
+		}
+	}
+	return m
+}
+
+// ensureOrder builds the death order on first need and puts next past
+// the bytes already disabled. Most frames never lose a byte to wear, so
+// sampling and restoring leave the order unbuilt; only the operations
+// that read it build it: AddWear once a limit is crossed, InjectFault and
+// NextLimit.
+func (f *Frame) ensureOrder() {
+	if f.sorted {
+		return
+	}
 	f.sortOrder()
-	f.syncNext()
+	f.sorted = true
+	f.skipDisabled()
 }
 
 // sortOrder sets order to the byte indices by ascending limit, equal
-// limits in byte-index order. Sampling and restoring both build the death
-// order here, so a restored frame dies exactly like its source. The
-// stable insertion sort runs in place on the frame and allocates nothing.
+// limits in byte-index order, so a restored frame dies exactly like its
+// source. The stable insertion sort runs in place on the frame and
+// allocates nothing.
 func (f *Frame) sortOrder() {
 	for i := range f.order {
 		b := uint8(i)
@@ -135,6 +164,15 @@ func (f *Frame) sortOrder() {
 		}
 		f.order[j] = b
 	}
+}
+
+// skipDisabled moves next past bytes already disabled, so nextLimit
+// names a live byte, and refreshes nextLimit.
+func (f *Frame) skipDisabled() {
+	for int(f.next) < FrameBytes && f.faulty(int(f.order[f.next])) {
+		f.next++
+	}
+	f.syncNext()
 }
 
 // syncNext refreshes the cached next-death limit after next moved.
@@ -215,6 +253,7 @@ func (f *Frame) Wear() float64 { return f.wear }
 // NextLimit returns the endurance limit of the next byte to die, or +Inf if
 // every byte has already failed.
 func (f *Frame) NextLimit() float64 {
+	f.ensureOrder()
 	for i := int(f.next); i < FrameBytes; i++ {
 		if !f.faulty(int(f.order[i])) {
 			return f.limits[f.order[i]]
@@ -247,6 +286,7 @@ func (f *Frame) AddWear(delta float64) int {
 	if f.nextLimit > f.wear {
 		return 0 // the common case: no limit crossed
 	}
+	f.ensureOrder()
 	died := 0
 	for int(f.next) < FrameBytes && f.limits[f.order[f.next]] <= f.wear {
 		bi := int(f.order[f.next])
@@ -305,14 +345,10 @@ func (f *Frame) InjectFault(i int) {
 	if f.dead || f.faulty(i) {
 		return
 	}
+	f.ensureOrder()
 	f.setFaulty(i)
 	f.live--
-	// Keep the death order consistent: skip the next pointer past bytes
-	// already disabled, so nextLimit names a live byte.
-	for int(f.next) < FrameBytes && f.faulty(int(f.order[f.next])) {
-		f.next++
-	}
-	f.syncNext()
+	f.skipDisabled()
 	if f.gran == FrameDisabling || f.live < MinECB {
 		f.dead = true
 	}

@@ -67,21 +67,16 @@ func RestoreArray(s ArraySnapshot) (*Array, error) {
 	return a, nil
 }
 
-// restoreFrame rebuilds f from persistent state, recomputing the derived
-// fields (sort order, live count, next-death pointer).
+// restoreFrame rebuilds f from persistent state: limits, fault map, live
+// count and wear. Like a sampled frame it leaves the death order for
+// ensureOrder to build on first need; until then nextLimit is the
+// smallest live byte's limit.
 func restoreFrame(f *Frame, s FrameSnapshot, gran Granularity) {
-	*f = Frame{limits: s.Limits, gran: gran}
-	f.sortOrder()
-	// Replay the fault map; bits past byte 65 carry no byte.
-	f.faultLo, f.faultHi = s.FaultLo, uint8(s.FaultHi&0x3)
+	// Bits past byte 65 carry no byte.
+	*f = Frame{limits: s.Limits, wear: s.Wear, faultLo: s.FaultLo, faultHi: uint8(s.FaultHi & 0x3), gran: gran}
 	live := FrameBytes - f.FaultMap().Count()
 	f.live = uint8(live)
-	f.wear = s.Wear
-	// Advance the next-death pointer past already-dead bytes.
-	for int(f.next) < FrameBytes && f.faulty(int(f.order[f.next])) {
-		f.next++
-	}
-	f.syncNext()
+	f.nextLimit = f.minLiveLimit()
 	f.dead = s.Dead || (gran == FrameDisabling && live < FrameBytes) || live < MinECB
 }
 

@@ -113,6 +113,8 @@ func TestSnapshotProperty(t *testing.T) {
 			}
 			for i := range a.Frames() {
 				fa, fb := a.Frames()[i], b.Frames()[i]
+				fa.ensureOrder()
+				fb.ensureOrder()
 				if fa.EffectiveCapacity() != fb.EffectiveCapacity() || fa.order != fb.order {
 					return false
 				}
