@@ -173,6 +173,12 @@ func (c Compressed) Size() int { return len(c.Data) }
 // covering encoding wins. EncodingOf never allocates; it panics if the
 // block is not exactly BlockSize bytes, which would indicate a simulator
 // bug rather than a data condition.
+//
+// The probes are branch-free OR-accumulations. A delta d needs
+// (Len(d ^ d>>63) + 8) / 8 bytes, the significant bits of its sign-folded
+// magnitude plus a sign bit; since Len(a | b) = max(Len(a), Len(b)), one
+// Len of the OR of the folded deltas gives the widest delta's width. The
+// zeros and Rep8 tests OR the values and their differences from the base.
 func EncodingOf(block []byte) Encoding {
 	if len(block) != BlockSize {
 		panic(fmt.Sprintf("bdi: block size %d, want %d", len(block), BlockSize))
@@ -180,42 +186,37 @@ func EncodingOf(block []byte) Encoding {
 	// One pass over the 8-byte values covers the zeros, Rep8 and base-8
 	// probes; the base-4 and base-2 probes reuse the same loads.
 	base8 := int64(binary.LittleEndian.Uint64(block))
-	allZero, allRep := true, true
-	w8 := 1 // minimal delta width (bytes) covering every base-8 delta
+	var ones, diff, f8 uint64 // OR of values, of v^base8, of folded deltas
 	for i := 0; i < BlockSize; i += 8 {
 		v := int64(binary.LittleEndian.Uint64(block[i:]))
-		if v != 0 {
-			allZero = false
-		}
-		if v != base8 {
-			allRep = false
-		}
-		if w := deltaWidth(v - base8); w > w8 {
-			w8 = w
-		}
+		ones |= uint64(v)
+		diff |= uint64(v ^ base8)
+		d := v - base8
+		f8 |= uint64(d ^ d>>63)
 	}
-	if allZero {
+	if ones == 0 {
 		return EncZeros
 	}
-	if allRep {
+	if diff == 0 {
 		return EncRep8
 	}
 	base4 := signExtend(int64(binary.LittleEndian.Uint32(block)), 4)
-	w4 := 1
+	var f4 uint64
 	for i := 0; i < BlockSize; i += 4 {
-		v := signExtend(int64(binary.LittleEndian.Uint32(block[i:])), 4)
-		if w := deltaWidth(v - base4); w > w4 {
-			w4 = w
-		}
+		d := signExtend(int64(binary.LittleEndian.Uint32(block[i:])), 4) - base4
+		f4 |= uint64(d ^ d>>63)
 	}
 	base2 := signExtend(int64(binary.LittleEndian.Uint16(block)), 2)
-	w2 := 1
+	var f2 uint64
 	for i := 0; i < BlockSize; i += 2 {
-		v := signExtend(int64(binary.LittleEndian.Uint16(block[i:])), 2)
-		if w := deltaWidth(v - base2); w > w2 {
-			w2 = w
-		}
+		d := signExtend(int64(binary.LittleEndian.Uint16(block[i:])), 2) - base2
+		f2 |= uint64(d ^ d>>63)
 	}
+	// Minimal delta widths in bytes (1..9; above 8 means wider than any
+	// encoding).
+	w8 := (bits.Len64(f8) + 8) / 8
+	w4 := (bits.Len64(f4) + 8) / 8
+	w2 := (bits.Len64(f2) + 8) / 8
 	// Pick the smallest covering encoding. The candidate sizes are all
 	// distinct, so minimizing size is identical to taking the first
 	// covering entry of candidateOrder.
@@ -238,14 +239,6 @@ var (
 	b8Encodings = [7]Encoding{0, EncB8D1, EncB8D2, EncB8D3, EncB8D4, EncB8D5, EncB8D6}
 	b4Encodings = [4]Encoding{0, EncB4D1, EncB4D2, EncB4D3}
 )
-
-// deltaWidth returns the minimal number of bytes whose signed range covers
-// d (1..9; values above 8 mean "wider than any encoding").
-func deltaWidth(d int64) int {
-	// Significant bits of the two's-complement representation: magnitude
-	// bits (with negative values folded via complement) plus a sign bit.
-	return (bits.Len64(uint64(d^(d>>63))) + 8) / 8
-}
 
 // SizeOf returns the compressed size of a block in bytes without building
 // payload bytes — the cheap size-only function every insertion-policy

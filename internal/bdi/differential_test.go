@@ -230,6 +230,42 @@ func TestDifferentialRandomized(t *testing.T) {
 	}
 }
 
+// TestEncodingOfDeltaWrap pins blocks whose base-8 delta v - base wraps
+// int64: the wrapped delta is what the hardware's 64-bit subtractor
+// produces, and the decompressor's base + delta wraps back to v. The
+// OR-accumulated width probe must agree with the reference's explicit
+// range checks and the block must round-trip.
+func TestEncodingOfDeltaWrap(t *testing.T) {
+	const lo, hi = uint64(1) << 63, uint64(1)<<63 - 1 // 0x8000…, 0x7fff…
+	for _, tc := range []struct {
+		name       string
+		base, next uint64
+		want       Encoding
+	}{
+		{"up by one", hi, lo, EncB8D1},                // lo - hi wraps to +1
+		{"down by one", lo, hi, EncB8D1},              // hi - lo wraps to -1
+		{"down by 256", lo, hi - 0xff, EncB8D2},       // wraps to -256
+		{"up by 2^39", hi - (1<<39 - 1), lo, EncB8D6}, // wraps to +2^39
+	} {
+		b := make([]byte, BlockSize)
+		for i := 0; i < BlockSize; i += 8 {
+			v := tc.base
+			if i/8%2 == 1 {
+				v = tc.next
+			}
+			binary.LittleEndian.PutUint64(b[i:], v)
+		}
+		got, ref := EncodingOf(b), refEncoding(b)
+		if got != ref || got != tc.want {
+			t.Errorf("%s: EncodingOf = %v, reference = %v, want %v", tc.name, got, ref, tc.want)
+		}
+		out, err := Decompress(Compress(b))
+		if err != nil || !bytes.Equal(out, b) {
+			t.Errorf("%s: roundtrip failed: %v", tc.name, err)
+		}
+	}
+}
+
 // TestCompressIntoAliasesScratch pins the scratch-buffer contract: with
 // adequate capacity the payload lives in the caller's buffer.
 func TestCompressIntoAliasesScratch(t *testing.T) {

@@ -42,6 +42,9 @@ func New(sets, ways int) *Cache {
 	if sets <= 0 || ways <= 0 {
 		panic(fmt.Sprintf("cache: invalid geometry %dx%d", sets, ways))
 	}
+	if ways > MaxWays {
+		panic(fmt.Sprintf("cache: %d ways exceeds MaxWays (%d): the LRU scan keeps the way in 8 bits", ways, MaxWays))
+	}
 	n := sets * ways
 	return &Cache{
 		sets: sets, ways: ways, setMask: SetMask(sets),
@@ -148,16 +151,11 @@ func (c *Cache) Access(block uint64, isWrite bool) *Line {
 
 // VictimWay returns the way to replace in set: an invalid way if one
 // exists, otherwise the LRU way. Invalid ways carry timestamp 0, so both
-// cases are the first way with the smallest timestamp.
+// cases are the first way with the smallest timestamp, which the
+// branch-free keyed scan (LRUKey) finds.
 func (c *Cache) VictimWay(set int) int {
 	base := set * c.ways
-	lru, lruTick := 0, ^uint64(0)
-	for w, t := range c.last[base : base+c.ways] {
-		if t < lruTick {
-			lru, lruTick = w, t
-		}
-	}
-	return lru
+	return KeyWay(LRUKey(NoWay, c.last[base:base+c.ways], 0))
 }
 
 // Insert fills block into its set, evicting the LRU line if needed.

@@ -280,3 +280,21 @@ func BenchmarkInsertEvict(b *testing.B) {
 		c.Insert(uint64(i), false, 0)
 	}
 }
+
+// BenchmarkInsertEvictRandom inserts seeded random blocks. Sequential
+// blocks fill each set's ways in a fixed cycle, which the host's branch
+// predictor learns; random ones leave the LRU way unpredictable, as in a
+// simulation.
+func BenchmarkInsertEvictRandom(b *testing.B) {
+	c := New(1024, 16)
+	r := stats.NewRNG(1)
+	blocks := make([]uint64, 1<<16)
+	for i := range blocks {
+		blocks[i] = r.Uint64n(1 << 24)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c.Insert(blocks[i&(len(blocks)-1)], false, 0)
+	}
+}

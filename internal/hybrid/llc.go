@@ -184,6 +184,10 @@ func New(cfg Config) *LLC {
 		panic(fmt.Sprintf("hybrid: invalid geometry %d sets, %d+%d ways",
 			cfg.Sets, cfg.SRAMWays, cfg.NVMWays))
 	}
+	if cfg.SRAMWays+cfg.NVMWays > cache.MaxWays {
+		panic(fmt.Sprintf("hybrid: %d+%d ways exceeds %d: the victim scans keep the way in 8 bits",
+			cfg.SRAMWays, cfg.NVMWays, cache.MaxWays))
+	}
 	if cfg.Policy == nil {
 		panic("hybrid: nil policy")
 	}
@@ -538,22 +542,9 @@ func (l *LLC) chooseNVMVictim(set, cb int) int {
 	case l.nvmRepl == FitRRIP || l.rripFor(set) != nil:
 		return l.chooseNVMVictimRRIP(set, cb)
 	default:
-		caps := l.nvmCaps(set)
+		// First invalid fitting way, else the LRU fitting way.
 		last := l.last[l.slot(set, l.sramWays):l.slot(set, l.nways)]
-		victim := -1
-		victimTick := ^uint64(0)
-		for w, t := range last {
-			if cb > int(caps[w]) {
-				continue
-			}
-			if t == 0 {
-				return l.sramWays + w // invalid way
-			}
-			if t < victimTick {
-				victim, victimTick = l.sramWays+w, t
-			}
-		}
-		return victim
+		return cache.KeyWay(cache.FitLRUKey(cache.NoWay, last, l.sramWays, l.nvmCaps(set), cb))
 	}
 }
 
@@ -602,16 +593,15 @@ func (l *LLC) insertSRAM(set int, block uint64, dirty bool, tag BlockTag, cb int
 		l.insertNVM(set, block, dirty, tag, cb, content)
 		return
 	}
-	way := -1
-	for w, t := range l.last[l.slot(set, 0):l.slot(set, l.sramWays)] {
-		if t == 0 { // invalid way
-			way = w
-			break
-		}
-	}
-	if way < 0 {
+	// The first invalid way, else the LRU way: invalid ways carry stamp 0.
+	way := l.lruSRAMWay(set)
+	if l.last[l.slot(set, way)] != 0 {
 		pol := l.policyFor(set)
-		way = l.chooseSRAMVictim(set)
+		if pol.LHybridMigrate() {
+			if lb := l.recentLoopBlock(set); lb >= 0 {
+				way = lb
+			}
+		}
 		v := l.entryAt(set, way)
 		migrated := false
 		switch {
@@ -629,29 +619,27 @@ func (l *LLC) insertSRAM(set int, block uint64, dirty bool, tag BlockTag, cb int
 	l.rememberContent(set, way, content)
 }
 
-// chooseSRAMVictim picks the SRAM way to vacate. For LHybrid the most
-// recent loop-block is preferred (it is migrated, not evicted); otherwise
-// the LRU way is chosen.
-func (l *LLC) chooseSRAMVictim(set int) int {
-	if l.policyFor(set).LHybridMigrate() {
-		best, bestTick := -1, uint64(0)
-		for w := 0; w < l.sramWays; w++ {
-			e := l.entryAt(set, w)
-			if t := l.last[l.slot(set, w)]; e.valid && e.tag.LB && t >= bestTick {
-				best, bestTick = w, t
-			}
-		}
-		if best >= 0 {
-			return best
-		}
-	}
-	lru, lruTick := 0, ^uint64(0)
-	for w, t := range l.last[l.slot(set, 0):l.slot(set, l.sramWays)] {
-		if t < lruTick {
-			lru, lruTick = w, t
+// lruSRAMWay returns set's first invalid SRAM way, else its LRU SRAM way.
+// The set must have SRAM ways. It stays out of line: inlined into
+// insertSRAM, the compiler keeps the scan's running minimum on the stack.
+//
+//go:noinline
+func (l *LLC) lruSRAMWay(set int) int {
+	return cache.KeyWay(cache.LRUKey(cache.NoWay, l.last[l.slot(set, 0):l.slot(set, l.sramWays)], 0))
+}
+
+// recentLoopBlock returns the SRAM way of set's most recent loop-block,
+// or -1 when there is none. LHybrid vacates that way in preference to the
+// LRU one (the loop-block is migrated, not evicted).
+func (l *LLC) recentLoopBlock(set int) int {
+	best, bestTick := -1, uint64(0)
+	for w := 0; w < l.sramWays; w++ {
+		e := l.entryAt(set, w)
+		if t := l.last[l.slot(set, w)]; e.valid && e.tag.LB && t >= bestTick {
+			best, bestTick = w, t
 		}
 	}
-	return lru
+	return best
 }
 
 // migrate moves the entry at (set, way) from SRAM into the NVM part,
@@ -687,24 +675,7 @@ func (l *LLC) evict(set, way int) {
 // (Fit-)LRU list across both parts. The victim is the LRU entry among the
 // frames the incoming block fits in; SRAM frames always fit.
 func (l *LLC) insertGlobal(set int, block uint64, dirty bool, tag BlockTag, cb int, content []byte) {
-	var caps []uint8
-	if l.nvmWays > 0 {
-		caps = l.nvmCaps(set)
-	}
-	victim := -1
-	victimTick := ^uint64(0)
-	for w, t := range l.last[l.slot(set, 0):l.slot(set, l.nways)] {
-		if w >= l.sramWays && cb > int(caps[w-l.sramWays]) {
-			continue
-		}
-		if t == 0 { // invalid way
-			victim = w
-			break
-		}
-		if t < victimTick {
-			victim, victimTick = w, t
-		}
-	}
+	victim := l.globalVictim(set, cb)
 	if victim < 0 {
 		return // nothing fits anywhere: bypass
 	}
@@ -717,6 +688,19 @@ func (l *LLC) insertGlobal(set int, block uint64, dirty bool, tag BlockTag, cb i
 		l.Stats.SRAMInserts++
 	}
 	l.rememberContent(set, victim, content)
+}
+
+// globalVictim returns the first invalid way of set a cb-byte block fits,
+// else its LRU fitting way, else -1: one keyed scan across both parts, in
+// which SRAM ways always fit. Keys are distinct, so the NVM scan may run
+// first; in this order the compiler keeps both running minima in registers.
+func (l *LLC) globalVictim(set, cb int) int {
+	base := l.slot(set, 0)
+	m := cache.NoWay
+	if l.nvmWays > 0 {
+		m = cache.FitLRUKey(m, l.last[base+l.sramWays:base+l.nways], l.sramWays, l.nvmCaps(set), cb)
+	}
+	return cache.KeyWay(cache.LRUKey(m, l.last[base:base+l.sramWays], 0))
 }
 
 // InvalidateUnfit drops NVM-resident entries whose frame can no longer
