@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint fmt-check ci race-server perfbench-test fuzz-smoke coloring-smoke serve server-smoke recovery-smoke estimate-smoke tournament-smoke fleet-smoke faultstudy bench-estimate bench-record bench-ab bench-go bench-figures validate experiments clean
+.PHONY: all build test vet lint fmt-check ci race-server perfbench-test fuzz-smoke coloring-smoke serve server-smoke recovery-smoke estimate-smoke tournament-smoke fleet-smoke faultstudy bench-estimate bench-record bench-ab bench-go bench-figures experiments clean
 
 all: build vet test
 
@@ -42,7 +42,7 @@ ci: fmt-check lint build
 	$(MAKE) estimate-smoke
 	$(MAKE) tournament-smoke
 	$(MAKE) fleet-smoke
-	$(GO) run ./cmd/faultstudy -quick
+	$(MAKE) faultstudy
 	$(MAKE) bench-estimate
 
 # Dedicated race gate for the simd job daemon and the worker fleet —
@@ -332,10 +332,6 @@ bench-go:
 # Only the figure/table reproductions, with their row logs.
 bench-figures:
 	$(GO) test -bench='Fig|Table' -benchtime 1x -v .
-
-# End-to-end self checks (bit-exact data path, trace fidelity, invariants).
-validate:
-	$(GO) run ./cmd/validate
 
 # Regenerate the calibration outputs under results/ (tens of minutes).
 experiments:

@@ -1,16 +1,53 @@
 package repro
 
 import (
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
 )
+
+// buildCmdHelp builds every command under cmd/ once per test binary and
+// returns each one's -h output, keyed by command name.
+var buildCmdHelp = sync.OnceValues(func() (map[string]string, error) {
+	dir, err := os.MkdirTemp("", "repro-cmd")
+	if err != nil {
+		return nil, err
+	}
+	defer os.RemoveAll(dir)
+	if out, err := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), "./cmd/...").CombinedOutput(); err != nil {
+		return nil, fmt.Errorf("go build: %v\n%s", err, out)
+	}
+	bins, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	help := map[string]string{}
+	for _, b := range bins {
+		out, _ := exec.Command(filepath.Join(dir, b.Name()), "-h").CombinedOutput()
+		help[b.Name()] = string(out)
+	}
+	return help, nil
+})
+
+func cmdHelp(t *testing.T) map[string]string {
+	t.Helper()
+	if _, err := exec.LookPath("go"); err != nil {
+		t.Skip("go toolchain not on PATH")
+	}
+	help, err := buildCmdHelp()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return help
+}
 
 // flagUsage extracts one flag's block from a cmd's -h output: the
 // "  -name type" line and its indented description lines.
@@ -29,15 +66,12 @@ func flagUsage(help, name string) string {
 	return b.String()
 }
 
-// TestCmdPolicyHelp builds every cmd that takes a policy flag and checks
-// that its -h text names each policy the flag accepts — the full
-// registry, or for forecast the curve labels — so the help cannot drift
-// from what the registry accepts.
+// TestCmdPolicyHelp checks that the -h text of every cmd that takes a
+// policy flag names each policy the flag accepts — the full registry, or
+// for forecast the curve labels — so the help cannot drift from what the
+// registry accepts.
 func TestCmdPolicyHelp(t *testing.T) {
-	goBin, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("go toolchain not on PATH")
-	}
+	help := cmdHelp(t)
 	cases := []struct {
 		cmd, flag string
 		want      []string
@@ -49,20 +83,11 @@ func TestCmdPolicyHelp(t *testing.T) {
 		{"tournament", "policies", core.Policies()},
 		{"forecast", "policies", experiments.ForecastLabels()},
 	}
-	dir := t.TempDir()
-	args := []string{"build", "-o", dir + string(os.PathSeparator)}
-	for _, c := range cases {
-		args = append(args, "./cmd/"+c.cmd)
-	}
-	if out, err := exec.Command(goBin, args...).CombinedOutput(); err != nil {
-		t.Fatalf("go build: %v\n%s", err, out)
-	}
 	word := regexp.MustCompile(`[A-Za-z0-9_]+`)
 	for _, c := range cases {
-		out, _ := exec.Command(filepath.Join(dir, c.cmd), "-h").CombinedOutput()
-		usage := flagUsage(string(out), c.flag)
+		usage := flagUsage(help[c.cmd], c.flag)
 		if usage == "" {
-			t.Errorf("%s: no -%s flag in help:\n%s", c.cmd, c.flag, out)
+			t.Errorf("%s: no -%s flag in help:\n%s", c.cmd, c.flag, help[c.cmd])
 			continue
 		}
 		named := map[string]bool{}
@@ -75,4 +100,89 @@ func TestCmdPolicyHelp(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDocCmdFlags checks the commands the docs tell a reader to run:
+// every cmd/<name> they name must exist, and every -flag written after it
+// in the same code span must be one that <name> -h lists. ROADMAP.md and
+// CHANGES.md are left out because they name deleted commands on purpose.
+func TestDocCmdFlags(t *testing.T) {
+	help := cmdHelp(t)
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", "Makefile",
+		filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+	cmdRef := regexp.MustCompile(`\bcmd/(\w+)`)
+	listed := regexp.MustCompile(`(?m)^  -([\w.-]+)`)
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpans(string(data), doc == "Makefile") {
+			for _, m := range cmdRef.FindAllStringSubmatchIndex(span, -1) {
+				name := span[m[2]:m[3]]
+				if fi, err := os.Stat(filepath.Join("cmd", name)); err != nil || !fi.IsDir() {
+					t.Errorf("%s: %q names cmd/%s, which does not exist", doc, span, name)
+					continue
+				}
+				accepted := map[string]bool{"h": true, "help": true}
+				for _, f := range listed.FindAllStringSubmatch(help[name], -1) {
+					accepted[f[1]] = true
+				}
+				for _, f := range commandFlags(span[m[1]:]) {
+					if !accepted[f] {
+						t.Errorf("%s: %q passes -%s, which %s -h does not list", doc, span, f, name)
+					}
+				}
+			}
+		}
+	}
+}
+
+// codeSpans returns the shell text of a document: each line of a
+// Makefile or of a markdown fenced block, with backslash-continued lines
+// joined, and each inline `code` span of the markdown prose.
+func codeSpans(doc string, makefile bool) []string {
+	var shell, prose []string
+	fenced := makefile
+	for _, line := range strings.Split(doc, "\n") {
+		switch {
+		case !makefile && strings.HasPrefix(strings.TrimSpace(line), "```"):
+			fenced = !fenced
+		case fenced:
+			shell = append(shell, line)
+		default:
+			prose = append(prose, line)
+		}
+	}
+	spans := strings.Split(strings.ReplaceAll(strings.Join(shell, "\n"), "\\\n", " "), "\n")
+	for _, para := range strings.Split(strings.Join(prose, "\n"), "\n\n") {
+		for _, m := range inlineCode.FindAllStringSubmatch(para, -1) {
+			spans = append(spans, strings.ReplaceAll(m[1], "\n", " "))
+		}
+	}
+	return spans
+}
+
+var (
+	inlineCode = regexp.MustCompile("`([^`]+)`")
+	flagToken  = regexp.MustCompile(`^--?([A-Za-z][\w.-]*)`)
+)
+
+// commandFlags returns the flag names among the shell tokens that follow
+// a command, up to the end of that command: a pipe, redirect, list
+// operator, comment or closing subshell.
+func commandFlags(rest string) []string {
+	var flags []string
+	for _, tok := range strings.Fields(rest) {
+		if strings.ContainsAny(tok[:1], "|&;<>#") || strings.Contains(tok, ">") {
+			break
+		}
+		if m := flagToken.FindStringSubmatch(tok); m != nil {
+			flags = append(flags, m[1])
+		}
+		if strings.HasSuffix(tok, ";") || strings.HasSuffix(tok, ")") && !strings.HasPrefix(tok, "$(") {
+			break
+		}
+	}
+	return flags
 }

@@ -73,7 +73,7 @@ func AnalyticComparison(base core.Config, specs []ForecastSpec, mixes []int, war
 			return nil
 		}}
 	}
-	taskResults := runTasks(tasks)
+	taskResults := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
 	return aggregateForecasts(specs, mixes, results, taskResults), taskResults, nil
 }
 
@@ -171,7 +171,7 @@ func AnalyticValidation(base core.Config, specs []ForecastSpec, mixes []int, fcf
 			return nil
 		}}
 	}
-	taskResults := runTasks(tasks)
+	taskResults := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
 	out := cells[:0]
 	for i := range cells {
 		if ok[i] {

@@ -76,7 +76,7 @@ func PerAppStudy(base core.Config, policyName string, warmup, measure uint64) ([
 			return nil
 		}}
 	}
-	results := runTasks(tasks)
+	results := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
 	var out []AppRow
 	for i, r := range results {
 		if !r.Failed() {

@@ -70,7 +70,7 @@ func EnergyComparison(base core.Config, policies []string, mixes []int, warmup, 
 			return nil
 		}}
 	}
-	results := runTasks(tasks)
+	results := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
 	var out []EnergyRow
 	for pi, r := range results {
 		if !r.Failed() {

@@ -2,6 +2,9 @@
 // evaluation. Each experiment is a pure function from configuration to a
 // structured result; the cmd tools and the benchmark harness render these
 // to text. EXPERIMENTS.md records paper-vs-measured values.
+//
+// Sweeps fan their configurations out on the shared cliutil pool. Results
+// equal the serial order because each task writes only to its own index.
 package experiments
 
 import (

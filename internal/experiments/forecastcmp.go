@@ -128,7 +128,7 @@ func ForecastComparison(base core.Config, specs []ForecastSpec, mixes []int, fcf
 			return nil
 		}}
 	}
-	taskResults := runTasks(tasks)
+	taskResults := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
 	return aggregateForecasts(specs, mixes, results, taskResults), taskResults, nil
 }
 

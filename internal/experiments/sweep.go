@@ -88,7 +88,7 @@ func Fig6And7CPthSweep(base core.Config, mixes []int, warmup, measure uint64) (C
 			return nil
 		}}
 	}
-	results := runTasks(tasks)
+	results := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
 	for i, r := range results {
 		if !r.Failed() {
 			out.Rows = append(out.Rows, rows[i])
@@ -248,7 +248,7 @@ func Fig9ThTradeoff(base core.Config, mixes []int, ths []float64, capacities []f
 			return nil
 		}}
 	}
-	results := runTasks(tasks)
+	results := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
 	var out []ThPoint
 	for i, r := range results {
 		if !r.Failed() {

@@ -5,7 +5,7 @@ import "repro/internal/stats"
 // TraceFault describes deterministic corruption applied to a serialized
 // trace: tail truncation (a partially written file) and random bit flips
 // (media rot). The trace reader must survive both with a positioned
-// error, never a panic — the trace fuzz target and cmd/validate drive
+// error, never a panic — this package's TestTraceFault* tests drive
 // this through the decoder.
 type TraceFault struct {
 	Seed     uint64 `json:"seed"`
