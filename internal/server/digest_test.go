@@ -38,6 +38,8 @@ type digestCase struct {
 // capacity so the aging path is pinned too. The 500K-cycle epochs close
 // four set-dueling epochs inside the measured window. Three CP_SD rows
 // add each coloring scheme, whose remap advances at epoch boundaries.
+// Two more CP_SD rows set ablation_no_migration (CA_RWR's migrate
+// switch) and nvm_rrip (fit-RRIP victims under a non-RRIP policy).
 func classicDigestRequests() []digestCase {
 	var out []digestCase
 	for _, mix := range []int{1, 4} {
@@ -67,6 +69,17 @@ func classicDigestRequests() []digestCase {
 		req.WarmupCycles = 500_000
 		req.MeasureCycles = 2_000_000
 		out = append(out, digestCase{fmt.Sprintf("mix1/%s/coloring=%s", req.Config.PolicyName, cc.Scheme), req})
+	}
+	for _, flag := range []string{"ablation_no_migration", "nvm_rrip"} {
+		req := DefaultJobRequest()
+		req.Config = core.QuickConfig()
+		req.Config.MixID = 1
+		req.Config.PolicyName = "CP_SD"
+		req.Config.AblationNoMigration = flag == "ablation_no_migration"
+		req.Config.NVMRRIP = flag == "nvm_rrip"
+		req.WarmupCycles = 500_000
+		req.MeasureCycles = 2_000_000
+		out = append(out, digestCase{"mix1/CP_SD/" + flag, req})
 	}
 	return out
 }
