@@ -70,7 +70,7 @@ func main() {
 			fatal(err)
 		}
 		if err := core.UnmarshalStrict(data, &cfg); err != nil {
-			fatal(fmt.Errorf("%s: %w", *configPath, err))
+			fatal(fmt.Errorf("%s: config: %w", *configPath, err))
 		}
 	}
 

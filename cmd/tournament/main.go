@@ -18,8 +18,6 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -200,14 +198,9 @@ func loadBracket(path string) (*core.TournamentConfig, error) {
 	if err != nil {
 		return nil, err
 	}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var tc core.TournamentConfig
-	if err := dec.Decode(&tc); err != nil {
+	if err := core.UnmarshalStrict(data, &tc); err != nil {
 		return nil, fmt.Errorf("bracket %s: %w", path, err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("bracket %s: trailing data after JSON document", path)
 	}
 	return &tc, nil
 }

@@ -19,7 +19,6 @@
 package analytic
 
 import (
-	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -236,13 +235,8 @@ func EncodeCalibration(c *Calibration) ([]byte, error) {
 // fail loudly, not load as zeros).
 func DecodeCalibration(data []byte) (*Calibration, error) {
 	var c Calibration
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&c); err != nil {
+	if err := core.UnmarshalStrict(data, &c); err != nil {
 		return nil, fmt.Errorf("calibration artifact: %w", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("calibration artifact: trailing data after JSON document")
 	}
 	if c.Policy == "" {
 		return nil, fmt.Errorf("calibration artifact: missing policy")

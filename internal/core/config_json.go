@@ -3,28 +3,31 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"errors"
+	"io"
 )
 
-// UnmarshalStrict decodes a JSON configuration document into cfg,
-// rejecting unknown fields and trailing garbage. cfg is an overlay base:
-// fields absent from the document keep their current values, so callers
-// seed it with DefaultConfig (the convention of `hybridsim -config` and
-// the simd job API) and ship partial documents like
+// UnmarshalStrict decodes exactly one JSON document into v, rejecting
+// unknown fields and anything but whitespace after the document. v is
+// an overlay base: fields absent from the document keep their current
+// values, so callers seed a Config with DefaultConfig (the convention
+// of `hybridsim -config` and the simd job API) and ship partial
+// documents like
 //
 //	{"policy": "CA_RWR", "cpth": 40}
 //
 // The strictness matters operationally — a typoed field name fails loudly
-// instead of silently simulating the default.
-func UnmarshalStrict(data []byte, cfg *Config) error {
+// instead of silently simulating the default. Errors carry no prefix;
+// callers name the document.
+func UnmarshalStrict(data []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(cfg); err != nil {
-		return fmt.Errorf("core: config: %w", err)
+	if err := dec.Decode(v); err != nil {
+		return err
 	}
-	// A second value in the stream is a malformed document, not a config.
-	if dec.More() {
-		return fmt.Errorf("core: config: trailing data after JSON document")
+	// A second value, or a stray delimiter, is a malformed document.
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after JSON document")
 	}
 	return nil
 }

@@ -21,8 +21,8 @@ type PolicySpec struct {
 	Build func(c Config) (hybrid.Policy, hybrid.ThresholdProvider, int, int, error)
 	// Candidate, when non-nil, marks the policy tournament-eligible and
 	// builds the bare per-set policy a bracket candidate delegates to.
-	// Eligible policies must be non-global and agree on compression and
-	// disabling granularity (policy.NewTournament enforces it).
+	// Eligible policies must be non-global and agree on compression
+	// (policy.NewTournament enforces it).
 	Candidate func(c Config) hybrid.Policy
 	// UsesCPth marks policies whose steering consults the compression
 	// threshold, so validation bounds Config.CPth for them.

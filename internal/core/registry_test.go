@@ -29,7 +29,7 @@ func TestEveryRegisteredPolicyBuilds(t *testing.T) {
 		if sram+nvmW < 1 {
 			t.Fatalf("%s: empty way split %d+%d", name, sram, nvmW)
 		}
-		if pol.UsesThreshold() && thr == nil {
+		if s, _ := specOf(name); s.UsesCPth && thr == nil {
 			t.Fatalf("%s: threshold-using policy without a provider", name)
 		}
 		if err := cfg.Validate(); err != nil {

@@ -117,16 +117,22 @@ type Table3Row struct {
 	NVMAware    bool
 }
 
-// Table3Policies returns the tested-policy summary of Table III.
+// Table3Policies returns the tested-policy summary of Table III, read
+// from the Traits of each policy as the registry builds it: compression
+// implies byte disabling, and every non-global policy is NVM-aware.
 func Table3Policies() []Table3Row {
-	return []Table3Row{
-		{"BH", nvm.FrameDisabling, false, false},
-		{"BH_CP", nvm.ByteDisabling, true, false},
-		{"LHybrid", nvm.FrameDisabling, false, true},
-		{"TAP", nvm.FrameDisabling, false, true},
-		{"CP_SD", nvm.ByteDisabling, true, true},
-		{"CP_SD_Th", nvm.ByteDisabling, true, true},
+	var rows []Table3Row
+	for _, name := range []string{"BH", "BH_CP", "LHybrid", "TAP", "CP_SD", "CP_SD_Th"} {
+		cfg := core.DefaultConfig()
+		cfg.PolicyName = name
+		pol, _, _, _, err := core.BuildPolicy(cfg)
+		if err != nil {
+			panic(err) // the names are registry constants
+		}
+		tr := pol.Traits()
+		rows = append(rows, Table3Row{name, tr.Granularity(), tr.Compressed, !tr.Global})
 	}
+	return rows
 }
 
 // Table4System renders the system specification (Table IV) for a config.

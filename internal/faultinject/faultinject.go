@@ -8,12 +8,11 @@
 package faultinject
 
 import (
-	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/nvm"
 	"repro/internal/stats"
 )
@@ -97,9 +96,7 @@ func (st Step) validate() error {
 // ParseSpec decodes and validates a JSON campaign spec.
 func ParseSpec(data []byte) (Spec, error) {
 	var s Spec
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
+	if err := core.UnmarshalStrict(data, &s); err != nil {
 		return Spec{}, fmt.Errorf("faultinject: parse spec: %w", err)
 	}
 	if err := s.Validate(); err != nil {

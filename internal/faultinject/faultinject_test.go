@@ -174,11 +174,16 @@ func TestSpecJSONRoundtrip(t *testing.T) {
 	if s.Seed != 5 || len(s.Steps) != 2 || s.Steps[1].Target != 0.5 {
 		t.Fatalf("parsed %+v", s)
 	}
-	if _, err := ParseSpec([]byte(`{"seed": 1, "bogus": true}`)); err == nil {
-		t.Fatal("unknown field accepted")
-	}
-	if _, err := ParseSpec([]byte(`{"steps":[{"kind":"nope"}]}`)); err == nil {
-		t.Fatal("invalid step accepted")
+	for _, bad := range []string{
+		`{"seed": 1, "bogus": true}`,  // unknown field
+		`{"steps":[{"kind":"nope"}]}`, // invalid step
+		`{"seed": 1} {"seed": 2}`,     // second document
+		`{"seed": 1} garbage`,         // trailing garbage
+		`{"seed": 1}}`,                // stray closing brace
+	} {
+		if _, err := ParseSpec([]byte(bad)); err == nil {
+			t.Errorf("%s accepted", bad)
+		}
 	}
 }
 

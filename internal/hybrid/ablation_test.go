@@ -90,8 +90,7 @@ func TestNoGetXInvalidateAblation(t *testing.T) {
 }
 
 func TestNoMigrationLeavesVictimsEvicted(t *testing.T) {
-	noMig := basePolicy{name: "CARWR-nomig", compressed: true, gran: nvm.ByteDisabling,
-		migrateRR: false, usesThr: true, target: caRWRTarget}
+	noMig := basePolicy{name: "CARWR-nomig", traits: Traits{Compressed: true}, target: caRWRTarget}
 	cfg := Config{
 		Sets: 1, SRAMWays: 1, NVMWays: 2,
 		Policy: noMig, Thresholds: FixedThreshold(37),

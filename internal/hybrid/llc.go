@@ -146,6 +146,7 @@ type LLC struct {
 	last                    []uint64 // LRU timestamp of entries[i]; 0 exactly when invalid
 	arr                     *nvm.Array
 	pol                     Policy
+	traits                  Traits // pol's whole-cache traits, read once
 	thr                     ThresholdProvider
 	tick                    uint64
 	hcrOnly                 bool
@@ -206,6 +207,7 @@ func New(cfg Config) *LLC {
 		blocks:      make([]uint64, n),
 		last:        make([]uint64, n),
 		pol:         cfg.Policy,
+		traits:      cfg.Policy.Traits(),
 		thr:         thr,
 		hcrOnly:     cfg.HCROnly,
 		noGetXInval: cfg.NoGetXInvalidate,
@@ -216,7 +218,7 @@ func New(cfg Config) *LLC {
 	l.mapper = cfg.SetMapper
 	l.mapperAdvance = cfg.SetMapperAdvance
 	if cfg.NVMWays > 0 {
-		l.arr = nvm.NewArray(cfg.Sets, cfg.NVMWays, cfg.Endurance, cfg.Sampler, cfg.Policy.Granularity())
+		l.arr = nvm.NewArray(cfg.Sets, cfg.NVMWays, cfg.Endurance, cfg.Sampler, l.traits.Granularity())
 	}
 	if cfg.MaterializeData {
 		if cfg.NVMWays == 0 {
@@ -252,7 +254,7 @@ func (l *LLC) Thresholds() ThresholdProvider { return l.thr }
 func (l *LLC) Array() *nvm.Array { return l.arr }
 
 // CompressionEnabled reports whether insertions need block contents.
-func (l *LLC) CompressionEnabled() bool { return l.pol.Compressed() }
+func (l *LLC) CompressionEnabled() bool { return l.traits.Compressed }
 
 // SetOf maps a block address to the physical set (directory/frame row)
 // holding it: the logical index (block mod sets) pushed through the
@@ -422,7 +424,7 @@ func (l *LLC) GetX(block uint64) AccessResult {
 func (l *LLC) Insert(block uint64, dirty bool, tag BlockTag, content []byte) InsertOutcome {
 	set, way, e := l.find(block)
 	cb := bdi.BlockSize
-	if l.pol.Compressed() && content != nil {
+	if l.traits.Compressed && content != nil {
 		cb = bdi.SizeOf(content)
 		if l.hcrOnly && cb > bdi.HCRLimit {
 			cb = bdi.BlockSize // original BDI: LCR encodings discarded
@@ -437,9 +439,9 @@ func (l *LLC) Insert(block uint64, dirty bool, tag BlockTag, content []byte) Ins
 	}
 	l.Stats.Inserts++
 	switch {
-	case cb <= bdi.HCRLimit && l.pol.Compressed():
+	case cb <= bdi.HCRLimit && l.traits.Compressed:
 		l.Stats.InsertHCR++
-	case cb < bdi.BlockSize && l.pol.Compressed():
+	case cb < bdi.BlockSize && l.traits.Compressed:
 		l.Stats.InsertLCR++
 	default:
 		l.Stats.InsertIncomp++
@@ -455,16 +457,12 @@ func (l *LLC) Insert(block uint64, dirty bool, tag BlockTag, content []byte) Ins
 // insertFresh runs the policy's steering decision and places a block that
 // is not currently in the LLC.
 func (l *LLC) insertFresh(set int, block uint64, dirty bool, tag BlockTag, cb int, content []byte) {
-	pol := l.policyFor(set)
-	info := InsertInfo{Set: set, Block: block, Dirty: dirty, CBSize: cb, Tag: tag}
-	if pol.UsesThreshold() {
-		info.CPth = l.thr.CPthFor(set)
-	}
-	if l.pol.Global() {
+	if l.traits.Global {
 		l.insertGlobal(set, block, dirty, tag, cb, content)
 		return
 	}
-	if pol.Target(info) == NVM && l.nvmWays > 0 {
+	info := InsertInfo{Set: set, Block: block, Dirty: dirty, CBSize: cb, Tag: tag, CPth: l.thr.CPthFor(set)}
+	if l.policyFor(set).Target(info) == NVM && l.nvmWays > 0 {
 		if l.insertNVM(set, block, dirty, tag, cb, content) {
 			return
 		}
@@ -596,19 +594,17 @@ func (l *LLC) insertSRAM(set int, block uint64, dirty bool, tag BlockTag, cb int
 	// The first invalid way, else the LRU way: invalid ways carry stamp 0.
 	way := l.lruSRAMWay(set)
 	if l.last[l.slot(set, way)] != 0 {
-		pol := l.policyFor(set)
-		if pol.LHybridMigrate() {
+		migrated := false
+		switch l.policyFor(set).Traits().Migrate {
+		case MigrateLoopBlock:
 			if lb := l.recentLoopBlock(set); lb >= 0 {
 				way = lb
+				migrated = l.migrate(set, way)
 			}
-		}
-		v := l.entryAt(set, way)
-		migrated := false
-		switch {
-		case pol.LHybridMigrate() && v.tag.LB:
-			migrated = l.migrate(set, way)
-		case pol.MigrateReadReuse() && v.tag.Reuse == ReuseRead:
-			migrated = l.migrate(set, way)
+		case MigrateReadReuse:
+			if l.entryAt(set, way).tag.Reuse == ReuseRead {
+				migrated = l.migrate(set, way)
+			}
 		}
 		if !migrated {
 			l.evict(set, way)
@@ -648,7 +644,7 @@ func (l *LLC) recentLoopBlock(set int) int {
 func (l *LLC) migrate(set, way int) bool {
 	e := l.entryAt(set, way)
 	cb := int(e.cb)
-	if !l.pol.Compressed() {
+	if !l.traits.Compressed {
 		cb = bdi.BlockSize
 	}
 	content := l.contentAt(set, way)
@@ -716,16 +712,8 @@ func (l *LLC) InvalidateUnfit() int {
 	for set := 0; set < l.sets; set++ {
 		caps := l.nvmCaps(set)
 		for w := l.sramWays; w < l.ways(); w++ {
-			e := l.entryAt(set, w)
-			if !e.valid {
-				continue
-			}
-			if int(e.cb) > int(caps[w-l.sramWays]) {
-				if e.dirty {
-					l.Stats.Writebacks++
-				}
-				l.clearMaterialized(set, w)
-				l.clear(set, w)
+			if e := l.entryAt(set, w); e.valid && int(e.cb) > int(caps[w-l.sramWays]) {
+				l.evict(set, w)
 				dropped++
 			}
 		}
@@ -749,16 +737,10 @@ func (l *LLC) RotateNVMSets(n int) int {
 	flushed := 0
 	for set := 0; set < l.sets; set++ {
 		for w := l.sramWays; w < l.ways(); w++ {
-			e := l.entryAt(set, w)
-			if !e.valid {
-				continue
+			if l.entryAt(set, w).valid {
+				l.evict(set, w)
+				flushed++
 			}
-			if e.dirty {
-				l.Stats.Writebacks++
-			}
-			l.clearMaterialized(set, w)
-			l.clear(set, w)
-			flushed++
 		}
 	}
 	return flushed
@@ -847,16 +829,10 @@ func (l *LLC) FlushRows(rows []int) int {
 func (l *LLC) flushRow(set int) int {
 	flushed := 0
 	for w := 0; w < l.ways(); w++ {
-		e := l.entryAt(set, w)
-		if !e.valid {
-			continue
+		if l.entryAt(set, w).valid {
+			l.evict(set, w)
+			flushed++
 		}
-		if e.dirty {
-			l.Stats.Writebacks++
-		}
-		l.clearMaterialized(set, w)
-		l.clear(set, w)
-		flushed++
 	}
 	return flushed
 }

@@ -14,23 +14,13 @@ import (
 // not depend on internal/policy (which imports hybrid).
 
 type basePolicy struct {
-	name       string
-	compressed bool
-	global     bool
-	gran       nvm.Granularity
-	migrateRR  bool
-	lhMigrate  bool
-	usesThr    bool
-	target     func(InsertInfo) Partition
+	name   string
+	traits Traits
+	target func(InsertInfo) Partition
 }
 
-func (p basePolicy) Name() string                 { return p.name }
-func (p basePolicy) Compressed() bool             { return p.compressed }
-func (p basePolicy) Granularity() nvm.Granularity { return p.gran }
-func (p basePolicy) Global() bool                 { return p.global }
-func (p basePolicy) MigrateReadReuse() bool       { return p.migrateRR }
-func (p basePolicy) LHybridMigrate() bool         { return p.lhMigrate }
-func (p basePolicy) UsesThreshold() bool          { return p.usesThr }
+func (p basePolicy) Name() string   { return p.name }
+func (p basePolicy) Traits() Traits { return p.traits }
 func (p basePolicy) Target(i InsertInfo) Partition {
 	if p.target == nil {
 		return SRAM
@@ -52,9 +42,9 @@ func caRWRTarget(i InsertInfo) Partition {
 }
 
 var (
-	testBH = basePolicy{name: "BH", global: true, gran: nvm.FrameDisabling}
-	testCP = basePolicy{name: "CARWR", compressed: true, gran: nvm.ByteDisabling,
-		migrateRR: true, usesThr: true, target: caRWRTarget}
+	testBH = basePolicy{name: "BH", traits: Traits{Global: true}}
+	testCP = basePolicy{name: "CARWR", traits: Traits{Compressed: true, Migrate: MigrateReadReuse},
+		target: caRWRTarget}
 )
 
 var testEndurance = nvm.EnduranceModel{Mean: 1e9, CV: 0.2}
@@ -337,7 +327,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 }
 
 func TestLHybridMigrationPrefersMostRecentLB(t *testing.T) {
-	lh := basePolicy{name: "LHybrid", gran: nvm.FrameDisabling, lhMigrate: true,
+	lh := basePolicy{name: "LHybrid", traits: Traits{Migrate: MigrateLoopBlock},
 		target: func(i InsertInfo) Partition {
 			if i.Tag.LB {
 				return NVM

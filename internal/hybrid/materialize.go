@@ -30,7 +30,7 @@ type dataStore struct {
 
 // initMaterialize validates and installs the mode.
 func (l *LLC) initMaterialize() {
-	if !l.pol.Compressed() {
+	if !l.traits.Compressed {
 		panic("hybrid: MaterializeData requires a compressing policy")
 	}
 	if l.hcrOnly {

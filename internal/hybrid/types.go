@@ -111,6 +111,42 @@ type InsertInfo struct {
 // compressed size lower than or equal to CPth (§IV-A).
 func (i InsertInfo) Small() bool { return i.CBSize <= i.CPth }
 
+// Migration is what SRAM replacement does with its victim.
+type Migration uint8
+
+// Migrations.
+const (
+	// MigrateNone evicts the LRU SRAM victim.
+	MigrateNone Migration = iota
+	// MigrateReadReuse moves a read-reused LRU SRAM victim to the NVM
+	// part instead of evicting it (CA_RWR family, §IV-B).
+	MigrateReadReuse
+	// MigrateLoopBlock vacates the most recent loop-block in preference
+	// to the LRU way and moves it to the NVM part (LHybrid, §II-C).
+	MigrateLoopBlock
+)
+
+// Traits are the properties a policy shares with its Table III row.
+type Traits struct {
+	// Compressed: the NVM part stores BDI-compressed blocks over
+	// byte-level disabling. Otherwise blocks are stored uncompressed
+	// and hard faults disable whole frames.
+	Compressed bool
+	// Global: replacement is one (Fit-)LRU list across both parts, as in
+	// BH and BH_CP, so Target is never consulted.
+	Global bool
+	// Migrate is the SRAM-victim migration.
+	Migrate Migration
+}
+
+// Granularity is the hard-fault disabling granularity the traits imply.
+func (t Traits) Granularity() nvm.Granularity {
+	if t.Compressed {
+		return nvm.ByteDisabling
+	}
+	return nvm.FrameDisabling
+}
+
 // Policy is an LLC insertion policy. The paper's policies are stateless
 // values describing behaviour, with all state in the LLC entries and
 // block tags; RRIP-family extensions may carry per-set state of their own
@@ -118,36 +154,22 @@ func (i InsertInfo) Small() bool { return i.CBSize <= i.CPth }
 type Policy interface {
 	// Name returns the paper's identifier for the policy (e.g. "CP_SD").
 	Name() string
-	// Compressed reports whether the NVM part stores BDI-compressed
-	// blocks (requires byte-level disabling).
-	Compressed() bool
-	// Granularity is the hard-fault disabling granularity (Table III).
-	Granularity() nvm.Granularity
-	// Global reports whether replacement is a single LRU (or Fit-LRU)
-	// list across both parts, as in BH and BH_CP, making Target unused.
-	Global() bool
+	// Traits returns the policy's Table III properties. They must not
+	// change over the policy's lifetime.
+	Traits() Traits
 	// Target steers an incoming block to a partition. Only called when
-	// Global is false.
+	// the traits are not Global.
 	Target(info InsertInfo) Partition
-	// MigrateReadReuse reports whether an SRAM victim with read reuse is
-	// migrated to the NVM part on eviction (CA_RWR family, §IV-B).
-	MigrateReadReuse() bool
-	// LHybridMigrate reports whether SRAM replacement prefers migrating
-	// the most-recent loop-block to NVM (LHybrid, §II-C).
-	LHybridMigrate() bool
-	// UsesThreshold reports whether Target consults CPth, so the LLC can
-	// feed set-dueling counters only for policies that need them.
-	UsesThreshold() bool
 }
 
 // SetPolicyResolver is implemented by meta-policies that present a
 // different underlying policy per set — the N-way policy tournament,
 // where sampler sets each run one candidate and follower sets run the
 // epoch winner. When the LLC's policy implements it, every per-insert
-// decision (Target, migration behaviour, insertion RRPV, NVM victim
+// decision (Target, Traits().Migrate, insertion RRPV, NVM victim
 // scheme) is taken from PolicyFor(set) instead of the top-level policy.
-// Whole-cache properties (Compressed, Granularity, Global) remain the
-// meta-policy's own and must agree across all resolved policies.
+// The whole-cache traits (Compressed, Global) remain the meta-policy's
+// own and must agree across all resolved policies.
 type SetPolicyResolver interface {
 	// PolicyFor returns the policy governing a set. It must be
 	// deterministic given the controller state (sampler assignment plus

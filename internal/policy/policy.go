@@ -10,12 +10,15 @@
 //	LHybrid  — loop-block-aware state of the art (frame disabling).
 //	TAP      — thrashing-aware, more conservative than LHybrid.
 //	SRAMOnly — pure-SRAM bounds (16w upper, 4w lower in the paper).
+//
+// The RRIP-family extensions (SRRIP, BRRIP, PAR) embed CARWR: they steer
+// by Table II, the paper's best placement rule, and share its traits.
+// They differ only in the insertion RRPV of their NVM part, which also
+// switches those sets to fit-RRIP victim selection (scan resistance the
+// paper's fit-LRU lacks).
 package policy
 
-import (
-	"repro/internal/hybrid"
-	"repro/internal/nvm"
-)
+import "repro/internal/hybrid"
 
 // BH is the baseline hybrid LLC: a single LRU list across all ways,
 // oblivious to which ways are NVM, storing uncompressed blocks, with
@@ -25,26 +28,11 @@ type BH struct{}
 // Name implements hybrid.Policy.
 func (BH) Name() string { return "BH" }
 
-// Compressed implements hybrid.Policy.
-func (BH) Compressed() bool { return false }
-
-// Granularity implements hybrid.Policy.
-func (BH) Granularity() nvm.Granularity { return nvm.FrameDisabling }
-
-// Global implements hybrid.Policy.
-func (BH) Global() bool { return true }
+// Traits implements hybrid.Policy.
+func (BH) Traits() hybrid.Traits { return hybrid.Traits{Global: true} }
 
 // Target implements hybrid.Policy; unused for global policies.
 func (BH) Target(hybrid.InsertInfo) hybrid.Partition { return hybrid.SRAM }
-
-// MigrateReadReuse implements hybrid.Policy.
-func (BH) MigrateReadReuse() bool { return false }
-
-// LHybridMigrate implements hybrid.Policy.
-func (BH) LHybridMigrate() bool { return false }
-
-// UsesThreshold implements hybrid.Policy.
-func (BH) UsesThreshold() bool { return false }
 
 // SRAMOnly models the paper's SRAM LLC bounds; it behaves exactly like BH
 // (global LRU) and is intended for configurations with zero NVM ways.
@@ -61,26 +49,11 @@ type BHCP struct{}
 // Name implements hybrid.Policy.
 func (BHCP) Name() string { return "BH_CP" }
 
-// Compressed implements hybrid.Policy.
-func (BHCP) Compressed() bool { return true }
-
-// Granularity implements hybrid.Policy.
-func (BHCP) Granularity() nvm.Granularity { return nvm.ByteDisabling }
-
-// Global implements hybrid.Policy.
-func (BHCP) Global() bool { return true }
+// Traits implements hybrid.Policy.
+func (BHCP) Traits() hybrid.Traits { return hybrid.Traits{Compressed: true, Global: true} }
 
 // Target implements hybrid.Policy; unused for global policies.
 func (BHCP) Target(hybrid.InsertInfo) hybrid.Partition { return hybrid.SRAM }
-
-// MigrateReadReuse implements hybrid.Policy.
-func (BHCP) MigrateReadReuse() bool { return false }
-
-// LHybridMigrate implements hybrid.Policy.
-func (BHCP) LHybridMigrate() bool { return false }
-
-// UsesThreshold implements hybrid.Policy.
-func (BHCP) UsesThreshold() bool { return false }
 
 // CA is the naive compression-aware policy of §IV-A: small blocks
 // (compressed size <= CPth) go to NVM, big blocks to SRAM, with local LRU
@@ -90,14 +63,8 @@ type CA struct{}
 // Name implements hybrid.Policy.
 func (CA) Name() string { return "CA" }
 
-// Compressed implements hybrid.Policy.
-func (CA) Compressed() bool { return true }
-
-// Granularity implements hybrid.Policy.
-func (CA) Granularity() nvm.Granularity { return nvm.ByteDisabling }
-
-// Global implements hybrid.Policy.
-func (CA) Global() bool { return false }
+// Traits implements hybrid.Policy.
+func (CA) Traits() hybrid.Traits { return hybrid.Traits{Compressed: true} }
 
 // Target implements hybrid.Policy.
 func (CA) Target(info hybrid.InsertInfo) hybrid.Partition {
@@ -106,15 +73,6 @@ func (CA) Target(info hybrid.InsertInfo) hybrid.Partition {
 	}
 	return hybrid.SRAM
 }
-
-// MigrateReadReuse implements hybrid.Policy.
-func (CA) MigrateReadReuse() bool { return false }
-
-// LHybridMigrate implements hybrid.Policy.
-func (CA) LHybridMigrate() bool { return false }
-
-// UsesThreshold implements hybrid.Policy.
-func (CA) UsesThreshold() bool { return true }
 
 // CARWR adds read/write-reuse steering to CA (§IV-B, Table II):
 //
@@ -143,14 +101,13 @@ func (p CARWR) Name() string {
 	return p.PolicyName
 }
 
-// Compressed implements hybrid.Policy.
-func (CARWR) Compressed() bool { return true }
-
-// Granularity implements hybrid.Policy.
-func (CARWR) Granularity() nvm.Granularity { return nvm.ByteDisabling }
-
-// Global implements hybrid.Policy.
-func (CARWR) Global() bool { return false }
+// Traits implements hybrid.Policy.
+func (p CARWR) Traits() hybrid.Traits {
+	if p.NoMigration {
+		return hybrid.Traits{Compressed: true}
+	}
+	return hybrid.Traits{Compressed: true, Migrate: hybrid.MigrateReadReuse}
+}
 
 // Target implements hybrid.Policy (Table II).
 func (CARWR) Target(info hybrid.InsertInfo) hybrid.Partition {
@@ -167,15 +124,6 @@ func (CARWR) Target(info hybrid.InsertInfo) hybrid.Partition {
 	}
 }
 
-// MigrateReadReuse implements hybrid.Policy.
-func (p CARWR) MigrateReadReuse() bool { return !p.NoMigration }
-
-// LHybridMigrate implements hybrid.Policy.
-func (CARWR) LHybridMigrate() bool { return false }
-
-// UsesThreshold implements hybrid.Policy.
-func (CARWR) UsesThreshold() bool { return true }
-
 // LHybrid is the loop-block-aware state-of-the-art policy (§II-C): blocks
 // tagged LB (clean blocks that hit in the LLC) are inserted into NVM,
 // everything else into SRAM; SRAM replacement migrates the most recent
@@ -185,14 +133,8 @@ type LHybrid struct{}
 // Name implements hybrid.Policy.
 func (LHybrid) Name() string { return "LHybrid" }
 
-// Compressed implements hybrid.Policy.
-func (LHybrid) Compressed() bool { return false }
-
-// Granularity implements hybrid.Policy.
-func (LHybrid) Granularity() nvm.Granularity { return nvm.FrameDisabling }
-
-// Global implements hybrid.Policy.
-func (LHybrid) Global() bool { return false }
+// Traits implements hybrid.Policy.
+func (LHybrid) Traits() hybrid.Traits { return hybrid.Traits{Migrate: hybrid.MigrateLoopBlock} }
 
 // Target implements hybrid.Policy.
 func (LHybrid) Target(info hybrid.InsertInfo) hybrid.Partition {
@@ -201,15 +143,6 @@ func (LHybrid) Target(info hybrid.InsertInfo) hybrid.Partition {
 	}
 	return hybrid.SRAM
 }
-
-// MigrateReadReuse implements hybrid.Policy.
-func (LHybrid) MigrateReadReuse() bool { return false }
-
-// LHybridMigrate implements hybrid.Policy.
-func (LHybrid) LHybridMigrate() bool { return true }
-
-// UsesThreshold implements hybrid.Policy.
-func (LHybrid) UsesThreshold() bool { return false }
 
 // TAP is the thrashing-aware policy (§II-C): only clean blocks that have
 // hit in the LLC more than HThresh times (thrashing blocks) are inserted
@@ -224,14 +157,8 @@ type TAP struct {
 // Name implements hybrid.Policy.
 func (TAP) Name() string { return "TAP" }
 
-// Compressed implements hybrid.Policy.
-func (TAP) Compressed() bool { return false }
-
-// Granularity implements hybrid.Policy.
-func (TAP) Granularity() nvm.Granularity { return nvm.FrameDisabling }
-
-// Global implements hybrid.Policy.
-func (TAP) Global() bool { return false }
+// Traits implements hybrid.Policy.
+func (TAP) Traits() hybrid.Traits { return hybrid.Traits{} }
 
 // Target implements hybrid.Policy.
 func (p TAP) Target(info hybrid.InsertInfo) hybrid.Partition {
@@ -244,12 +171,3 @@ func (p TAP) Target(info hybrid.InsertInfo) hybrid.Partition {
 	}
 	return hybrid.SRAM
 }
-
-// MigrateReadReuse implements hybrid.Policy.
-func (TAP) MigrateReadReuse() bool { return false }
-
-// LHybridMigrate implements hybrid.Policy.
-func (TAP) LHybridMigrate() bool { return false }
-
-// UsesThreshold implements hybrid.Policy.
-func (TAP) UsesThreshold() bool { return false }

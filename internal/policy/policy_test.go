@@ -16,34 +16,33 @@ func info(reuse hybrid.ReuseClass, cb, cpth int, dirty bool, lb bool, hits uint8
 	}
 }
 
+// TestTraitsTableIII pins each policy's Table III row and the disabling
+// granularity it implies.
 func TestTraitsTableIII(t *testing.T) {
 	cases := []struct {
-		pol        hybrid.Policy
-		name       string
-		compressed bool
-		gran       nvm.Granularity
-		global     bool
+		pol  hybrid.Policy
+		name string
+		want hybrid.Traits
+		gran nvm.Granularity
 	}{
-		{BH{}, "BH", false, nvm.FrameDisabling, true},
-		{BHCP{}, "BH_CP", true, nvm.ByteDisabling, true},
-		{LHybrid{}, "LHybrid", false, nvm.FrameDisabling, false},
-		{TAP{}, "TAP", false, nvm.FrameDisabling, false},
-		{CA{}, "CA", true, nvm.ByteDisabling, false},
-		{CARWR{}, "CA_RWR", true, nvm.ByteDisabling, false},
-		{SRAMOnly{}, "SRAM", false, nvm.FrameDisabling, true},
+		{BH{}, "BH", hybrid.Traits{Global: true}, nvm.FrameDisabling},
+		{BHCP{}, "BH_CP", hybrid.Traits{Compressed: true, Global: true}, nvm.ByteDisabling},
+		{LHybrid{}, "LHybrid", hybrid.Traits{Migrate: hybrid.MigrateLoopBlock}, nvm.FrameDisabling},
+		{TAP{}, "TAP", hybrid.Traits{}, nvm.FrameDisabling},
+		{CA{}, "CA", hybrid.Traits{Compressed: true}, nvm.ByteDisabling},
+		{CARWR{}, "CA_RWR", hybrid.Traits{Compressed: true, Migrate: hybrid.MigrateReadReuse}, nvm.ByteDisabling},
+		{CARWR{NoMigration: true}, "CA_RWR", hybrid.Traits{Compressed: true}, nvm.ByteDisabling},
+		{SRAMOnly{}, "SRAM", hybrid.Traits{Global: true}, nvm.FrameDisabling},
 	}
 	for _, c := range cases {
 		if c.pol.Name() != c.name {
 			t.Errorf("name %q, want %q", c.pol.Name(), c.name)
 		}
-		if c.pol.Compressed() != c.compressed {
-			t.Errorf("%s compressed = %v", c.name, c.pol.Compressed())
+		if got := c.pol.Traits(); got != c.want {
+			t.Errorf("%s traits = %+v, want %+v", c.name, got, c.want)
 		}
-		if c.pol.Granularity() != c.gran {
-			t.Errorf("%s granularity = %v", c.name, c.pol.Granularity())
-		}
-		if c.pol.Global() != c.global {
-			t.Errorf("%s global = %v", c.name, c.pol.Global())
+		if got := c.pol.Traits().Granularity(); got != c.gran {
+			t.Errorf("%s granularity = %v, want %v", c.name, got, c.gran)
 		}
 	}
 }
@@ -93,9 +92,6 @@ func TestCARWRTableII(t *testing.T) {
 			t.Errorf("reuse=%v cb=%d: %v, want %v", c.reuse, c.cb, got, c.want)
 		}
 	}
-	if !p.MigrateReadReuse() {
-		t.Error("CA_RWR must migrate read-reused SRAM victims")
-	}
 }
 
 func TestLHybridTarget(t *testing.T) {
@@ -105,12 +101,6 @@ func TestLHybridTarget(t *testing.T) {
 	}
 	if p.Target(info(hybrid.ReuseNone, 64, 0, false, false, 0)) != hybrid.SRAM {
 		t.Error("NLB should target SRAM")
-	}
-	if !p.LHybridMigrate() {
-		t.Error("LHybrid must use migrating SRAM replacement")
-	}
-	if p.UsesThreshold() {
-		t.Error("LHybrid does not use CPth")
 	}
 }
 
@@ -151,35 +141,27 @@ func TestTAPMoreConservativeThanLHybrid(t *testing.T) {
 	}
 }
 
+// TestThresholdUsage: the LLC fills CPth for every policy, so only the
+// compression-aware policies may steer by it.
 func TestThresholdUsage(t *testing.T) {
-	if !(CA{}).UsesThreshold() || !(CARWR{}).UsesThreshold() {
-		t.Error("compression-aware policies must use CPth")
+	for _, p := range []hybrid.Policy{CA{}, CARWR{}} {
+		small, big := info(hybrid.ReuseNone, 40, 58, false, false, 0), info(hybrid.ReuseNone, 40, 37, false, false, 0)
+		if p.Target(small) == p.Target(big) {
+			t.Errorf("%s must steer by CPth", p.Name())
+		}
 	}
 	for _, p := range []hybrid.Policy{BH{}, BHCP{}, LHybrid{}, TAP{}} {
-		if p.UsesThreshold() {
-			t.Errorf("%s must not use CPth", p.Name())
+		for _, i := range []hybrid.InsertInfo{
+			info(hybrid.ReuseNone, 40, 0, false, true, 2),
+			info(hybrid.ReuseRead, 20, 0, false, false, 3),
+			info(hybrid.ReuseNone, 64, 0, true, true, 0),
+		} {
+			j := i
+			j.CPth = 64
+			if p.Target(i) != p.Target(j) {
+				t.Errorf("%s must not steer by CPth (%+v)", p.Name(), i)
+			}
 		}
-	}
-}
-
-func TestMigrationTraits(t *testing.T) {
-	// Only CA_RWR (and thus CP_SD) migrates read-reused SRAM victims;
-	// only LHybrid uses the loop-block migration on SRAM replacement.
-	for _, p := range []hybrid.Policy{BH{}, BHCP{}, CA{}, LHybrid{}, TAP{}, SRAMOnly{}} {
-		if p.MigrateReadReuse() {
-			t.Errorf("%s must not migrate read-reuse victims", p.Name())
-		}
-	}
-	for _, p := range []hybrid.Policy{BH{}, BHCP{}, CA{}, CARWR{}, TAP{}, SRAMOnly{}} {
-		if p.LHybridMigrate() {
-			t.Errorf("%s must not use LHybrid migration", p.Name())
-		}
-	}
-	if !(CARWR{}).MigrateReadReuse() {
-		t.Error("CA_RWR must migrate read-reuse victims")
-	}
-	if (CARWR{NoMigration: true}).MigrateReadReuse() {
-		t.Error("NoMigration ablation must disable migration")
 	}
 }
 

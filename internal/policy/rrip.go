@@ -3,7 +3,6 @@ package policy
 import (
 	"repro/internal/bdi"
 	"repro/internal/hybrid"
-	"repro/internal/nvm"
 )
 
 // RRIP re-reference prediction values (2-bit, as in the ChampSim
@@ -40,53 +39,12 @@ func sizeClassRRPV(base uint8, cb int) uint8 {
 	return base
 }
 
-// rripBase provides the hybrid.Policy surface shared by the RRIP family:
-// compression-aware steering identical to CA_RWR (Table II — the paper's
-// best placement rule), byte-granularity disabling, and read-reuse
-// migration. The family members differ only in the insertion RRPV their
-// NVM part uses, which also switches those sets to fit-RRIP victim
-// selection (scan resistance the paper's fit-LRU lacks).
-type rripBase struct{}
-
-// Compressed implements hybrid.Policy.
-func (rripBase) Compressed() bool { return true }
-
-// Granularity implements hybrid.Policy.
-func (rripBase) Granularity() nvm.Granularity { return nvm.ByteDisabling }
-
-// Global implements hybrid.Policy.
-func (rripBase) Global() bool { return false }
-
-// Target implements hybrid.Policy (Table II steering, as CARWR).
-func (rripBase) Target(info hybrid.InsertInfo) hybrid.Partition {
-	switch info.Tag.Reuse {
-	case hybrid.ReuseRead:
-		return hybrid.NVM
-	case hybrid.ReuseWrite:
-		return hybrid.SRAM
-	default:
-		if info.Small() {
-			return hybrid.NVM
-		}
-		return hybrid.SRAM
-	}
-}
-
-// MigrateReadReuse implements hybrid.Policy.
-func (rripBase) MigrateReadReuse() bool { return true }
-
-// LHybridMigrate implements hybrid.Policy.
-func (rripBase) LHybridMigrate() bool { return false }
-
-// UsesThreshold implements hybrid.Policy.
-func (rripBase) UsesThreshold() bool { return true }
-
 // SRRIP is static RRIP adapted to compressed hybrid ways: every NVM
 // insertion is predicted "long" (RRPV 2), modulated by the compressed
 // size class. It is the thrash-resistant reference point of the family
 // and one of DRRIP's two duelled components.
 type SRRIP struct {
-	rripBase
+	CARWR
 }
 
 // NewSRRIP builds the SRRIP insertion policy.
@@ -107,7 +65,7 @@ func (*SRRIP) InsertRRPV(info hybrid.InsertInfo) uint8 {
 // per-set counter so runs are replayable. The size
 // class modulates the result as for SRRIP.
 type BRRIP struct {
-	rripBase
+	CARWR
 	ctr []uint8 // per-set NVM insertion counter, wraps at brripThrottle
 }
 
@@ -137,7 +95,7 @@ func (p *BRRIP) InsertRRPV(info hybrid.InsertInfo) uint8 {
 // detector state is per-set and event-driven, so PAR is deterministic
 // like the rest of the family.
 type PAR struct {
-	rripBase
+	CARWR
 	det *PhaseDetector
 }
 
@@ -156,7 +114,7 @@ func (p *PAR) Detector() *PhaseDetector { return p.det }
 // rest of the family.
 func (p *PAR) Target(info hybrid.InsertInfo) hybrid.Partition {
 	p.det.Observe(info.Set, info.Block)
-	return p.rripBase.Target(info)
+	return p.CARWR.Target(info)
 }
 
 // InsertRRPV implements hybrid.RRIPInserter.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/bdi"
 	"repro/internal/hybrid"
-	"repro/internal/nvm"
 )
 
 func rripInfo(set int, block uint64, cb int) hybrid.InsertInfo {
@@ -13,21 +12,10 @@ func rripInfo(set int, block uint64, cb int) hybrid.InsertInfo {
 }
 
 func TestRRIPFamilyTraits(t *testing.T) {
+	want := hybrid.Traits{Compressed: true, Migrate: hybrid.MigrateReadReuse}
 	for _, p := range []hybrid.Policy{NewSRRIP(), NewBRRIP(16), NewPAR(16)} {
-		if !p.Compressed() {
-			t.Errorf("%s should compress", p.Name())
-		}
-		if p.Granularity() != nvm.ByteDisabling {
-			t.Errorf("%s granularity = %v", p.Name(), p.Granularity())
-		}
-		if p.Global() {
-			t.Errorf("%s should not be global", p.Name())
-		}
-		if !p.MigrateReadReuse() {
-			t.Errorf("%s should migrate read reuse", p.Name())
-		}
-		if !p.UsesThreshold() {
-			t.Errorf("%s should use the threshold", p.Name())
+		if got := p.Traits(); got != want {
+			t.Errorf("%s traits = %+v, want %+v", p.Name(), got, want)
 		}
 		if _, ok := p.(hybrid.RRIPInserter); !ok {
 			t.Errorf("%s should implement RRIPInserter", p.Name())

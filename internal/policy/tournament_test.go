@@ -28,11 +28,8 @@ func TestTournamentResolvesPerSet(t *testing.T) {
 	if tr.Name() != "TOURNAMENT" {
 		t.Errorf("name = %q", tr.Name())
 	}
-	if !tr.Compressed() || tr.Global() {
-		t.Error("tournament traits must mirror the candidates")
-	}
-	if !tr.UsesThreshold() {
-		t.Error("CP_SD candidate should make the tournament threshold-aware")
+	if got := tr.Traits(); got != (hybrid.Traits{Compressed: true}) {
+		t.Errorf("tournament traits = %+v, want the candidates' compression only", got)
 	}
 	if len(tr.Candidates()) != 3 {
 		t.Error("candidate list lost")

@@ -9,7 +9,6 @@
 package server
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -55,13 +54,8 @@ func DefaultJobRequest() JobRequest {
 // DecodeJobRequest decodes a submission body strictly over the defaults.
 func DecodeJobRequest(data []byte) (JobRequest, error) {
 	req := DefaultJobRequest()
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
+	if err := core.UnmarshalStrict(data, &req); err != nil {
 		return req, fmt.Errorf("job request: %w", err)
-	}
-	if dec.More() {
-		return req, fmt.Errorf("job request: trailing data after JSON document")
 	}
 	return req, req.Validate()
 }

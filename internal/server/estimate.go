@@ -1,12 +1,11 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/analytic"
+	"repro/internal/core"
 )
 
 // This file is the POST /v1/estimate surface: the analytic fast path as
@@ -24,13 +23,8 @@ import (
 // allowlist before anything simulates.
 func DecodeEstimateSpec(data []byte) (analytic.Spec, error) {
 	spec := analytic.DefaultSpec()
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := core.UnmarshalStrict(data, &spec); err != nil {
 		return spec, fmt.Errorf("estimate spec: %w", err)
-	}
-	if dec.More() {
-		return spec, fmt.Errorf("estimate spec: trailing data after JSON document")
 	}
 	return spec, spec.Validate()
 }

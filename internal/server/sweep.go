@@ -92,7 +92,7 @@ var sweepAxisSetters = map[string]func(*JobRequest, json.RawMessage) error{
 		// Decode into a fresh bracket — overwriting through the base's
 		// pointer would leak one child's bracket into its siblings.
 		tc := new(core.TournamentConfig)
-		if err := strictUnmarshal(v, tc); err != nil {
+		if err := core.UnmarshalStrict(v, tc); err != nil {
 			return err
 		}
 		r.Config.Tournament = tc
@@ -103,30 +103,13 @@ var sweepAxisSetters = map[string]func(*JobRequest, json.RawMessage) error{
 	"measure_cycles": func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.MeasureCycles) },
 }
 
-func strictUnmarshal(data []byte, v interface{}) error {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	if dec.More() {
-		return fmt.Errorf("trailing data after JSON document")
-	}
-	return nil
-}
-
 // DecodeSweepSpec decodes a sweep submission strictly over the defaults
 // (base = the job-submission defaults) and validates its shape. Child
 // configs are validated separately by Expand.
 func DecodeSweepSpec(data []byte) (SweepSpec, error) {
 	spec := SweepSpec{Base: DefaultJobRequest()}
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	if err := core.UnmarshalStrict(data, &spec); err != nil {
 		return spec, fmt.Errorf("sweep spec: %w", err)
-	}
-	if dec.More() {
-		return spec, fmt.Errorf("sweep spec: trailing data after JSON document")
 	}
 	return spec, spec.Validate()
 }
