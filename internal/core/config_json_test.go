@@ -39,9 +39,14 @@ func TestUnmarshalStrictRejectsUnknownFields(t *testing.T) {
 }
 
 func TestUnmarshalStrictRejectsTrailingData(t *testing.T) {
-	cfg := DefaultConfig()
-	if err := UnmarshalStrict([]byte(`{"policy": "CA"} {"policy": "BH"}`), &cfg); err == nil {
-		t.Fatal("trailing JSON document accepted")
+	for _, in := range []string{
+		`{"policy": "CA"} {"policy": "BH"}`, // second document
+		`{"policy": "CA"}}`,                 // stray closing delimiter
+	} {
+		cfg := DefaultConfig()
+		if err := UnmarshalStrict([]byte(in), &cfg); err == nil {
+			t.Errorf("%s accepted", in)
+		}
 	}
 }
 

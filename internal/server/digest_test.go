@@ -70,16 +70,16 @@ func classicDigestRequests() []digestCase {
 		req.MeasureCycles = 2_000_000
 		out = append(out, digestCase{fmt.Sprintf("mix1/%s/coloring=%s", req.Config.PolicyName, cc.Scheme), req})
 	}
-	for _, flag := range []string{"ablation_no_migration", "nvm_rrip"} {
+	for _, knob := range []string{"ablation_no_migration", "nvm_rrip"} {
 		req := DefaultJobRequest()
 		req.Config = core.QuickConfig()
 		req.Config.MixID = 1
 		req.Config.PolicyName = "CP_SD"
-		req.Config.AblationNoMigration = flag == "ablation_no_migration"
-		req.Config.NVMRRIP = flag == "nvm_rrip"
+		req.Config.AblationNoMigration = knob == "ablation_no_migration"
+		req.Config.NVMRRIP = knob == "nvm_rrip"
 		req.WarmupCycles = 500_000
 		req.MeasureCycles = 2_000_000
-		out = append(out, digestCase{"mix1/CP_SD/" + flag, req})
+		out = append(out, digestCase{"mix1/CP_SD/" + knob, req})
 	}
 	return out
 }
