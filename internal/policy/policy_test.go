@@ -165,6 +165,32 @@ func TestThresholdUsage(t *testing.T) {
 	}
 }
 
+func TestMigrationTraits(t *testing.T) {
+	// Only CA_RWR (and thus CP_SD) migrates read-reused SRAM victims;
+	// only LHybrid uses the loop-block migration on SRAM replacement.
+	for _, p := range []hybrid.Policy{BH{}, BHCP{}, CA{}, LHybrid{}, TAP{}, SRAMOnly{}} {
+		if p.Traits().Migrate == hybrid.MigrateReadReuse {
+			t.Errorf("%s must not migrate read-reuse victims", p.Name())
+		}
+	}
+	for _, p := range []hybrid.Policy{BH{}, BHCP{}, CA{}, CARWR{}, TAP{}, SRAMOnly{}} {
+		if p.Traits().Migrate == hybrid.MigrateLoopBlock {
+			t.Errorf("%s must not use LHybrid migration", p.Name())
+		}
+	}
+	for _, p := range []hybrid.Policy{CARWR{}, CARWR{PolicyName: "CP_SD"}} {
+		if p.Traits().Migrate != hybrid.MigrateReadReuse {
+			t.Errorf("%s must migrate read-reuse victims", p.Name())
+		}
+	}
+	if (LHybrid{}).Traits().Migrate != hybrid.MigrateLoopBlock {
+		t.Error("LHybrid must use the loop-block migration")
+	}
+	if (CARWR{NoMigration: true}).Traits().Migrate != hybrid.MigrateNone {
+		t.Error("NoMigration ablation must disable migration")
+	}
+}
+
 func TestGlobalPoliciesTargetUnused(t *testing.T) {
 	// Global policies never get Target called by the LLC, but the method
 	// must still return a sane value for interface completeness.
