@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/forecast"
 )
 
 var updateDigests = flag.Bool("update", false, "rewrite testdata/classic_digests.json")
@@ -31,6 +32,9 @@ type classicDigest struct {
 type digestCase struct {
 	name string
 	req  JobRequest
+	// forecast runs the aging forecast instead of one measured window:
+	// WarmupCycles and MeasureCycles become each phase's windows.
+	forecast bool
 }
 
 // classicDigestRequests is the oracle's matrix: every registry policy on
@@ -39,7 +43,9 @@ type digestCase struct {
 // four set-dueling epochs inside the measured window. Three CP_SD rows
 // add each coloring scheme, whose remap advances at epoch boundaries.
 // Two more CP_SD rows set ablation_no_migration (CA_RWR's migrate
-// switch) and nvm_rrip (fit-RRIP victims under a non-RRIP policy).
+// switch) and nvm_rrip (fit-RRIP victims under a non-RRIP policy). The
+// last row runs CP_SD's aging forecast, which invalidates unfit entries
+// between measured phases; the measured-window rows never see that.
 func classicDigestRequests() []digestCase {
 	var out []digestCase
 	for _, mix := range []int{1, 4} {
@@ -53,7 +59,7 @@ func classicDigestRequests() []digestCase {
 			if mix == 4 {
 				req.Capacity = 0.8
 			}
-			out = append(out, digestCase{fmt.Sprintf("mix%d/%s", mix, pol), req})
+			out = append(out, digestCase{name: fmt.Sprintf("mix%d/%s", mix, pol), req: req})
 		}
 	}
 	for _, cc := range []core.ColoringConfig{
@@ -68,7 +74,7 @@ func classicDigestRequests() []digestCase {
 		req.Config.Coloring = &cc
 		req.WarmupCycles = 500_000
 		req.MeasureCycles = 2_000_000
-		out = append(out, digestCase{fmt.Sprintf("mix1/%s/coloring=%s", req.Config.PolicyName, cc.Scheme), req})
+		out = append(out, digestCase{name: fmt.Sprintf("mix1/%s/coloring=%s", req.Config.PolicyName, cc.Scheme), req: req})
 	}
 	for _, knob := range []string{"ablation_no_migration", "nvm_rrip"} {
 		req := DefaultJobRequest()
@@ -79,9 +85,47 @@ func classicDigestRequests() []digestCase {
 		req.Config.NVMRRIP = knob == "nvm_rrip"
 		req.WarmupCycles = 500_000
 		req.MeasureCycles = 2_000_000
-		out = append(out, digestCase{"mix1/CP_SD/" + knob, req})
+		out = append(out, digestCase{name: "mix1/CP_SD/" + knob, req: req})
 	}
+	req := DefaultJobRequest()
+	req.Config = core.QuickConfig()
+	req.Config.MixID = 1
+	req.Config.PolicyName = "CP_SD"
+	req.WarmupCycles = 100_000
+	req.MeasureCycles = 300_000
+	out = append(out, digestCase{name: "forecast/mix1/CP_SD", req: req, forecast: true})
 	return out
+}
+
+// digestBlob returns the bytes a row pins: the artifact
+// RunRequestArtifact encodes for the request, or the forecast's.
+func digestBlob(c digestCase) ([]byte, error) {
+	if c.forecast {
+		return forecastDigestBlob(c.req)
+	}
+	body, err := json.Marshal(c.req)
+	if err != nil {
+		return nil, err
+	}
+	return RunRequestArtifact(context.Background(), body, nil)
+}
+
+// forecastDigestBlob runs req's config through forecast.Run, one phase
+// per req window and 10% capacity per prediction, and prints the
+// trajectory with the LLC's cumulative statistics: the points alone do
+// not show the writebacks InvalidateUnfit issues between phases.
+func forecastDigestBlob(req JobRequest) ([]byte, error) {
+	sys, err := req.Config.Build()
+	if err != nil {
+		return nil, err
+	}
+	fcfg := forecast.DefaultConfig()
+	fcfg.WarmupCycles = req.WarmupCycles
+	fcfg.PhaseCycles = req.MeasureCycles
+	fcfg.CapacityStep = 0.1
+	fcfg.MaxPhases = 8
+	res := forecast.Run(sys, fcfg)
+	return fmt.Appendf(nil, "%+v\n%+v\n", res, sys.LLC().Stats), nil
 }
 
 // TestClassicDigests is the behaviour oracle of the classic sequential
@@ -98,21 +142,16 @@ func TestClassicDigests(t *testing.T) {
 	for i, c := range cases {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(i int, name string, req JobRequest) {
+		go func(i int, c digestCase) {
 			defer func() { <-sem; wg.Done() }()
-			body, err := json.Marshal(req)
+			blob, err := digestBlob(c)
 			if err != nil {
-				errs[i] = err
-				return
-			}
-			blob, err := RunRequestArtifact(context.Background(), body, nil)
-			if err != nil {
-				errs[i] = fmt.Errorf("%s: %w", name, err)
+				errs[i] = fmt.Errorf("%s: %w", c.name, err)
 				return
 			}
 			sum := sha256.Sum256(blob)
-			got[i] = classicDigest{Name: name, CacheKey: req.CacheKey(), Artifact: hex.EncodeToString(sum[:])}
-		}(i, c.name, c.req)
+			got[i] = classicDigest{Name: c.name, CacheKey: c.req.CacheKey(), Artifact: hex.EncodeToString(sum[:])}
+		}(i, c)
 	}
 	wg.Wait()
 	for _, err := range errs {
