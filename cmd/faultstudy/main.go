@@ -118,8 +118,9 @@ func runStudy(opt studyOptions) (*report.Report, int, error) {
 			return nil, 0, err
 		}
 	} else {
-		if opt.Step <= 0 || opt.Target <= 0 || opt.Target >= 1 {
-			return nil, 0, fmt.Errorf("faultstudy: bad ramp step=%v target=%v", opt.Step, opt.Target)
+		// Negated, so that NaN, which fails every comparison, is refused.
+		if !(opt.Step > 0 && opt.Target > 0 && opt.Target < 1) {
+			return nil, 0, fmt.Errorf("bad ramp step=%v target=%v", opt.Step, opt.Target)
 		}
 		spec = faultinject.CapacityRamp(opt.Seed, 1-opt.Step, opt.Target, opt.Step)
 	}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 
@@ -45,8 +46,17 @@ func TestStudyDeterminism(t *testing.T) {
 	}
 }
 
+// TestStudyReachesTarget runs the test preset and the study faultstudy
+// -quick runs (its flag defaults): each must ramp the capacity down to
+// the target with no invariant violation.
 func TestStudyReachesTarget(t *testing.T) {
-	rep, violations, err := runStudy(quickOpts())
+	t.Run("test", func(t *testing.T) { studyReachesTarget(t, quickOpts()) })
+	cli := studyOptions{Policy: "CP_SD", Seed: 1, Target: 0.5, Step: 0.1, CheckEvery: 10_000, Quick: true}
+	t.Run("cli-quick", func(t *testing.T) { studyReachesTarget(t, cli) })
+}
+
+func studyReachesTarget(t *testing.T, opt studyOptions) {
+	rep, violations, err := runStudy(opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +92,19 @@ func TestStudyRejectsBadConfig(t *testing.T) {
 	if _, _, err := runStudy(opt); err == nil || !strings.Contains(err.Error(), "unknown policy") {
 		t.Fatalf("bad policy not rejected: %v", err)
 	}
-	opt = quickOpts()
-	opt.Step = 0
-	if _, _, err := runStudy(opt); err == nil {
-		t.Fatal("zero step accepted")
+	for _, bad := range []struct {
+		name         string
+		step, target float64
+	}{
+		{"zero step", 0, 0.5},
+		{"NaN step", math.NaN(), 0.5},
+		{"NaN target", 0.1, math.NaN()},
+	} {
+		opt = quickOpts()
+		opt.Step, opt.Target = bad.step, bad.target
+		if _, _, err := runStudy(opt); err == nil {
+			t.Fatalf("%s accepted", bad.name)
+		}
 	}
 	opt = quickOpts()
 	opt.SpecPath = "does-not-exist.json"

@@ -13,7 +13,7 @@
 //	tournament -mixes all              # full Table V workload
 //	tournament -policies SRRIP,BRRIP,DRRIP,CP_SD
 //	tournament -bracket bracket.json   # custom TOURNAMENT bracket
-//	tournament -quick                  # CI smoke preset (small, fast)
+//	tournament -quick                  # quick preset (small, fast)
 //	tournament -json | jq '.tables[0]'
 package main
 
@@ -44,7 +44,7 @@ func main() {
 	phase := flag.Uint64("phase", 10_000_000, "measured cycles per forecast phase")
 	warm := flag.Uint64("warmup", 2_000_000, "warm-up cycles per phase")
 	step := flag.Float64("step", 0.05, "capacity drop per prediction phase")
-	quick := flag.Bool("quick", false, "CI smoke preset: small cache, short phases, accelerated endurance, mix 1 only")
+	quick := flag.Bool("quick", false, "quick preset: small cache, short phases, accelerated endurance, mix 1 only")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
 	flag.Parse()

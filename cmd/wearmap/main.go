@@ -4,12 +4,10 @@
 // view a device architect uses to judge wear-leveling quality. The
 // device-level aggregates come from the metrics registry's nvm.array.*
 // subtree, including the wear-variation family (inter-set and intra-set
-// CoV, min/max frame wear, Gini). Optionally dumps the full NVM state
-// (fault maps, wear, endurance limits) to a snapshot file.
+// CoV, min/max frame wear, Gini).
 //
 //	wearmap -policy CP_SD -capacity 0.8
 //	wearmap -quick -mix 11 -coloring wear:interval=1,pairs=32
-//	wearmap -policy BH -capacity 0.9 -state bh.nvmstate
 //	wearmap -json | jq .fields.wear_interset_cov
 package main
 
@@ -29,15 +27,14 @@ import (
 // options carries everything run needs, so the golden-file test can
 // drive the full pipeline without going through flag parsing.
 type options struct {
-	Policy    string
-	Mix       int // 0-based
-	Seed      uint64
-	Capacity  float64
-	Warmup    uint64 // 0 = preset default
-	Measure   uint64 // 0 = preset default
-	Coloring  string // set-coloring spec ("" = off)
-	Quick     bool
-	StatePath string
+	Policy   string
+	Mix      int // 0-based
+	Seed     uint64
+	Capacity float64
+	Warmup   uint64 // 0 = preset default
+	Measure  uint64 // 0 = preset default
+	Coloring string // set-coloring spec ("" = off)
+	Quick    bool
 }
 
 func main() {
@@ -51,7 +48,6 @@ func main() {
 	measure := flag.Uint64("measure", 0, "cycles to measure write rates over (0 = preset default)")
 	coloring := flag.String("coloring", "", `set coloring: "xor:mask=N", "rotate:interval=N,step=N", "wear:interval=N,pairs=N" or "off"`)
 	quick := flag.Bool("quick", false, "small configuration, short windows")
-	statePath := flag.String("state", "", "write the aged NVM state snapshot to this file")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
 	flag.Parse()
@@ -60,15 +56,14 @@ func main() {
 		fatal(fmt.Errorf("mix %d outside 1-%d", *mix, nMixes))
 	}
 	rep, err := run(options{
-		Policy:    *policyName,
-		Mix:       *mix - 1,
-		Seed:      *seed,
-		Capacity:  *capacity,
-		Warmup:    *warmup,
-		Measure:   *measure,
-		Coloring:  *coloring,
-		Quick:     *quick,
-		StatePath: *statePath,
+		Policy:   *policyName,
+		Mix:      *mix - 1,
+		Seed:     *seed,
+		Capacity: *capacity,
+		Warmup:   *warmup,
+		Measure:  *measure,
+		Coloring: *coloring,
+		Quick:    *quick,
 	})
 	if err != nil {
 		fatal(err)
@@ -80,6 +75,10 @@ func main() {
 
 // run executes the measure-then-age pipeline and builds the report.
 func run(opt options) (*report.Report, error) {
+	// Negated, so that NaN, which fails every comparison, is refused.
+	if !(opt.Capacity > 0 && opt.Capacity <= 1) {
+		return nil, fmt.Errorf("capacity %v outside (0, 1]", opt.Capacity)
+	}
 	cfg := core.DefaultConfig()
 	warmup, measure := uint64(2_000_000), uint64(8_000_000)
 	if opt.Quick {
@@ -216,20 +215,6 @@ func run(opt options) (*report.Report, error) {
 	}
 	rep.AddTable(heat)
 
-	if opt.StatePath != "" {
-		f, err := os.Create(opt.StatePath)
-		if err != nil {
-			return nil, err
-		}
-		if err := arr.WriteSnapshot(f); err != nil {
-			f.Close()
-			return nil, err
-		}
-		if err := f.Close(); err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(os.Stderr, "NVM state written to %s\n", opt.StatePath)
-	}
 	return rep, nil
 }
 

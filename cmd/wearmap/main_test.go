@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -97,8 +98,8 @@ func TestWearmapColumns(t *testing.T) {
 }
 
 // TestWearmapRejects pins the error paths: an SRAM-only policy has no
-// NVM array to map, and a malformed coloring spec must fail before the
-// simulation is built.
+// NVM array to map, and a malformed coloring spec or a capacity outside
+// (0, 1] must fail before the simulation is built.
 func TestWearmapRejects(t *testing.T) {
 	opt := goldenOptions()
 	opt.Policy = "SRAM16"
@@ -110,5 +111,51 @@ func TestWearmapRejects(t *testing.T) {
 	opt.Coloring = "wear:pairs=bogus"
 	if _, err := run(opt); err == nil {
 		t.Fatal("malformed coloring spec accepted")
+	}
+	for _, c := range []float64{0, -0.5, 1.5, math.NaN(), math.Inf(1)} {
+		opt = goldenOptions()
+		opt.Capacity = c
+		if _, err := run(opt); err == nil {
+			t.Fatalf("capacity %v accepted", c)
+		}
+	}
+}
+
+// TestWearColoringLevelsSets is the wear-leveling claim (Mittal, arXiv
+// 1310.8494) on the zipfian set-pressure mix: wear-feedback coloring
+// cuts the simulated inter-set wear CoV by at least 30% against the
+// same run uncolored, and does not shorten the lifetime to 50%
+// capacity. Both reports must equal the archived
+// results/coloring_smoke_{off,wear}.json byte for byte.
+func TestWearColoringLevelsSets(t *testing.T) {
+	var cov, months [2]float64
+	for i, c := range []struct{ name, coloring string }{{"off", ""}, {"wear", "wear:interval=2,pairs=32"}} {
+		rep, err := run(options{Policy: "CP_SD", Mix: 11, Seed: 1, Capacity: 0.5,
+			Measure: 8_000_000, Coloring: c.coloring, Quick: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := rep.Write(&buf, report.JSON); err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join("..", "..", "results", "coloring_smoke_"+c.name+".json")
+		if want, err := os.ReadFile(path); err != nil || !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("report differs from %s (%v):\n%s", path, err, &buf)
+		}
+		for _, f := range rep.Fields() {
+			switch f.Key {
+			case "sim_wear_interset_cov":
+				cov[i] = f.Value.(float64)
+			case "aged_months":
+				months[i] = f.Value.(float64)
+			}
+		}
+	}
+	if !(cov[1] <= 0.7*cov[0]) {
+		t.Errorf("inter-set wear CoV %v -> %v, a cut under 30%%", cov[0], cov[1])
+	}
+	if !(months[1] >= months[0]) {
+		t.Errorf("lifetime to 50%% capacity fell %v -> %v months", months[0], months[1])
 	}
 }

@@ -14,14 +14,26 @@ import (
 	"repro/internal/experiments"
 )
 
-// buildCmdHelp builds every command under cmd/ once per test binary and
-// returns each one's -h output, keyed by command name.
-var buildCmdHelp = sync.OnceValues(func() (map[string]string, error) {
+// cmdDir holds a binary of every command under cmd/, built once per test
+// binary by builtCmds and removed by TestMain after the last test.
+var cmdDir string
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if cmdDir != "" {
+		os.RemoveAll(cmdDir)
+	}
+	os.Exit(code)
+}
+
+// builtCmds builds every command into cmdDir and returns each one's -h
+// output, keyed by command name.
+var builtCmds = sync.OnceValues(func() (map[string]string, error) {
 	dir, err := os.MkdirTemp("", "repro-cmd")
 	if err != nil {
 		return nil, err
 	}
-	defer os.RemoveAll(dir)
+	cmdDir = dir
 	if out, err := exec.Command("go", "build", "-o", dir+string(os.PathSeparator), "./cmd/...").CombinedOutput(); err != nil {
 		return nil, fmt.Errorf("go build: %v\n%s", err, out)
 	}
@@ -42,11 +54,18 @@ func cmdHelp(t *testing.T) map[string]string {
 	if _, err := exec.LookPath("go"); err != nil {
 		t.Skip("go toolchain not on PATH")
 	}
-	help, err := buildCmdHelp()
+	help, err := builtCmds()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return help
+}
+
+// cmdPath returns the path of the built binary of cmd/<name>.
+func cmdPath(t *testing.T, name string) string {
+	t.Helper()
+	cmdHelp(t)
+	return filepath.Join(cmdDir, name)
 }
 
 // flagUsage extracts one flag's block from a cmd's -h output: the

@@ -9,7 +9,7 @@ import "fmt"
 // The frames live in one backing slice, and each publishes its effective
 // capacity into caps, a dense byte per frame in the same physical
 // set-major order. Only Frame methods write caps, so a row read through
-// CapRow is exact after any write, aging pass, fault injection or restore.
+// CapRow is exact after any write, aging pass or fault injection.
 type Array struct {
 	sets, ways int
 	backing    []Frame
@@ -33,18 +33,6 @@ func NewArray(sets, ways int, model EnduranceModel, s Sampler, gran Granularity)
 	if sets <= 0 || ways < 0 {
 		panic("nvm: invalid array geometry")
 	}
-	a := newArray(sets, ways, model, gran)
-	for _, f := range a.frames {
-		f.sample(model, s, gran)
-	}
-	a.publishAll()
-	return a
-}
-
-// newArray allocates the frame storage and capacity rows of an array,
-// binding each frame to its capacity slot. The frames are left zero for
-// the caller to fill.
-func newArray(sets, ways int, model EnduranceModel, gran Granularity) *Array {
 	n := sets * ways
 	a := &Array{
 		sets: sets, ways: ways, gran: gran, model: model,
@@ -53,18 +41,13 @@ func newArray(sets, ways int, model EnduranceModel, gran Granularity) *Array {
 		caps:    make([]uint8, n),
 	}
 	for i := range a.backing {
-		a.frames[i] = &a.backing[i]
-	}
-	return a
-}
-
-// publishAll binds every frame to its capacity slot and publishes its
-// current capacity.
-func (a *Array) publishAll() {
-	for i, f := range a.frames {
+		f := &a.backing[i]
+		f.sample(model, s, gran)
 		f.capSlot = &a.caps[i]
 		f.publish()
+		a.frames[i] = f
 	}
+	return a
 }
 
 // Sets returns the number of sets.

@@ -139,7 +139,7 @@ func (f *Frame) minLiveLimit() float64 {
 
 // ensureOrder builds the death order on first need and puts next past
 // the bytes already disabled. Most frames never lose a byte to wear, so
-// sampling and restoring leave the order unbuilt; only the operations
+// sampling leaves the order unbuilt; only the operations
 // that read it build it: AddWear once a limit is crossed, InjectFault and
 // NextLimit.
 func (f *Frame) ensureOrder() {
@@ -152,9 +152,9 @@ func (f *Frame) ensureOrder() {
 }
 
 // sortOrder sets order to the byte indices by ascending limit, equal
-// limits in byte-index order, so a restored frame dies exactly like its
-// source. The stable insertion sort runs in place on the frame and
-// allocates nothing.
+// limits in byte-index order, so the order depends on the limits alone.
+// The stable insertion sort runs in place on the frame and allocates
+// nothing.
 func (f *Frame) sortOrder() {
 	for i := range f.order {
 		b := uint8(i)

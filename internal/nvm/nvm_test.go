@@ -342,43 +342,32 @@ func TestNewArrayAllocsPerFrame(t *testing.T) {
 	}
 }
 
-// TestNewArrayBuildsNoOrder pins the lazy death order: sampled and
-// restored frames leave it unbuilt, a write that kills no byte leaves it
-// so, and the first death or injected fault builds it. Frame keeps its
+// TestNewArrayBuildsNoOrder pins the lazy death order: sampled frames
+// leave it unbuilt, a write that kills no byte leaves it so, and the
+// first death, an injected fault or NextLimit builds it. Frame keeps its
 // size, the unbuilt flag fitting in the header's padding.
 func TestNewArrayBuildsNoOrder(t *testing.T) {
 	if got := unsafe.Sizeof(Frame{}); got != 648 {
 		t.Fatalf("Frame is %d bytes, want 648", got)
 	}
 	a := NewArray(4, 3, testModel, stats.NewRNG(11), ByteDisabling)
-	a.Frames()[1].AddWear(testModel.Mean) // kills about half its bytes: builds one order
-	b, err := RestoreArray(a.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, arr := range []*Array{a, b} {
-		name := "NewArray"
-		if arr == b {
-			name = "RestoreArray"
-		}
-		for i, f := range arr.Frames() {
-			if f.sorted && !(arr == a && i == 1) {
-				t.Fatalf("%s frame %d: order built at set-up", name, i)
-			}
-		}
-		f := arr.Frames()[0]
-		if n := f.AddWear(f.nextLimit / 2); n != 0 || f.sorted {
-			t.Fatalf("%s: a write that kills no byte built the order (%d died)", name, n)
-		}
-		if n := f.AdvanceTo(f.nextLimit); n == 0 || !f.sorted {
-			t.Fatalf("%s: first death (%d bytes) left the order unbuilt", name, n)
-		}
-		f = arr.Frames()[2]
-		if f.InjectFault(5); !f.sorted {
-			t.Fatalf("%s: InjectFault left the order unbuilt", name)
+	for i, f := range a.Frames() {
+		if f.sorted {
+			t.Fatalf("frame %d: order built at set-up", i)
 		}
 	}
-	f := b.Frames()[1] // aged, and restored with its order unbuilt
+	f := a.Frames()[0]
+	if n := f.AddWear(f.nextLimit / 2); n != 0 || f.sorted {
+		t.Fatalf("a write that kills no byte built the order (%d died)", n)
+	}
+	if n := f.AdvanceTo(f.nextLimit); n == 0 || !f.sorted {
+		t.Fatalf("first death (%d bytes) left the order unbuilt", n)
+	}
+	f = a.Frames()[2]
+	if f.InjectFault(5); !f.sorted {
+		t.Fatal("InjectFault left the order unbuilt")
+	}
+	f = a.Frames()[3]
 	if f.NextLimit(); !f.sorted {
 		t.Fatal("NextLimit left the order unbuilt")
 	}

@@ -115,7 +115,7 @@ func sameFloat(a, b float64) bool {
 // wear step. After every step each frame must agree with its reference
 // on bytes died, LiveBytes, Dead, EffectiveCapacity and Wear, and every
 // logical set's capacity row must equal its frames' reference capacities
-// — through snapshot/restore and inter-set remaps. NextLimit builds the
+// — through inter-set remaps. NextLimit builds the
 // death order, so it is compared only on about one step in four, and
 // never for physical frame 0: that frame's order is built by the write
 // path alone. Every step checks the cached nextLimit instead: exact
@@ -133,14 +133,10 @@ func TestFrameMatchesReference(t *testing.T) {
 		for i, f := range a.Frames() {
 			refs[i] = newRefFrame(f)
 		}
-		index := func() map[*Frame]int {
-			m := make(map[*Frame]int, len(refs))
-			for i, f := range a.Frames() {
-				m[f] = i
-			}
-			return m
+		idx := make(map[*Frame]int, len(refs))
+		for i, f := range a.Frames() {
+			idx[f] = i
 		}
-		idx := index()
 		for step := 0; step < 400; step++ {
 			i := r.Intn(len(refs))
 			f, ref := a.Frames()[i], refs[i]
@@ -170,14 +166,6 @@ func TestFrameMatchesReference(t *testing.T) {
 			case op < 86:
 				f.Disable()
 				ref.dead = true
-			case op < 93:
-				b, err := RestoreArray(a.Snapshot())
-				if err != nil {
-					t.Logf("seed %d step %d: restore: %v", seed, step, err)
-					return false
-				}
-				a = b
-				idx = index()
 			default:
 				a.AdvanceSetRemap(r.Intn(2*sets) - sets)
 			}

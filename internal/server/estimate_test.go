@@ -86,7 +86,9 @@ func postEstimate(t testing.TB, url, body string) (*http.Response, []byte) {
 
 // TestEstimateEndpoint pins the synchronous estimate surface: a first
 // query calibrates, repeat queries hit the cache and render
-// byte-identical bodies.
+// byte-identical bodies. The young IPC equals, bit for bit, the mean
+// IPC of a job on the same config whose measure window is the
+// calibration window: the two are one simulation.
 func TestEstimateEndpoint(t *testing.T) {
 	m := newTestManager(t, Options{Workers: 2})
 	srv := httptest.NewServer(NewHandler(m, nil))
@@ -117,6 +119,22 @@ func TestEstimateEndpoint(t *testing.T) {
 	}
 	if er.Calibration == nil || er.Calibration.Policy != "BH" {
 		t.Fatalf("missing calibration echo: %+v", er.Calibration)
+	}
+	_, b := postJob(t, srv.URL, strings.Replace(estimateTestBody, "calibration_cycles", "measure_cycles", 1))
+	var js JobStatus
+	var rep struct {
+		Fields struct {
+			MeanIPC float64 `json:"mean_ipc"`
+		} `json:"fields"`
+	}
+	if err := json.Unmarshal(b, &js); err != nil {
+		t.Fatalf("%v\n%s", err, b)
+	}
+	if err := json.Unmarshal(waitCompleted(t, srv.URL, js.ID).Report, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if er.Estimate.YoungIPC != rep.Fields.MeanIPC {
+		t.Fatalf("young_ipc %v, simulated mean_ipc %v over the same window", er.Estimate.YoungIPC, rep.Fields.MeanIPC)
 	}
 
 	resp, second := postEstimate(t, srv.URL, estimateTestBody)

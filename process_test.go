@@ -1,0 +1,157 @@
+package repro
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"net"
+	"net/http"
+	"os/exec"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"repro/internal/fleet"
+	"repro/internal/server"
+)
+
+// TestTournamentQuickDeterministic runs tournament -quick twice: the
+// league table must come out byte-identical, standings included.
+func TestTournamentQuickDeterministic(t *testing.T) {
+	bin := cmdPath(t, "tournament")
+	first, err1 := exec.Command(bin, "-quick").Output()
+	second, err2 := exec.Command(bin, "-quick").Output()
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	if !bytes.Equal(first, second) || !bytes.Contains(first, []byte("standings")) {
+		t.Fatalf("two runs differ or lack the standings table:\n--- first ---\n%s\n--- second ---\n%s", first, second)
+	}
+}
+
+// drillSweep is a four-child sweep, two children in flight at a time.
+// A child runs for about 0.4 s on a 2-vCPU Xeon, twenty times the
+// drill's polling interval, so each kill lands while a child runs.
+const drillSweep = `{"base":{"config":{"llc_sets":256,"scale":0.15,"l2_size_kb":64,"epoch_cycles":200000},
+  "warmup_cycles":100000,"measure_cycles":4000000},
+  "axes":[{"field":"cpth","values":[20,30,40,50]}],"concurrency":2}`
+
+// leasesLost matches the fleet's expired and requeued lease counters in
+// a Prometheus exposition once each is at least 1.
+var leasesLost = regexp.MustCompile(`(?m)^simd_fleet_leases_(expired|requeued) [1-9]`)
+
+// TestKillDrill runs simd as real processes: a remote-only coordinator
+// with a durable data directory and two fleet workers. It SIGKILLs the
+// worker holding a lease and waits for the coordinator to expire and
+// requeue that lease. It then SIGKILLs the coordinator mid-sweep and
+// restarts it on the same address over the same directory. The sweep
+// must still complete all four children, with the ones finished before
+// the kill served from their artifacts.
+func TestKillDrill(t *testing.T) {
+	simd := cmdPath(t, "simd")
+	ln, err := net.Listen("tcp", "127.0.0.1:0") // a free port for the coordinator
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	base := "http://" + addr
+	coordArgs := []string{"-addr", addr, "-remote-only", "-data", t.TempDir(), "-lease-ttl", "1s", "-log-format", "json"}
+
+	coord := startProc(t, "coordinator", simd, coordArgs...)
+	waitFor(t, "coordinator health", func() bool { return httpGet(base+"/healthz") != nil })
+	w1 := startProc(t, "w1", simd, "-worker", "-join", base, "-worker-id", "drill-w1")
+	startProc(t, "w2", simd, "-worker", "-join", base, "-worker-id", "drill-w2")
+
+	resp, err := http.Post(base+"/v1/sweeps", "application/json", strings.NewReader(drillSweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sw server.SweepStatus
+	json.NewDecoder(resp.Body).Decode(&sw)
+	resp.Body.Close()
+	if sw.ID == "" {
+		t.Fatalf("sweep submission answered %d", resp.StatusCode)
+	}
+	sweep := func() server.SweepStatus {
+		var st server.SweepStatus
+		if body := httpGet(base + "/v1/sweeps/" + sw.ID); body != nil {
+			json.Unmarshal(body, &st)
+		}
+		return st
+	}
+
+	waitFor(t, "a lease held by drill-w1", func() bool {
+		var leases []fleet.LeaseInfo
+		json.Unmarshal(httpGet(base+"/v1/leases"), &leases)
+		return slices.ContainsFunc(leases, func(l fleet.LeaseInfo) bool { return l.Worker == "drill-w1" })
+	})
+	kill(w1)
+	waitFor(t, "the killed worker's lease to expire and requeue", func() bool {
+		return len(leasesLost.FindAll(httpGet(base+"/metrics?format=prometheus"), -1)) == 2
+	})
+
+	waitFor(t, "a completed child", func() bool { return sweep().Completed >= 1 })
+	if st := sweep(); st.Completed == st.TotalChildren {
+		t.Fatalf("the sweep finished before the coordinator kill: %+v", st)
+	}
+	kill(coord)
+	startProc(t, "restarted coordinator", simd, coordArgs...)
+	waitFor(t, "the sweep to complete after the restart", func() bool {
+		return sweep().State == server.SweepCompleted
+	})
+	if st := sweep(); st.Completed != 4 || st.CacheHits < 1 {
+		t.Fatalf("resumed sweep completed %d/4 children with %d served from artifacts", st.Completed, st.CacheHits)
+	}
+}
+
+// startProc starts bin with args. The test's cleanup kills it if it
+// still runs, and logs its output when the test failed.
+func startProc(t *testing.T, name, bin string, args ...string) *exec.Cmd {
+	t.Helper()
+	var out bytes.Buffer
+	cmd := exec.Command(bin, args...)
+	cmd.Stdout, cmd.Stderr = &out, &out
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		kill(cmd)
+		if t.Failed() {
+			t.Logf("--- %s output ---\n%s", name, &out)
+		}
+	})
+	return cmd
+}
+
+// kill SIGKILLs a started command and reaps it.
+func kill(cmd *exec.Cmd) {
+	cmd.Process.Kill()
+	cmd.Wait()
+}
+
+// httpGet returns the body of a 200 answer to GET url, or nil.
+func httpGet(url string) []byte {
+	resp, err := http.Get(url)
+	if err != nil {
+		return nil
+	}
+	defer resp.Body.Close()
+	if body, err := io.ReadAll(resp.Body); err == nil && resp.StatusCode == http.StatusOK {
+		return body
+	}
+	return nil
+}
+
+// waitFor polls cond every 20 ms and fails the test if it is not true
+// within 30 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
