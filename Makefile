@@ -12,9 +12,12 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Static-analysis gate: vet always, staticcheck when the toolchain has
-# it (CI installs it; a bare container skips it rather than failing).
+# Static-analysis gate: vet always, on the root module and on the
+# separate perfbench/ module (the root ./... does not reach it), and
+# staticcheck when the toolchain has it (CI installs it; a bare
+# container skips it rather than failing).
 lint: vet
+	cd perfbench && $(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \
 	else \

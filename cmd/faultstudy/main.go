@@ -19,6 +19,7 @@ import (
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/faultinject"
+	"repro/internal/nvm"
 	"repro/internal/report"
 )
 
@@ -111,6 +112,7 @@ func runStudy(opt studyOptions) (*report.Report, int, error) {
 		return nil, 0, err
 	}
 
+	arr := sys.LLC().Array()
 	var spec faultinject.Spec
 	if opt.SpecPath != "" {
 		spec, err = faultinject.LoadSpec(opt.SpecPath)
@@ -119,12 +121,17 @@ func runStudy(opt studyOptions) (*report.Report, int, error) {
 		}
 	} else {
 		// Negated, so that NaN, which fails every comparison, is refused.
-		if !(opt.Step > 0 && opt.Target > 0 && opt.Target < 1) {
-			return nil, 0, fmt.Errorf("bad ramp step=%v target=%v", opt.Step, opt.Target)
+		// A ramp of more steps than the array has data bytes would step
+		// by less than a byte of capacity, which disables nothing, and
+		// CapacityRamp would allocate every one of those steps.
+		maxSteps := float64(len(arr.Frames()) * nvm.DataBytes)
+		if !(opt.Step > 0 && opt.Target > 0 && opt.Target < 1 && (1-opt.Target)/opt.Step <= maxSteps) {
+			return nil, 0, fmt.Errorf("bad ramp step=%v target=%v (at most %.0f steps, one per NVM data byte)",
+				opt.Step, opt.Target, maxSteps)
 		}
 		spec = faultinject.CapacityRamp(opt.Seed, 1-opt.Step, opt.Target, opt.Step)
 	}
-	camp, err := faultinject.NewCampaign(sys.LLC().Array(), spec)
+	camp, err := faultinject.NewCampaign(arr, spec)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -99,6 +99,7 @@ func TestStudyRejectsBadConfig(t *testing.T) {
 		{"zero step", 0, 0.5},
 		{"NaN step", math.NaN(), 0.5},
 		{"NaN target", 0.1, math.NaN()},
+		{"sub-byte step", 1e-9, 0.5},
 	} {
 		opt = quickOpts()
 		opt.Step, opt.Target = bad.step, bad.target

@@ -1,6 +1,6 @@
 // Command simd is the simulation daemon: it serves the hybrid-LLC
 // simulator over HTTP as queued jobs with live epoch streaming and a
-// content-addressed result cache.
+// content-addressed result index.
 //
 //	simd -addr :8080 -workers 4 -queue 64
 //
@@ -62,7 +62,6 @@ func main() {
 	workers := flag.Int("workers", 0, "concurrent local simulations (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 64, "waiting-job backlog at which POST /v1/jobs returns 429 (sweeps are paced, not refused)")
 	jobTimeout := flag.Duration("jobtimeout", 0, "per-job deadline (0 = none)")
-	cacheSize := flag.Int("cachesize", 256, "result cache entries (0 = disable)")
 	drain := flag.Duration("drain", 30*time.Second, "graceful shutdown deadline")
 	data := flag.String("data", "", "durable state directory (journal + artifacts); empty = in-memory only")
 	retries := flag.Int("retries", 0, "re-run attempts for transiently failed jobs (panic/timeout)")
@@ -95,10 +94,6 @@ func main() {
 		os.Exit(runWorker(log, *join, *workerID, *drain))
 	}
 
-	cache := *cacheSize
-	if cache <= 0 {
-		cache = server.NoCache
-	}
 	var store *jobstore.Store
 	if *data != "" {
 		var err error
@@ -118,7 +113,6 @@ func main() {
 		Workers:    poolWorkers,
 		QueueDepth: *queue,
 		JobTimeout: *jobTimeout,
-		CacheSize:  cache,
 		Store:      store,
 		Retries:    *retries,
 		LeaseTTL:   *leaseTTL,

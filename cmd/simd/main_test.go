@@ -33,7 +33,7 @@ func TestPprofOwnListener(t *testing.T) {
 		}
 	}
 
-	m, err := server.NewManager(server.Options{Workers: -1, QueueDepth: 1, CacheSize: server.NoCache})
+	m, err := server.NewManager(server.Options{Workers: -1, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

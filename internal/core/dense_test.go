@@ -53,6 +53,12 @@ func TestNonPowerOfTwoGeometryUnderChecker(t *testing.T) {
 // LLC lookup/insert/victim choice, BDI sizing, set dueling and epoch
 // sampling — at zero allocations per access in steady state, on the
 // default configuration under BH and CP_SD.
+//
+// testing.AllocsPerRun counts every allocation in the process, so one
+// stray allocation outside the simulator can land in the measured call.
+// A nonzero count is therefore measured once more on a rebuilt system
+// after the same warm-up: the simulator is deterministic, so an
+// allocation on its hot path recurs in the replay and still fails.
 func TestStepAccessesZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two default-size systems")
@@ -61,19 +67,27 @@ func TestStepAccessesZeroAllocs(t *testing.T) {
 		t.Run(pol, func(t *testing.T) {
 			cfg := DefaultConfig()
 			cfg.PolicyName = pol
-			sys, err := cfg.Build()
-			if err != nil {
-				t.Fatal(err)
+			measure := func() (allocs float64, closed int) {
+				sys, err := cfg.Build()
+				if err != nil {
+					t.Fatal(err)
+				}
+				sys.Run(cfg.EpochCycles + 500_000) // warm, past the first epoch
+				// One measured call after one warm-up call: the count is
+				// exact, not an average rounded down. closed is the
+				// measured call's.
+				allocs = testing.AllocsPerRun(1, func() {
+					e := sys.Epochs
+					sys.StepAccesses(400_000)
+					closed = sys.Epochs - e
+				})
+				return allocs, closed
 			}
-			sys.Run(cfg.EpochCycles + 500_000) // warm, past the first epoch
-			// One measured call after one warm-up call: the count is exact,
-			// not an average rounded down. closed is the measured call's.
-			var closed int
-			allocs := testing.AllocsPerRun(1, func() {
-				e := sys.Epochs
-				sys.StepAccesses(400_000)
-				closed = sys.Epochs - e
-			})
+			allocs, closed := measure()
+			if allocs != 0 {
+				t.Logf("StepAccesses(400000) allocated %.0f times; replaying on a rebuilt system", allocs)
+				allocs, closed = measure()
+			}
 			if allocs != 0 {
 				t.Errorf("StepAccesses(400000) allocates %.0f times, want 0", allocs)
 			}

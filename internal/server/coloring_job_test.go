@@ -29,7 +29,7 @@ func TestColoringJobRejectedPreQueue(t *testing.T) {
 		t.Fatalf("valid coloring rejected: %v", err)
 	}
 
-	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, CacheSize: 2})
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2})
 	srv := httptest.NewServer(NewHandler(m, nil))
 	defer srv.Close()
 	for _, body := range bad {
@@ -48,7 +48,7 @@ func TestColoringJobRejectedPreQueue(t *testing.T) {
 }
 
 // TestColoringCacheKey: the coloring document is a simulation-affecting
-// input, so it must split the result cache — and two identical documents
+// input, so it must split the result index — and two identical documents
 // must share a key even through separate decodes.
 func TestColoringCacheKey(t *testing.T) {
 	decode := func(body string) JobRequest {

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/cliutil"
+	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/jobstore"
 )
@@ -55,7 +56,7 @@ func executeGrant(t *testing.T, g *fleet.Grant) ([]byte, string) {
 // TestLeaseLifecycleHTTPHappyPath drives acquire → heartbeat → complete
 // over the real HTTP surface.
 func TestLeaseLifecycleHTTPHappyPath(t *testing.T) {
-	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8, CacheSize: 8})
+	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8})
 	srv := httptest.NewServer(NewHandler(m, nil))
 	defer srv.Close()
 
@@ -162,7 +163,7 @@ func TestLeaseExpiryRequeuesForSecondWorker(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store.Close()
-	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8, CacheSize: NoCache,
+	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8,
 		Store: store, LeaseTTL: 150 * time.Millisecond})
 
 	j := submitOne(t, m, leaseTestBody)
@@ -243,7 +244,7 @@ func TestLeaseExpiryRequeuesForSecondWorker(t *testing.T) {
 
 // TestCompletionCachedBeforeTerminal is the deterministic guard on the
 // publication order: from inside the onTerminal hook — the instant a
-// job's state turns terminal — the cache must already hold the job's
+// job's state turns terminal — the result index must already hold the job's
 // key and the store its artifact, for a local pool completion and for a
 // CompleteLease completion alike.
 func TestCompletionCachedBeforeTerminal(t *testing.T) {
@@ -253,14 +254,16 @@ func TestCompletionCachedBeforeTerminal(t *testing.T) {
 	}{{"local", 1}, {"lease", -1}} {
 		t.Run(tc.name, func(t *testing.T) {
 			st := openStore(t, t.TempDir())
-			m := newTestManager(t, Options{Workers: tc.workers, QueueDepth: 4, CacheSize: 8, Store: st})
+			m := newTestManager(t, Options{Workers: tc.workers, QueueDepth: 4, Store: st})
 			type seen struct {
 				id             string
 				cached, stored bool
 			}
 			obs := make(chan seen, 1)
 			m.onTerminal = func(j *Job) {
-				_, cached := m.cache.get(j.cacheKey)
+				m.mu.Lock()
+				_, cached := m.results[j.cacheKey]
+				m.mu.Unlock()
 				obs <- seen{j.id, cached, st.HasArtifact(j.cacheKey)}
 			}
 			j := submitOne(t, m, leaseTestBody)
@@ -291,12 +294,81 @@ func TestCompletionCachedBeforeTerminal(t *testing.T) {
 	}
 }
 
+// TestResultIndexKeepsEveryCompletion completes more distinct keys than
+// a 256-entry bounded cache would hold — through fleet leases carrying
+// synthetic artifacts, so nothing simulates — and resubmits every key,
+// oldest first: each must be served from the result index. A restart
+// over the same store must serve every recovered completion the same way.
+func TestResultIndexKeepsEveryCompletion(t *testing.T) {
+	const keys = 300
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	m1, err := NewManager(Options{Workers: -1, QueueDepth: 1, Store: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, err := DecodeJobRequest([]byte(leaseTestBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]JobRequest, keys)
+	for i := range reqs {
+		req.Config.Seed = uint64(i + 1)
+		reqs[i] = req
+		j, err := m1.Submit(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := m1.AcquireLease(context.Background(), "w1", time.Second)
+		if err != nil || g == nil {
+			t.Fatalf("acquire %d: %v", i, err)
+		}
+		blob, err := encodeResult(j.CacheKey(), &Result{Summary: core.Summary{Policy: "BH", MeanIPC: float64(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(blob)
+		resp, err := m1.CompleteLease(g.Token, fleet.CompleteRequest{Artifact: blob, ArtifactSHA: hex.EncodeToString(sum[:])})
+		if err != nil || resp.Resolution != fleet.ResolutionCompleted {
+			t.Fatalf("complete %d: %q, %v", i, resp.Resolution, err)
+		}
+	}
+	resubmitAll := func(m *Manager, phase string) {
+		t.Helper()
+		for i, req := range reqs {
+			j, err := m.Submit(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !j.Status().CacheHit || j.Result().Summary.MeanIPC != float64(i) {
+				t.Fatalf("%s: key %d of %d missed the result index (%s)", phase, i+1, keys, j.State())
+			}
+		}
+		snap := m.Registry().Snapshot()
+		if hits := snap.Counter("server.cache.hits"); hits != keys {
+			t.Fatalf("%s: %d cache hits, want %d", phase, hits, keys)
+		}
+		if n := snap.Gauge("server.cache.entries"); n != keys {
+			t.Fatalf("%s: %v index entries, want %d", phase, n, keys)
+		}
+	}
+	resubmitAll(m1, "live")
+	m1.Close()
+	st.Close()
+
+	m2 := newTestManager(t, Options{Workers: -1, QueueDepth: 1, Store: openStore(t, dir)})
+	resubmitAll(m2, "recovered")
+	if misses := m2.Registry().Snapshot().Counter("server.cache.misses"); misses != 0 {
+		t.Fatalf("recovered: %d cache misses, want 0", misses)
+	}
+}
+
 // TestDuplicateCompletionIdempotent exercises the revived-worker race
 // on the ingestion path itself: a verified upload for a job that
 // reached its terminal state a moment earlier is resolved as a
 // duplicate by hash — no second count, no second journal entry.
 func TestDuplicateCompletionIdempotent(t *testing.T) {
-	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8})
 	j := submitOne(t, m, leaseTestBody)
 	g, err := m.AcquireLease(context.Background(), "w1", time.Second)
 	if err != nil {
@@ -326,7 +398,7 @@ func TestDuplicateCompletionIdempotent(t *testing.T) {
 // hash-mismatched body, and a wrong-key artifact; each is refused with
 // the lease left active, and the honest retry then completes the job.
 func TestCorruptArtifactRejectedWithoutPoisoning(t *testing.T) {
-	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8})
 	srv := httptest.NewServer(NewHandler(m, nil))
 	defer srv.Close()
 
@@ -399,7 +471,7 @@ func TestCorruptArtifactRejectedWithoutPoisoning(t *testing.T) {
 // retried counter moves, the job requeues with attempt 2, and
 // exhaustion fails it terminally.
 func TestRemoteTransientFailureSharesRetryPath(t *testing.T) {
-	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8, CacheSize: NoCache,
+	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8,
 		Retries: 1, RetryBackoff: cliutil.Backoff{Base: time.Millisecond, Max: 2 * time.Millisecond}})
 	j := submitOne(t, m, leaseTestBody)
 
@@ -454,7 +526,7 @@ func TestByteIdentityAcrossPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer localStore.Close()
-	mLocal := newTestManager(t, Options{Workers: 2, QueueDepth: 8, CacheSize: NoCache, Store: localStore})
+	mLocal := newTestManager(t, Options{Workers: 2, QueueDepth: 8, Store: localStore})
 	jLocal := submitOne(t, mLocal, leaseTestBody)
 	jLocal.awaitTerminal()
 	if jLocal.State() != StateCompleted {
@@ -468,7 +540,7 @@ func TestByteIdentityAcrossPlacement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer remoteStore.Close()
-	mRemote := newTestManager(t, Options{Workers: -1, QueueDepth: 8, CacheSize: NoCache, Store: remoteStore})
+	mRemote := newTestManager(t, Options{Workers: -1, QueueDepth: 8, Store: remoteStore})
 	srv := httptest.NewServer(NewHandler(mRemote, nil))
 	defer srv.Close()
 	jRemote := submitOne(t, mRemote, leaseTestBody)
@@ -515,7 +587,7 @@ func TestByteIdentityAcrossPlacement(t *testing.T) {
 // TestFleetSweepAcrossWorkers fans a sweep out over two real workers
 // sharing one remote-only coordinator.
 func TestFleetSweepAcrossWorkers(t *testing.T) {
-	m := newTestManager(t, Options{Workers: -1, QueueDepth: 16, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: -1, QueueDepth: 16})
 	srv := httptest.NewServer(NewHandler(m, nil))
 	defer srv.Close()
 
@@ -595,7 +667,7 @@ func TestLeasedJobRecoveredAfterRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m1, err := NewManager(Options{Workers: -1, QueueDepth: 8, CacheSize: NoCache, Store: store})
+	m1, err := NewManager(Options{Workers: -1, QueueDepth: 8, Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -612,7 +684,7 @@ func TestLeasedJobRecoveredAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer store2.Close()
-	m2 := newTestManager(t, Options{Workers: 2, QueueDepth: 8, CacheSize: NoCache, Store: store2})
+	m2 := newTestManager(t, Options{Workers: 2, QueueDepth: 8, Store: store2})
 	j2, ok := m2.Job(j1.ID())
 	if !ok {
 		t.Fatalf("job %s not recovered", j1.ID())
@@ -629,7 +701,7 @@ func TestLeasedJobRecoveredAfterRestart(t *testing.T) {
 // TestMetricsPrometheusExposition checks content negotiation and the
 // exposition grammar, fleet gauges included.
 func TestMetricsPrometheusExposition(t *testing.T) {
-	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8, CacheSize: 8})
+	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8})
 	srv := httptest.NewServer(NewHandler(m, nil))
 	defer srv.Close()
 
@@ -694,7 +766,7 @@ func TestMetricsPrometheusExposition(t *testing.T) {
 
 // TestAcquireNoWorkAndDraining pins the 204 and 503 answers.
 func TestAcquireNoWorkAndDraining(t *testing.T) {
-	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8, CacheSize: 8})
+	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8})
 	srv := httptest.NewServer(NewHandler(m, nil))
 	defer srv.Close()
 
@@ -728,7 +800,7 @@ func TestAcquireNoWorkAndDraining(t *testing.T) {
 // TestRemoteOnlyDrainCancelsQueued checks a remote-only coordinator's
 // drain does not hang on queued jobs no one will ever lease.
 func TestRemoteOnlyDrainCancelsQueued(t *testing.T) {
-	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: -1, QueueDepth: 8})
 	j := submitOne(t, m, leaseTestBody)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()

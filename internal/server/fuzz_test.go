@@ -111,7 +111,7 @@ func FuzzLeaseComplete(f *testing.F) {
 	f.Add([]byte(nil), "", "worker panicked", true)
 	f.Add(valid, digest(valid), "simulation failed", false)
 	f.Fuzz(func(t *testing.T, artifact []byte, sha, errText string, transient bool) {
-		m, err := NewManager(Options{Workers: -1, QueueDepth: 1, CacheSize: NoCache,
+		m, err := NewManager(Options{Workers: -1, QueueDepth: 1,
 			Retries: 1, LeaseTTL: time.Minute})
 		if err != nil {
 			t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 )
 
 // Result is a completed job's outcome: core.RunWindow's result, shared
-// by the cache, the artifact codec and late readers.
+// by the result index, the artifact codec and late readers.
 type Result = core.Result
 
 // Job is one queued simulation run. All mutable state sits behind the
@@ -51,19 +51,6 @@ func newJob(id string, req JobRequest) *Job {
 		total:     req.WarmupCycles + req.MeasureCycles,
 		notify:    make(chan struct{}),
 	}
-}
-
-// newCachedJob returns an already-completed job serving a cached result.
-func newCachedJob(id string, req JobRequest, res *Result) *Job {
-	j := newJob(id, req)
-	j.state = StateCompleted
-	j.started, j.finished = j.submitted, j.submitted
-	j.done = j.total
-	j.epochs = res.Epochs
-	j.result = res
-	j.cacheHit = true
-	close(j.notify)
-	return j
 }
 
 // ID returns the job's identifier.
@@ -146,9 +133,10 @@ func (j *Job) Attempts() int {
 	return j.attempts
 }
 
-// completeFromCache finishes a still-pending job with a shared cached or
-// store-recovered result, marking it a cache hit (no simulation ran for
-// it in this process).
+// completeFromCache finishes a still-pending job with a result another
+// job already produced — a result-index hit or a store-recovered
+// artifact — marking it a cache hit (no simulation ran for it in this
+// process).
 func (j *Job) completeFromCache(res *Result) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

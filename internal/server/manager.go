@@ -49,9 +49,6 @@ type Options struct {
 	// at the next epoch boundary); 0 disables the deadline. With retries
 	// enabled the deadline is per attempt.
 	JobTimeout time.Duration
-	// CacheSize bounds the content-addressed result cache; <= 0 uses 256.
-	// Use NoCache to disable caching.
-	CacheSize int
 	// Store, when set, makes the manager durable: every state transition
 	// is journaled, completed results are written as content-addressed
 	// artifacts, and NewManager replays the journal to recover jobs and
@@ -73,10 +70,7 @@ type Options struct {
 	Logger *slog.Logger
 }
 
-// NoCache as Options.CacheSize disables the result cache.
-const NoCache = -1
-
-// Manager owns the job queue, the worker pool, the result cache and —
+// Manager owns the job queue, the worker pool, the result index and —
 // when a Store is configured — the durability pipeline. Every
 // simulation runs behind cliutil's recover barrier, so a panicking run
 // becomes a failed job record instead of a dead daemon; with retries
@@ -84,7 +78,6 @@ const NoCache = -1
 type Manager struct {
 	opts       Options
 	log        *slog.Logger
-	cache      *resultCache
 	est        *analytic.Estimator
 	store      *jobstore.Store
 	drainc     chan struct{} // closed when draining starts
@@ -97,6 +90,7 @@ type Manager struct {
 	mu       sync.Mutex // guards the fields below
 	jobs     map[string]*Job
 	order    []string
+	results  map[string]*Result // cache key → completed result; never evicted
 	sweeps   map[string]*Sweep
 	sweepOrd []string
 	draining bool
@@ -156,13 +150,6 @@ func NewManager(opts Options) (*Manager, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 64
 	}
-	cacheSize := opts.CacheSize
-	switch {
-	case cacheSize == NoCache:
-		cacheSize = 0
-	case cacheSize <= 0:
-		cacheSize = 256
-	}
 	log := opts.Logger
 	if log == nil {
 		log = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -171,13 +158,13 @@ func NewManager(opts Options) (*Manager, error) {
 	m := &Manager{
 		opts:       opts,
 		log:        log,
-		cache:      newResultCache(cacheSize),
 		store:      opts.Store,
 		drainc:     make(chan struct{}),
 		readyc:     make(chan struct{}),
 		rootCtx:    ctx,
 		rootCancel: cancel,
 		jobs:       make(map[string]*Job),
+		results:    make(map[string]*Result),
 		sweeps:     make(map[string]*Sweep),
 		est:        analytic.NewEstimator(),
 	}
@@ -202,7 +189,11 @@ func NewManager(opts Options) (*Manager, error) {
 	counter("server.estimates.cache_hits", &m.estCacheHits)
 	m.reg.GaugeFunc("server.queue.depth", func() float64 { return float64(m.queueLen()) })
 	m.reg.GaugeFunc("server.jobs.running", func() float64 { return float64(m.running.Load()) })
-	m.reg.GaugeFunc("server.cache.entries", func() float64 { return float64(m.cache.len()) })
+	m.reg.GaugeFunc("server.cache.entries", func() float64 {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		return float64(len(m.results))
+	})
 	m.reg.GaugeFunc("server.estimates.cached", func() float64 { return float64(m.est.Len()) })
 	if m.store != nil {
 		m.reg.GaugeFunc("server.store.artifacts", func() float64 { return float64(m.store.CountArtifacts()) })
@@ -308,51 +299,45 @@ func (m *Manager) journalJob(j *Job, state string, err error) {
 }
 
 // Submit validates nothing (callers decode+validate the request) and
-// enqueues a job, serving it straight from the result cache when the
+// enqueues a job, serving it straight from the result index when the
 // content address hits. ErrQueueFull and ErrDraining report backpressure
 // and shutdown respectively. An accepted job reserves its slot, then
 // journals queued, then becomes runnable: no worker can claim a job
 // whose creation is not yet on disk, and a refusal journals nothing.
 func (m *Manager) Submit(req JobRequest) (*Job, error) {
 	key := req.CacheKey()
-	if res, ok := m.cache.get(key); ok {
-		m.mu.Lock()
-		if m.draining {
-			m.mu.Unlock()
-			return nil, ErrDraining
-		}
-		j := newCachedJob(m.nextIDLocked(), req, res)
-		m.jobs[j.id] = j
-		m.order = append(m.order, j.id)
-		m.mu.Unlock()
-		m.submitted.Add(1)
-		m.cacheHits.Add(1)
-		m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(StateCompleted),
-			CacheKey: key, Request: marshalRequest(req)})
-		m.log.Info("job cache hit", "job", j.id, "key", key)
-		return j, nil
-	}
-
 	m.mu.Lock()
 	if m.draining {
 		m.mu.Unlock()
 		return nil, ErrDraining
 	}
-	if len(m.ready)+m.reserved >= m.opts.QueueDepth {
+	res, hit := m.results[key]
+	if !hit && len(m.ready)+m.reserved >= m.opts.QueueDepth {
 		m.mu.Unlock()
 		m.queueRejects.Add(1)
 		m.log.Warn("job rejected: queue full", "depth", m.opts.QueueDepth)
 		return nil, ErrQueueFull
 	}
-	m.reserved++
 	j := newJob(m.nextIDLocked(), req)
 	m.jobs[j.id] = j
 	m.order = append(m.order, j.id)
+	state := StateQueued
+	if hit {
+		j.completeFromCache(res)
+		state = StateCompleted
+	} else {
+		m.reserved++
+	}
 	m.mu.Unlock()
 	m.submitted.Add(1)
-	m.cacheMisses.Add(1)
-	m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(StateQueued),
+	m.journal(jobstore.Entry{Kind: jobstore.KindJob, ID: j.id, State: string(state),
 		CacheKey: key, Request: marshalRequest(req)})
+	if hit {
+		m.cacheHits.Add(1)
+		m.log.Info("job cache hit", "job", j.id, "key", key)
+		return j, nil
+	}
+	m.cacheMisses.Add(1)
 	m.push(j, true)
 	m.log.Info("job queued", "job", j.id, "key", key,
 		"policy", j.req.Config.PolicyName, "mix", j.req.Config.MixID+1)
@@ -371,7 +356,7 @@ func marshalRequest(req JobRequest) json.RawMessage {
 // SubmitSweep expands a validated spec into child jobs sharing a sweep
 // ID and starts the sweep's scheduler, which admits children into the
 // execution queue under the spec's concurrency cap. Children whose
-// content address hits the cache complete immediately without running.
+// content address hits the result index complete immediately without running.
 func (m *Manager) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	children, err := spec.Expand()
 	if err != nil {
@@ -398,12 +383,10 @@ func (m *Manager) SubmitSweep(spec SweepSpec) (*Sweep, error) {
 	jobs := make([]*Job, 0, len(children))
 	var hits int
 	for _, c := range children {
-		var j *Job
-		if res, ok := m.cache.get(c.Request.CacheKey()); ok {
-			j = newCachedJob(m.nextIDLocked(), c.Request, res)
+		j := newJob(m.nextIDLocked(), c.Request)
+		if res, ok := m.results[j.cacheKey]; ok {
+			j.completeFromCache(res)
 			hits++
-		} else {
-			j = newJob(m.nextIDLocked(), c.Request)
 		}
 		j.sweepID, j.label = sw.id, c.Label
 		m.jobs[j.id] = j
@@ -860,20 +843,20 @@ type completion struct {
 
 // publishCompletion is the one path a successful run takes to the
 // completed state, wherever it ran. The steps keep a fixed order: the
-// artifact into the store, the result into the cache, the in-memory
+// artifact into the store, the result into the index, the in-memory
 // transition, then — only when this call made the transition — the
 // counter, the duration sample, the journal entry and the log line.
 // Artifact before journal means a journaled completion implies the
 // artifact exists (at-least-once execution, idempotent artifacts);
-// artifact and cache before j.finish mean an observer who sees the job
+// artifact and index before j.finish mean an observer who sees the job
 // completed can already read its artifact, and a resubmission of its
-// key hits the cache. False means the job was already terminal (a
+// key hits the index. False means the job was already terminal (a
 // racing duplicate completion, or a cancel that won) and nothing was
-// counted or journaled; the artifact and cache entry it put are
+// counted or journaled; the artifact and index entry it put are
 // byte-identical to the winner's under content addressing.
 func (m *Manager) publishCompletion(j *Job, res *Result, c completion) bool {
 	sha := m.storeArtifact(j, res, c.blob)
-	m.cache.put(j.cacheKey, res)
+	m.indexResult(j.cacheKey, res)
 	if !m.markTerminal(j, StateCompleted, res, nil) {
 		return false
 	}
@@ -885,6 +868,13 @@ func (m *Manager) publishCompletion(j *Job, res *Result, c completion) bool {
 	m.log.Info("job completed", "job", j.id, "sweep", j.sweepID, "worker", c.worker, "lease", c.lease,
 		"mean_ipc", res.Summary.MeanIPC, "epochs", len(res.Epochs), "attempts", j.Attempts())
 	return true
+}
+
+// indexResult records a completed result under its cache key.
+func (m *Manager) indexResult(key string, res *Result) {
+	m.mu.Lock()
+	m.results[key] = res
+	m.mu.Unlock()
 }
 
 // markTerminal flips the job's in-memory state through j.finish and,
@@ -1073,7 +1063,7 @@ func (m *Manager) rebuildJob(rec *jobstore.JobRecord, ownerState string) (j *Job
 			}
 			if err == nil {
 				j.completeFromCache(res)
-				m.cache.put(j.cacheKey, res)
+				m.indexResult(j.cacheKey, res)
 				return j, false
 			}
 		}

@@ -56,7 +56,7 @@ func TestRecoveryServesCompletedFromArtifacts(t *testing.T) {
 	variant := strings.Replace(testBody, `"epoch_cycles": 200000`, `"epoch_cycles": 150000`, 1)
 
 	st1 := openStore(t, dir)
-	m1, err := NewManager(Options{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: st1})
+	m1, err := NewManager(Options{Workers: 2, QueueDepth: 8, Store: st1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestRecoveryServesCompletedFromArtifacts(t *testing.T) {
 
 	// A new process over the same directory.
 	st2 := openStore(t, dir)
-	m2, err := NewManager(Options{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: st2})
+	m2, err := NewManager(Options{Workers: 2, QueueDepth: 8, Store: st2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestRecoveryRerunsInterruptedJob(t *testing.T) {
 	must(jobstore.Entry{Kind: jobstore.KindJob, ID: "job-000002", State: string(StateFailed),
 		Error: "synthetic permanent failure"})
 
-	m, err := NewManager(Options{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: st})
+	m, err := NewManager(Options{Workers: 2, QueueDepth: 8, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestRecoveryRerunsArtifactOfAnotherKey(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m, err := NewManager(Options{Workers: 1, QueueDepth: 4, CacheSize: 8, Store: st})
+	m, err := NewManager(Options{Workers: 1, QueueDepth: 4, Store: st})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestRecoveryReplacesForeignArtifact(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	m1, err := NewManager(Options{Workers: 1, QueueDepth: 4, CacheSize: 8, Store: st1})
+	m1, err := NewManager(Options{Workers: 1, QueueDepth: 4, Store: st1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestRecoveryReplacesForeignArtifact(t *testing.T) {
 	m1.Close()
 	st1.Close()
 
-	m2, err := NewManager(Options{Workers: 1, QueueDepth: 4, CacheSize: 8, Store: openStore(t, dir)})
+	m2, err := NewManager(Options{Workers: 1, QueueDepth: 4, Store: openStore(t, dir)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +373,7 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 	job("job-000003", string(StateCompleted), classic.CacheKey(), nil, classicSHA)
 	job("job-000004", string(StateQueued), rerun.CacheKey(), rerunBlob, "")
 
-	m, err := NewManager(Options{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: st})
+	m, err := NewManager(Options{Workers: 2, QueueDepth: 8, Store: st})
 	if err != nil {
 		t.Fatalf("boot refused over a journal with engine jobs: %v", err)
 	}
@@ -426,7 +426,7 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 func TestSweepCrashRecovery(t *testing.T) {
 	dir := t.TempDir()
 	st1 := openStore(t, dir)
-	m1, err := NewManager(Options{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: st1})
+	m1, err := NewManager(Options{Workers: 2, QueueDepth: 8, Store: st1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestSweepCrashRecovery(t *testing.T) {
 
 	// Restart over the crash image.
 	st2 := openStore(t, dir)
-	m2, err := NewManager(Options{Workers: 2, QueueDepth: 8, CacheSize: 8, Store: st2})
+	m2, err := NewManager(Options{Workers: 2, QueueDepth: 8, Store: st2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -578,7 +578,7 @@ func TestRecoveryRejectsCorruptJournal(t *testing.T) {
 func TestJournalHoldsTransitionsOnly(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, CacheSize: 8, Store: st})
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, Store: st})
 	req, err := DecodeJobRequest([]byte(testBody))
 	if err != nil {
 		t.Fatal(err)
@@ -660,7 +660,7 @@ func TestJournalHoldsTransitionsOnly(t *testing.T) {
 // let a crash leave a running record with no request behind it.
 func TestQueuedJournaledBeforeClaim(t *testing.T) {
 	dir := t.TempDir()
-	m := newTestManager(t, Options{Workers: 2, QueueDepth: 4, CacheSize: NoCache, Store: openStore(t, dir)})
+	m := newTestManager(t, Options{Workers: 2, QueueDepth: 4, Store: openStore(t, dir)})
 	var mu sync.Mutex
 	var early []string
 	m.beforeRun = func(j *Job) {

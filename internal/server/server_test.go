@@ -109,7 +109,7 @@ func referenceReport(t *testing.T, body string) []byte {
 }
 
 func TestServerEndToEnd(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 2, QueueDepth: 8, CacheSize: 8})
+	m := newTestManager(t, Options{Workers: 2, QueueDepth: 8})
 	srv := httptest.NewServer(NewHandler(m, nil))
 	defer srv.Close()
 
@@ -314,7 +314,7 @@ func TestServerEndToEnd(t *testing.T) {
 // TestLiveEpochStream follows a running job and must see epochs arrive
 // before the job completes — the stream is live, not a post-hoc dump.
 func TestLiveEpochStream(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2})
 	srv := httptest.NewServer(NewHandler(m, nil))
 	defer srv.Close()
 
@@ -357,7 +357,7 @@ func TestLiveEpochStream(t *testing.T) {
 func TestQueueFullBackpressure(t *testing.T) {
 	release := make(chan struct{})
 	entered := make(chan string, 4)
-	m := newTestManager(t, Options{Workers: 1, QueueDepth: 1, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 1})
 	m.beforeRun = func(j *Job) {
 		entered <- j.ID()
 		<-release
@@ -402,7 +402,7 @@ func TestQueueDepthRefusesOnlyStandaloneSubmits(t *testing.T) {
 	dir := t.TempDir()
 	release := make(chan struct{})
 	entered := make(chan string, 7) // one per job the test submits
-	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, CacheSize: NoCache, Store: openStore(t, dir)})
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, Store: openStore(t, dir)})
 	m.beforeRun = func(j *Job) {
 		entered <- j.ID()
 		<-release
@@ -486,7 +486,7 @@ func TestQueueDepthRefusesOnlyStandaloneSubmits(t *testing.T) {
 // Drain returns.
 func TestRequeueWhileDrainingCancels(t *testing.T) {
 	m := newTestManager(t, Options{
-		Workers: 1, QueueDepth: 2, CacheSize: NoCache,
+		Workers: 1, QueueDepth: 2,
 		Retries: 2, RetryBackoff: backoffFast(),
 	})
 	entered := make(chan struct{})
@@ -606,7 +606,7 @@ func TestShardsRejectedOnEveryEndpoint(t *testing.T) {
 // already be in the cache by then, so the resubmission is a hit rather
 // than a second run.
 func TestResubmitAtCompletionHitsCache(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 2, QueueDepth: 4, CacheSize: 64})
+	m := newTestManager(t, Options{Workers: 2, QueueDepth: 4})
 	for i := 0; i < 16; i++ {
 		req := DefaultJobRequest()
 		req.Config = core.QuickConfig()
@@ -635,7 +635,7 @@ func TestResubmitAtCompletionHitsCache(t *testing.T) {
 func TestGracefulDrain(t *testing.T) {
 	before := runtime.NumGoroutine()
 
-	m, err := NewManager(Options{Workers: 2, QueueDepth: 4, CacheSize: 4})
+	m, err := NewManager(Options{Workers: 2, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -697,7 +697,7 @@ func TestGracefulDrain(t *testing.T) {
 // rather than run to completion, and Drain still waits for the workers
 // to settle.
 func TestDrainDeadlineCancelsInFlight(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2})
 
 	req, err := DecodeJobRequest([]byte(`{
 	  "config": {"llc_sets": 256, "scale": 0.15, "l2_size_kb": 64, "epoch_cycles": 100000},
@@ -734,7 +734,7 @@ func TestDrainDeadlineCancelsInFlight(t *testing.T) {
 // names are job IDs, so the env hook targets the first job precisely.
 func TestPanickingJobFailsCleanly(t *testing.T) {
 	t.Setenv(cliutil.PanicTaskEnv, "job-000001")
-	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2})
 	req, err := DecodeJobRequest([]byte(testBody))
 	if err != nil {
 		t.Fatal(err)
@@ -777,7 +777,7 @@ func TestPanickingJobFailsCleanly(t *testing.T) {
 // with a timeout error instead of running forever.
 func TestJobTimeout(t *testing.T) {
 	m := newTestManager(t, Options{
-		Workers: 1, QueueDepth: 2, CacheSize: NoCache,
+		Workers: 1, QueueDepth: 2,
 		JobTimeout: 200 * time.Millisecond,
 	})
 	req, err := DecodeJobRequest([]byte(`{
@@ -810,7 +810,7 @@ func TestJobTimeout(t *testing.T) {
 // TestManagerSubmitAfterDrainErrs covers the manager-level draining
 // error (the HTTP 503 path's source).
 func TestManagerSubmitAfterDrainErrs(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 1, QueueDepth: 1, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 1})
 	if err := m.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -824,7 +824,7 @@ func TestManagerSubmitAfterDrainErrs(t *testing.T) {
 }
 
 func TestSSEEpochStream(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 2})
 	srv := httptest.NewServer(NewHandler(m, nil))
 	defer srv.Close()
 
@@ -861,7 +861,7 @@ func TestSSEEpochStream(t *testing.T) {
 }
 
 func TestJobIDsSequential(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 1, QueueDepth: 8, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 8})
 	req, err := DecodeJobRequest([]byte(testBody))
 	if err != nil {
 		t.Fatal(err)

@@ -162,7 +162,7 @@ func waitSweepState(t *testing.T, url, id string, want SweepState) SweepStatus {
 }
 
 func TestSweepEndToEnd(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 2, QueueDepth: 8, CacheSize: 8})
+	m := newTestManager(t, Options{Workers: 2, QueueDepth: 8})
 	srv := httptest.NewServer(NewHandler(m, nil))
 	defer srv.Close()
 
@@ -245,7 +245,7 @@ func TestSweepEndToEnd(t *testing.T) {
 // concurrency 1 the scheduler holds the next child until the previous
 // one is terminal, regardless of free workers.
 func TestSweepConcurrencyCap(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 4, QueueDepth: 8, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: 4, QueueDepth: 8})
 	var violations atomic.Int32
 	m.beforeRun = func(j *Job) {
 		if j.sweepID == "" {
@@ -295,7 +295,7 @@ func TestSweepConcurrencyCap(t *testing.T) {
 // completes, with the attempt count on the wire.
 func TestRetryRecoversTransientFailure(t *testing.T) {
 	m := newTestManager(t, Options{
-		Workers: 1, QueueDepth: 2, CacheSize: NoCache,
+		Workers: 1, QueueDepth: 2,
 		Retries: 2, RetryBackoff: backoffFast(),
 	})
 	m.beforeAttempt = func(j *Job, attempt int) error {
@@ -336,7 +336,7 @@ func TestRetryRecoversTransientFailure(t *testing.T) {
 // not loop forever.
 func TestRetryExhaustionFails(t *testing.T) {
 	m := newTestManager(t, Options{
-		Workers: 1, QueueDepth: 2, CacheSize: NoCache,
+		Workers: 1, QueueDepth: 2,
 		Retries: 2, RetryBackoff: backoffFast(),
 	})
 	m.beforeAttempt = func(j *Job, attempt int) error {
@@ -367,7 +367,7 @@ func TestRetryExhaustionFails(t *testing.T) {
 // retries configured.
 func TestPermanentErrorsDoNotRetry(t *testing.T) {
 	m := newTestManager(t, Options{
-		Workers: 1, QueueDepth: 2, CacheSize: NoCache,
+		Workers: 1, QueueDepth: 2,
 		Retries: 3, RetryBackoff: backoffFast(),
 	})
 	m.beforeAttempt = func(j *Job, attempt int) error {
@@ -391,7 +391,7 @@ func TestPermanentErrorsDoNotRetry(t *testing.T) {
 // any observation, backlog-and-duration scaling after, and the 120s
 // clamp.
 func TestRetryAfterDerived(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 2, QueueDepth: 4, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: 2, QueueDepth: 4})
 	if got := m.RetryAfterSeconds(); got != 1 {
 		t.Fatalf("cold estimate %d, want the 1s floor", got)
 	}
@@ -410,7 +410,7 @@ func TestRetryAfterDerived(t *testing.T) {
 // Retry-After is a positive integer number of seconds.
 func TestQueueFullRetryAfterHeader(t *testing.T) {
 	block := make(chan struct{})
-	m := newTestManager(t, Options{Workers: 1, QueueDepth: 1, CacheSize: NoCache})
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 1})
 	m.beforeRun = func(*Job) { <-block }
 	defer close(block)
 	srv := httptest.NewServer(NewHandler(m, nil))

@@ -34,7 +34,7 @@ const tournamentBody = `{
 // whole service: strict decode, validation, execution, and a completed
 // report. This is the acceptance path for "brackets as simd jobs".
 func TestTournamentBracketJob(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 1, QueueDepth: 4, CacheSize: 4})
+	m := newTestManager(t, Options{Workers: 1, QueueDepth: 4})
 	srv := httptest.NewServer(NewHandler(m, nil))
 	defer srv.Close()
 
