@@ -129,7 +129,7 @@ func runStudy(opt studyOptions) (*report.Report, int, error) {
 			return nil, 0, fmt.Errorf("bad ramp step=%v target=%v (at most %.0f steps, one per NVM data byte)",
 				opt.Step, opt.Target, maxSteps)
 		}
-		spec = faultinject.CapacityRamp(opt.Seed, 1-opt.Step, opt.Target, opt.Step)
+		spec = faultinject.CapacityRamp(opt.Seed, 1, opt.Target, opt.Step)
 	}
 	camp, err := faultinject.NewCampaign(arr, spec)
 	if err != nil {

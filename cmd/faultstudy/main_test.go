@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/csv"
 	"math"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -83,6 +86,25 @@ func studyReachesTarget(t *testing.T, opt studyOptions) {
 	tabs := rep.Tables()
 	if len(tabs) == 0 || tabs[0].Rows() != steps+1 {
 		t.Fatalf("degradation table has %d rows, want %d", tabs[0].Rows(), steps+1)
+	}
+	// The ramp's first step aims at 1-step, so its row lands within one
+	// step of it: a ramp that skipped 1-step would kill twice the frames
+	// of every later step on its first.
+	var buf bytes.Buffer
+	if err := tabs[0].WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	rows, err := csv.NewReader(&buf).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	col := slices.Index(rows[0], "capacity")
+	first, err := strconv.ParseFloat(rows[2][col], 64) // rows[1] is the baseline
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(first-(1-opt.Step)) > opt.Step {
+		t.Fatalf("first ramp step reached capacity %.4f, want within %v of %v", first, opt.Step, 1-opt.Step)
 	}
 }
 

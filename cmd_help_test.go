@@ -99,7 +99,6 @@ func TestCmdPolicyHelp(t *testing.T) {
 		{"faultstudy", "policy", core.Policies()},
 		{"appstudy", "policy", core.Policies()},
 		{"wearmap", "policy", core.Policies()},
-		{"tournament", "policies", core.Policies()},
 		{"forecast", "policies", experiments.ForecastLabels()},
 	}
 	word := regexp.MustCompile(`[A-Za-z0-9_]+`)

@@ -81,15 +81,6 @@ type Config struct {
 	// selection.
 	NVMRRIP bool `json:"nvm_rrip"`
 
-	// Tournament declares the bracket the TOURNAMENT policy runs: an
-	// N-way generalization of the paper's set dueling where each
-	// candidate is a whole insertion policy (plus optional per-candidate
-	// CPth) sampled on its own share of sets. nil selects
-	// DefaultTournament; ignored by every other policy. The pointer is
-	// omitted from the canonical form when nil, so pre-tournament cache
-	// keys and golden configs are unchanged.
-	Tournament *TournamentConfig `json:"tournament,omitempty"`
-
 	// Coloring selects inter-set wear-leveling (cache coloring): a
 	// bijective logical-set→physical-row remap applied to every LLC
 	// lookup, with rotation/wear-feedback schemes advancing at epoch

@@ -71,11 +71,6 @@ func (c Config) Validate() error {
 	if known && spec.UsesCPth && (c.CPth < 1 || c.CPth > 64) {
 		bad("CPth %d outside [1,64]", c.CPth)
 	}
-	if c.PolicyName == "TOURNAMENT" && c.Tournament != nil {
-		if err := c.validateTournament(c.Tournament); err != nil {
-			errs = append(errs, err)
-		}
-	}
 	if c.Coloring != nil {
 		if err := c.validateColoring(c.Coloring); err != nil {
 			errs = append(errs, err)

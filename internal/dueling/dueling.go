@@ -1,20 +1,12 @@
-// Package dueling implements an N-way set-sampling policy tournament.
+// Package dueling implements the paper's Set Dueling for the compression
+// threshold CPth (§IV-C) and its rule-based CP_SD_Th variant (§IV-D).
 //
-// The mechanism generalizes the paper's Set Dueling for the compression
-// threshold CPth (§IV-C) and its rule-based CP_SD_Th variant (§IV-D): a
-// fixed share of the cache sets is partitioned into sampler groups, one
-// per tournament candidate; every candidate is tested on sets/Divisor
+// A fixed share of the cache sets is partitioned into sampler groups,
+// one per candidate CPth; every candidate is tested on sets/GroupDivisor
 // sets. The remaining (follower) sets use the candidate that performed
 // best in the previous epoch. Each sampler group accumulates its number
 // of LLC hits and NVM bytes written; at every epoch boundary the winner
 // is recomputed.
-//
-// Candidates are opaque descriptors (Candidate): the controller
-// arbitrates them purely on their votes and never interprets what a
-// candidate means. The paper's CPth dueling attaches an integer
-// threshold per candidate (New / NewWithCandidates); the policy
-// tournament of internal/policy attaches a whole insertion policy per
-// candidate through the Payload index (NewTournament).
 package dueling
 
 import (
@@ -28,38 +20,17 @@ import (
 // 64 admits uncompressed blocks too.
 var DefaultCandidates = []int{30, 34, 37, 40, 44, 48, 51, 55, 58, 64}
 
-// GroupDivisor is the default number of equal set classes the cache is
-// divided into; each candidate occupies one class (N/32 sets, as in the
-// paper).
+// GroupDivisor is the number of equal set classes the cache is divided
+// into; each candidate occupies one class (N/32 sets, as in the paper).
 const GroupDivisor = 32
 
-// Candidate describes one tournament competitor. The controller treats
-// it as opaque: only the vote counters of its sampler sets matter for
-// winner selection.
-type Candidate struct {
-	// Name labels the candidate in reports and diagnostics (e.g. "CPth40"
-	// or "SRRIP").
-	Name string
-	// CPth is the compression threshold the candidate's sampler sets run
-	// and follower sets adopt while it holds the win.
-	CPth int
-	// Payload is an opaque caller-owned index; the policy tournament maps
-	// it to the insertion policy the candidate's sets delegate to. The
-	// controller never reads it.
-	Payload int
-}
-
-// Controller implements hybrid.ThresholdProvider with N-way set-sampling:
-// the paper's CPth dueling when candidates differ only in CPth, a policy
-// tournament when the caller attaches per-candidate behaviour via
-// Payload and CandidateFor.
+// Controller implements hybrid.ThresholdProvider with CPth set dueling.
 type Controller struct {
-	cands   []Candidate
-	divisor int
-	group   []int16 // per set: candidate index, or -1 for followers
-	hits    []uint64
-	bytes   []uint64
-	winner  int // candidate index used by follower sets
+	cands  []int   // candidate CPth values, strictly ascending
+	group  []int16 // per set: candidate index, or -1 for followers
+	hits   []uint64
+	bytes  []uint64
+	winner int // candidate index used by follower sets
 
 	// Th is the maximum percentage of hits the rule may sacrifice; Tw is
 	// the minimum percentage of NVM bytes-written reduction required to
@@ -67,13 +38,10 @@ type Controller struct {
 	// CP_SD).
 	Th, Tw float64
 
-	// History records the winning CPth of every closed epoch; IdxHistory
-	// records the winning candidate index (the policy-tournament view,
-	// where several candidates may share one CPth). Both start with room
-	// for historyReserve epochs, so closing an epoch allocates nothing
-	// until a run passes that many.
-	History    []int
-	IdxHistory []int
+	// History records the winning CPth of every closed epoch. It starts
+	// with room for historyReserve epochs, so closing an epoch allocates
+	// nothing until a run passes that many.
+	History []int
 
 	// RecordPerEpoch, when set before the run, keeps per-epoch copies of
 	// each candidate's hit and byte counters (for Fig 8-style analyses).
@@ -89,54 +57,30 @@ func New(sets int, th, tw float64) *Controller {
 }
 
 // NewWithCandidates builds a CPth-dueling controller with an explicit
-// threshold list. Thresholds must be in ascending order; their number
-// must not exceed GroupDivisor.
+// threshold list. Thresholds must be in strictly ascending order; there
+// must be 1 to GroupDivisor of them. The initial winner is the last
+// candidate, the paper's permissive (highest-CPth) start.
 func NewWithCandidates(sets int, cpths []int, th, tw float64) *Controller {
+	if len(cpths) == 0 || len(cpths) > GroupDivisor {
+		panic(fmt.Sprintf("dueling: %d candidates, want 1..%d", len(cpths), GroupDivisor))
+	}
 	for i := 1; i < len(cpths); i++ {
 		if cpths[i] <= cpths[i-1] {
 			panic("dueling: candidates must be strictly ascending")
 		}
 	}
-	cands := make([]Candidate, len(cpths))
-	for i, v := range cpths {
-		cands[i] = Candidate{Name: fmt.Sprintf("CPth%d", v), CPth: v, Payload: i}
-	}
-	return NewTournament(sets, cands, GroupDivisor, th, tw)
-}
-
-// historyReserve is the epoch count the winner histories are sized for
-// up front: 128M cycles at the default 2M-cycle epoch.
-const historyReserve = 64
-
-// NewTournament builds an N-way tournament controller over opaque
-// candidates. divisor is the number of equal set classes (each candidate
-// samples on sets/divisor sets; 0 selects GroupDivisor); the candidate
-// count must not exceed it. th/tw arm the Eq. 1 trade-off rule (0 for
-// plain max-hits selection). The initial winner is the last candidate,
-// matching the paper's permissive (highest-CPth) start.
-func NewTournament(sets int, cands []Candidate, divisor int, th, tw float64) *Controller {
-	if divisor == 0 {
-		divisor = GroupDivisor
-	}
-	if len(cands) == 0 || len(cands) > divisor {
-		panic(fmt.Sprintf("dueling: %d candidates, want 1..%d", len(cands), divisor))
-	}
 	c := &Controller{
-		cands:   append([]Candidate(nil), cands...),
-		divisor: divisor,
+		cands:   append([]int(nil), cpths...),
 		group:   make([]int16, sets),
-		hits:    make([]uint64, len(cands)),
-		bytes:   make([]uint64, len(cands)),
-		winner:  len(cands) - 1,
+		hits:    make([]uint64, len(cpths)),
+		bytes:   make([]uint64, len(cpths)),
+		winner:  len(cpths) - 1,
 		Th:      th,
 		Tw:      tw,
-
-		History:    make([]int, 0, historyReserve),
-		IdxHistory: make([]int, 0, historyReserve),
+		History: make([]int, 0, historyReserve),
 	}
 	for s := range c.group {
-		g := s % divisor
-		if g < len(cands) {
+		if g := s % GroupDivisor; g < len(cpths) {
 			c.group[s] = int16(g)
 		} else {
 			c.group[s] = -1
@@ -145,32 +89,18 @@ func NewTournament(sets int, cands []Candidate, divisor int, th, tw float64) *Co
 	return c
 }
 
-// Candidates returns the candidate CPth values (the legacy CPth-dueling
-// view; see CandidateList for the full descriptors).
-func (c *Controller) Candidates() []int {
-	out := make([]int, len(c.cands))
-	for i, cd := range c.cands {
-		out[i] = cd.CPth
-	}
-	return out
-}
+// historyReserve is the epoch count History is sized for up front:
+// 128M cycles at the default 2M-cycle epoch.
+const historyReserve = 64
 
-// CandidateList returns the tournament's candidate descriptors.
-func (c *Controller) CandidateList() []Candidate {
-	return append([]Candidate(nil), c.cands...)
-}
-
-// Divisor returns the number of set classes the cache is divided into.
-func (c *Controller) Divisor() int { return c.divisor }
+// Candidates returns the candidate CPth values.
+func (c *Controller) Candidates() []int { return append([]int(nil), c.cands...) }
 
 // Winner returns the CPth currently used by follower sets.
-func (c *Controller) Winner() int { return c.cands[c.winner].CPth }
+func (c *Controller) Winner() int { return c.cands[c.winner] }
 
 // WinnerIndex returns the index of the candidate follower sets use.
 func (c *Controller) WinnerIndex() int { return c.winner }
-
-// WinnerCandidate returns the descriptor of the current winner.
-func (c *Controller) WinnerCandidate() Candidate { return c.cands[c.winner] }
 
 // IsSampler reports whether set is a sampler set and for which candidate.
 func (c *Controller) IsSampler(set int) (candidate int, ok bool) {
@@ -181,19 +111,13 @@ func (c *Controller) IsSampler(set int) (candidate int, ok bool) {
 	return int(g), true
 }
 
-// CandidateFor returns the index of the candidate governing a set: the
-// sampled candidate for sampler sets, the current winner for followers.
-// The policy tournament resolves per-set insertion behaviour through it.
-func (c *Controller) CandidateFor(set int) int {
-	if g := c.group[set]; g >= 0 {
-		return int(g)
-	}
-	return c.winner
-}
-
-// CPthFor implements hybrid.ThresholdProvider.
+// CPthFor implements hybrid.ThresholdProvider: a sampler set runs its
+// own candidate, a follower the current winner.
 func (c *Controller) CPthFor(set int) int {
-	return c.cands[c.CandidateFor(set)].CPth
+	if g := c.group[set]; g >= 0 {
+		return c.cands[g]
+	}
+	return c.cands[c.winner]
 }
 
 // RecordHit implements hybrid.ThresholdProvider.
@@ -214,9 +138,8 @@ func (c *Controller) RecordNVMBytes(set int, n int) {
 // rule of §IV-C/§IV-D and resets the epoch counters.
 //
 // Plain selection picks the candidate with the most hits (ties break to
-// the lowest index — the smallest CPth under the ascending legacy
-// ordering). The Th/Tw rule then looks for the lowest-index candidate j
-// satisfying Eq. (1):
+// the lowest index, the smallest CPth). The Th/Tw rule then looks for
+// the lowest-index candidate j satisfying Eq. (1):
 //
 //	H(j) > H(i)*(1 - Th/100)  and  W(j) < W(i)*(1 - Tw/100)
 //
@@ -240,8 +163,7 @@ func (c *Controller) EndEpoch() {
 		}
 	}
 	c.winner = sel
-	c.History = append(c.History, c.cands[sel].CPth)
-	c.IdxHistory = append(c.IdxHistory, sel)
+	c.History = append(c.History, c.cands[sel])
 	if c.RecordPerEpoch {
 		c.EpochHits = append(c.EpochHits, append([]uint64(nil), c.hits...))
 		c.EpochBytes = append(c.EpochBytes, append([]uint64(nil), c.bytes...))
@@ -256,7 +178,7 @@ func (c *Controller) EndEpoch() {
 // appears under "dueling.*" — the CPth follower sets currently use, the
 // winning candidate index, the number of closed epochs, and the open
 // epoch's aggregate sampler counters. The per-epoch winner series is
-// recorded by the hierarchy's epoch ring (and in History/IdxHistory).
+// recorded by the hierarchy's epoch ring (and in History).
 func (c *Controller) RegisterMetrics(reg *metrics.Registry) {
 	reg.GaugeFunc("dueling.cpth", func() float64 { return float64(c.Winner()) })
 	reg.GaugeFunc("dueling.winner_idx", func() float64 { return float64(c.WinnerIndex()) })

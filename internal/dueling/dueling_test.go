@@ -178,7 +178,11 @@ func TestInitialWinnerPermissive(t *testing.T) {
 }
 
 func TestPanicsOnBadCandidates(t *testing.T) {
-	for _, cand := range [][]int{nil, {30, 30}, {40, 30}, make([]int, 33)} {
+	ascending33 := make([]int, GroupDivisor+1) // one more than there are set classes
+	for i := range ascending33 {
+		ascending33[i] = i + 1
+	}
+	for _, cand := range [][]int{nil, {30, 30}, {40, 30}, make([]int, 33), ascending33} {
 		func() {
 			defer func() { recover() }()
 			NewWithCandidates(64, cand, 0, 0)

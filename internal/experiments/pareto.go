@@ -5,8 +5,6 @@ package experiments
 // zero margins) and the simd sweep planner's analytic screening
 // (margin-aware — a config is only screened when another config
 // dominates it by more than the estimates' combined error bounds).
-// cmd/tournament's RankLeague stays a total order (standings need ranks,
-// not a frontier); this is the set-valued counterpart.
 
 import "math"
 

@@ -74,6 +74,10 @@ const (
 	FitRRIP
 )
 
+// rrpvInsert is the re-reference prediction value every NVM insert
+// starts at: SRRIP's "long" prediction, which FitRRIP's victim scan ages.
+const rrpvInsert = 2
+
 // String names the scheme.
 func (r Replacement) String() string {
 	switch r {
@@ -153,8 +157,6 @@ type LLC struct {
 	noGetXInval             bool
 	data                    *dataStore
 	nvmRepl                 Replacement
-	resolver                SetPolicyResolver // non-nil for tournament meta-policies
-	polRRIP                 RRIPInserter      // non-nil when pol itself is RRIP-family
 	reg                     *metrics.Registry
 
 	mapper        SetMapper
@@ -213,8 +215,6 @@ func New(cfg Config) *LLC {
 		noGetXInval: cfg.NoGetXInvalidate,
 		nvmRepl:     cfg.NVMReplacement,
 	}
-	l.resolver, _ = cfg.Policy.(SetPolicyResolver)
-	l.polRRIP, _ = cfg.Policy.(RRIPInserter)
 	l.mapper = cfg.SetMapper
 	l.mapperAdvance = cfg.SetMapperAdvance
 	if cfg.NVMWays > 0 {
@@ -268,26 +268,6 @@ func (l *LLC) SetOf(block uint64) int {
 }
 
 func (l *LLC) ways() int { return l.nways }
-
-// policyFor resolves the policy governing a set: the tournament
-// candidate assigned to (or adopted by) the set for meta-policies, the
-// configured policy otherwise. Every per-insert decision goes through it.
-func (l *LLC) policyFor(set int) Policy {
-	if l.resolver != nil {
-		return l.resolver.PolicyFor(set)
-	}
-	return l.pol
-}
-
-// rripFor returns the RRIP inserter governing a set, nil when the set's
-// policy is not RRIP-family.
-func (l *LLC) rripFor(set int) RRIPInserter {
-	if l.resolver != nil {
-		ri, _ := l.resolver.PolicyFor(set).(RRIPInserter)
-		return ri
-	}
-	return l.polRRIP
-}
 
 // slot returns the flat index of (set, way) into the entry, blocks and
 // last arrays (and the materialized-mode side arrays).
@@ -461,8 +441,8 @@ func (l *LLC) insertFresh(set int, block uint64, dirty bool, tag BlockTag, cb in
 		l.insertGlobal(set, block, dirty, tag, cb, content)
 		return
 	}
-	info := InsertInfo{Set: set, Block: block, Dirty: dirty, CBSize: cb, Tag: tag, CPth: l.thr.CPthFor(set)}
-	if l.policyFor(set).Target(info) == NVM && l.nvmWays > 0 {
+	info := InsertInfo{Dirty: dirty, CBSize: cb, Tag: tag, CPth: l.thr.CPthFor(set)}
+	if l.pol.Target(info) == NVM && l.nvmWays > 0 {
 		if l.insertNVM(set, block, dirty, tag, cb, content) {
 			return
 		}
@@ -516,12 +496,8 @@ func (l *LLC) insertNVM(set int, block uint64, dirty bool, tag BlockTag, cb int,
 	if victim < 0 {
 		return false
 	}
-	rrpv := uint8(2) // SRRIP "long" insertion, the FitRRIP default
-	if ri := l.rripFor(set); ri != nil {
-		rrpv = ri.InsertRRPV(InsertInfo{Set: set, Block: block, Dirty: dirty, CBSize: cb, Tag: tag, CPth: l.thr.CPthFor(set)})
-	}
 	l.evict(set, victim)
-	l.fill(set, victim, entry{valid: true, dirty: dirty, block: block, cb: uint8(cb), tag: tag, rrpv: rrpv})
+	l.fill(set, victim, entry{valid: true, dirty: dirty, block: block, cb: uint8(cb), tag: tag, rrpv: rrpvInsert})
 	l.Stats.NVMInserts++
 	l.recordNVMWrite(set, l.frameOf(set, victim), cb)
 	l.rememberContent(set, victim, content)
@@ -537,7 +513,7 @@ func (l *LLC) nvmCaps(set int) []uint8 { return l.arr.CapRow(set) }
 // when no frame fits.
 func (l *LLC) chooseNVMVictim(set, cb int) int {
 	switch {
-	case l.nvmRepl == FitRRIP || l.rripFor(set) != nil:
+	case l.nvmRepl == FitRRIP:
 		return l.chooseNVMVictimRRIP(set, cb)
 	default:
 		// First invalid fitting way, else the LRU fitting way.
@@ -595,7 +571,7 @@ func (l *LLC) insertSRAM(set int, block uint64, dirty bool, tag BlockTag, cb int
 	way := l.lruSRAMWay(set)
 	if l.last[l.slot(set, way)] != 0 {
 		migrated := false
-		switch l.policyFor(set).Traits().Migrate {
+		switch l.traits.Migrate {
 		case MigrateLoopBlock:
 			if lb := l.recentLoopBlock(set); lb >= 0 {
 				way = lb

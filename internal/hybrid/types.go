@@ -99,8 +99,6 @@ func UnpackTag(v uint8) BlockTag {
 // InsertInfo carries everything a policy may consult when steering an
 // incoming block (§IV, Table II).
 type InsertInfo struct {
-	Set    int
-	Block  uint64 // block address (phase detectors classify its stream)
 	Dirty  bool
 	CBSize int // BDI-compressed size in bytes (64 when not compressible)
 	Tag    BlockTag
@@ -149,8 +147,7 @@ func (t Traits) Granularity() nvm.Granularity {
 
 // Policy is an LLC insertion policy. The paper's policies are stateless
 // values describing behaviour, with all state in the LLC entries and
-// block tags; RRIP-family extensions may carry per-set state of their own
-// (deterministic, event-driven, and keyed by set so runs replay exactly).
+// block tags.
 type Policy interface {
 	// Name returns the paper's identifier for the policy (e.g. "CP_SD").
 	Name() string
@@ -160,36 +157,6 @@ type Policy interface {
 	// Target steers an incoming block to a partition. Only called when
 	// the traits are not Global.
 	Target(info InsertInfo) Partition
-}
-
-// SetPolicyResolver is implemented by meta-policies that present a
-// different underlying policy per set — the N-way policy tournament,
-// where sampler sets each run one candidate and follower sets run the
-// epoch winner. When the LLC's policy implements it, every per-insert
-// decision (Target, Traits().Migrate, insertion RRPV, NVM victim
-// scheme) is taken from PolicyFor(set) instead of the top-level policy.
-// The whole-cache traits (Compressed, Global) remain the meta-policy's
-// own and must agree across all resolved policies.
-type SetPolicyResolver interface {
-	// PolicyFor returns the policy governing a set. It must be
-	// deterministic given the controller state (sampler assignment plus
-	// current winner) so runs replay exactly.
-	PolicyFor(set int) Policy
-}
-
-// RRIPInserter is implemented by RRIP-family insertion policies
-// (SRRIP/BRRIP and derivatives). A policy that implements it switches the
-// NVM part of its sets to fit-RRIP victim selection, and InsertRRPV
-// supplies the re-reference prediction value new NVM-resident blocks are
-// inserted with (0 = near-immediate re-reference, 3 = distant). The
-// compressed size class typically modulates the value: highly compressed
-// blocks fit even aged frames and are cheap to retain.
-type RRIPInserter interface {
-	// InsertRRPV returns the insertion RRPV (0..3) for an incoming block.
-	// Implementations may keep deterministic per-set state (BRRIP's
-	// insertion counter, phase classifiers), advanced only from this
-	// call and Target.
-	InsertRRPV(info InsertInfo) uint8
 }
 
 // SetMapper remaps the logical set index (block mod sets) to the

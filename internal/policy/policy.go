@@ -10,12 +10,6 @@
 //	LHybrid  — loop-block-aware state of the art (frame disabling).
 //	TAP      — thrashing-aware, more conservative than LHybrid.
 //	SRAMOnly — pure-SRAM bounds (16w upper, 4w lower in the paper).
-//
-// The RRIP-family extensions (SRRIP, BRRIP, PAR) embed CARWR: they steer
-// by Table II, the paper's best placement rule, and share its traits.
-// They differ only in the insertion RRPV of their NVM part, which also
-// switches those sets to fit-RRIP victim selection (scan resistance the
-// paper's fit-LRU lacks).
 package policy
 
 import "repro/internal/hybrid"

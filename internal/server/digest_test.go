@@ -43,7 +43,7 @@ type digestCase struct {
 // four set-dueling epochs inside the measured window. Three CP_SD rows
 // add each coloring scheme, whose remap advances at epoch boundaries.
 // Two more CP_SD rows set ablation_no_migration (CA_RWR's migrate
-// switch) and nvm_rrip (fit-RRIP victims under a non-RRIP policy). The
+// switch) and nvm_rrip (fit-RRIP victims in the NVM part). The
 // last row runs CP_SD's aging forecast, which invalidates unfit entries
 // between measured phases; the measured-window rows never see that.
 func classicDigestRequests() []digestCase {

@@ -324,10 +324,12 @@ func TestRecoveryReplacesForeignArtifact(t *testing.T) {
 }
 
 // TestRecoveryFailsRetiredEngineJobs boots over a journal written while
-// the set-sharded engine existed: one "shards":2 job completed (its
-// artifact on disk) and one still queued, next to two classic jobs.
-// Boot must succeed; both engine jobs read failed with an unrecoverable
-// reason naming shards, and the classic jobs are served as before.
+// the set-sharded engine and the RRIP-family policies existed: one
+// "shards":2 job completed (its artifact on disk) and one still queued,
+// a completed SRRIP job and a queued TOURNAMENT job with its bracket,
+// next to two classic jobs. Boot must succeed; each retired job reads
+// failed with an unrecoverable reason naming the retired field or
+// policy, and the classic jobs are served as before.
 func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 	dir := t.TempDir()
 	classic, err := DecodeJobRequest([]byte(testBody))
@@ -342,6 +344,29 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 	rerunBlob, _ := json.Marshal(rerun)
 	engineBlob, _ := json.Marshal(engine)
 	engineKey := strings.Repeat("e", 64) // the old engine-kind content address
+	// The retired policies' requests no longer have a Go shape: write
+	// them as the journal held them.
+	retired := func(policy string, extra map[string]any) []byte {
+		var doc map[string]any
+		if err := json.Unmarshal(classicBlob, &doc); err != nil {
+			t.Fatal(err)
+		}
+		cfg := doc["config"].(map[string]any)
+		cfg["policy"] = policy
+		for k, v := range extra {
+			cfg[k] = v
+		}
+		blob, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return blob
+	}
+	srripBlob := retired("SRRIP", nil)
+	tournamentBlob := retired("TOURNAMENT", map[string]any{"tournament": map[string]any{
+		"candidates": []any{map[string]any{"policy": "CA_RWR"}, map[string]any{"policy": "SRRIP"}},
+	}})
+	srripKey, tournamentKey := strings.Repeat("5", 64), strings.Repeat("7", 64)
 
 	artifact, err := RunRequestArtifact(context.Background(), classicBlob, nil)
 	if err != nil {
@@ -353,6 +378,10 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	engineSHA, err := st.PutArtifact(engineKey, artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srripSHA, err := st.PutArtifact(srripKey, artifact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -372,6 +401,9 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 	job("job-000003", string(StateQueued), classic.CacheKey(), classicBlob, "")
 	job("job-000003", string(StateCompleted), classic.CacheKey(), nil, classicSHA)
 	job("job-000004", string(StateQueued), rerun.CacheKey(), rerunBlob, "")
+	job("job-000005", string(StateQueued), srripKey, srripBlob, "")
+	job("job-000005", string(StateCompleted), srripKey, nil, srripSHA)
+	job("job-000006", string(StateQueued), tournamentKey, tournamentBlob, "")
 
 	m, err := NewManager(Options{Workers: 2, QueueDepth: 8, Store: st})
 	if err != nil {
@@ -381,7 +413,11 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 	srv := httptest.NewServer(NewHandler(m, nil))
 	defer srv.Close()
 
-	for _, id := range []string{"job-000001", "job-000002"} {
+	for _, tc := range []struct{ id, names string }{
+		{"job-000001", "shards"}, {"job-000002", "shards"},
+		{"job-000005", "SRRIP"}, {"job-000006", "tournament"},
+	} {
+		id := tc.id
 		resp, err := http.Get(srv.URL + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
@@ -392,8 +428,8 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if jr.State != StateFailed || !strings.Contains(jr.Error, "unrecoverable") || !strings.Contains(jr.Error, "shards") {
-			t.Fatalf("engine job %s: state %s, error %q; want failed, unrecoverable: … shards", id, jr.State, jr.Error)
+		if jr.State != StateFailed || !strings.Contains(jr.Error, "unrecoverable") || !strings.Contains(jr.Error, tc.names) {
+			t.Fatalf("retired job %s: state %s, error %q; want failed, unrecoverable: … %s", id, jr.State, jr.Error, tc.names)
 		}
 	}
 

@@ -88,19 +88,9 @@ var sweepAxisSetters = map[string]func(*JobRequest, json.RawMessage) error{
 	"endurance_cv":       func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Config.EnduranceCV) },
 	"nvm_latency_factor": func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Config.NVMLatencyFactor) },
 	"nvm_rrip":           func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Config.NVMRRIP) },
-	"tournament": func(r *JobRequest, v json.RawMessage) error {
-		// Decode into a fresh bracket — overwriting through the base's
-		// pointer would leak one child's bracket into its siblings.
-		tc := new(core.TournamentConfig)
-		if err := core.UnmarshalStrict(v, tc); err != nil {
-			return err
-		}
-		r.Config.Tournament = tc
-		return nil
-	},
-	"capacity":       func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Capacity) },
-	"warmup_cycles":  func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.WarmupCycles) },
-	"measure_cycles": func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.MeasureCycles) },
+	"capacity":           func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.Capacity) },
+	"warmup_cycles":      func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.WarmupCycles) },
+	"measure_cycles":     func(r *JobRequest, v json.RawMessage) error { return json.Unmarshal(v, &r.MeasureCycles) },
 }
 
 // DecodeSweepSpec decodes a sweep submission strictly over the defaults

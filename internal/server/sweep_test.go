@@ -111,33 +111,6 @@ func TestSweepExpandDeterministic(t *testing.T) {
 	}
 }
 
-// TestSweepTournamentAxisIsolated pins that a tournament axis allocates
-// a fresh bracket per child instead of writing through a base pointer
-// shared by its siblings.
-func TestSweepTournamentAxisIsolated(t *testing.T) {
-	spec, err := DecodeSweepSpec([]byte(`{"axes":[{"field":"tournament","values":[
-	  {"candidates":[{"policy":"CA","cpth":20},{"policy":"CA","cpth":30}]},
-	  {"candidates":[{"policy":"CA","cpth":40},{"policy":"CA","cpth":50}]}
-	]}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	children, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(children) != 2 {
-		t.Fatalf("expanded to %d children", len(children))
-	}
-	t0, t1 := children[0].Request.Config.Tournament, children[1].Request.Config.Tournament
-	if t0 == nil || t1 == nil || t0 == t1 {
-		t.Fatalf("children share a bracket: %p %p", t0, t1)
-	}
-	if t0.Candidates[0].CPth != 20 || t1.Candidates[0].CPth != 40 {
-		t.Fatalf("bracket values leaked across children: %+v %+v", t0, t1)
-	}
-}
-
 func waitSweepState(t *testing.T, url, id string, want SweepState) SweepStatus {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)

@@ -17,20 +17,6 @@ import (
 	"repro/internal/server"
 )
 
-// TestTournamentQuickDeterministic runs tournament -quick twice: the
-// league table must come out byte-identical, standings included.
-func TestTournamentQuickDeterministic(t *testing.T) {
-	bin := cmdPath(t, "tournament")
-	first, err1 := exec.Command(bin, "-quick").Output()
-	second, err2 := exec.Command(bin, "-quick").Output()
-	if err1 != nil || err2 != nil {
-		t.Fatal(err1, err2)
-	}
-	if !bytes.Equal(first, second) || !bytes.Contains(first, []byte("standings")) {
-		t.Fatalf("two runs differ or lack the standings table:\n--- first ---\n%s\n--- second ---\n%s", first, second)
-	}
-}
-
 // drillSweep is a four-child sweep, two children in flight at a time.
 // A child runs for about 0.4 s on a 2-vCPU Xeon, twenty times the
 // drill's polling interval, so each kill lands while a child runs.
