@@ -178,17 +178,28 @@ func TestInitialWinnerPermissive(t *testing.T) {
 }
 
 func TestPanicsOnBadCandidates(t *testing.T) {
-	ascending33 := make([]int, GroupDivisor+1) // one more than there are set classes
-	for i := range ascending33 {
-		ascending33[i] = i + 1
-	}
-	for _, cand := range [][]int{nil, {30, 30}, {40, 30}, make([]int, 33), ascending33} {
+	for _, cand := range [][]int{nil, {30, 30}, {40, 30}, make([]int, 33)} {
 		func() {
 			defer func() { recover() }()
 			NewWithCandidates(64, cand, 0, 0)
 			t.Errorf("candidates %v did not panic", cand)
 		}()
 	}
+}
+
+// A valid ascending list with one more candidate than there are set
+// classes leaves a candidate without sampler sets, so it must be refused.
+func TestTournamentPanicsOnBadArity(t *testing.T) {
+	cand := make([]int, GroupDivisor+1)
+	for i := range cand {
+		cand[i] = i + 1
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("accepted more candidates than set classes")
+		}
+	}()
+	NewWithCandidates(64, cand, 0, 0)
 }
 
 // Property: winner is always one of the candidates, whatever the counter
