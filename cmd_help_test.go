@@ -156,11 +156,74 @@ func TestDocCmdFlags(t *testing.T) {
 	}
 }
 
+// TestDocTestNames checks the tests the docs cite: every Test… or Fuzz…
+// function a backticked span names must be defined in some _test.go of
+// the repository, so a deleted or renamed test does not live on as
+// evidence in the prose. A trailing * matches as a prefix (`TestStudy*`);
+// a /subtest suffix is not checked.
+func TestDocTestNames(t *testing.T) {
+	defined := map[string]bool{}
+	funcDef := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for _, m := range funcDef.FindAllStringSubmatch(string(src), -1) {
+			defined[m[1]] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hasPrefix := func(p string) bool {
+		for name := range defined {
+			if strings.HasPrefix(name, p) {
+				return true
+			}
+		}
+		return false
+	}
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", filepath.Join("perfbench", "README.md"),
+		filepath.Join(".claude", "skills", "verify", "SKILL.md")}
+	testRef := regexp.MustCompile(`\b((?:Test|Fuzz)[A-Z0-9_]\w*)(\*?)`)
+	for _, doc := range docs {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, inline := splitCode(string(data), false)
+		for _, span := range inline {
+			for _, ref := range testRef.FindAllStringSubmatch(span, -1) {
+				if name, prefix := ref[1], ref[2] == "*"; !defined[name] && !(prefix && hasPrefix(name)) {
+					t.Errorf("%s: `%s` names %s%s, which no _test.go defines", doc, span, name, ref[2])
+				}
+			}
+		}
+	}
+}
+
 // codeSpans returns the shell text of a document: each line of a
 // Makefile or of a markdown fenced block, with backslash-continued lines
 // joined, and each inline `code` span of the markdown prose.
 func codeSpans(doc string, makefile bool) []string {
-	var shell, prose []string
+	shell, inline := splitCode(doc, makefile)
+	return append(shell, inline...)
+}
+
+// splitCode returns codeSpans' fenced lines and inline spans apart.
+func splitCode(doc string, makefile bool) (shell, inline []string) {
+	var prose []string
 	fenced := makefile
 	for _, line := range strings.Split(doc, "\n") {
 		switch {
@@ -172,13 +235,13 @@ func codeSpans(doc string, makefile bool) []string {
 			prose = append(prose, line)
 		}
 	}
-	spans := strings.Split(strings.ReplaceAll(strings.Join(shell, "\n"), "\\\n", " "), "\n")
+	shell = strings.Split(strings.ReplaceAll(strings.Join(shell, "\n"), "\\\n", " "), "\n")
 	for _, para := range strings.Split(strings.Join(prose, "\n"), "\n\n") {
 		for _, m := range inlineCode.FindAllStringSubmatch(para, -1) {
-			spans = append(spans, strings.ReplaceAll(m[1], "\n", " "))
+			inline = append(inline, strings.ReplaceAll(m[1], "\n", " "))
 		}
 	}
-	return spans
+	return shell, inline
 }
 
 var (

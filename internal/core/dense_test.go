@@ -52,7 +52,11 @@ func TestNonPowerOfTwoGeometryUnderChecker(t *testing.T) {
 // TestStepAccessesZeroAllocs pins the whole front end — private caches,
 // LLC lookup/insert/victim choice, BDI sizing, set dueling and epoch
 // sampling — at zero allocations per access in steady state, on the
-// default configuration under BH and CP_SD.
+// default configuration under BH and CP_SD. The aging inputs add the NVM
+// frames' first-need work: at an accelerated endurance of 3e4 writes
+// (CV 0.02), every frame is pre-worn to three standard deviations below
+// the mean, so during the measured call frames draw their endurance
+// limits and bytes die; the test asserts that bytes do die there.
 //
 // testing.AllocsPerRun counts every allocation in the process, so one
 // stray allocation outside the simulator can land in the measured call.
@@ -63,36 +67,62 @@ func TestStepAccessesZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds two default-size systems")
 	}
-	for _, pol := range []string{"BH", "CP_SD"} {
-		t.Run(pol, func(t *testing.T) {
+	for _, tc := range []struct {
+		name, pol string
+		aging     bool
+	}{
+		{"BH", "BH", false},
+		{"CP_SD", "CP_SD", false},
+		{"BH-aging", "BH", true},
+		{"CP_SD-aging", "CP_SD", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
 			cfg := DefaultConfig()
-			cfg.PolicyName = pol
-			measure := func() (allocs float64, closed int) {
+			cfg.PolicyName = tc.pol
+			if tc.aging {
+				cfg.EnduranceMean, cfg.EnduranceCV = 3e4, 0.02
+			}
+			measure := func() (allocs float64, closed, died int) {
 				sys, err := cfg.Build()
 				if err != nil {
 					t.Fatal(err)
 				}
+				frames := sys.LLC().Array().Frames()
+				if tc.aging {
+					for _, f := range frames {
+						f.AddWear(cfg.EnduranceMean * (1 - 3*cfg.EnduranceCV))
+					}
+				}
+				faulty := func() (n int) {
+					for _, f := range frames {
+						n += f.FaultyBytes()
+					}
+					return n
+				}
 				sys.Run(cfg.EpochCycles + 500_000) // warm, past the first epoch
 				// One measured call after one warm-up call: the count is
-				// exact, not an average rounded down. closed is the
-				// measured call's.
+				// exact, not an average rounded down. closed and died
+				// are the measured call's.
 				allocs = testing.AllocsPerRun(1, func() {
-					e := sys.Epochs
+					e, d := sys.Epochs, faulty()
 					sys.StepAccesses(400_000)
-					closed = sys.Epochs - e
+					closed, died = sys.Epochs-e, faulty()-d
 				})
-				return allocs, closed
+				return allocs, closed, died
 			}
-			allocs, closed := measure()
+			allocs, closed, died := measure()
 			if allocs != 0 {
 				t.Logf("StepAccesses(400000) allocated %.0f times; replaying on a rebuilt system", allocs)
-				allocs, closed = measure()
+				allocs, closed, died = measure()
 			}
 			if allocs != 0 {
 				t.Errorf("StepAccesses(400000) allocates %.0f times, want 0", allocs)
 			}
 			if closed == 0 {
 				t.Error("the measured steps closed no epoch; the epoch path went unmeasured")
+			}
+			if tc.aging && died == 0 {
+				t.Error("no byte died in the measured steps; the aging path went unmeasured")
 			}
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/metrics"
 	"repro/internal/nvm"
+	"repro/internal/stats"
 )
 
 // Config describes an LLC instance.
@@ -20,7 +21,7 @@ type Config struct {
 	// policy does not consult thresholds.
 	Thresholds ThresholdProvider
 	Endurance  nvm.EnduranceModel
-	Sampler    nvm.Sampler
+	Sampler    *stats.RNG
 
 	// HCROnly ablates the paper's modified BDI back to the original one:
 	// low-compression-ratio encodings are discarded, so blocks that only

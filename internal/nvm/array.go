@@ -1,6 +1,10 @@
 package nvm
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/stats"
+)
 
 // Array is the NVM portion of the hybrid LLC data array: sets x ways
 // frames, each with independent per-byte endurance. It also owns the
@@ -28,8 +32,11 @@ type Array struct {
 }
 
 // NewArray builds an NVM array of sets x ways frames with per-byte
-// endurance sampled from model.
-func NewArray(sets, ways int, model EnduranceModel, s Sampler, gran Granularity) *Array {
+// endurance sampled from model using r. Each frame draws its limits on
+// first need (see Frame.ensureOrder), from the state r had at that
+// frame's turn, so the limits and r's final state are those of drawing
+// every frame's limits here in order.
+func NewArray(sets, ways int, model EnduranceModel, r *stats.RNG, gran Granularity) *Array {
 	if sets <= 0 || ways < 0 {
 		panic("nvm: invalid array geometry")
 	}
@@ -42,7 +49,7 @@ func NewArray(sets, ways int, model EnduranceModel, s Sampler, gran Granularity)
 	}
 	for i := range a.backing {
 		f := &a.backing[i]
-		f.sample(model, s, gran)
+		f.sample(model, r, gran)
 		f.capSlot = &a.caps[i]
 		f.publish()
 		a.frames[i] = f

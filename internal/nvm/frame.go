@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"repro/internal/stats"
 )
 
 // FrameBytes is the physical size of an NVM frame: 64 data bytes plus two
@@ -60,12 +62,6 @@ type EnduranceModel struct {
 	CV   float64 // coefficient of variation sigma/mean (paper: 0.2-0.3)
 }
 
-// Sampler draws per-byte endurance limits.
-type Sampler interface {
-	// TruncNormal returns a normal sample truncated below at lo.
-	TruncNormal(mean, stddev, lo float64) float64
-}
-
 // Frame is one NVM cache frame: 66 bytes of bitcells with individual
 // endurance limits, a fault map, and wear state.
 //
@@ -80,9 +76,10 @@ type Sampler interface {
 type Frame struct {
 	wear float64 // per-live-byte accumulated writes
 	// nextLimit is at most the limit of the next live byte to die, so a
-	// write that kills no byte costs one compare. Once the order is
-	// built it caches limits[order[next]] (+Inf once next reaches
-	// FrameBytes); before that it is the smallest live byte's limit.
+	// write that kills no byte costs one compare. Once the limits are
+	// drawn it caches limits[order[next]] (+Inf once next reaches
+	// FrameBytes); before that it is the sampler's lower bound on the
+	// smallest limit (see sample).
 	nextLimit float64
 	// phaseWritten counts bytes written to this frame during the current
 	// simulation phase; the forecast turns it into a write rate.
@@ -100,54 +97,76 @@ type Frame struct {
 	next    uint8 // index into order of the next byte to die
 	dead    bool  // frame disabled (always true when live < MinECB)
 	gran    Granularity
-	sorted  bool // order and next are built (see ensureOrder)
+	drawn   bool // limits, order and next are built (see ensureOrder)
 
-	order  [FrameBytes]uint8   // byte indices by ascending limit, once sorted
-	limits [FrameBytes]float64 // per-byte endurance (writes)
+	order [FrameBytes]uint8 // byte indices by ascending limit, once drawn
+	// limits is the per-byte endurance (writes) once drawn; until then
+	// limits[ckState:ckState+4] hold the sampler's state at the frame's
+	// first draw, as float64 bit patterns, and limits[ckMean] and
+	// limits[ckSigma] the distribution.
+	limits [FrameBytes]float64
 }
 
-// NewFrame samples per-byte endurance from model using s and returns a
+// The sampling checkpoint's slots in an undrawn frame's limits.
+const (
+	ckState = 0
+	ckMean  = 4
+	ckSigma = 5
+)
+
+// NewFrame samples per-byte endurance from model using r and returns a
 // fully functional frame with the given disabling granularity.
-func NewFrame(model EnduranceModel, s Sampler, gran Granularity) *Frame {
+func NewFrame(model EnduranceModel, r *stats.RNG, gran Granularity) *Frame {
 	f := &Frame{}
-	f.sample(model, s, gran)
+	f.sample(model, r, gran)
 	return f
 }
 
-// sample initialises f in place as a fresh frame with sampled limits.
-func (f *Frame) sample(model EnduranceModel, s Sampler, gran Granularity) {
+// sample initialises f in place as a fresh frame and advances r past
+// its FrameBytes limit draws, as drawing them would. It does not draw
+// them: it stores r's state and the distribution in limits for
+// drawLimits, and sets nextLimit to SkipTruncNormal's lower bound on the
+// smallest limit, so the frame reads its limits only once its wear
+// reaches that bound.
+func (f *Frame) sample(model EnduranceModel, r *stats.RNG, gran Granularity) {
 	*f = Frame{live: FrameBytes, gran: gran}
 	sigma := model.Mean * model.CV
+	for i, w := range r.State() {
+		f.limits[ckState+i] = math.Float64frombits(w)
+	}
+	f.limits[ckMean], f.limits[ckSigma] = model.Mean, sigma
+	f.nextLimit = r.SkipTruncNormal(FrameBytes, model.Mean, sigma, 1)
+}
+
+// drawLimits replaces the sampling checkpoint with the limits that
+// FrameBytes TruncNormal draws from it give: the very values eager
+// sampling would have drawn at set-up. The generator is a stack value,
+// so drawing allocates nothing.
+func (f *Frame) drawLimits() {
+	var r stats.RNG
+	var st [4]uint64
+	for i := range st {
+		st[i] = math.Float64bits(f.limits[ckState+i])
+	}
+	r.SetState(st)
+	mean, sigma := f.limits[ckMean], f.limits[ckSigma]
 	for i := range f.limits {
-		f.limits[i] = s.TruncNormal(model.Mean, sigma, 1)
+		f.limits[i] = r.TruncNormal(mean, sigma, 1)
 	}
-	f.nextLimit = f.minLiveLimit()
 }
 
-// minLiveLimit returns the smallest limit of a live byte, or +Inf if
-// every byte is disabled. It is the nextLimit of a frame whose order is
-// not built yet: exactly limits[order[next]] once ensureOrder runs.
-func (f *Frame) minLiveLimit() float64 {
-	m := math.Inf(1)
-	for i, l := range f.limits {
-		if l < m && !f.faulty(i) {
-			m = l
-		}
-	}
-	return m
-}
-
-// ensureOrder builds the death order on first need and puts next past
-// the bytes already disabled. Most frames never lose a byte to wear, so
-// sampling leaves the order unbuilt; only the operations
-// that read it build it: AddWear once a limit is crossed, InjectFault and
-// NextLimit.
+// ensureOrder draws the limits and builds the death order on first need,
+// and puts next past the bytes already disabled. Most frames never come
+// near an endurance limit, so sampling leaves both undone; only the
+// operations that read a limit do them: AddWear once the wear reaches
+// nextLimit's bound, InjectFault and NextLimit.
 func (f *Frame) ensureOrder() {
-	if f.sorted {
+	if f.drawn {
 		return
 	}
+	f.drawLimits()
 	f.sortOrder()
-	f.sorted = true
+	f.drawn = true
 	f.skipDisabled()
 }
 

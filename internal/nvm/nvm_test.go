@@ -36,6 +36,7 @@ func TestFrameEnduranceSampling(t *testing.T) {
 	var m stats.Mean
 	for i := 0; i < 200; i++ {
 		f := NewFrame(testModel, r, ByteDisabling)
+		f.ensureOrder()
 		for _, lim := range f.limits {
 			m.Add(lim)
 		}
@@ -342,34 +343,52 @@ func TestNewArrayAllocsPerFrame(t *testing.T) {
 	}
 }
 
-// TestNewArrayBuildsNoOrder pins the lazy death order: sampled frames
-// leave it unbuilt, a write that kills no byte leaves it so, and the
-// first death, an injected fault or NextLimit builds it. Frame keeps its
-// size, the unbuilt flag fitting in the header's padding.
+// TestNewArrayBuildsNoOrder pins the lazy limits and death order:
+// sampled frames leave both unbuilt, a write below nextLimit's bound
+// leaves them so, wear reaching the bound draws them without killing a
+// byte below the first limit, and the first death, an injected fault or
+// NextLimit builds them. Frame keeps its size, the unbuilt flag fitting
+// in the header's padding.
 func TestNewArrayBuildsNoOrder(t *testing.T) {
 	if got := unsafe.Sizeof(Frame{}); got != 648 {
 		t.Fatalf("Frame is %d bytes, want 648", got)
 	}
 	a := NewArray(4, 3, testModel, stats.NewRNG(11), ByteDisabling)
 	for i, f := range a.Frames() {
-		if f.sorted {
-			t.Fatalf("frame %d: order built at set-up", i)
+		if f.drawn {
+			t.Fatalf("frame %d: limits drawn at set-up", i)
 		}
 	}
+	// twin's frames are a's, drawn: NextLimit gives the exact first
+	// death of each.
+	twin := NewArray(4, 3, testModel, stats.NewRNG(11), ByteDisabling)
+	first := func(i int) float64 { return twin.Frames()[i].NextLimit() }
+
 	f := a.Frames()[0]
-	if n := f.AddWear(f.nextLimit / 2); n != 0 || f.sorted {
-		t.Fatalf("a write that kills no byte built the order (%d died)", n)
+	if n := f.AddWear(f.nextLimit / 2); n != 0 || f.drawn {
+		t.Fatalf("a write below the bound drew the limits (%d died)", n)
 	}
-	if n := f.AdvanceTo(f.nextLimit); n == 0 || !f.sorted {
-		t.Fatalf("first death (%d bytes) left the order unbuilt", n)
+	if n := f.AdvanceTo(first(0)); n == 0 || !f.drawn {
+		t.Fatalf("first death (%d bytes) left the limits undrawn", n)
+	}
+	f = a.Frames()[1]
+	bound := f.nextLimit
+	if bound >= first(1) {
+		t.Fatalf("bound %v is not below the first limit %v", bound, first(1))
+	}
+	if n := f.AdvanceTo(bound); n != 0 || !f.drawn {
+		t.Fatalf("wear at the bound %v below the first limit %v: %d died, drawn %v", bound, first(1), n, f.drawn)
+	}
+	if f.nextLimit != first(1) {
+		t.Fatalf("nextLimit %v after drawing, want %v", f.nextLimit, first(1))
 	}
 	f = a.Frames()[2]
-	if f.InjectFault(5); !f.sorted {
-		t.Fatal("InjectFault left the order unbuilt")
+	if f.InjectFault(5); !f.drawn {
+		t.Fatal("InjectFault left the limits undrawn")
 	}
 	f = a.Frames()[3]
-	if f.NextLimit(); !f.sorted {
-		t.Fatal("NextLimit left the order unbuilt")
+	if f.NextLimit(); !f.drawn {
+		t.Fatal("NextLimit left the limits undrawn")
 	}
 }
 
@@ -419,10 +438,43 @@ func TestArrayPanicsOnBadGeometry(t *testing.T) {
 }
 
 func BenchmarkRecordWrite(b *testing.B) {
-	f := NewFrame(EnduranceModel{Mean: 1e10, CV: 0.2}, stats.NewRNG(1), ByteDisabling)
+	f := NewFrame(paperModel, stats.NewRNG(1), ByteDisabling)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		f.RecordWrite(40)
+	}
+}
+
+// paperModel is the paper's endurance distribution (§II-A).
+var paperModel = EnduranceModel{Mean: 1e10, CV: 0.2}
+
+// BenchmarkNewArray is the set-up cost of a QuickConfig-sized NVM array.
+func BenchmarkNewArray(b *testing.B) {
+	r := stats.NewRNG(1)
+	for i := 0; i < b.N; i++ {
+		NewArray(256, 12, paperModel, r, ByteDisabling)
+	}
+}
+
+// BenchmarkFrameSample is one frame's set-up: the skip pass.
+// BenchmarkFrameEager is the same frame's limits drawn outright, as
+// set-up did before sampling became lazy and as drawLimits still does.
+func BenchmarkFrameSample(b *testing.B) {
+	r := stats.NewRNG(1)
+	var f Frame
+	for i := 0; i < b.N; i++ {
+		f.sample(paperModel, r, ByteDisabling)
+	}
+}
+
+func BenchmarkFrameEager(b *testing.B) {
+	r := stats.NewRNG(1)
+	var f Frame
+	sigma := paperModel.Mean * paperModel.CV
+	for i := 0; i < b.N; i++ {
+		for j := range f.limits {
+			f.limits[j] = r.TruncNormal(paperModel.Mean, sigma, 1)
+		}
 	}
 }
 

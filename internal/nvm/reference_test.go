@@ -24,10 +24,16 @@ type refFrame struct {
 	dead   bool
 }
 
-// newRefFrame copies f's limits and granularity, and derives the death
-// order from the limits itself, so a wrong order in f shows as a mismatch.
-func newRefFrame(f *Frame) *refFrame {
-	r := &refFrame{limits: f.limits, live: FrameBytes, gran: f.gran}
+// newRefFrame draws its limits from s with TruncNormal, one byte after
+// another, as eager sampling at set-up would, and derives the death order
+// from them itself. Driven alongside an array built from a sampler in
+// the same state, wrong lazily drawn limits or a wrong order in a frame
+// show as a mismatch.
+func newRefFrame(s *stats.RNG, model EnduranceModel, gran Granularity) *refFrame {
+	r := &refFrame{live: FrameBytes, gran: gran}
+	for i := range r.limits {
+		r.limits[i] = s.TruncNormal(model.Mean, model.Mean*model.CV, 1)
+	}
 	for i := range r.order {
 		r.order[i] = uint8(i)
 	}
@@ -115,11 +121,13 @@ func sameFloat(a, b float64) bool {
 // wear step. After every step each frame must agree with its reference
 // on bytes died, LiveBytes, Dead, EffectiveCapacity and Wear, and every
 // logical set's capacity row must equal its frames' reference capacities
-// — through inter-set remaps. NextLimit builds the
-// death order, so it is compared only on about one step in four, and
-// never for physical frame 0: that frame's order is built by the write
-// path alone. Every step checks the cached nextLimit instead: exact
-// while the order is unbuilt, never above the next live limit after.
+// — through inter-set remaps. The references draw their limits eagerly
+// from a sampler seeded like the array's. NextLimit draws a frame's
+// limits and builds its death order, so it is compared only on about one
+// step in four, and never for physical frame 0: that frame's limits are
+// drawn by the write path alone. Every step checks the cached nextLimit
+// instead: never above the next live limit, and equal to it once the
+// limits are drawn and the byte it caches is live.
 func TestFrameMatchesReference(t *testing.T) {
 	const sets, ways = 3, 2
 	prop := func(seed uint64, frameGran bool) bool {
@@ -129,9 +137,10 @@ func TestFrameMatchesReference(t *testing.T) {
 		}
 		r := stats.NewRNG(seed)
 		a := NewArray(sets, ways, testModel, stats.NewRNG(seed^0x5eed), gran)
+		eager := stats.NewRNG(seed ^ 0x5eed)
 		refs := make([]*refFrame, len(a.Frames()))
-		for i, f := range a.Frames() {
-			refs[i] = newRefFrame(f)
+		for i := range refs {
+			refs[i] = newRefFrame(eager, testModel, gran)
 		}
 		idx := make(map[*Frame]int, len(refs))
 		for i, f := range a.Frames() {
@@ -150,8 +159,12 @@ func TestFrameMatchesReference(t *testing.T) {
 				d := r.Float64() * 80
 				got, want = f.AddWear(d), ref.addWear(d)
 			case op < 70:
-				// Land exactly on, just below or just past the next limit.
-				w := ref.nextLimit() * (1 + float64(r.Intn(3)-1)*1e-12)
+				// Land exactly on, just below or just past the next
+				// limit, or on the cached bound.
+				w := f.nextLimit
+				if k := r.Intn(4); k < 3 {
+					w = ref.nextLimit() * (1 + float64(k-1)*1e-12)
+				}
 				got, want = f.AdvanceTo(w), ref.advanceTo(w)
 			case op < 72:
 				w := math.Inf(1)
@@ -182,9 +195,10 @@ func TestFrameMatchesReference(t *testing.T) {
 						ref.liveBytes(), ref.dead, ref.capacity(), ref.wear)
 					return false
 				}
-				if want := ref.nextLimit(); f.nextLimit > want || (!f.sorted && f.nextLimit != want) {
-					t.Logf("seed %d step %d op %d frame %d: cached nextLimit %v (order built %v), next live limit %v",
-						seed, step, op, j, f.nextLimit, f.sorted, want)
+				exact := f.drawn && (int(f.next) == FrameBytes || !f.faulty(int(f.order[f.next])))
+				if want := ref.nextLimit(); f.nextLimit > want || (exact && f.nextLimit != want) {
+					t.Logf("seed %d step %d op %d frame %d: cached nextLimit %v (limits drawn %v), next live limit %v",
+						seed, step, op, j, f.nextLimit, f.drawn, want)
 					return false
 				}
 				if j != 0 && r.Intn(4) == 0 && !sameFloat(f.NextLimit(), ref.nextLimit()) {

@@ -45,15 +45,9 @@ func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 uniformly distributed bits.
 func (r *RNG) Uint64() uint64 {
-	result := rotl(r.s[1]*5, 7) * 9
-	t := r.s[1] << 17
-	r.s[2] ^= r.s[0]
-	r.s[3] ^= r.s[1]
-	r.s[1] ^= r.s[2]
-	r.s[0] ^= r.s[3]
-	r.s[2] ^= t
-	r.s[3] = rotl(r.s[3], 45)
-	return result
+	var out uint64
+	out, r.s[0], r.s[1], r.s[2], r.s[3] = step(r.s[0], r.s[1], r.s[2], r.s[3])
+	return out
 }
 
 // Uint32 returns the next 32 uniformly distributed bits.
@@ -88,6 +82,20 @@ func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
+// State returns the generator's state; SetState resumes the stream from
+// it.
+func (r *RNG) State() [4]uint64 { return r.s }
+
+// SetState puts the generator in state s, so a value RNG can resume a
+// stream saved by State without allocating. The all-zero state is
+// replaced as in NewRNG.
+func (r *RNG) SetState(s [4]uint64) {
+	r.s = s
+	if s[0]|s[1]|s[2]|s[3] == 0 {
+		r.s[0] = 0x9E3779B97F4A7C15
+	}
+}
+
 // Normal returns a sample from the normal distribution with the given mean
 // and standard deviation, via the Marsaglia polar method.
 func (r *RNG) Normal(mean, stddev float64) float64 {
@@ -96,9 +104,16 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 		v := 2*r.Float64() - 1
 		s := u*u + v*v
 		if s > 0 && s < 1 {
-			return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
+			return polar(mean, stddev, u, s)
 		}
 	}
+}
+
+// polar turns a polar-method pair (u, v) with s = u²+v² in (0, 1) into a
+// normal sample. Normal and SkipTruncNormal share it, so both compute
+// every value they compare bit for bit alike.
+func polar(mean, stddev, u, s float64) float64 {
+	return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
 }
 
 // TruncNormal returns a normal sample truncated below at lo, by resampling.
@@ -110,4 +125,79 @@ func (r *RNG) TruncNormal(mean, stddev, lo float64) float64 {
 		}
 	}
 	return lo
+}
+
+// SkipTruncNormal advances r past n TruncNormal(mean, stddev, lo) draws,
+// leaving it in exactly the state those draws leave it in, and returns a
+// lower bound on the smallest of them (+Inf for n = 0).
+//
+// It skips the costly part of most draws. A polar-method sample is
+// mean + stddev·u·sqrt(−2 ln s / s) with u² ≤ s, so it lies within
+// stddev·sqrt(−2 ln s) of mean. When s ≥ exp(−k²/2) with
+// k = (mean−lo)/stddev, the sample is therefore at least lo and
+// TruncNormal keeps it, whatever its value; only a draw with a smaller
+// s needs its value for the v ≥ lo test. The smallest such s bounds every
+// kept sample from below. Both thresholds carry a relative margin far
+// above the rounding error of the formulas, so the skip never keeps a
+// draw TruncNormal would reject and the bound never exceeds a draw.
+func (r *RNG) SkipTruncNormal(n int, mean, stddev, lo float64) float64 {
+	sd := math.Abs(stddev)
+	// sFast is the s at and above which a sample is kept unseen; 2 is
+	// above every s, so each draw takes the exact test. The fast test
+	// needs mean above lo by more than about 1e-3 sd: closer in, exp's
+	// rounding near 1 is no longer small against k²/2.
+	sFast := 2.0
+	if k := (mean - lo) / sd; k > 0 && k*k/2 >= 1e-6 {
+		sFast = math.Exp(-k * k / 2 * (1 - 1e-6))
+	}
+	sMin := 1.0        // smallest s of a sample kept unseen
+	low := math.Inf(1) // smallest sample kept after the exact test
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	for range n {
+		for rejected := 0; ; {
+			var a, b uint64
+			a, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			b, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			u := 2*(float64(a>>11)/(1<<53)) - 1
+			v := 2*(float64(b>>11)/(1<<53)) - 1
+			s := u*u + v*v
+			if !(s > 0 && s < 1) {
+				continue // Normal's own retry
+			}
+			if s >= sFast {
+				if s < sMin {
+					sMin = s
+				}
+				break
+			}
+			if x := polar(mean, stddev, u, s); x >= lo {
+				low = min(low, x)
+				break
+			}
+			if rejected++; rejected == 1024 {
+				low = min(low, lo) // TruncNormal's fallback
+				break
+			}
+		}
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+	if sMin < 1 {
+		low = min(low, mean-sd*math.Sqrt(-2*math.Log(sMin))*(1+1e-9))
+	}
+	// Every draw is at least lo.
+	return max(low, lo)
+}
+
+// step is one xoshiro256** step on a state held in locals: it returns
+// Uint64's output and the next state.
+func step(s0, s1, s2, s3 uint64) (out, n0, n1, n2, n3 uint64) {
+	out = rotl(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	s3 = rotl(s3, 45)
+	return out, s0, s1, s2, s3
 }

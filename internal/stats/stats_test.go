@@ -144,3 +144,47 @@ func TestUint64nBounds(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSkipTruncNormalMatchesDraws checks the skip pass against the draws
+// it stands for: the same final state, and a bound at most the smallest
+// draw, on the paper's model, a mean near and below the truncation point,
+// zero spread and the 1024-rejection fallback.
+func TestSkipTruncNormalMatchesDraws(t *testing.T) {
+	for _, c := range []struct{ mean, sd float64 }{
+		{1e10, 2e9}, {1000, 200}, {1.001, 1}, {0.5, 0.5}, {5, 0}, {1, 0}, {0.5, 0}, {1e18, 1e19},
+	} {
+		for seed := uint64(0); seed < 20; seed++ {
+			skip, draw := NewRNG(seed), NewRNG(seed)
+			bound := skip.SkipTruncNormal(66, c.mean, c.sd, 1)
+			lowest := math.Inf(1)
+			for i := 0; i < 66; i++ {
+				lowest = min(lowest, draw.TruncNormal(c.mean, c.sd, 1))
+			}
+			if skip.State() != draw.State() {
+				t.Fatalf("mean %v sd %v seed %d: skip leaves another state than the draws", c.mean, c.sd, seed)
+			}
+			if math.IsNaN(bound) || bound > lowest {
+				t.Fatalf("mean %v sd %v seed %d: bound %v, smallest draw %v", c.mean, c.sd, seed, bound, lowest)
+			}
+		}
+	}
+}
+
+// TestSetStateResumesStream checks that a value RNG set to a saved state
+// continues the stream, and that the all-zero state is not a fixed point.
+func TestSetStateResumesStream(t *testing.T) {
+	r := NewRNG(5)
+	r.Uint64()
+	var resumed RNG
+	resumed.SetState(r.State())
+	for i := 0; i < 100; i++ {
+		if a, b := r.Uint64(), resumed.Uint64(); a != b {
+			t.Fatalf("step %d: %x, resumed %x", i, a, b)
+		}
+	}
+	var zero RNG
+	zero.SetState([4]uint64{})
+	if zero.Uint64()|zero.Uint64() == 0 {
+		t.Fatal("all-zero state produced zeros")
+	}
+}
