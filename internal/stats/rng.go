@@ -78,9 +78,10 @@ func (r *RNG) Uint64n(n uint64) uint64 {
 }
 
 // Float64 returns a uniformly distributed float64 in [0, 1).
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *RNG) Float64() float64 { return unit(r.Uint64()) }
+
+// unit maps 64 random bits to a float64 in [0, 1) on a 2^-53 grid.
+func unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }
 
 // State returns the generator's state; SetState resumes the stream from
 // it.
@@ -136,10 +137,11 @@ func (r *RNG) TruncNormal(mean, stddev, lo float64) float64 {
 // stddev·sqrt(−2 ln s) of mean. When s ≥ exp(−k²/2) with
 // k = (mean−lo)/stddev, the sample is therefore at least lo and
 // TruncNormal keeps it, whatever its value; only a draw with a smaller
-// s needs its value for the v ≥ lo test. The smallest such s bounds every
-// kept sample from below. Both thresholds carry a relative margin far
-// above the rounding error of the formulas, so the skip never keeps a
-// draw TruncNormal would reject and the bound never exceeds a draw.
+// s needs its value for the v ≥ lo test. The smallest s of the samples
+// kept unseen bounds them all from below; a sample tested exactly counts
+// with its value. Both thresholds carry a relative margin far above the
+// rounding error of the formulas, so the skip never keeps a draw
+// TruncNormal would reject and the bound never exceeds a draw.
 func (r *RNG) SkipTruncNormal(n int, mean, stddev, lo float64) float64 {
 	sd := math.Abs(stddev)
 	// sFast is the s at and above which a sample is kept unseen; 2 is
@@ -150,34 +152,44 @@ func (r *RNG) SkipTruncNormal(n int, mean, stddev, lo float64) float64 {
 	if k := (mean - lo) / sd; k > 0 && k*k/2 >= 1e-6 {
 		sFast = math.Exp(-k * k / 2 * (1 - 1e-6))
 	}
+	// A pair with s ≥ sFast is kept unseen exactly when s < 1; the max
+	// keeps s = 0 (rejected by the polar method) out of that test.
+	sFast = max(sFast, math.SmallestNonzeroFloat64)
 	sMin := 1.0        // smallest s of a sample kept unseen
 	low := math.Inf(1) // smallest sample kept after the exact test
+	// rejected counts the exact-test rejections of draw rejKept.
+	rejected, rejKept := 0, -1
 	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
-	for range n {
-		for rejected := 0; ; {
-			var a, b uint64
-			a, s0, s1, s2, s3 = step(s0, s1, s2, s3)
-			b, s0, s1, s2, s3 = step(s0, s1, s2, s3)
-			u := 2*(float64(a>>11)/(1<<53)) - 1
-			v := 2*(float64(b>>11)/(1<<53)) - 1
-			s := u*u + v*v
-			if !(s > 0 && s < 1) {
-				continue // Normal's own retry
+	for kept := 0; kept < n; {
+		var a, b uint64
+		a, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		b, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		u := 2*unit(a) - 1
+		v := 2*unit(b) - 1
+		s := u*u + v*v
+		if s >= sFast {
+			// The common case, without a branch on s < 1: sMin
+			// ignores s ≥ 1, as it starts at 1.
+			if s < 1 {
+				kept++
 			}
-			if s >= sFast {
-				if s < sMin {
-					sMin = s
-				}
-				break
-			}
-			if x := polar(mean, stddev, u, s); x >= lo {
-				low = min(low, x)
-				break
-			}
-			if rejected++; rejected == 1024 {
-				low = min(low, lo) // TruncNormal's fallback
-				break
-			}
+			sMin = min(sMin, s)
+			continue
+		}
+		if !(s > 0 && s < 1) {
+			continue // Normal's own retry
+		}
+		if x := polar(mean, stddev, u, s); x >= lo {
+			low = min(low, x)
+			kept++
+			continue
+		}
+		if rejKept != kept {
+			rejected, rejKept = 0, kept
+		}
+		if rejected++; rejected == 1024 {
+			low = min(low, lo) // TruncNormal's fallback
+			kept++
 		}
 	}
 	r.s = [4]uint64{s0, s1, s2, s3}
