@@ -153,7 +153,7 @@ func TestSkipTruncNormalMatchesDraws(t *testing.T) {
 	for _, c := range []struct{ mean, sd float64 }{
 		{1e10, 2e9}, {1000, 200}, {1.001, 1}, {0.5, 0.5}, {5, 0}, {1, 0}, {0.5, 0}, {1e18, 1e19},
 	} {
-		for seed := uint64(0); seed < 20; seed++ {
+		for seed := uint64(0); seed < 8; seed++ {
 			skip, draw := NewRNG(seed), NewRNG(seed)
 			bound := skip.SkipTruncNormal(66, c.mean, c.sd, 1)
 			lowest := math.Inf(1)
