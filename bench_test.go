@@ -453,32 +453,6 @@ func BenchmarkAblationNoMigration(b *testing.B) {
 	ablationRun(b, "no read-reuse migration", 1.0, func(c *core.Config) { c.AblationNoMigration = true })
 }
 
-// BenchmarkExtensionInterSetRotation compares the forecast lifetime of
-// CP_SD with and without inter-set wear leveling by a set coloring that
-// rotates the mapping one row every epoch (§II-A lists the set
-// dimension; the paper's scheme only levels within frames).
-func BenchmarkExtensionInterSetRotation(b *testing.B) {
-	run := func(cc *core.ColoringConfig) float64 {
-		specs := []experiments.ForecastSpec{
-			{Label: "CP_SD", Mutate: func(c *core.Config) { c.PolicyName = "CP_SD"; c.Coloring = cc }},
-		}
-		fs, _, err := experiments.ForecastComparison(benchBase(), specs, benchMixes, quickForecastCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
-		return fs[0].MeanLifetimeMonths
-	}
-	var plain, rotated float64
-	for i := 0; i < b.N; i++ {
-		plain = run(nil)
-		rotated = run(&core.ColoringConfig{Scheme: core.ColoringRot, IntervalEpochs: 1, Step: 1})
-	}
-	b.Logf("CP_SD lifetime: %.2fmo plain, %.2fmo with rotate:interval=1,step=1 coloring", plain, rotated)
-	if plain > 0 && !math.IsInf(plain, 1) && !math.IsInf(rotated, 1) {
-		b.ReportMetric(rotated/plain, "rotated/plain-lifetime")
-	}
-}
-
 // BenchmarkEnergyComparison measures LLC energy per policy (the TAP paper
 // motivates thrash-aware insertion with a 25% LLC energy reduction; this
 // bench reports each policy's total relative to BH).

@@ -46,7 +46,7 @@ func main() {
 	target := flag.Float64("target", 0.5, "ramp target effective capacity fraction")
 	step := flag.Float64("step", 0.1, "ramp capacity drop per step")
 	checkEvery := flag.Uint64("checkevery", 10_000, "run the invariant checker every N LLC accesses (0 disables)")
-	coloring := flag.String("coloring", "", `set coloring: "xor:mask=N", "rotate:interval=N,step=N", "wear:interval=N,pairs=N" or "off"`)
+	coloring := flag.String("coloring", "", cliutil.ColoringUsage)
 	quick := flag.Bool("quick", false, "small configuration, short windows")
 	warmup := flag.Uint64("warmup", 0, "warm-up cycles (0 = preset default)")
 	measure := flag.Uint64("measure", 0, "measured cycles per step (0 = preset default)")

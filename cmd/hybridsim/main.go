@@ -60,7 +60,7 @@ func main() {
 	prefetch := flag.Bool("prefetch", false, "enable the L2 stride prefetcher")
 	rrip := flag.Bool("rrip", false, "use fit-RRIP NVM replacement instead of fit-LRU")
 	checkEvery := flag.Uint64("checkevery", 0, "run the invariant checker every N LLC accesses (0 disables)")
-	coloring := flag.String("coloring", "", `set coloring: "xor:mask=N", "rotate:interval=N,step=N", "wear:interval=N,pairs=N" or "off"`)
+	coloring := flag.String("coloring", "", cliutil.ColoringUsage)
 	flag.Parse()
 
 	cfg := def

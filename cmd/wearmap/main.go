@@ -46,7 +46,7 @@ func main() {
 	capacity := flag.Float64("capacity", 0.8, "age until this capacity fraction")
 	warmup := flag.Uint64("warmup", 0, "warm-up cycles (0 = preset default)")
 	measure := flag.Uint64("measure", 0, "cycles to measure write rates over (0 = preset default)")
-	coloring := flag.String("coloring", "", `set coloring: "xor:mask=N", "rotate:interval=N,step=N", "wear:interval=N,pairs=N" or "off"`)
+	coloring := flag.String("coloring", "", cliutil.ColoringUsage)
 	quick := flag.Bool("quick", false, "small configuration, short windows")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
@@ -113,7 +113,7 @@ func run(opt options) (*report.Report, error) {
 	st := sys.Run(measure)
 	// Wear variation of the simulated window itself, before aging: aging
 	// runs frames into their endurance limits, which truncates the wear
-	// distribution and hides the rate imbalance the coloring schemes act
+	// distribution and hides the rate imbalance the wear coloring acts
 	// on. These are the numbers wear-leveling quality is judged by.
 	simWV := arr.WearVariation()
 	seconds := float64(st.Cycles) / 3.5e9

@@ -39,11 +39,13 @@ func ParseMixes(arg string) ([]int, error) {
 // every cmd advertises exactly what core accepts.
 func PolicyNames() string { return strings.Join(core.Policies(), ", ") }
 
+// ColoringUsage is the help text of every cmd's -coloring flag.
+const ColoringUsage = `set coloring: "wear:interval=N,pairs=N" or "off"`
+
 // ParseColoring converts the conventional -coloring spec string into a
-// coloring config: "scheme[:key=value,...]" with scheme one of xor /
-// rotate / wear and keys mask, interval, step, pairs. "" and "off"
-// disable coloring (nil). Examples: "xor:mask=5",
-// "rotate:interval=4,step=1", "wear:interval=2,pairs=8".
+// coloring config: "scheme[:key=value,...]" with scheme wear and keys
+// interval and pairs. "" and "off" disable coloring (nil). Example:
+// "wear:interval=2,pairs=8".
 func ParseColoring(spec string) (*core.ColoringConfig, error) {
 	spec = strings.TrimSpace(spec)
 	if spec == "" || spec == "off" {
@@ -51,6 +53,9 @@ func ParseColoring(spec string) (*core.ColoringConfig, error) {
 	}
 	scheme, rest, _ := strings.Cut(spec, ":")
 	cc := &core.ColoringConfig{Scheme: scheme}
+	if scheme != core.ColoringWear {
+		return cc, nil // Validate names the unknown or retired scheme
+	}
 	if rest != "" {
 		for _, kv := range strings.Split(rest, ",") {
 			key, val, ok := strings.Cut(strings.TrimSpace(kv), "=")
@@ -62,16 +67,12 @@ func ParseColoring(spec string) (*core.ColoringConfig, error) {
 				return nil, fmt.Errorf("bad coloring value %q for %q", val, key)
 			}
 			switch strings.TrimSpace(key) {
-			case "mask":
-				cc.Mask = n
 			case "interval":
 				cc.IntervalEpochs = n
-			case "step":
-				cc.Step = n
 			case "pairs":
 				cc.Pairs = n
 			default:
-				return nil, fmt.Errorf("unknown coloring option %q (valid: mask, interval, step, pairs)", key)
+				return nil, fmt.Errorf("unknown coloring option %q (valid: interval, pairs)", key)
 			}
 		}
 	}

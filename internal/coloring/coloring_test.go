@@ -1,70 +1,13 @@
 package coloring
 
 import (
+	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/stats"
 )
-
-// TestXORPermutation checks every mask of a small power-of-two geometry:
-// each is a bijection, mask 0 is the identity, and Epoch never reports a
-// change (static coloring).
-func TestXORPermutation(t *testing.T) {
-	const sets = 16
-	for mask := 0; mask < sets; mask++ {
-		x, err := NewXOR(sets, mask)
-		if err != nil {
-			t.Fatalf("mask %d: %v", mask, err)
-		}
-		if err := CheckPermutation(x); err != nil {
-			t.Fatalf("mask %d: %v", mask, err)
-		}
-		if x.Epoch(nil) {
-			t.Fatalf("mask %d: static xor reported a mapping change", mask)
-		}
-	}
-	id, _ := NewXOR(sets, 0)
-	for l := 0; l < sets; l++ {
-		if id.Map(l) != l {
-			t.Fatalf("identity xor maps %d -> %d", l, id.Map(l))
-		}
-	}
-}
-
-// TestRotationPermutationEveryEpoch is the property the LLC's row flush
-// depends on: after every single Epoch call — advancing or not — the
-// mapping is still a bijection. It also pins the advance cadence (true
-// exactly every interval epochs) and full row coverage: with
-// gcd(step, sets) = 1 a logical set visits every physical row.
-func TestRotationPermutationEveryEpoch(t *testing.T) {
-	const sets, interval, step = 96, 2, 37 // gcd(37, 96) = 1
-	r, err := NewRotation(sets, interval, step)
-	if err != nil {
-		t.Fatal(err)
-	}
-	visited := map[int]bool{r.Map(0): true}
-	advances := 0
-	for epoch := 1; epoch <= 2*interval*sets; epoch++ {
-		changed := r.Epoch(nil)
-		if want := epoch%interval == 0; changed != want {
-			t.Fatalf("epoch %d: changed=%v, want %v", epoch, changed, want)
-		}
-		if changed {
-			advances++
-		}
-		if err := CheckPermutation(r); err != nil {
-			t.Fatalf("epoch %d: %v", epoch, err)
-		}
-		visited[r.Map(0)] = true
-	}
-	if advances != 2*sets {
-		t.Fatalf("advances = %d, want %d", advances, 2*sets)
-	}
-	if len(visited) != sets {
-		t.Fatalf("logical set 0 visited %d/%d rows", len(visited), sets)
-	}
-}
 
 // TestWearFeedbackDirectedSwap pins the scheme's core move on a
 // hand-checkable geometry: one hot row swaps with the coldest row, and a
@@ -74,22 +17,22 @@ func TestWearFeedbackDirectedSwap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !s.Epoch([]float64{0, 10, 0, 0}) {
-		t.Fatal("hot row 1 did not trigger a remap")
-	}
 	// Row 1 was hottest, row 0 coldest (tie on 0 wear breaks by index):
-	// their logical preimages swap.
+	// their logical preimages swap, and Epoch reports both rows.
+	if moved := s.Epoch([]float64{0, 10, 0, 0}); !reflect.DeepEqual(moved, []int{0, 1}) {
+		t.Fatalf("hot row 1 reported moved rows %v, want [0 1]", moved)
+	}
 	want := []int{1, 0, 2, 3}
 	got := []int{s.Map(0), s.Map(1), s.Map(2), s.Map(3)}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("mapping after swap = %v, want %v", got, want)
 	}
-	if err := CheckPermutation(s); err != nil {
+	if err := checkPermutation(s.Map, 4); err != nil {
 		t.Fatal(err)
 	}
 	// Same cumulative wear again: every delta is zero, nothing may move.
-	if s.Epoch([]float64{0, 10, 0, 0}) {
-		t.Fatal("zero-delta epoch reported a change")
+	if moved := s.Epoch([]float64{0, 10, 0, 0}); len(moved) != 0 {
+		t.Fatalf("zero-delta epoch reported moved rows %v", moved)
 	}
 	if got := []int{s.Map(0), s.Map(1), s.Map(2), s.Map(3)}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("zero-delta epoch moved the mapping to %v", got)
@@ -99,7 +42,9 @@ func TestWearFeedbackDirectedSwap(t *testing.T) {
 // TestWearFeedbackPermutationUnderLoad drives the remapper with a
 // pseudo-random wear trajectory and checks the bijection after every
 // epoch — including the epochs where Map is consulted between interval
-// boundaries and nothing advanced.
+// boundaries and nothing advanced. It also pins the Epoch contract the
+// LLC's flush relies on: the reported rows, ascending, are exactly the
+// rows whose logical preimage changed.
 func TestWearFeedbackPermutationUnderLoad(t *testing.T) {
 	const sets, epochs = 64, 200
 	s, err := NewWearFeedback(sets, 2, 5)
@@ -108,15 +53,27 @@ func TestWearFeedbackPermutationUnderLoad(t *testing.T) {
 	}
 	rng := stats.NewRNG(7)
 	cum := make([]float64, sets)
+	before := make([]int, sets)
 	changes := 0
 	for e := 0; e < epochs; e++ {
 		for i := range cum {
 			cum[i] += rng.Float64() * float64(1+i%7)
 		}
-		if s.Epoch(cum) {
+		copy(before, s.inv)
+		moved := s.Epoch(cum)
+		var want []int
+		for row := range before {
+			if s.inv[row] != before[row] {
+				want = append(want, row)
+			}
+		}
+		if !slices.Equal(moved, want) {
+			t.Fatalf("epoch %d: reported rows %v, preimages changed on %v", e, moved, want)
+		}
+		if len(moved) > 0 {
 			changes++
 		}
-		if err := CheckPermutation(s); err != nil {
+		if err := checkPermutation(s.Map, sets); err != nil {
 			t.Fatalf("epoch %d: %v", e, err)
 		}
 	}
@@ -146,9 +103,8 @@ func TestWearFeedbackDeterminism(t *testing.T) {
 			cumA[i] += rngA.Float64()
 			cumB[i] += rngB.Float64()
 		}
-		ca, cb := a.Epoch(cumA), b.Epoch(cumB)
-		if ca != cb {
-			t.Fatalf("epoch %d: change %v vs %v", e, ca, cb)
+		if ma, mb := a.Epoch(cumA), b.Epoch(cumB); !slices.Equal(ma, mb) {
+			t.Fatalf("epoch %d: moved rows %v vs %v", e, ma, mb)
 		}
 		for l := 0; l < sets; l++ {
 			if a.Map(l) != b.Map(l) {
@@ -166,7 +122,7 @@ func TestWearFeedbackIgnoresMismatchedWear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Epoch(nil) || s.Epoch(make([]float64, 4)) {
+	if len(s.Epoch(nil)) != 0 || len(s.Epoch(make([]float64, 4))) != 0 {
 		t.Fatal("mismatched rowWear advanced the mapping")
 	}
 	for l := 0; l < 8; l++ {
@@ -176,23 +132,16 @@ func TestWearFeedbackIgnoresMismatchedWear(t *testing.T) {
 	}
 }
 
-// TestConstructorRejections is the validation table for all three
-// scheme constructors.
+// TestConstructorRejections is the validation table for the scheme's
+// constructor.
 func TestConstructorRejections(t *testing.T) {
 	cases := []struct {
 		name  string
 		build func() error
 	}{
-		{"xor non-pow2", func() error { _, err := NewXOR(96, 1); return err }},
-		{"xor zero sets", func() error { _, err := NewXOR(0, 0); return err }},
-		{"xor mask negative", func() error { _, err := NewXOR(16, -1); return err }},
-		{"xor mask too big", func() error { _, err := NewXOR(16, 16); return err }},
-		{"rotate one set", func() error { _, err := NewRotation(1, 1, 1); return err }},
-		{"rotate zero interval", func() error { _, err := NewRotation(16, 0, 1); return err }},
-		{"rotate zero step", func() error { _, err := NewRotation(16, 1, 0); return err }},
-		{"rotate step too big", func() error { _, err := NewRotation(16, 1, 16); return err }},
 		{"wear one set", func() error { _, err := NewWearFeedback(1, 1, 1); return err }},
 		{"wear zero interval", func() error { _, err := NewWearFeedback(16, 0, 1); return err }},
+		{"wear interval too big", func() error { _, err := NewWearFeedback(16, MaxInterval+1, 1); return err }},
 		{"wear zero pairs", func() error { _, err := NewWearFeedback(16, 1, 0); return err }},
 		{"wear too many pairs", func() error { _, err := NewWearFeedback(16, 1, 9); return err }},
 	}
@@ -205,17 +154,29 @@ func TestConstructorRejections(t *testing.T) {
 	}
 }
 
+// checkPermutation verifies that a mapping is a bijection on [0, sets):
+// every physical row has exactly one logical preimage. The property
+// tests call it after every epoch.
+func checkPermutation(mapFn func(int) int, sets int) error {
+	seen := make([]bool, sets)
+	for l := 0; l < sets; l++ {
+		p := mapFn(l)
+		if p < 0 || p >= sets {
+			return fmt.Errorf("set %d maps outside [0,%d)", l, sets)
+		}
+		if seen[p] {
+			return fmt.Errorf("physical row %d aliased", p)
+		}
+		seen[p] = true
+	}
+	return nil
+}
+
 // TestCheckPermutationCatchesAliases proves the checker itself detects a
 // broken mapping (it guards the whole property suite).
 func TestCheckPermutationCatchesAliases(t *testing.T) {
-	if err := CheckPermutation(brokenScheme{}); err == nil {
-		t.Fatal("aliasing scheme passed CheckPermutation")
+	aliasing := func(int) int { return 0 } // every set aliases row 0
+	if err := checkPermutation(aliasing, 4); err == nil {
+		t.Fatal("aliasing mapping passed checkPermutation")
 	}
 }
-
-type brokenScheme struct{}
-
-func (brokenScheme) Name() string         { return "broken" }
-func (brokenScheme) Sets() int            { return 4 }
-func (brokenScheme) Map(int) int          { return 0 } // every set aliases row 0
-func (brokenScheme) Epoch([]float64) bool { return false }

@@ -1,128 +1,101 @@
 package core
 
 import (
-	"errors"
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/coloring"
 	"repro/internal/hybrid"
 )
 
-// Coloring scheme names accepted by ColoringConfig.Scheme.
-const (
-	ColoringXOR  = "xor"
-	ColoringRot  = "rotate"
-	ColoringWear = "wear"
-)
+// ColoringWear names the one coloring scheme ColoringConfig.Scheme
+// accepts.
+const ColoringWear = "wear"
 
-// MaxColoringInterval bounds the rotation/wear-feedback epoch interval
-// (resource-abuse ceiling, same spirit as the geometry limits).
-const MaxColoringInterval = 1 << 20
-
-// ColoringSchemes lists the valid scheme names.
-func ColoringSchemes() []string { return []string{ColoringXOR, ColoringRot, ColoringWear} }
+// MaxColoringInterval bounds the wear-feedback epoch interval.
+const MaxColoringInterval = coloring.MaxInterval
 
 // ColoringConfig declares the inter-set wear-leveling (cache coloring)
 // scheme a config runs: a bijective logical-set→physical-row remap the
 // LLC applies to every lookup and advances at its epoch boundaries.
-// Fields irrelevant to the selected scheme must stay zero; Validate
-// rejects mixed documents so a typo'd knob cannot be silently ignored.
 type ColoringConfig struct {
-	// Scheme selects the remap family: "xor" (static address-bit
-	// coloring), "rotate" (periodic rotation) or "wear" (wear-feedback
-	// hottest/coldest row swapping).
+	// Scheme selects the remap family; "wear" (wear-feedback
+	// hottest/coldest row swapping) is the only one.
 	Scheme string `json:"scheme"`
-	// Mask is the xor scheme's XOR mask (0 = identity). xor only.
-	Mask int `json:"mask,omitempty"`
 	// IntervalEpochs is how many epochs pass between mapping advances
-	// (rotate/wear; 0 means 1 — every epoch).
+	// (0 means 1 — every epoch).
 	IntervalEpochs int `json:"interval_epochs,omitempty"`
-	// Step is the rotate scheme's row advance per interval (0 means 1).
-	Step int `json:"step,omitempty"`
-	// Pairs is how many hottest/coldest row pairs the wear scheme swaps
-	// per advance (0 means 1).
+	// Pairs is how many hottest/coldest row pairs swap per advance (0
+	// means 1).
 	Pairs int `json:"pairs,omitempty"`
 }
 
+// retiredColoring returns the error for a retired scheme name and nil
+// for any other; xor and rotate never beat wear on a measured mix
+// (EXPERIMENTS.md, "Retired: xor and rotate coloring").
+func retiredColoring(scheme string) error {
+	if scheme != "xor" && scheme != "rotate" {
+		return nil
+	}
+	return fmt.Errorf("core: coloring: scheme %q was retired; use %q (wear-feedback row swapping)", scheme, ColoringWear)
+}
+
+// UnmarshalJSON decodes the document strictly. A retired scheme is
+// reported by name ahead of its knobs (mask, step), which no longer
+// exist, so a journaled xor or rotate job fails as retired rather than
+// as an unknown field.
+func (cc *ColoringConfig) UnmarshalJSON(data []byte) error {
+	type plain ColoringConfig
+	err := UnmarshalStrict(data, (*plain)(cc))
+	if err != nil {
+		var probe struct{ Scheme string }
+		if json.Unmarshal(data, &probe) == nil {
+			if rerr := retiredColoring(probe.Scheme); rerr != nil {
+				return rerr
+			}
+		}
+	}
+	return err
+}
+
+// wearArgs resolves the document's zero defaults into the wear scheme's
+// constructor arguments.
+func (cc *ColoringConfig) wearArgs() (interval, pairs int) {
+	interval, pairs = cc.IntervalEpochs, cc.Pairs
+	if interval == 0 {
+		interval = 1
+	}
+	if pairs == 0 {
+		pairs = 1
+	}
+	return interval, pairs
+}
+
 // validateColoring checks a coloring document against the config's
-// geometry, reporting every problem at once. Called from Validate, so
-// the simd daemon rejects invalid coloring specs at the submission
-// boundary, before a job or sweep child is queued.
+// geometry. Called from Validate, so the simd daemon rejects invalid
+// coloring specs at the submission boundary, before a job or sweep child
+// is queued. The bounds are the wear scheme's own.
 func (c Config) validateColoring(cc *ColoringConfig) error {
-	var errs []error
-	bad := func(format string, args ...interface{}) {
-		errs = append(errs, fmt.Errorf("core: coloring: "+format, args...))
+	if err := retiredColoring(cc.Scheme); err != nil {
+		return err
 	}
-	zero := func(name string, v int) {
-		if v != 0 {
-			bad("%q does not apply to scheme %q (got %d)", name, cc.Scheme, v)
-		}
+	if cc.Scheme != ColoringWear {
+		return fmt.Errorf("core: coloring: unknown scheme %q (valid: %q)", cc.Scheme, ColoringWear)
 	}
-	if cc.IntervalEpochs < 0 || cc.IntervalEpochs > MaxColoringInterval {
-		bad("interval_epochs %d outside [0,%d]", cc.IntervalEpochs, MaxColoringInterval)
+	interval, pairs := cc.wearArgs()
+	if err := coloring.CheckWearFeedback(c.LLCSets, interval, pairs); err != nil {
+		return fmt.Errorf("core: %w", err)
 	}
-	switch cc.Scheme {
-	case ColoringXOR:
-		if c.LLCSets&(c.LLCSets-1) != 0 {
-			bad("xor needs a power-of-two set count, config has %d", c.LLCSets)
-		}
-		if cc.Mask < 0 || cc.Mask >= c.LLCSets {
-			bad("xor mask %d outside [0,%d)", cc.Mask, c.LLCSets)
-		}
-		zero("interval_epochs", cc.IntervalEpochs)
-		zero("step", cc.Step)
-		zero("pairs", cc.Pairs)
-	case ColoringRot:
-		if c.LLCSets < 2 {
-			bad("rotate needs >= 2 sets, config has %d", c.LLCSets)
-		}
-		if cc.Step < 0 || cc.Step >= c.LLCSets {
-			bad("rotate step %d outside [0,%d)", cc.Step, c.LLCSets)
-		}
-		zero("mask", cc.Mask)
-		zero("pairs", cc.Pairs)
-	case ColoringWear:
-		if c.LLCSets < 2 {
-			bad("wear needs >= 2 sets, config has %d", c.LLCSets)
-		}
-		if cc.Pairs < 0 || cc.Pairs > c.LLCSets/2 {
-			bad("wear pairs %d outside [0,%d]", cc.Pairs, c.LLCSets/2)
-		}
-		zero("mask", cc.Mask)
-		zero("step", cc.Step)
-	default:
-		bad("unknown scheme %q (valid: %v)", cc.Scheme, ColoringSchemes())
-	}
-	return errors.Join(errs...)
+	return nil
 }
 
 // buildColoring constructs the scheme the config selects, or nil when
-// coloring is off. Build wires it into the LLC, which advances it.
+// coloring is off. Build validates the config first and wires the
+// scheme into the LLC, which advances it.
 func (c Config) buildColoring() (hybrid.SetMapper, error) {
 	if c.Coloring == nil {
 		return nil, nil
 	}
-	cc := c.Coloring
-	interval := cc.IntervalEpochs
-	if interval == 0 {
-		interval = 1
-	}
-	switch cc.Scheme {
-	case ColoringXOR:
-		return coloring.NewXOR(c.LLCSets, cc.Mask)
-	case ColoringRot:
-		step := cc.Step
-		if step == 0 {
-			step = 1
-		}
-		return coloring.NewRotation(c.LLCSets, interval, step)
-	case ColoringWear:
-		pairs := cc.Pairs
-		if pairs == 0 {
-			pairs = 1
-		}
-		return coloring.NewWearFeedback(c.LLCSets, interval, pairs)
-	default:
-		return nil, fmt.Errorf("core: coloring: unknown scheme %q (valid: %v)", cc.Scheme, ColoringSchemes())
-	}
+	interval, pairs := c.Coloring.wearArgs()
+	return coloring.NewWearFeedback(c.LLCSets, interval, pairs)
 }

@@ -1,38 +1,41 @@
 package core
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 )
 
 // TestValidateColoringRejections is the validation table for coloring
-// documents: scheme-specific range checks plus the mixed-document rule
-// (knobs of an unselected scheme must stay zero, so a typo'd field is an
-// error rather than silently ignored).
+// documents at the strict JSON boundary: the wear scheme's range checks,
+// knobs that do not exist, and every document of the retired xor and
+// rotate schemes, which must name the scheme as retired whatever knobs
+// they carry.
 func TestValidateColoringRejections(t *testing.T) {
 	cases := []struct {
 		name string
 		sets int // 0 = keep QuickConfig's
-		cc   ColoringConfig
+		doc  string
 		want string
 	}{
-		{"unknown scheme", 0, ColoringConfig{Scheme: "bogus"}, "unknown scheme"},
-		{"empty scheme", 0, ColoringConfig{}, "unknown scheme"},
-		{"xor non-pow2", 96, ColoringConfig{Scheme: ColoringXOR}, "power-of-two"},
-		{"xor mask negative", 0, ColoringConfig{Scheme: ColoringXOR, Mask: -1}, "mask"},
-		{"xor mask too big", 0, ColoringConfig{Scheme: ColoringXOR, Mask: 256}, "mask"},
-		{"xor with interval", 0, ColoringConfig{Scheme: ColoringXOR, IntervalEpochs: 2}, "does not apply"},
-		{"xor with step", 0, ColoringConfig{Scheme: ColoringXOR, Step: 3}, "does not apply"},
-		{"rotate step too big", 0, ColoringConfig{Scheme: ColoringRot, Step: 256}, "step"},
-		{"rotate step negative", 0, ColoringConfig{Scheme: ColoringRot, Step: -1}, "step"},
-		{"rotate with mask", 0, ColoringConfig{Scheme: ColoringRot, Mask: 1}, "does not apply"},
-		{"rotate with pairs", 0, ColoringConfig{Scheme: ColoringRot, Pairs: 2}, "does not apply"},
-		{"wear pairs too big", 0, ColoringConfig{Scheme: ColoringWear, Pairs: 129}, "pairs"},
-		{"wear pairs negative", 0, ColoringConfig{Scheme: ColoringWear, Pairs: -1}, "pairs"},
-		{"wear with mask", 0, ColoringConfig{Scheme: ColoringWear, Mask: 1}, "does not apply"},
-		{"interval negative", 0, ColoringConfig{Scheme: ColoringWear, IntervalEpochs: -1}, "interval_epochs"},
-		{"interval huge", 0, ColoringConfig{Scheme: ColoringWear, IntervalEpochs: MaxColoringInterval + 1}, "interval_epochs"},
+		{"unknown scheme", 0, `{"scheme":"bogus"}`, "unknown scheme"},
+		{"empty scheme", 0, `{}`, "unknown scheme"},
+		{"xor non-pow2", 96, `{"scheme":"xor"}`, "retired"},
+		{"xor mask negative", 0, `{"scheme":"xor","mask":-1}`, "retired"},
+		{"xor mask too big", 0, `{"scheme":"xor","mask":256}`, "retired"},
+		{"xor with interval", 0, `{"scheme":"xor","interval_epochs":2}`, "retired"},
+		{"xor with step", 0, `{"scheme":"xor","step":3}`, "retired"},
+		{"rotate step too big", 0, `{"scheme":"rotate","step":256}`, "retired"},
+		{"rotate step negative", 0, `{"scheme":"rotate","step":-1}`, "retired"},
+		{"rotate with mask", 0, `{"scheme":"rotate","mask":1}`, "retired"},
+		{"rotate with pairs", 0, `{"scheme":"rotate","pairs":2}`, "retired"},
+		{"wear pairs too big", 0, `{"scheme":"wear","pairs":129}`, "pairs"},
+		{"wear pairs negative", 0, `{"scheme":"wear","pairs":-1}`, "pairs"},
+		{"wear with mask", 0, `{"scheme":"wear","mask":1}`, "unknown field"},
+		{"interval negative", 0, `{"scheme":"wear","interval_epochs":-1}`, "interval"},
+		{"interval huge", 0, fmt.Sprintf(`{"scheme":"wear","interval_epochs":%d}`, MaxColoringInterval+1), "interval"},
+		{"wear one set", 1, `{"scheme":"wear"}`, "sets"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -40,37 +43,37 @@ func TestValidateColoringRejections(t *testing.T) {
 			if tc.sets != 0 {
 				cfg.LLCSets = tc.sets
 			}
-			cc := tc.cc
-			cfg.Coloring = &cc
-			err := cfg.Validate()
+			err := UnmarshalStrict([]byte(`{"coloring":`+tc.doc+`}`), &cfg)
 			if err == nil {
-				t.Fatal("accepted bad coloring")
+				if err = cfg.Validate(); err == nil {
+					t.Fatal("accepted bad coloring")
+				}
+				if _, berr := cfg.Build(); berr == nil {
+					t.Fatal("Build accepted a coloring Validate rejects")
+				}
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
-			if _, err := cfg.Build(); err == nil {
-				t.Fatal("Build accepted a coloring Validate rejects")
+			if tc.want == "retired" && !strings.Contains(err.Error(), `use "wear"`) {
+				t.Fatalf("error %q does not point at the wear scheme", err)
 			}
 		})
 	}
 }
 
-// TestBuildColoringSchemes: every valid document builds the matching
-// scheme, zero interval/step/pairs default to 1, and a nil document
-// builds no mapper at all.
+// TestBuildColoringSchemes: every valid document builds the wear
+// scheme, zero interval/pairs default to 1, and a nil document builds no
+// mapper at all.
 func TestBuildColoringSchemes(t *testing.T) {
 	cfg := QuickConfig()
 	if m, err := cfg.buildColoring(); err != nil || m != nil {
 		t.Fatalf("nil coloring built %v (err %v)", m, err)
 	}
 	for _, cc := range []ColoringConfig{
-		{Scheme: ColoringXOR},
-		{Scheme: ColoringXOR, Mask: 21},
-		{Scheme: ColoringRot},
-		{Scheme: ColoringRot, IntervalEpochs: 4, Step: 37},
 		{Scheme: ColoringWear},
 		{Scheme: ColoringWear, IntervalEpochs: 2, Pairs: 32},
+		{Scheme: ColoringWear, IntervalEpochs: MaxColoringInterval, Pairs: cfg.LLCSets / 2},
 	} {
 		cfg := QuickConfig()
 		doc := cc
@@ -87,9 +90,10 @@ func TestBuildColoringSchemes(t *testing.T) {
 }
 
 // TestIdentityColoringMatchesClassic pins the zero-cost end of the
-// design: xor with mask 0 is the identity mapping, and a run with it
-// configured must be the run with coloring off — same summary, every
-// counter and gauge of the window, and the same per-frame wear.
+// design: a wear scheme whose interval (MaxColoringInterval epochs) never
+// comes due keeps the identity mapping, and a run with it configured
+// must be the run with coloring off — same summary, every counter and
+// gauge of the window, and the same per-frame wear.
 func TestIdentityColoringMatchesClassic(t *testing.T) {
 	run := func(cc *ColoringConfig) (Summary, []float64) {
 		cfg := QuickConfig()
@@ -99,6 +103,9 @@ func TestIdentityColoringMatchesClassic(t *testing.T) {
 			t.Fatal(err)
 		}
 		sum := Measure(sys, 300_000, 1_500_000)
+		if sys.Epochs == 0 {
+			t.Fatal("the run closed no epoch; the mapper was never advanced")
+		}
 		var wear []float64
 		for _, f := range sys.LLC().Array().Frames() {
 			wear = append(wear, f.Wear())
@@ -106,7 +113,7 @@ func TestIdentityColoringMatchesClassic(t *testing.T) {
 		return sum, wear
 	}
 	plain, plainWear := run(nil)
-	id, idWear := run(&ColoringConfig{Scheme: ColoringXOR})
+	id, idWear := run(&ColoringConfig{Scheme: ColoringWear, IntervalEpochs: MaxColoringInterval})
 	if !reflect.DeepEqual(plain, id) {
 		t.Fatalf("identity coloring changed the run:\n off %+v\n id  %+v", plain, id)
 	}
@@ -152,7 +159,8 @@ func TestColoringStrictDecode(t *testing.T) {
 
 // FuzzColoringConfigDecode fuzzes the submission boundary: any byte
 // sequence either fails strict decode, fails Validate, or yields a
-// buildable coloring whose mapping is a bijection. No input may panic,
+// buildable wear coloring whose mapping is a bijection; the retired xor
+// and rotate seeds must be rejected. No input may panic,
 // and Validate-accepted documents must never fail to build — the simd
 // daemon relies on that to reject bad coloring before queueing a job.
 func FuzzColoringConfigDecode(f *testing.F) {
@@ -176,6 +184,9 @@ func FuzzColoringConfigDecode(f *testing.F) {
 		}
 		if err := cfg.Validate(); err != nil {
 			return // the boundary rejected it; nothing may be built
+		}
+		if cfg.Coloring != nil && cfg.Coloring.Scheme != ColoringWear {
+			t.Fatalf("Validate accepted scheme %q\n%s", cfg.Coloring.Scheme, data)
 		}
 		m, err := cfg.buildColoring()
 		if err != nil {

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/coloring"
 	"repro/internal/hier"
 	"repro/internal/hybrid"
 	"repro/internal/nvm"
@@ -260,18 +259,56 @@ func TestAgeScaleInvariance(t *testing.T) {
 	}
 }
 
+// rotation is a test-local coloring mapper that shifts the whole
+// mapping one row every epoch, so every row's preimage changes. On the
+// first lookup after a shift it checks the LLC flushed every row it
+// reported: resident counts the entries those rows held when the shift
+// was reported, stale the ones still there after EndEpoch returned.
+type rotation struct {
+	llc                       *hybrid.LLC
+	offset                    int
+	rows                      []int
+	pending                   bool
+	advances, resident, stale int
+}
+
+func newRotation(sets int) *rotation {
+	r := &rotation{rows: make([]int, sets)}
+	for i := range r.rows {
+		r.rows[i] = i
+	}
+	return r
+}
+
+func (r *rotation) Map(logical int) int {
+	if r.pending {
+		r.pending = false
+		for _, row := range r.rows {
+			r.stale += r.llc.Occupancy(row)
+		}
+	}
+	return (logical + r.offset) % len(r.rows)
+}
+
+func (r *rotation) Epoch([]float64) []int {
+	for _, row := range r.rows {
+		r.resident += r.llc.Occupancy(row)
+	}
+	r.offset = (r.offset + 1) % len(r.rows)
+	r.advances++
+	r.pending = true
+	return r.rows
+}
+
 // TestRunWithRotatingColoring: a forecast over an LLC whose coloring
 // rotates the set mapping every epoch must keep capacity monotone, and
-// the mapping must actually move.
+// the mapping must actually move, flushing resident blocks each time.
 func TestRunWithRotatingColoring(t *testing.T) {
 	apps, err := workload.NewMix(0, 1, 0.25)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rot, err := coloring.NewRotation(256, 1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rot := newRotation(256)
 	llc := hybrid.New(hybrid.Config{
 		Sets: 256, SRAMWays: 4, NVMWays: 12,
 		Policy:    policy.CARWR{PolicyName: "CP_SD"},
@@ -279,6 +316,7 @@ func TestRunWithRotatingColoring(t *testing.T) {
 		Sampler:   stats.NewRNG(3),
 		SetMapper: rot, SetMapperAdvance: true,
 	})
+	rot.llc = llc
 	hcfg := hier.DefaultConfig()
 	hcfg.EpochCycles = 250_000
 	res := Run(hier.New(hcfg, llc, apps), quickForecastConfig())
@@ -290,7 +328,10 @@ func TestRunWithRotatingColoring(t *testing.T) {
 			t.Fatal("capacity increased under rotation")
 		}
 	}
-	if rot.Offset() == 0 {
-		t.Error("rotation never advanced")
+	if rot.advances == 0 || rot.resident == 0 {
+		t.Fatalf("rotation advanced %d times over %d resident entries; want both nonzero", rot.advances, rot.resident)
+	}
+	if rot.stale != 0 {
+		t.Fatalf("%d entries survived the flush of their remapped rows", rot.stale)
 	}
 }

@@ -29,10 +29,24 @@ func churn(l *LLC, r *stats.RNG, n int) {
 	}
 }
 
+// movedRows records the rows a coloring scheme reports at each advance.
+type movedRows struct {
+	*coloring.WearFeedback
+	last []int
+}
+
+func (m *movedRows) Epoch(rowWear []float64) []int {
+	rows := m.WearFeedback.Epoch(rowWear)
+	m.last = append(m.last[:0], rows...)
+	return rows
+}
+
 // TestMirrorInvariantsUnderRemaps keeps CheckInvariants — blocks mirror,
 // timestamp-validity agreement and published frame capacities — green
 // while the array ages, rotates its rows (RotateNVMSets) and the
-// coloring mapper remaps and flushes rows at epoch boundaries.
+// wear coloring remaps rows at epoch boundaries. Every row the scheme
+// reports must come out of EndEpoch empty, and the remaps must flush
+// resident blocks at least once.
 func TestMirrorInvariantsUnderRemaps(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -45,18 +59,26 @@ func TestMirrorInvariantsUnderRemaps(t *testing.T) {
 		{"steered-rrip", testCP, FitRRIP, 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rot, err := coloring.NewRotation(tc.sets, 1, 5)
+			wear, err := coloring.NewWearFeedback(tc.sets, 1, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
+			mapper := &movedRows{WearFeedback: wear}
 			l := New(Config{
 				Sets: tc.sets, SRAMWays: 2, NVMWays: 4,
 				Policy: tc.pol, Thresholds: FixedThreshold(40),
 				Endurance: testEndurance, Sampler: stats.NewRNG(5),
 				NVMReplacement: tc.repl,
-				SetMapper:      rot, SetMapperAdvance: true,
+				SetMapper:      mapper, SetMapperAdvance: true,
 			})
+			resident := func() (n int) {
+				for set := 0; set < tc.sets; set++ {
+					n += l.Occupancy(set)
+				}
+				return n
+			}
 			r := stats.NewRNG(17)
+			remaps, flushed := 0, 0
 			for phase := 0; phase < 12; phase++ {
 				churn(l, r, 400)
 				if err := l.CheckInvariants(); err != nil {
@@ -71,11 +93,24 @@ func TestMirrorInvariantsUnderRemaps(t *testing.T) {
 				case 0:
 					l.RotateNVMSets(1 + phase)
 				case 1:
-					l.EndEpoch() // the rotation mapper advances and flushes
+					before := resident()
+					l.EndEpoch() // the wear mapper advances and flushes
+					for _, row := range mapper.last {
+						if n := l.Occupancy(row); n != 0 {
+							t.Fatalf("phase %d: remapped row %d kept %d entries", phase, row, n)
+						}
+					}
+					if len(mapper.last) > 0 {
+						remaps++
+					}
+					flushed += before - resident()
 				}
 				if err := l.CheckInvariants(); err != nil {
 					t.Fatalf("phase %d after aging and remap: %v", phase, err)
 				}
+			}
+			if remaps == 0 || flushed == 0 {
+				t.Fatalf("coloring remapped %d times and flushed %d entries; want both nonzero", remaps, flushed)
 			}
 			if l.Stats.NVMInserts == 0 || l.Array().LiveFrames() == len(l.Array().Frames()) {
 				t.Fatalf("run never exercised NVM inserts (%d) or frame deaths", l.Stats.NVMInserts)
@@ -124,21 +159,27 @@ func TestSetOfMatchesModulo(t *testing.T) {
 				Sets: sets, SRAMWays: 1, NVMWays: 1, Policy: testBH,
 				Endurance: testEndurance, Sampler: stats.NewRNG(1),
 			}
-			var rot *coloring.Rotation
+			var wear *coloring.WearFeedback
 			if mapped && sets > 1 {
 				var err error
-				if rot, err = coloring.NewRotation(sets, 1, 1); err != nil {
+				if wear, err = coloring.NewWearFeedback(sets, 1, 1); err != nil {
 					t.Fatal(err)
 				}
-				rot.Epoch(nil) // offset 1: the mapping is not the identity
-				cfg.SetMapper = rot
+				// Row sets-1 is the only worn row: it swaps with row 0,
+				// so the mapping is not the identity.
+				rowWear := make([]float64, sets)
+				rowWear[sets-1] = 1
+				if moved := wear.Epoch(rowWear); len(moved) != 2 {
+					t.Fatalf("sets %d: remap moved rows %v, want two", sets, moved)
+				}
+				cfg.SetMapper = wear
 			}
 			l := New(cfg)
 			for k := 0; k < 2000; k++ {
 				b := r.Uint64()
 				want := int(b % uint64(sets))
-				if rot != nil {
-					want = rot.Map(want)
+				if wear != nil {
+					want = wear.Map(want)
 				}
 				if got := l.SetOf(b); got != want {
 					t.Fatalf("sets %d mapped %v: SetOf(%#x) = %d, want %d", sets, mapped, b, got, want)

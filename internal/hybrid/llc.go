@@ -725,54 +725,13 @@ func (l *LLC) RotateNVMSets(n int) int {
 
 // EndEpoch forwards the epoch boundary to the threshold provider and,
 // when the LLC owns its coloring mapper (SetMapperAdvance), advances
-// it — flushing exactly the physical rows whose mapping changed, since
+// it — flushing exactly the physical rows it reports as remapped, since
 // only those rows' resident blocks moved under them.
 func (l *LLC) EndEpoch() {
 	l.thr.EndEpoch()
 	if l.mapper != nil && l.mapperAdvance {
-		old := l.snapshotMapping(nil)
-		if l.mapper.Epoch(l.RowWear()) {
-			l.FlushRows(changedRows(old, l.mapper))
-		}
+		l.FlushRows(l.mapper.Epoch(l.RowWear()))
 	}
-}
-
-// snapshotMapping records the mapper's current logical→physical row
-// mapping into dst (grown as needed). Callers snapshot before advancing
-// the mapper and diff with changedRows to flush only the stale rows.
-func (l *LLC) snapshotMapping(dst []int) []int {
-	if cap(dst) < l.sets {
-		dst = make([]int, l.sets)
-	}
-	dst = dst[:l.sets]
-	for s := 0; s < l.sets; s++ {
-		dst[s] = l.mapper.Map(s)
-	}
-	return dst
-}
-
-// changedRows diffs a pre-advance mapping snapshot against the mapper's
-// current mapping and returns every physical row that hosts different
-// logical sets than before — the old and new images of each remapped
-// logical set (deduplicated, ascending). Those rows hold stale blocks;
-// all other rows still satisfy SetOf(block) == row and keep their
-// contents across the remap.
-func changedRows(old []int, m SetMapper) []int {
-	stale := make([]bool, len(old))
-	for s, prev := range old {
-		now := m.Map(s)
-		if now != prev {
-			stale[prev] = true
-			stale[now] = true
-		}
-	}
-	var rows []int
-	for r, s := range stale {
-		if s {
-			rows = append(rows, r)
-		}
-	}
-	return rows
 }
 
 // RowWear returns the cumulative per-physical-row wear (each row's

@@ -162,20 +162,21 @@ type Policy interface {
 // SetMapper remaps the logical set index (block mod sets) to the
 // physical directory/frame row the LLC actually uses — inter-set
 // wear-leveling (cache coloring). The mapping must be a bijection on
-// [0, sets) between Epoch calls. The internal/coloring schemes
-// implement it; the interface lives here so the LLC does not depend on
-// that package.
+// [0, sets) between Epoch calls. coloring.WearFeedback implements it;
+// the interface lives here so the LLC does not depend on that package.
 //
 // Epoch is called exactly once per epoch boundary, by the LLC itself
-// when Config.SetMapperAdvance is set. A true return means the mapping
-// changed; the LLC then flushes the directory rows whose mapping moved.
+// when Config.SetMapperAdvance is set. It returns the physical rows
+// whose logical preimage changed, and the LLC flushes exactly those
+// rows; every other row still holds only blocks that map to it.
 type SetMapper interface {
 	// Map returns the physical row for a logical set index.
 	Map(logical int) int
 	// Epoch advances the mapper's epoch counter with the cumulative
-	// per-physical-row wear (nil without an NVM part) and reports
-	// whether the mapping changed.
-	Epoch(rowWear []float64) bool
+	// per-physical-row wear (nil without an NVM part) and returns the
+	// rows it remapped, empty when the mapping did not change. The
+	// slice is owned by the mapper and valid until the next call.
+	Epoch(rowWear []float64) []int
 }
 
 // ThresholdProvider supplies the per-set compression threshold and absorbs

@@ -6,8 +6,8 @@ import (
 )
 
 // WearVariation is the inter/intra-set wear-variation metric family: how
-// unevenly writes have landed across the array. The coloring schemes
-// exist to shrink InterSetCoV; Gini and WearMin complete the picture
+// unevenly writes have landed across the array. The wear coloring
+// exists to shrink InterSetCoV; Gini and WearMin complete the picture
 // (a scheme can flatten the row means while starving one frame).
 type WearVariation struct {
 	// InterSetCoV is the coefficient of variation (stddev/mean) of the

@@ -10,19 +10,28 @@ import (
 // TestColoringJobRejectedPreQueue: an invalid coloring document fails at
 // the submission boundary — DecodeJobRequest errors and the HTTP front
 // door answers 400 with nothing queued — while a valid document is
-// accepted. The same Validate call gates sweep children, so a sweep
-// cannot fan out jobs the workers would only reject later.
+// accepted; documents of the retired xor and rotate schemes must say
+// they were retired. The same Validate call gates sweep children, so a
+// sweep cannot fan out jobs the workers would only reject later.
 func TestColoringJobRejectedPreQueue(t *testing.T) {
 	bad := []string{
 		`{"config":{"coloring":{"scheme":"bogus"}}}`,
 		`{"config":{"coloring":{"scheme":"wear","pairs":100000}}}`,
-		`{"config":{"coloring":{"scheme":"xor","step":3}}}`,          // mixed document
-		`{"config":{"llc_sets":768,"coloring":{"scheme":"xor"}}}`,    // non-pow2 geometry
-		`{"config":{"coloring":{"scheme":"rotate","interval":"x"}}}`, // unknown knob
+		`{"config":{"coloring":{"scheme":"wear","step":3}}}`,         // retired knob
+		`{"config":{"coloring":{"scheme":"xor","step":3}}}`,          // retired scheme
+		`{"config":{"llc_sets":768,"coloring":{"scheme":"xor"}}}`,    // retired scheme
+		`{"config":{"coloring":{"scheme":"rotate","interval":"x"}}}`, // retired scheme
+		`{"config":{"coloring":{"scheme":"rotate","interval_epochs":4,"step":37}}}`,
 	}
 	for _, body := range bad {
-		if _, err := DecodeJobRequest([]byte(body)); err == nil {
+		_, err := DecodeJobRequest([]byte(body))
+		if err == nil {
 			t.Errorf("decode accepted %s", body)
+			continue
+		}
+		retired := strings.Contains(body, `"xor"`) || strings.Contains(body, `"rotate"`)
+		if retired && !strings.Contains(err.Error(), "retired") {
+			t.Errorf("decode of %s: error %q does not say the scheme was retired", body, err)
 		}
 	}
 	if _, err := DecodeJobRequest([]byte(`{"config":{"coloring":{"scheme":"wear","interval_epochs":2,"pairs":32}}}`)); err != nil {
@@ -61,14 +70,14 @@ func TestColoringCacheKey(t *testing.T) {
 	plain := decode(`{}`)
 	wear := decode(`{"config":{"coloring":{"scheme":"wear","pairs":8}}}`)
 	wear2 := decode(`{"config":{"coloring":{"scheme":"wear","pairs":8}}}`)
-	xor := decode(`{"config":{"coloring":{"scheme":"xor","mask":21}}}`)
+	pairs16 := decode(`{"config":{"coloring":{"scheme":"wear","pairs":16}}}`)
 	if wear.CacheKey() == plain.CacheKey() {
 		t.Fatal("coloring on/off share a cache key")
 	}
 	if wear.CacheKey() != wear2.CacheKey() {
 		t.Fatal("identical coloring documents hash differently")
 	}
-	if wear.CacheKey() == xor.CacheKey() {
-		t.Fatal("different schemes share a cache key")
+	if wear.CacheKey() == pairs16.CacheKey() {
+		t.Fatal("different coloring documents share a cache key")
 	}
 }

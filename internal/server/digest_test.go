@@ -40,8 +40,8 @@ type digestCase struct {
 // classicDigestRequests is the oracle's matrix: every registry policy on
 // QuickConfig mixes 1 and 4. Mix 1 runs unaged; mix 4 is pre-aged to 80%
 // capacity so the aging path is pinned too. The 500K-cycle epochs close
-// four set-dueling epochs inside the measured window. Three CP_SD rows
-// add each coloring scheme, whose remap advances at epoch boundaries.
+// four set-dueling epochs inside the measured window. One CP_SD row adds
+// the wear coloring, whose remap advances at epoch boundaries.
 // Two more CP_SD rows set ablation_no_migration (CA_RWR's migrate
 // switch) and nvm_rrip (fit-RRIP victims in the NVM part). The
 // last row runs CP_SD's aging forecast, which invalidates unfit entries
@@ -62,19 +62,14 @@ func classicDigestRequests() []digestCase {
 			out = append(out, digestCase{name: fmt.Sprintf("mix%d/%s", mix, pol), req: req})
 		}
 	}
-	for _, cc := range []core.ColoringConfig{
-		{Scheme: core.ColoringXOR, Mask: 0x5a},
-		{Scheme: core.ColoringRot, Step: 3},
-		{Scheme: core.ColoringWear, Pairs: 4},
-	} {
-		cc := cc
+	{
 		req := DefaultJobRequest()
 		req.Config = core.QuickConfig()
 		req.Config.MixID = 1
-		req.Config.Coloring = &cc
+		req.Config.Coloring = &core.ColoringConfig{Scheme: core.ColoringWear, Pairs: 4}
 		req.WarmupCycles = 500_000
 		req.MeasureCycles = 2_000_000
-		out = append(out, digestCase{name: fmt.Sprintf("mix1/%s/coloring=%s", req.Config.PolicyName, cc.Scheme), req: req})
+		out = append(out, digestCase{name: fmt.Sprintf("mix1/%s/coloring=wear", req.Config.PolicyName), req: req})
 	}
 	for _, knob := range []string{"ablation_no_migration", "nvm_rrip"} {
 		req := DefaultJobRequest()

@@ -324,12 +324,13 @@ func TestRecoveryReplacesForeignArtifact(t *testing.T) {
 }
 
 // TestRecoveryFailsRetiredEngineJobs boots over a journal written while
-// the set-sharded engine and the RRIP-family policies existed: one
-// "shards":2 job completed (its artifact on disk) and one still queued,
-// a completed SRRIP job and a queued TOURNAMENT job with its bracket,
-// next to two classic jobs. Boot must succeed; each retired job reads
-// failed with an unrecoverable reason naming the retired field or
-// policy, and the classic jobs are served as before.
+// the set-sharded engine, the RRIP-family policies and the xor and
+// rotate colorings existed: one "shards":2 job completed (its artifact
+// on disk) and one still queued, a completed SRRIP job and a queued
+// TOURNAMENT job with its bracket, a completed xor job and a queued
+// rotate job, next to two classic jobs. Boot must succeed; each retired
+// job reads failed with an unrecoverable reason naming the retired
+// field, policy or scheme, and the classic jobs are served as before.
 func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 	dir := t.TempDir()
 	classic, err := DecodeJobRequest([]byte(testBody))
@@ -344,8 +345,8 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 	rerunBlob, _ := json.Marshal(rerun)
 	engineBlob, _ := json.Marshal(engine)
 	engineKey := strings.Repeat("e", 64) // the old engine-kind content address
-	// The retired policies' requests no longer have a Go shape: write
-	// them as the journal held them.
+	// The retired policies' and colorings' requests no longer have a Go
+	// shape: write them as the journal held them.
 	retired := func(policy string, extra map[string]any) []byte {
 		var doc map[string]any
 		if err := json.Unmarshal(classicBlob, &doc); err != nil {
@@ -367,6 +368,12 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 		"candidates": []any{map[string]any{"policy": "CA_RWR"}, map[string]any{"policy": "SRRIP"}},
 	}})
 	srripKey, tournamentKey := strings.Repeat("5", 64), strings.Repeat("7", 64)
+	classicPolicy := classic.Config.PolicyName
+	xorBlob := retired(classicPolicy, map[string]any{"coloring": map[string]any{"scheme": "xor", "mask": 21}})
+	rotateBlob := retired(classicPolicy, map[string]any{"coloring": map[string]any{
+		"scheme": "rotate", "interval_epochs": 4, "step": 37,
+	}})
+	xorKey, rotateKey := strings.Repeat("8", 64), strings.Repeat("9", 64)
 
 	artifact, err := RunRequestArtifact(context.Background(), classicBlob, nil)
 	if err != nil {
@@ -382,6 +389,10 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	srripSHA, err := st.PutArtifact(srripKey, artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xorSHA, err := st.PutArtifact(xorKey, artifact)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,6 +415,9 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 	job("job-000005", string(StateQueued), srripKey, srripBlob, "")
 	job("job-000005", string(StateCompleted), srripKey, nil, srripSHA)
 	job("job-000006", string(StateQueued), tournamentKey, tournamentBlob, "")
+	job("job-000007", string(StateQueued), xorKey, xorBlob, "")
+	job("job-000007", string(StateCompleted), xorKey, nil, xorSHA)
+	job("job-000008", string(StateQueued), rotateKey, rotateBlob, "")
 
 	m, err := NewManager(Options{Workers: 2, QueueDepth: 8, Store: st})
 	if err != nil {
@@ -416,6 +430,7 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 	for _, tc := range []struct{ id, names string }{
 		{"job-000001", "shards"}, {"job-000002", "shards"},
 		{"job-000005", "SRRIP"}, {"job-000006", "tournament"},
+		{"job-000007", `"xor"`}, {"job-000008", `"rotate"`},
 	} {
 		id := tc.id
 		resp, err := http.Get(srv.URL + "/v1/jobs/" + id)

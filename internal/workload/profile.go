@@ -56,7 +56,7 @@ type Profile struct {
 	// are multiples of the power-of-two AppSpacing, so every app's head
 	// lands on the same groups), while holding far more blocks than a
 	// set has ways: the hot sets churn instead of caching — deliberate
-	// inter-set wear pressure the coloring schemes exist to flatten.
+	// inter-set wear pressure the wear coloring exists to flatten.
 	// Must be >= 1 when any phase has SkewFrac > 0; theta 4-6 gives a
 	// pronounced hot-set head.
 	SkewTheta float64
@@ -314,8 +314,8 @@ func Profiles() map[string]Profile {
 // "zipfian set pressure" (two copies of the write-heavy zipf tenant
 // doubling down on one chunk band) and 11 "multi-tenant interference"
 // (three zipf tenants on staggered bands plus a streaming batch
-// interferer), the wear-variation scenarios the coloring schemes
-// target.
+// interferer), the wear-variation scenarios the wear coloring
+// targets.
 func Mixes() [][]string {
 	return [][]string{
 		{"zeusmp06", "gobmk06", "dealII06", "bzip206"},
