@@ -33,7 +33,7 @@ import (
 func main() {
 	cfg := core.DefaultConfig()
 	policies := flag.String("policies", "standard", `"standard", "core" or comma-separated curve labels: `+strings.Join(experiments.ForecastLabels(), ", "))
-	mixesFlag := flag.String("mixes", "1,4", fmt.Sprintf(`comma-separated mix numbers (1-%d) or "all"`, len(core.AllMixes())))
+	mixesFlag := flag.String("mixes", "1,4", cliutil.MixesUsage)
 	sram := flag.Int("sram", cfg.SRAMWays, "SRAM ways")
 	nvmWays := flag.Int("nvm", cfg.NVMWays, "NVM ways")
 	cv := flag.Float64("cv", cfg.EnduranceCV, "endurance coefficient of variation")
@@ -93,9 +93,7 @@ func main() {
 		bound = up.InitialIPC
 	}
 
-	// Exact lifetime × IPC Pareto frontier over the curve set (zero
-	// margins — these are measured numbers, not estimates; the sweep
-	// planner applies error margins to the same helper).
+	// Exact lifetime × IPC Pareto frontier over the curve set.
 	pts := make([]experiments.ParetoPoint, len(fs))
 	for i, pf := range fs {
 		pts[i] = experiments.ParetoPoint{Lifetime: pf.MeanLifetimeMonths, IPC: pf.InitialIPC}

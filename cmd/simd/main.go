@@ -12,8 +12,8 @@
 // POST /v1/estimate is the synchronous analytic fast path: one short
 // calibration simulation on the first query for a config, sub-millisecond
 // cached answers after that (lifetime, young IPC, validated error
-// bounds). Sweeps can opt in with "plan": "analytic" to simulate only
-// the estimated Pareto frontier of their expansion.
+// bounds). It never replaces a simulation: every child of a
+// POST /v1/sweeps expansion is simulated.
 //
 // Multi-node fleet mode: the daemon above doubles as a coordinator
 // (add -remote-only to dedicate its queue to remote workers), and

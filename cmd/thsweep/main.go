@@ -16,7 +16,7 @@ import (
 
 func main() {
 	cfg := core.DefaultConfig()
-	mixesFlag := flag.String("mixes", "1,4", `comma-separated mix numbers (1-10) or "all"`)
+	mixesFlag := flag.String("mixes", "1,4", cliutil.MixesUsage)
 	warmup := flag.Uint64("warmup", 2_000_000, "warm-up cycles")
 	measure := flag.Uint64("measure", 8_000_000, "measured cycles")
 	scale := flag.Float64("scale", cfg.Scale, "workload footprint scale")

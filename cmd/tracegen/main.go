@@ -28,7 +28,7 @@ import (
 
 func main() {
 	appName := flag.String("app", "", "application profile to trace (see -list)")
-	mix := flag.Int("mix", 0, "Table V mix to trace (1-10); one file per core")
+	mix := flag.Int("mix", 0, fmt.Sprintf("mix to trace (1-%d: Table V plus skewed-traffic scenarios); one file per core", len(workload.Mixes())))
 	n := flag.Int("n", 1_000_000, "number of accesses to record")
 	out := flag.String("o", "trace.trc", "output file (or prefix for -mix)")
 	gzipOut := flag.Bool("gzip", false, "gzip-compress -mix output (appends .gz to each per-core file)")
@@ -63,7 +63,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("wrote %d accesses of %s to %s\n", *n, *appName, *out)
-	case *mix >= 1 && *mix <= 10:
+	case *mix >= 1 && *mix <= len(workload.Mixes()):
 		apps, err := workload.NewMix(*mix-1, *seed, *scale)
 		if err != nil {
 			fatal(err)
@@ -79,7 +79,7 @@ func main() {
 			fmt.Printf("wrote %d accesses of %s to %s\n", *n, app.Profile().Name, name)
 		}
 	default:
-		fatal(fmt.Errorf("need -app NAME or -mix 1..10"))
+		fatal(fmt.Errorf("need -app NAME or -mix 1..%d", len(workload.Mixes())))
 	}
 }
 

@@ -120,6 +120,30 @@ func TestCmdPolicyHelp(t *testing.T) {
 	}
 }
 
+// TestCmdMixHelp checks that every cmd's -mix or -mixes help names the
+// full mix range cliutil.ParseMixes and core accept, Table V plus the
+// skewed-traffic scenarios, so no help text understates the mix table.
+func TestCmdMixHelp(t *testing.T) {
+	help := cmdHelp(t)
+	want := fmt.Sprintf("1-%d", len(core.AllMixes()))
+	flags := 0
+	for cmd, h := range help {
+		for _, name := range []string{"mix", "mixes"} {
+			usage := flagUsage(h, name)
+			if usage == "" {
+				continue
+			}
+			flags++
+			if !strings.Contains(usage, want) {
+				t.Errorf("%s -%s help does not name %s:\n%s", cmd, name, want, usage)
+			}
+		}
+	}
+	if flags == 0 {
+		t.Fatal("no cmd has a -mix or -mixes flag; the help parser is broken")
+	}
+}
+
 // TestDocCmdFlags checks the commands the docs tell a reader to run:
 // every cmd/<name> they name must exist, and every -flag written after it
 // in the same code span must be one that <name> -h lists. ROADMAP.md and

@@ -11,9 +11,8 @@ import (
 // point, the closed-form lifetime, and the relative error bounds the
 // estimator was cross-validated to stay within (DefaultBounds, widened
 // for redistributed calibrations).
-// Consumers that rank or screen on an estimate must inflate by the
-// bounds — the sweep planner keeps any config another config does not
-// dominate by more than the combined margins.
+// Consumers that rank configs on an estimate must inflate by the
+// bounds: two estimates closer than their combined margins are a tie.
 type Estimate struct {
 	Policy string `json:"policy"`
 	MixID  int    `json:"mix_id"`
@@ -67,8 +66,7 @@ func DefaultBounds() Bounds {
 // is deliberately above 1: a relative margin ≥ 1 makes the point's
 // lower-bounded lifetime non-positive, which means a redistributed
 // estimate can never dominate another config on the lifetime axis (and
-// is itself protected by the same inflation). Redistributed lifetimes
-// inform, they do not screen.
+// is itself protected by the same inflation).
 const RedistributedLifetimeBound = 1.2
 
 // Estimate assembles the wire answer from a calibration under

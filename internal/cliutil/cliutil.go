@@ -39,6 +39,10 @@ func ParseMixes(arg string) ([]int, error) {
 // every cmd advertises exactly what core accepts.
 func PolicyNames() string { return strings.Join(core.Policies(), ", ") }
 
+// MixesUsage is the help text of every cmd's -mixes flag: the range
+// ParseMixes accepts, Table V plus the skewed-traffic scenarios.
+var MixesUsage = fmt.Sprintf(`comma-separated mix numbers (1-%d) or "all"`, len(core.AllMixes()))
+
 // ColoringUsage is the help text of every cmd's -coloring flag.
 const ColoringUsage = `set coloring: "wear:interval=N,pairs=N" or "off"`
 

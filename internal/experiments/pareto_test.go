@@ -12,9 +12,10 @@ func TestParetoFrontierExact(t *testing.T) {
 		{Lifetime: 30, IPC: 0.8}, // frontier: best lifetime
 		{Lifetime: 5, IPC: 1.5},  // frontier: best IPC
 		{Lifetime: 20, IPC: 1.2}, // duplicate of 1: non-strict tie, kept
+		{Lifetime: 25, IPC: 0.8}, // equal IPC to 2, shorter-lived: dominated
 	}
 	keep := ParetoFrontier(pts)
-	want := []bool{false, true, true, true, true}
+	want := []bool{false, true, true, true, true, false}
 	for i := range want {
 		if keep[i] != want[i] {
 			t.Errorf("point %d: keep=%v want %v", i, keep[i], want[i])
@@ -22,75 +23,24 @@ func TestParetoFrontierExact(t *testing.T) {
 	}
 }
 
-func TestParetoFrontierMargins(t *testing.T) {
-	// With zero margins 1 dominates 0; a 10% margin on each side leaves
-	// 20·0.9 = 18 < 11·1.1 = 12.1? no — 18 > 12.1 still dominates on
-	// lifetime, but IPC 1.0·0.9 = 0.9 < 1.0·1.1 = 1.1 no longer does.
-	pts := []ParetoPoint{
-		{Lifetime: 11, IPC: 1.0, LifetimeMargin: 0.1, IPCMargin: 0.1},
-		{Lifetime: 20, IPC: 1.0, LifetimeMargin: 0.1, IPCMargin: 0.1},
-	}
-	keep := ParetoFrontier(pts)
-	if !keep[0] || !keep[1] {
-		t.Fatalf("equal-IPC points with symmetric margins must both survive: %v", keep)
-	}
-	exact := ParetoFrontier([]ParetoPoint{
-		{Lifetime: 11, IPC: 1.0},
-		{Lifetime: 20, IPC: 1.0},
-	})
-	if exact[0] || !exact[1] {
-		t.Fatalf("zero margins must screen the shorter-lived equal-IPC point: %v", exact)
-	}
-}
-
-func TestParetoFrontierDominationBeyondMargins(t *testing.T) {
-	// 2× on both axes clears 10% margins comfortably.
-	pts := []ParetoPoint{
-		{Lifetime: 10, IPC: 0.5, LifetimeMargin: 0.1, IPCMargin: 0.1},
-		{Lifetime: 20, IPC: 1.0, LifetimeMargin: 0.1, IPCMargin: 0.1},
-	}
-	keep := ParetoFrontier(pts)
-	if keep[0] {
-		t.Fatal("dominated-beyond-margins point survived")
-	}
-	if !keep[1] {
-		t.Fatal("dominating point screened")
-	}
-}
-
 func TestParetoFrontierCensoredLifetimes(t *testing.T) {
 	inf := math.Inf(1)
 	pts := []ParetoPoint{
-		{Lifetime: inf, IPC: 1.0, LifetimeMargin: 0.5, IPCMargin: 0.01},
-		{Lifetime: inf, IPC: 2.0, LifetimeMargin: 0.5, IPCMargin: 0.01},
-		{Lifetime: 100, IPC: 0.5, LifetimeMargin: 0.01, IPCMargin: 0.01},
+		{Lifetime: inf, IPC: 1.0},
+		{Lifetime: inf, IPC: 2.0},
+		{Lifetime: 100, IPC: 0.5},
 	}
 	keep := ParetoFrontier(pts)
-	// Censored lifetimes survive margin scaling (Inf·(1−m) stays Inf), so
-	// the higher-IPC censored point screens both the lower-IPC censored
-	// point and the finite point.
+	// Censored lifetimes tie with each other, so the higher-IPC censored
+	// point dominates both the lower-IPC censored point and the finite
+	// point.
 	if keep[0] {
-		t.Fatal("lower-IPC censored point must be screened by the higher-IPC one")
+		t.Fatal("lower-IPC censored point must be dominated by the higher-IPC one")
 	}
 	if !keep[1] {
-		t.Fatal("best censored point screened")
+		t.Fatal("best censored point dropped")
 	}
 	if keep[2] {
 		t.Fatal("finite point dominated on both axes survived")
-	}
-}
-
-// TestParetoFrontierMarginAsymmetry pins the planner-safety property: a
-// margin ≥ 1 (the redistributed-lifetime bound) makes a point's
-// lower-bounded lifetime non-positive, so it can never dominate anything
-// — but its own inflated upper bound still protects it.
-func TestParetoFrontierMarginAsymmetry(t *testing.T) {
-	pts := []ParetoPoint{
-		{Lifetime: 1000, IPC: 2.0, LifetimeMargin: 1.2, IPCMargin: 0.01},
-		{Lifetime: 1, IPC: 1.0, LifetimeMargin: 0.01, IPCMargin: 0.01},
-	}
-	keep := ParetoFrontier(pts)
-	if !keep[0] || !keep[1] {
-		t.Fatalf("a redistributed-bound point must neither screen nor be screened: %v", keep)
 	}
 }

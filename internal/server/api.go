@@ -101,23 +101,18 @@ func (r JobRequest) CacheKey() string {
 // JobState is a job's lifecycle position.
 type JobState string
 
-// Job lifecycle states. Screened is the coarse-to-fine planner's
-// terminal verdict: the analytic estimator found another child of the
-// same sweep that safely dominates this one (beyond the estimates'
-// combined error bounds) on the lifetime × IPC plane, so the full
-// simulation was never run.
+// Job lifecycle states.
 const (
 	StateQueued    JobState = "queued"
 	StateRunning   JobState = "running"
 	StateCompleted JobState = "completed"
 	StateFailed    JobState = "failed"
 	StateCanceled  JobState = "canceled"
-	StateScreened  JobState = "screened"
 )
 
 // Terminal reports whether the state is final.
 func (s JobState) Terminal() bool {
-	return s == StateCompleted || s == StateFailed || s == StateCanceled || s == StateScreened
+	return s == StateCompleted || s == StateFailed || s == StateCanceled
 }
 
 // JobStatus is the wire form of a job's current state.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -16,8 +15,6 @@ import (
 	"time"
 
 	"repro/internal/analytic"
-	"repro/internal/experiments"
-	"repro/internal/forecast"
 	"repro/internal/jobstore"
 )
 
@@ -261,226 +258,6 @@ func TestEstimateDraining(t *testing.T) {
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("new calibration while draining: %d %s", resp.StatusCode, body)
 	}
-}
-
-// plannerSweepBody is the coarse-to-fine planner's test matrix, tuned so
-// margin-aware screening separates exactly one corner. l2_size_kb 64 → 8
-// costs ~1.7× IPC (far beyond the combined IPC margin) and endurance_mean
-// 60k → 12k costs 5× lifetime, so the (big L2, durable) corner dominates
-// the (small L2, fragile) corner on both axes beyond the bounds — but
-// neither single-axis neighbour: the same-L2 pairs tie on estimated IPC
-// (screening can never separate a tie under symmetric margins), and the
-// endurance-matched small-L2 corner keeps enough lifetime (ratio ~1.7 <
-// the 2.33 the lifetime margins demand) to survive.
-const plannerSweepBody = `{
-  "name": "planned",
-  "plan": "analytic",
-  "plan_calibration_cycles": 300000,
-  "base": {
-    "config": {"llc_sets": 256, "scale": 0.15, "l2_size_kb": 64, "epoch_cycles": 200000,
-               "policy": "BH"},
-    "warmup_cycles": 100000,
-    "measure_cycles": 400000
-  },
-  "axes": [
-    {"field": "l2_size_kb", "values": [64, 8]},
-    {"field": "endurance_mean", "values": [60000, 12000]}
-  ],
-  "concurrency": 2
-}`
-
-// TestSweepAnalyticPlan drives the planner end to end and differentially
-// verifies its safety: the sweep simulates only the estimated frontier,
-// reports the screened children in the aggregate, and — checked against
-// ground truth from full forecasts of every child — never screens a
-// config on the true lifetime × IPC frontier.
-func TestSweepAnalyticPlan(t *testing.T) {
-	m := newTestManager(t, Options{Workers: 2})
-	srv := httptest.NewServer(NewHandler(m, nil))
-	defer srv.Close()
-
-	resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", strings.NewReader(plannerSweepBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("status %d: %s", resp.StatusCode, b)
-	}
-	var st SweepStatus
-	if err := json.Unmarshal(b, &st); err != nil {
-		t.Fatal(err)
-	}
-
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) && st.State == SweepRunning {
-		time.Sleep(25 * time.Millisecond)
-		resp, err := http.Get(srv.URL + "/v1/sweeps/" + st.ID)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, _ = io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err := json.Unmarshal(b, &st); err != nil {
-			t.Fatalf("%v\n%s", err, b)
-		}
-	}
-	if st.State != SweepCompleted {
-		t.Fatalf("sweep ended %s: %s", st.State, b)
-	}
-	if st.Screened == 0 {
-		t.Fatalf("planner screened nothing: %s", b)
-	}
-	if st.Screened+st.Completed != st.TotalChildren {
-		t.Fatalf("screened %d + completed %d != total %d", st.Screened, st.Completed, st.TotalChildren)
-	}
-	screened := map[string]bool{}
-	for _, c := range st.Children {
-		if c.EstIPC == nil || c.EstLifetimeMonths == nil {
-			t.Fatalf("child %s carries no estimate: %s", c.Label, b)
-		}
-		switch c.State {
-		case StateScreened:
-			screened[c.Label] = true
-			if c.MeanIPC != nil {
-				t.Fatalf("screened child %s has a simulated result", c.Label)
-			}
-		case StateCompleted:
-			if c.MeanIPC == nil {
-				t.Fatalf("completed child %s has no simulated result", c.Label)
-			}
-		default:
-			t.Fatalf("child %s in state %s", c.Label, c.State)
-		}
-	}
-
-	// Ground truth: the full forecast for every child config, exact
-	// frontier (zero margins). Anything on the true frontier must have
-	// been simulated, not screened.
-	spec, err := DecodeSweepSpec([]byte(plannerSweepBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	children, err := spec.Expand()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fcfg := forecast.DefaultConfig()
-	fcfg.WarmupCycles = 100_000
-	fcfg.PhaseCycles = 400_000
-	fcfg.CapacityStep = 0.125
-	fcfg.MaxPhases = 8
-	pts := make([]experiments.ParetoPoint, len(children))
-	for i, c := range children {
-		sys, err := c.Request.Config.Build()
-		if err != nil {
-			t.Fatal(err)
-		}
-		res := forecast.Run(sys, fcfg)
-		life := res.LifetimeMonths()
-		if math.IsInf(res.LifetimeSeconds, 1) {
-			life = math.Inf(1)
-		}
-		pts[i] = experiments.ParetoPoint{Lifetime: life, IPC: res.Points[0].MeanIPC}
-	}
-	trueFrontier := experiments.ParetoFrontier(pts)
-	for i, c := range children {
-		t.Logf("%-42s life=%.2fmo ipc=%.4f frontier=%v screened=%v",
-			c.Label, pts[i].Lifetime, pts[i].IPC, trueFrontier[i], screened[c.Label])
-		if trueFrontier[i] && screened[c.Label] {
-			t.Errorf("true-frontier config %s was screened", c.Label)
-		}
-	}
-}
-
-// TestSweepPlanValidation pins the plan field's decode rules.
-func TestSweepPlanValidation(t *testing.T) {
-	if _, err := DecodeSweepSpec([]byte(`{"plan": "psychic"}`)); err == nil ||
-		!strings.Contains(err.Error(), "unknown plan") {
-		t.Fatalf("bad plan accepted: %v", err)
-	}
-	spec, err := DecodeSweepSpec([]byte(`{"plan": "analytic"}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := spec.planSpec(spec.Base)
-	if ps.CalibrationCycles != spec.Base.MeasureCycles/4 {
-		t.Fatalf("default calibration window %d, want %d", ps.CalibrationCycles, spec.Base.MeasureCycles/4)
-	}
-	if ps.TargetCapacity != 0.5 {
-		t.Fatalf("target %v", ps.TargetCapacity)
-	}
-	spec.PlanCalibrationCycles = 12345
-	if got := spec.planSpec(spec.Base).CalibrationCycles; got != 12345 {
-		t.Fatalf("explicit calibration window %d", got)
-	}
-}
-
-// TestSweepScreenedRecovery pins recovery semantics: a journaled
-// screened child stays screened after a restart — the planner's verdict
-// is final, not re-litigated per process.
-func TestSweepScreenedRecovery(t *testing.T) {
-	dir := t.TempDir()
-	st, err := jobstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m1 := newTestManager(t, Options{Workers: 2, Store: st})
-	srv := httptest.NewServer(NewHandler(m1, nil))
-	resp, err := http.Post(srv.URL+"/v1/sweeps", "application/json", strings.NewReader(plannerSweepBody))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	var sw SweepStatus
-	if err := json.Unmarshal(b, &sw); err != nil {
-		t.Fatal(err)
-	}
-	waitSweepDone(t, m1, sw.ID)
-	srv.Close()
-	m1.Close()
-	st.Close()
-
-	st2, err := jobstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	m2 := newTestManager(t, Options{Workers: 2, Store: st2})
-	got, ok := m2.Sweep(sw.ID)
-	if !ok {
-		t.Fatalf("sweep %s not recovered", sw.ID)
-	}
-	rst := m2.SweepStatus(got, true)
-	if rst.Screened == 0 {
-		t.Fatalf("screened children lost in recovery: %+v", rst)
-	}
-	for _, c := range rst.Children {
-		if c.State != StateCompleted && c.State != StateScreened {
-			t.Fatalf("recovered child %s in state %s", c.ID, c.State)
-		}
-	}
-}
-
-func waitSweepDone(t *testing.T, m *Manager, id string) {
-	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		sw, ok := m.Sweep(id)
-		if !ok {
-			t.Fatalf("sweep %s missing", id)
-		}
-		if sw.State().Terminal() {
-			if sw.State() != SweepCompleted {
-				t.Fatalf("sweep ended %s", sw.State())
-			}
-			return
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	t.Fatalf("sweep %s did not finish", id)
 }
 
 // estimateBudget is the latency the cached POST /v1/estimate path must

@@ -4,6 +4,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -27,8 +28,21 @@ func FuzzSweepSpecDecode(f *testing.F) {
 	f.Add(`{"base":{"config":{"policy":"CP_SD"}},"concurrency":-5,"max_children":-1}`)
 	f.Add(`{"axes":[{"field":"cpth","values":[` + strings.Repeat("1,", 2000) + `1]}]}`)
 	f.Add(`{"axes":[{"field":"capacity","values":[0.5,1]},{"field":"shards","values":[0,4]}]}`)
+	// The retired analytic planner's fields must be refused, never
+	// silently dropped: a client that asked for screening would otherwise
+	// get a different sweep than it thinks.
+	retired := []string{
+		`{"plan":"analytic","axes":[{"field":"policy","values":["BH","CA"]}]}`,
+		`{"plan_calibration_cycles":300000}`,
+	}
+	for _, doc := range retired {
+		f.Add(doc)
+	}
 	f.Fuzz(func(t *testing.T, doc string) {
 		spec, err := DecodeSweepSpec([]byte(doc))
+		if slices.Contains(retired, doc) && err == nil {
+			t.Fatalf("retired planner field accepted: %q", doc)
+		}
 		if err != nil {
 			return // rejection is fine; panicking is not
 		}

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/analytic"
 	"repro/internal/core"
 	"repro/internal/metrics"
 )
@@ -38,7 +37,6 @@ type Job struct {
 	result    *Result
 	err       error
 	cacheHit  bool
-	estimate  *analytic.Estimate // planner's analytic estimate, when planned
 }
 
 func newJob(id string, req JobRequest) *Job {
@@ -211,21 +209,6 @@ func (j *Job) finish(state JobState, res *Result, err error) bool {
 	}
 	j.wake()
 	return true
-}
-
-// setEstimate records the planner's analytic estimate for the child.
-func (j *Job) setEstimate(est analytic.Estimate) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	j.estimate = &est
-}
-
-// Estimate returns the planner's analytic estimate, or nil when the job
-// was never planned analytically.
-func (j *Job) Estimate() *analytic.Estimate {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.estimate
 }
 
 // Result returns the completed result, or nil while the job is not

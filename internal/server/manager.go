@@ -16,7 +16,6 @@ import (
 	"repro/internal/analytic"
 	"repro/internal/cliutil"
 	"repro/internal/core"
-	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/jobstore"
 	"repro/internal/metrics"
@@ -106,7 +105,6 @@ type Manager struct {
 	canceled        atomic.Uint64
 	retried         atomic.Uint64
 	recovered       atomic.Uint64
-	screened        atomic.Uint64
 	cacheHits       atomic.Uint64
 	cacheMisses     atomic.Uint64
 	queueRejects    atomic.Uint64
@@ -183,7 +181,6 @@ func NewManager(opts Options) (*Manager, error) {
 	counter("server.queue.rejects", &m.queueRejects)
 	counter("server.sweeps.submitted", &m.sweepsSubd)
 	counter("server.sweeps.completed", &m.sweepsDone)
-	counter("server.jobs.screened", &m.screened)
 	counter("server.estimates.requested", &m.estimates)
 	counter("server.estimates.calibrations", &m.estCalibrations)
 	counter("server.estimates.cache_hits", &m.estCacheHits)
@@ -433,9 +430,6 @@ func (m *Manager) nextIDLocked() string {
 // resumes it.
 func (m *Manager) runSweep(sw *Sweep, jobs []*Job) {
 	defer m.wg.Done()
-	if sw.spec.Plan == PlanAnalytic {
-		m.planSweep(sw, jobs)
-	}
 	sem := make(chan struct{}, sw.spec.concurrency())
 	var watchers sync.WaitGroup
 	aborted := false
@@ -470,76 +464,6 @@ func (m *Manager) runSweep(sw *Sweep, jobs []*Job) {
 		}
 		m.log.Info("sweep finished", "sweep", sw.id, "state", state, "children", len(sw.Children()))
 	}
-}
-
-// planSweep is the coarse-to-fine screen: it estimates every pending
-// child with the analytic fast path (in parallel, at the sweep's own
-// concurrency cap) and retires — state "screened", never simulated —
-// each child that another child safely dominates on the lifetime × IPC
-// plane beyond the estimates' combined error bounds. The planner fails
-// open: a child whose estimate errors (or is refused by a drain) is
-// simply kept, because screening must never cost a result it cannot
-// prove redundant. Estimates are attached to kept children too, so the
-// sweep status reports analytic-vs-simulated deltas per child.
-func (m *Manager) planSweep(sw *Sweep, jobs []*Job) {
-	ests := make([]*analytic.Estimate, len(jobs))
-	tasks := make([]cliutil.Task, 0, len(jobs))
-	for i, j := range jobs {
-		if j.State().Terminal() {
-			continue
-		}
-		i, j := i, j
-		tasks = append(tasks, cliutil.Task{Name: "plan/" + j.id, Run: func() error {
-			resp, err := m.Estimate(m.rootCtx, sw.spec.planSpec(j.req))
-			if err != nil {
-				return err
-			}
-			est := resp.Estimate
-			ests[i] = &est
-			j.setEstimate(est)
-			return nil
-		}})
-	}
-	if len(tasks) == 0 {
-		return
-	}
-	results := cliutil.RunTasks(tasks, cliutil.PoolConfig{Workers: sw.spec.concurrency()})
-	for _, r := range results {
-		if r.Failed() {
-			m.log.Warn("sweep plan estimate failed, keeping child", "sweep", sw.id,
-				"task", r.Name, "err", r.Err)
-		}
-	}
-
-	idx := make([]int, 0, len(jobs))
-	pts := make([]experiments.ParetoPoint, 0, len(jobs))
-	for i, est := range ests {
-		if est == nil {
-			continue
-		}
-		life := est.LifetimeMonths
-		if est.Censored {
-			life = math.Inf(1)
-		}
-		pts = append(pts, experiments.ParetoPoint{
-			Lifetime:       life,
-			IPC:            est.YoungIPC,
-			LifetimeMargin: est.LifetimeErrorBound,
-			IPCMargin:      est.IPCErrorBound,
-		})
-		idx = append(idx, i)
-	}
-	keep := experiments.ParetoFrontier(pts)
-	screened := 0
-	for k, onFrontier := range keep {
-		if onFrontier {
-			continue
-		}
-		m.finishJob(jobs[idx[k]], StateScreened, nil, cliutil.TaskResult{})
-		screened++
-	}
-	m.log.Info("sweep planned", "sweep", sw.id, "estimated", len(pts),
-		"screened", screened, "kept", len(pts)-screened)
 }
 
 // push is the one way a job becomes runnable; it never blocks or
@@ -913,8 +837,8 @@ func (m *Manager) storeArtifact(j *Job, res *Result, blob []byte) string {
 	return sha
 }
 
-// finishJob publishes an unsuccessful terminal state — canceled,
-// screened or failed — with its counter, journal entry and log line.
+// finishJob publishes an unsuccessful terminal state — canceled or
+// failed — with its counter, journal entry and log line.
 // Success goes through publishCompletion.
 func (m *Manager) finishJob(j *Job, state JobState, err error, outcome cliutil.TaskResult) {
 	if !m.markTerminal(j, state, nil, err) {
@@ -928,10 +852,6 @@ func (m *Manager) finishJob(j *Job, state JobState, err error, outcome cliutil.T
 		m.canceled.Add(1)
 		m.journalJob(j, string(StateCanceled), err)
 		m.log.Info("job canceled", "job", j.id, "sweep", j.sweepID)
-	case StateScreened:
-		m.screened.Add(1)
-		m.journalJob(j, string(StateScreened), nil)
-		m.log.Info("job screened by analytic planner", "job", j.id, "sweep", j.sweepID, "label", j.label)
 	default:
 		m.failed.Add(1)
 		m.journalJob(j, string(StateFailed), err)
@@ -997,10 +917,19 @@ func (m *Manager) recoverFromStore() error {
 		spec, err := DecodeSweepSpec(sr.Spec)
 		switch {
 		case err != nil:
-			// The journaled spec was validated before it was written, so
-			// this is disk-level damage; the sweep cannot resume.
+			// Disk-level damage, or a spec naming a retired field: the
+			// sweep cannot resume, so nothing would ever run its owed
+			// children. They fail here (completed ones still serve their
+			// artifacts) rather than read queued forever. Like a job whose
+			// request no longer decodes, the failure is not journaled:
+			// each boot re-derives it from the same journal.
 			m.log.Error("recovered sweep has an unreadable spec", "sweep", sr.ID, "err", err)
 			sw.state, sw.finished = SweepCanceled, time.Now()
+			for _, id := range sw.children {
+				if j, ok := m.Job(id); ok && !j.State().Terminal() {
+					j.finish(StateFailed, nil, fmt.Errorf("unrecoverable: sweep %s: %w", sr.ID, err))
+				}
+			}
 		case sr.State == string(SweepCompleted):
 			sw.spec, sw.state, sw.finished = spec, SweepCompleted, time.Now()
 		default:
@@ -1076,12 +1005,6 @@ func (m *Manager) rebuildJob(rec *jobstore.JobRecord, ownerState string) (j *Job
 	case string(StateFailed):
 		j.finish(StateFailed, nil, errors.New(rec.Error))
 		return j, false
-	case string(StateScreened):
-		// The planner's verdict is final: the dominating sibling's result
-		// is (or will be) in the store, and re-screening after a restart
-		// would re-run every calibration for nothing.
-		j.finish(StateScreened, nil, nil)
-		return j, false
 	case string(StateCanceled):
 		if rec.Sweep != "" && ownerState != string(SweepCompleted) {
 			return j, true // drain-canceled child of a sweep we will resume
@@ -1128,10 +1051,6 @@ func (m *Manager) SweepStatus(sw *Sweep, withChildren bool) SweepStatus {
 		cs := j.Status()
 		row := SweepChildStatus{ID: cs.ID, Label: cs.Label, State: cs.State,
 			CacheHit: cs.CacheHit, Attempts: cs.Attempts, Error: cs.Error}
-		if est := j.Estimate(); est != nil {
-			ipc, life := est.YoungIPC, est.LifetimeMonths
-			row.EstIPC, row.EstLifetimeMonths, row.EstCensored = &ipc, &life, est.Censored
-		}
 		switch cs.State {
 		case StateQueued:
 			st.Queued++
@@ -1148,8 +1067,6 @@ func (m *Manager) SweepStatus(sw *Sweep, withChildren bool) SweepStatus {
 			st.Failed++
 		case StateCanceled:
 			st.Canceled++
-		case StateScreened:
-			st.Screened++
 		}
 		if cs.CacheHit {
 			st.CacheHits++

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -463,6 +464,114 @@ func TestRecoveryFailsRetiredEngineJobs(t *testing.T) {
 	j4.awaitTerminal()
 	if s4 := j4.Status(); s4.State != StateCompleted || s4.CacheHit {
 		t.Fatalf("classic queued job did not re-run: %+v (%v)", s4, j4.Err())
+	}
+}
+
+// TestRecoveryFailsUnresumableSweepChildren pins recovery of sweeps
+// whose journaled spec no longer decodes — one planned by the retired
+// analytic planner, one with a damaged field. Such a sweep cannot
+// resume, so its owed children (queued, and journaled screened ones,
+// a state that no longer exists) must fail as unrecoverable instead of
+// reading queued forever; a completed child still serves its artifact.
+func TestRecoveryFailsUnresumableSweepChildren(t *testing.T) {
+	dir := t.TempDir()
+	base, err := DecodeJobRequest([]byte(testBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	child := func(seed uint64) (JobRequest, []byte) {
+		req := base
+		req.Config.Seed = seed
+		blob, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return req, blob
+	}
+	done, doneBlob := child(1)
+	screened, screenedBlob := child(2)
+	queued, queuedBlob := child(3)
+	damaged, damagedBlob := child(4)
+	artifact, err := RunRequestArtifact(context.Background(), doneBlob, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st := openStore(t, dir)
+	doneSHA, err := st.PutArtifact(done.CacheKey(), artifact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	must := func(e jobstore.Entry) {
+		t.Helper()
+		if err := st.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	baseDoc := json.RawMessage(testBody)
+	planned := fmt.Sprintf(`{"plan":"analytic","base":%s,"axes":[{"field":"seed","values":[1,2,3]}]}`, baseDoc)
+	broken := fmt.Sprintf(`{"base":%s,"axes":[{"field":"seed","values":[4]}],"concurrency":"two"}`, baseDoc)
+	must(jobstore.Entry{Kind: jobstore.KindSweep, ID: "sweep-000001", State: string(SweepRunning),
+		Spec: json.RawMessage(planned), Children: []string{"job-000001", "job-000002", "job-000003"}})
+	must(jobstore.Entry{Kind: jobstore.KindSweep, ID: "sweep-000002", State: string(SweepRunning),
+		Spec: json.RawMessage(broken), Children: []string{"job-000004"}})
+	job := func(id, sweep, state string, req JobRequest, blob []byte, sha string) {
+		must(jobstore.Entry{Kind: jobstore.KindJob, ID: id, State: state, Sweep: sweep,
+			Label: fmt.Sprintf("seed=%d", req.Config.Seed), CacheKey: req.CacheKey(), Request: blob, ArtifactSHA: sha})
+	}
+	job("job-000001", "sweep-000001", string(StateQueued), done, doneBlob, "")
+	job("job-000001", "sweep-000001", string(StateCompleted), done, nil, doneSHA)
+	job("job-000002", "sweep-000001", string(StateQueued), screened, screenedBlob, "")
+	job("job-000002", "sweep-000001", "screened", screened, nil, "")
+	job("job-000003", "sweep-000001", string(StateQueued), queued, queuedBlob, "")
+	job("job-000004", "sweep-000002", string(StateQueued), damaged, damagedBlob, "")
+
+	m, err := NewManager(Options{Workers: 2, QueueDepth: 8, Store: st})
+	if err != nil {
+		t.Fatalf("boot refused over unresumable sweeps: %v", err)
+	}
+	defer m.Close()
+	srv := httptest.NewServer(NewHandler(m, nil))
+	defer srv.Close()
+
+	for _, tc := range []struct{ id, sweep, names string }{
+		{"job-000002", "sweep-000001", "planner was retired"},
+		{"job-000003", "sweep-000001", "planner was retired"},
+		{"job-000004", "sweep-000002", "concurrency"},
+	} {
+		j, ok := m.Job(tc.id)
+		if !ok {
+			t.Fatalf("child %s lost", tc.id)
+		}
+		js := j.Status()
+		want := "unrecoverable: sweep " + tc.sweep + ": "
+		if js.State != StateFailed || !strings.HasPrefix(js.Error, want) || !strings.Contains(js.Error, tc.names) {
+			t.Fatalf("child %s: state %s, error %q; want failed, %s… %s", tc.id, js.State, js.Error, want, tc.names)
+		}
+	}
+	j1, ok := m.Job("job-000001")
+	if !ok {
+		t.Fatal("completed child lost")
+	}
+	if s1 := j1.Status(); s1.State != StateCompleted || !s1.CacheHit || !s1.Recovered {
+		t.Fatalf("completed child: %+v", s1)
+	}
+	if got := getReport(t, srv.URL, "job-000001"); len(got) == 0 {
+		t.Fatal("completed child serves an empty report")
+	}
+	for id, want := range map[string]SweepStatus{
+		"sweep-000001": {State: SweepCanceled, TotalChildren: 3, Completed: 1, Failed: 2},
+		"sweep-000002": {State: SweepCanceled, TotalChildren: 1, Failed: 1},
+	} {
+		sw, ok := m.Sweep(id)
+		if !ok {
+			t.Fatalf("sweep %s not recovered", id)
+		}
+		got := m.SweepStatus(sw, false)
+		if got.State != want.State || got.TotalChildren != want.TotalChildren || got.Queued != 0 ||
+			got.Completed != want.Completed || got.Failed != want.Failed {
+			t.Fatalf("sweep %s: %+v, want %+v", id, got, want)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/analytic"
 	"repro/internal/core"
 )
 
@@ -36,22 +35,7 @@ type SweepSpec struct {
 	// the execution queue at once (the rest stay pending in the sweep).
 	// <= 0 selects DefaultSweepConcurrency.
 	Concurrency int `json:"concurrency"`
-	// Plan selects the coarse-to-fine planner. Empty (the default) runs
-	// every child; PlanAnalytic first estimates each child with the
-	// analytic fast path and fully simulates only the estimated Pareto
-	// frontier (lifetime × young IPC) — children another child safely
-	// dominates beyond the estimates' combined error bounds finish
-	// "screened" without simulating.
-	Plan string `json:"plan,omitempty"`
-	// PlanCalibrationCycles sizes the planner's per-child calibration
-	// window; <= 0 derives it from the base request (a quarter of
-	// measure_cycles).
-	PlanCalibrationCycles uint64 `json:"plan_calibration_cycles,omitempty"`
 }
-
-// PlanAnalytic is the SweepSpec.Plan value that enables analytic
-// coarse-to-fine screening.
-const PlanAnalytic = "analytic"
 
 // SweepAxis is one override dimension: a field name from the sweep axis
 // allowlist and the values it takes.
@@ -99,9 +83,29 @@ var sweepAxisSetters = map[string]func(*JobRequest, json.RawMessage) error{
 func DecodeSweepSpec(data []byte) (SweepSpec, error) {
 	spec := SweepSpec{Base: DefaultJobRequest()}
 	if err := core.UnmarshalStrict(data, &spec); err != nil {
+		if rerr := retiredPlanField(data); rerr != nil {
+			return spec, rerr
+		}
 		return spec, fmt.Errorf("sweep spec: %w", err)
 	}
 	return spec, spec.Validate()
+}
+
+// retiredPlanField names the retired analytic sweep planner's fields
+// when a rejected document carries one, instead of "unknown field"
+// (EXPERIMENTS.md, "Retired: the analytic sweep planner"). A journaled
+// planned sweep fails recovery with the same message.
+func retiredPlanField(data []byte) error {
+	var probe map[string]json.RawMessage
+	if json.Unmarshal(data, &probe) != nil {
+		return nil
+	}
+	for _, field := range []string{"plan", "plan_calibration_cycles"} {
+		if _, ok := probe[field]; ok {
+			return fmt.Errorf("sweep spec: %s is no longer a field; the analytic sweep planner was retired and every child is simulated (POST /v1/estimate still estimates one config)", field)
+		}
+	}
+	return nil
 }
 
 // Validate checks the spec's shape: known, unique axis fields with
@@ -113,12 +117,6 @@ func (s SweepSpec) Validate() error {
 	}
 	if s.Concurrency > maxSweepConcurrency {
 		return fmt.Errorf("sweep spec: concurrency %d exceeds the ceiling %d", s.Concurrency, maxSweepConcurrency)
-	}
-	if s.Plan != "" && s.Plan != PlanAnalytic {
-		return fmt.Errorf("sweep spec: unknown plan %q (valid: %q)", s.Plan, PlanAnalytic)
-	}
-	if s.PlanCalibrationCycles > core.MaxEpochCycles {
-		return fmt.Errorf("sweep spec: plan_calibration_cycles %d exceeds the ceiling %d", s.PlanCalibrationCycles, core.MaxEpochCycles)
 	}
 	seen := make(map[string]bool, len(s.Axes))
 	for i, ax := range s.Axes {
@@ -155,26 +153,6 @@ func (s SweepSpec) concurrency() int {
 		return DefaultSweepConcurrency
 	}
 	return s.Concurrency
-}
-
-// planSpec derives the analytic estimate spec the planner runs for one
-// child: the child's own config and warm-up, a calibration window of
-// plan_calibration_cycles (default: a quarter of the child's measured
-// window, at least one cycle), and the paper's 50% capacity target.
-func (s SweepSpec) planSpec(req JobRequest) analytic.Spec {
-	calib := s.PlanCalibrationCycles
-	if calib == 0 {
-		calib = req.MeasureCycles / 4
-		if calib == 0 {
-			calib = 1
-		}
-	}
-	return analytic.Spec{
-		Config:            req.Config,
-		WarmupCycles:      req.WarmupCycles,
-		CalibrationCycles: calib,
-		TargetCapacity:    0.5,
-	}
 }
 
 // SweepChild is one expanded job of a sweep: the request plus the axis
@@ -339,11 +317,8 @@ type SweepStatus struct {
 	Completed     int `json:"completed"`
 	Failed        int `json:"failed"`
 	Canceled      int `json:"canceled"`
-	// Screened counts children the analytic planner retired without
-	// simulating (another child dominates them beyond the error bounds).
-	Screened  int `json:"screened,omitempty"`
-	CacheHits int `json:"cache_hits"`
-	Retried   int `json:"retried"` // children that needed more than one attempt
+	CacheHits     int `json:"cache_hits"`
+	Retried       int `json:"retried"` // children that needed more than one attempt
 
 	// MeanIPC averages the completed children's mean IPC (0 until one
 	// completes) — the sweep's one-number aggregate.
@@ -352,11 +327,7 @@ type SweepStatus struct {
 	Children []SweepChildStatus `json:"children,omitempty"`
 }
 
-// SweepChildStatus is one child row of a sweep status. The Est* fields
-// carry the analytic planner's estimate — on screened children they are
-// the whole verdict; on simulated children of a planned sweep they sit
-// next to the measured result, so the aggregate reports the
-// analytic-vs-simulated delta per kept child.
+// SweepChildStatus is one child row of a sweep status.
 type SweepChildStatus struct {
 	ID       string   `json:"id"`
 	Label    string   `json:"label,omitempty"`
@@ -364,10 +335,5 @@ type SweepChildStatus struct {
 	CacheHit bool     `json:"cache_hit"`
 	Attempts int      `json:"attempts,omitempty"`
 	MeanIPC  *float64 `json:"mean_ipc,omitempty"` // completed children only
-
-	EstIPC            *float64 `json:"est_ipc,omitempty"`
-	EstLifetimeMonths *float64 `json:"est_lifetime_months,omitempty"`
-	EstCensored       bool     `json:"est_censored,omitempty"`
-
-	Error string `json:"error,omitempty"`
+	Error    string   `json:"error,omitempty"`
 }

@@ -65,6 +65,29 @@ func TestSweepSpecValidation(t *testing.T) {
 	}
 }
 
+// TestSweepPlanValidation pins the retired planner's decode rule: a
+// sweep naming plan or plan_calibration_cycles is refused with a message
+// that says every child is simulated, not with "unknown field"; the same
+// fields nested under base stay plain unknown fields.
+func TestSweepPlanValidation(t *testing.T) {
+	for _, doc := range []string{
+		`{"plan": "analytic"}`,
+		`{"plan": "psychic"}`,
+		`{"plan_calibration_cycles": 300000}`,
+		`{"axes": [{"field": "cpth", "values": [30, 40]}], "plan": null}`,
+	} {
+		_, err := DecodeSweepSpec([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), "planner was retired") ||
+			!strings.Contains(err.Error(), "every child is simulated") {
+			t.Errorf("%s: got %v, want the planner-retired rejection", doc, err)
+		}
+	}
+	_, err := DecodeSweepSpec([]byte(`{"base": {"plan": "analytic"}}`))
+	if err == nil || strings.Contains(err.Error(), "retired") {
+		t.Errorf("plan under base: got %v, want a plain unknown-field rejection", err)
+	}
+}
+
 // TestSweepExpandDeterministic pins the expansion order (first axis
 // slowest) and the axis labels — recovery depends on a resumed daemon
 // re-expanding a journaled spec into the same children.
