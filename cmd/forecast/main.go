@@ -46,7 +46,7 @@ func main() {
 	warm := flag.Uint64("warmup", 2_000_000, "warm-up cycles per phase")
 	step := flag.Float64("step", 0.025, "capacity drop per prediction phase")
 	coloring := flag.String("coloring", "", cliutil.ColoringUsage)
-	analyticFast := flag.Bool("analytic", false, "use the analytic fast path: one calibration window per cell instead of the full forecast loop (-warmup sizes the warm-up, -phase the calibration window)")
+	analyticFast := flag.Bool("analytic", false, "use the analytic fast path: the forecast loop with one capacity step per cell (-warmup sizes the warm-up, -phase the calibration window)")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
 	flag.Parse()

@@ -117,7 +117,7 @@ func run(opt options) (*report.Report, error) {
 	// on. These are the numbers wear-leveling quality is judged by.
 	simWV := arr.WearVariation()
 	seconds := float64(st.Cycles) / 3.5e9
-	elapsed, capFrac := forecast.Age(arr, seconds, opt.Capacity, 1e18)
+	elapsed, capFrac := forecast.AgeFrames(arr.Frames(), seconds, opt.Capacity, 1e18)
 	sys.LLC().InvalidateUnfit()
 
 	// Distribution of per-frame live bytes and wear.

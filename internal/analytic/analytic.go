@@ -1,21 +1,22 @@
-// Package analytic is the fast path next to the exact forecast: instead
-// of the full simulate→predict iteration of internal/forecast (one
-// simulation phase per capacity step, ~20 phases to reach 50% capacity),
-// it runs ONE short calibration simulation to measure the young-cache
-// operating point (IPC, hit rate, per-frame NVM byte-write rates) and
-// then ages the array to the target capacity in a single closed-form
-// pass of forecast.AgeFrames. The result is a lifetime and young-IPC
-// estimate that costs one calibration instead of a full forecast — and,
-// once the calibration is cached, nothing at all.
+// Package analytic is the fast path next to the full forecast: the
+// forecast loop of internal/forecast run with a single capacity step,
+// from the young cache straight to the target capacity. One calibration
+// window measures the young operating point (IPC, hit rate, per-frame
+// NVM byte-write rates) and one prediction ages the array to the target
+// at those rates. The result is a lifetime and young-IPC estimate that
+// costs one simulated window instead of a full forecast — and, once the
+// calibration is cached, nothing at all.
 //
-// The model's simplification is explicit: it assumes the per-frame write
-// rates observed over the calibration window stay constant for the whole
-// device lifetime, where the exact procedure re-measures them each
-// capacity step as the shrinking array redistributes traffic. That bias
-// is what the error bounds carry: every estimate reports the relative
-// error bound its (mix, policy) cell was validated to stay within
-// against the full forecast (internal/experiments.AnalyticValidation,
-// pinned by the differential accuracy suite).
+// The model's simplification is the step: the full forecast re-measures
+// the rates every few percent of capacity as the shrinking array
+// redistributes traffic, the estimate extrapolates the first window. It
+// simulates again only where the forecast must too — when every frame
+// the window wrote has died above the target, so the next window has to
+// show where the traffic went. That bias is what the error bounds carry:
+// every estimate reports the relative error bound it was validated to
+// stay within against the full forecast
+// (internal/experiments.AnalyticValidation, pinned by the differential
+// accuracy suite).
 package analytic
 
 import (
@@ -24,21 +25,12 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/forecast"
-	"repro/internal/nvm"
+	"repro/internal/hier"
 )
-
-// ClockHz converts calibration cycles to machine seconds (Table IV:
-// 3.5 GHz, the same clock the forecast loop uses).
-const ClockHz = 3.5e9
-
-// HorizonSeconds bounds the closed-form aging pass, mirroring the
-// forecast loop's MaxPredictSeconds: a configuration whose write traffic
-// would not reach the target capacity within 20 years is reported as
-// censored rather than aged forever.
-const HorizonSeconds = 20 * 12 * forecast.SecondsPerMonth
 
 // Spec is one estimate query: the simulation config plus the calibration
 // window and the capacity the lifetime counts down to. It is the
@@ -105,8 +97,8 @@ func (s Spec) CacheKey() string {
 	return "est-" + hex.EncodeToString(sum[:])
 }
 
-// Calibration is everything one calibration simulation leaves behind:
-// the young operating point, the closed-form lifetime, and the spec
+// Calibration is everything one calibration leaves behind: the young
+// operating point, the one-step forecast's lifetime, and the spec
 // echo that provenances it. Calibrations are immutable once built and
 // JSON-serializable, so the estimator cache, the jobstore artifact and
 // the wire response all share one representation.
@@ -120,24 +112,16 @@ type Calibration struct {
 	HitRate  float64 `json:"hit_rate"`
 	// NVMByteRate is NVM bytes written per second of machine time over
 	// the calibration window (the aggregate of the per-frame rates the
-	// aging pass consumed).
+	// prediction consumed).
 	NVMByteRate float64 `json:"nvm_byte_rate"`
 
-	// LifetimeSeconds is the closed-form time to TargetCapacity at the
-	// calibrated rates; 0 when Censored. Censored marks configurations
-	// that never reach the target within HorizonSeconds — SRAM-only
-	// configs and policies that barely write NVM. (A bool instead of
-	// +Inf: JSON cannot encode infinities.)
+	// LifetimeSeconds is the one-step forecast's time to TargetCapacity;
+	// 0 when Censored. Censored marks configurations the forecast loop
+	// censors — SRAM-only configs and policies whose writes kill no byte
+	// within the forecast's 20-year prediction horizon. (A bool instead
+	// of +Inf: JSON cannot encode infinities.)
 	LifetimeSeconds float64 `json:"lifetime_seconds"`
 	Censored        bool    `json:"censored"`
-	// Redistributed marks lifetimes computed under the
-	// uniform-redistribution fallback: the calibration window concentrated
-	// its writes on so few frames that frozen per-frame rates could never
-	// reach the target capacity, so the aggregate rate was spread
-	// uniformly across all frames instead — the closed-form analogue of
-	// the traffic redistribution the exact forecast observes as dead
-	// frames push insertions elsewhere.
-	Redistributed bool `json:"redistributed,omitempty"`
 
 	// Spec echo.
 	WarmupCycles      uint64  `json:"warmup_cycles"`
@@ -148,13 +132,12 @@ type Calibration struct {
 // LifetimeMonths converts the lifetime to the paper's month axis.
 func (c *Calibration) LifetimeMonths() float64 { return c.LifetimeSeconds / forecast.SecondsPerMonth }
 
-// Calibrate runs the spec's calibration simulation and the closed-form
-// aging pass. The procedure mirrors one phase of the forecast loop —
-// warm up, reset the per-frame phase counters, measure the window — and
-// then, where the forecast would age one capacity step and re-measure,
-// ages all the way to the target in a single exact AgeFrames pass at
-// the measured rates. Deterministic: same spec, same calibration
-// (AgeFrames breaks ties by the stable set-major frame order).
+// Calibrate runs the spec's calibration: the forecast loop with one
+// capacity step, 1 − TargetCapacity, and without the final window at
+// the target that a forecast measures (an estimate reports none). It
+// simulates one window where that step reaches the target and one more
+// per step that kills every written frame above it. Deterministic: same
+// spec, same calibration. A cancelled ctx stops it mid-window.
 func Calibrate(ctx context.Context, spec Spec) (*Calibration, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -163,65 +146,53 @@ func Calibrate(ctx context.Context, spec Spec) (*Calibration, error) {
 	if err != nil {
 		return nil, err
 	}
-	if spec.WarmupCycles > 0 {
-		if _, err := core.MeasureCtx(ctx, sys, 0, spec.WarmupCycles, core.RunHooks{}); err != nil {
-			return nil, err
-		}
-	}
-	var frames []*nvm.Frame // stable set-major order, as AgeFrames needs
-	if arr := sys.LLC().Array(); arr != nil {
-		arr.ResetPhase()
-		frames = arr.Frames()
-	}
-	sum, err := core.MeasureCtx(ctx, sys, 0, spec.CalibrationCycles, core.RunHooks{})
+	cfg := forecast.DefaultConfig()
+	cfg.WarmupCycles = spec.WarmupCycles
+	cfg.PhaseCycles = spec.CalibrationCycles
+	cfg.CapacityStep = 1 - spec.TargetCapacity
+	cfg.TargetCapacity = spec.TargetCapacity
+	res, err := forecast.Trajectory(ctx, target{forecast.SystemTarget(sys), ctx, sys}, cfg)
 	if err != nil {
 		return nil, err
 	}
-	phaseSeconds := float64(spec.CalibrationCycles) / ClockHz
+	young := res.Points[0]
 	cal := &Calibration{
-		Policy:            sum.Policy,
+		Policy:            res.Policy,
 		MixID:             spec.Config.MixID,
-		YoungIPC:          sum.MeanIPC,
-		HitRate:           sum.HitRate,
-		NVMByteRate:       float64(sum.NVMBytesWritten) / phaseSeconds,
+		YoungIPC:          young.MeanIPC,
+		HitRate:           young.HitRate,
+		NVMByteRate:       young.NVMByteRate,
+		LifetimeSeconds:   res.LifetimeSeconds,
 		WarmupCycles:      spec.WarmupCycles,
 		CalibrationCycles: spec.CalibrationCycles,
 		TargetCapacity:    spec.TargetCapacity,
 	}
-	if len(frames) == 0 {
-		cal.Censored = true // SRAM-only: nothing to wear out
-		return cal, nil
-	}
-	rates := make([]float64, len(frames))
-	var aggregate float64
-	idleCap := 0 // capacity held by frames the window never wrote
-	for i, f := range frames {
-		rates[i] = float64(f.PhaseWritten()) / phaseSeconds
-		aggregate += rates[i]
-		if rates[i] == 0 {
-			idleCap += f.EffectiveCapacity()
-		}
-	}
-	// Feasibility: frozen per-frame rates can only ever kill frames the
-	// window wrote. If the untouched frames alone hold more than the
-	// target capacity, the constant-rate model can never reach it — so
-	// spread the aggregate rate uniformly across all frames instead, the
-	// closed-form analogue of the traffic redistribution the exact
-	// forecast observes as dead frames push insertions onto live ones.
-	if aggregate > 0 && float64(idleCap)/float64(len(frames)*nvm.DataBytes) > spec.TargetCapacity {
-		uniform := aggregate / float64(len(frames))
-		for i := range rates {
-			rates[i] = uniform
-		}
-		cal.Redistributed = true
-	}
-	elapsed, capacity := forecast.AgeFramesAtRates(frames, rates, spec.TargetCapacity, HorizonSeconds)
-	if capacity <= spec.TargetCapacity {
-		cal.LifetimeSeconds = elapsed
-	} else {
-		cal.Censored = true
+	if math.IsInf(res.LifetimeSeconds, 1) {
+		cal.LifetimeSeconds, cal.Censored = 0, true
 	}
 	return cal, nil
+}
+
+// target is the system's forecast target with its windows run through
+// core.MeasureCtx, so a cancelled calibration stops mid-window.
+type target struct {
+	forecast.Target
+	ctx context.Context
+	sys *hier.System
+}
+
+func (t target) Run(cycles uint64) forecast.Window {
+	start := t.sys.Now()
+	sum, err := core.MeasureCtx(t.ctx, t.sys, 0, cycles, core.RunHooks{})
+	if err != nil {
+		return forecast.Window{} // Trajectory returns ctx's error
+	}
+	return forecast.Window{
+		Cycles:          t.sys.Now() - start,
+		MeanIPC:         sum.MeanIPC,
+		HitRate:         sum.HitRate,
+		NVMBytesWritten: sum.NVMBytesWritten,
+	}
 }
 
 // EncodeCalibration renders a calibration as its durable artifact bytes.

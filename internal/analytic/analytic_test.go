@@ -2,6 +2,7 @@ package analytic
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"sync"
@@ -83,6 +84,39 @@ func TestSpecShards(t *testing.T) {
 	}
 	if _, err := Calibrate(context.Background(), four); err == nil {
 		t.Fatal("Calibrate accepted shards=4")
+	}
+}
+
+// countdownCtx reports context.Canceled from its (n+1)-th Err call on,
+// so a test can cancel at a fixed point inside the simulation.
+type countdownCtx struct {
+	context.Context
+	n, calls int
+}
+
+func (c *countdownCtx) Err() error {
+	c.calls++
+	if c.calls > c.n {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCalibrateCancelMidWindow: a calibration whose context is cancelled
+// inside its window returns context.Canceled without simulating the
+// rest. The warm-up is one epoch-sized chunk and the window eight, each
+// preceded by one Err call; the third call, in the window's second
+// chunk, cancels.
+func TestCalibrateCancelMidWindow(t *testing.T) {
+	spec := quickSpec()
+	spec.CalibrationCycles = 8 * spec.Config.EpochCycles
+	ctx := &countdownCtx{Context: context.Background(), n: 2}
+	cal, err := Calibrate(ctx, spec)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("Calibrate = %+v, %v; want context.Canceled", cal, err)
+	}
+	if ctx.calls > 4 {
+		t.Fatalf("%d Err calls: the window ran on after the cancel", ctx.calls)
 	}
 }
 
@@ -186,8 +220,7 @@ func TestEstimatorGetAndLookup(t *testing.T) {
 	if !ok || got != cal {
 		t.Fatalf("lookup after Do: ok=%v, calibration %p, want %p", ok, got, cal)
 	}
-	if want := DefaultBounds(); est.IPCErrorBound != want.IPC ||
-		(!cal.Redistributed && est.LifetimeErrorBound != want.Lifetime) {
+	if want := DefaultBounds(); est.IPCErrorBound != want.IPC || est.LifetimeErrorBound != want.Lifetime {
 		t.Fatalf("estimate carries bounds %v/%v, want %+v", est.IPCErrorBound, est.LifetimeErrorBound, want)
 	}
 	again, err := e.Do(context.Background(), key, spec)

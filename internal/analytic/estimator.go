@@ -8,9 +8,8 @@ import (
 )
 
 // Estimate is the wire form of one analytic answer: the young operating
-// point, the closed-form lifetime, and the relative error bounds the
-// estimator was cross-validated to stay within (DefaultBounds, widened
-// for redistributed calibrations).
+// point, the one-step forecast's lifetime, and the relative error bounds
+// the estimator was cross-validated to stay within (DefaultBounds).
 // Consumers that rank configs on an estimate must inflate by the
 // bounds: two estimates closer than their combined margins are a tie.
 type Estimate struct {
@@ -24,12 +23,8 @@ type Estimate struct {
 	// LifetimeMonths is 0 when Censored (the config never reaches the
 	// target capacity within the 20-year horizon; its lifetime is a
 	// lower bound, effectively unbounded for ranking purposes).
-	// Redistributed marks the uniform-redistribution fallback model (see
-	// Calibration.Redistributed); it travels with the wider lifetime
-	// bound below.
 	LifetimeMonths float64 `json:"lifetime_months"`
 	Censored       bool    `json:"censored"`
-	Redistributed  bool    `json:"redistributed,omitempty"`
 
 	// IPCErrorBound and LifetimeErrorBound are the relative error bounds
 	// (|analytic−forecast|/forecast) the estimate carries. The
@@ -47,37 +42,23 @@ type Bounds struct {
 
 // DefaultBounds returns the bounds every estimate carries, fitted by
 // cross-validating the analytic estimator against the full forecast
-// across the seeded mix × policy matrix (experiments.AnalyticValidation,
-// worst observed errors 0.021 IPC / 0.153 lifetime over the BH, LHybrid
-// and CP_SD cells that age without the redistribution fallback) and
-// inflated by a safety margin of ~2.5×. The young-IPC bound is tight —
-// the calibration window measures the same young system the forecast's
-// first phase does; the lifetime bound carries the constant-rate
-// simplification (the forecast re-measures rates each capacity step,
-// the analytic pass extrapolates the first window).
+// across the seeded mix × policy matrix (experiments.AnalyticValidation:
+// worst observed errors 0.015 IPC on CP_SD mix 4 and 0.49 lifetime on
+// LHybrid mix 7) and inflated by a safety margin of ~2.5×. The young-IPC
+// bound is tight — the calibration window measures the same young
+// system the forecast's first phase does; the lifetime bound carries the
+// one-step simplification (the forecast re-measures rates each capacity
+// step, the estimate extrapolates the first window). A lifetime bound
+// of 1 or more makes an estimate's lower-bounded lifetime non-positive:
+// on the lifetime axis an estimate never dominates another config.
 func DefaultBounds() Bounds {
-	return Bounds{IPC: 0.06, Lifetime: 0.4}
+	return Bounds{IPC: 0.04, Lifetime: 1.2}
 }
 
-// RedistributedLifetimeBound is the lifetime error bound reported by
-// estimates whose calibration used the uniform-redistribution fallback
-// (Calibration.Redistributed). The fallback is a coarser model — cross-
-// validation observes errors up to ~0.48 on those cells — so its bound
-// is deliberately above 1: a relative margin ≥ 1 makes the point's
-// lower-bounded lifetime non-positive, which means a redistributed
-// estimate can never dominate another config on the lifetime axis (and
-// is itself protected by the same inflation).
-const RedistributedLifetimeBound = 1.2
-
 // Estimate assembles the wire answer from a calibration under
-// DefaultBounds. A redistributed calibration widens its lifetime bound
-// to RedistributedLifetimeBound — the bound travels with the model that
-// produced the number.
+// DefaultBounds.
 func (c *Calibration) Estimate() Estimate {
 	b := DefaultBounds()
-	if c.Redistributed {
-		b.Lifetime = RedistributedLifetimeBound
-	}
 	return Estimate{
 		Policy:             c.Policy,
 		MixID:              c.MixID,
@@ -86,7 +67,6 @@ func (c *Calibration) Estimate() Estimate {
 		NVMByteRate:        c.NVMByteRate,
 		LifetimeMonths:     c.LifetimeSeconds / forecast.SecondsPerMonth,
 		Censored:           c.Censored,
-		Redistributed:      c.Redistributed,
 		IPCErrorBound:      b.IPC,
 		LifetimeErrorBound: b.Lifetime,
 	}

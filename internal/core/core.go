@@ -262,7 +262,7 @@ func PreAge(sys *hier.System, targetCapacity float64) {
 		f.ResetPhase()
 		f.RecordWrite(nvm.FrameBytes) // uniform unit rate
 	}
-	forecast.Age(arr, 1.0, targetCapacity, math.MaxFloat64)
+	forecast.AgeFrames(arr.Frames(), 1.0, targetCapacity, math.MaxFloat64)
 	arr.ResetPhase()
 	sys.LLC().InvalidateUnfit()
 }

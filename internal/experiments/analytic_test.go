@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/analytic"
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/forecast"
@@ -46,12 +45,11 @@ func TestAnalyticDifferentialAccuracy(t *testing.T) {
 	if len(cells) != len(specs)*len(mixes) {
 		t.Fatalf("%d cells, want %d", len(cells), len(specs)*len(mixes))
 	}
-	redistributed := 0
 	for _, c := range cells {
-		t.Logf("%-8s mix=%d  ipc_err=%.4f (bound %.3f)  life_err=%.4f (bound %.3f)  redistributed=%v censored=%v/%v",
+		t.Logf("%-8s mix=%d  ipc_err=%.4f (bound %.3f)  life_err=%.4f (bound %.3f)  censored=%v/%v",
 			c.Policy, c.Mix+1, c.IPCRelErr, c.Est.IPCErrorBound,
 			c.LifetimeRelErr, c.Est.LifetimeErrorBound,
-			c.Est.Redistributed, c.SimCensored, c.Est.Censored)
+			c.SimCensored, c.Est.Censored)
 		if !c.WithinBounds() {
 			t.Errorf("%s mix=%d outside its own bounds: ipc %.4f > %.3f or lifetime %.4f > %.3f",
 				c.Policy, c.Mix+1, c.IPCRelErr, c.Est.IPCErrorBound,
@@ -60,20 +58,19 @@ func TestAnalyticDifferentialAccuracy(t *testing.T) {
 		if c.Est.YoungIPC <= 0 {
 			t.Errorf("%s mix=%d degenerate estimate: %+v", c.Policy, c.Mix+1, c.Est)
 		}
-		if c.Est.Redistributed {
-			redistributed++
-			if c.Est.LifetimeErrorBound < analytic.RedistributedLifetimeBound {
-				t.Errorf("%s mix=%d redistributed estimate carries bound %.3f < %.3f",
-					c.Policy, c.Mix+1, c.Est.LifetimeErrorBound, analytic.RedistributedLifetimeBound)
-			}
+		// LHybrid's cells set the single lifetime bound; BH and CP_SD
+		// must stay within the tighter bound they were fitted to before,
+		// so the wider one cannot hide drift on them.
+		if c.Policy != "LHybrid" && c.LifetimeRelErr > steadyLifetimeBound {
+			t.Errorf("%s mix=%d lifetime error %.4f > %.2f", c.Policy, c.Mix+1, c.LifetimeRelErr, steadyLifetimeBound)
 		}
 	}
-	// LHybrid concentrates its young writes on too few frames to reach
-	// the target at frozen rates — the suite must exercise the fallback.
-	if redistributed == 0 {
-		t.Error("no cell exercised the uniform-redistribution fallback")
-	}
 }
+
+// steadyLifetimeBound is the lifetime error bound the BH and CP_SD cells
+// of TestAnalyticDifferentialAccuracy keep: 2.5× their worst observed
+// error, 0.153.
+const steadyLifetimeBound = 0.40
 
 // TestAnalyticComparisonQuick pins the fast-path counterpart of
 // ForecastComparison (cmd/forecast -analytic): same aggregate shape,

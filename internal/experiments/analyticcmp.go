@@ -50,8 +50,8 @@ func synthResult(label string, cal *analytic.Calibration) forecast.Result {
 }
 
 // AnalyticComparison is ForecastComparison on the fast path: one
-// calibration simulation per (spec, mix) cell, closed-form aging, no
-// iterative forecast. Cells run in parallel on the hardened pool; a
+// calibration per (spec, mix) cell, the forecast loop with a single
+// capacity step. Cells run in parallel on the hardened pool; a
 // failed cell is dropped from its policy's aggregates and reported in
 // the task records.
 func AnalyticComparison(base core.Config, specs []ForecastSpec, mixes []int, warmupCycles, calibrationCycles uint64) ([]PolicyForecast, []cliutil.TaskResult, error) {

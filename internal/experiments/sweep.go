@@ -122,7 +122,8 @@ type Fig8Result struct {
 
 // Fig8OptimalCPth measures, per set-dueling epoch, which CPth candidate
 // achieved the most hits in its sampler sets, across NVM capacities and
-// mixes.
+// mixes. Each (capacity, mix) cell runs on the hardened pool; the first
+// failure fails the whole result.
 func Fig8OptimalCPth(base core.Config, mixes []int, capacities []float64, warmupEpochs, epochs int) (Fig8Result, error) {
 	res := Fig8Result{
 		Candidates: append([]int(nil), dueling.DefaultCandidates...),
@@ -130,22 +131,25 @@ func Fig8OptimalCPth(base core.Config, mixes []int, capacities []float64, warmup
 		Mixes:      mixes,
 	}
 	nc := len(res.Candidates)
-	res.ByMix = make([][]float64, len(mixes))
-	for _, capacity := range capacities {
-		counts := make([]float64, nc)
-		total := 0.0
-		for mi, m := range mixes {
+	// wins[i] counts, per candidate, the epochs it won in cell i.
+	wins := make([][]float64, len(capacities)*len(mixes))
+	tasks := make([]cliutil.Task, len(wins))
+	for i := range tasks {
+		i := i
+		capacity := capacities[i/len(mixes)]
+		m := mixes[i%len(mixes)]
+		tasks[i] = cliutil.Task{Name: fmt.Sprintf("cap=%g/mix=%d", capacity, m+1), Run: func() error {
 			cfg := base
 			cfg.MixID = m
 			cfg.PolicyName = "CP_SD"
 			sys, err := cfg.Build()
 			if err != nil {
-				return res, err
+				return err
 			}
 			core.PreAge(sys, capacity)
 			d, ok := core.Dueling(sys)
 			if !ok {
-				return res, fmt.Errorf("experiments: CP_SD system has no dueling controller")
+				return fmt.Errorf("experiments: CP_SD system has no dueling controller")
 			}
 			d.RecordPerEpoch = true
 			sys.Run(uint64(warmupEpochs+epochs) * cfg.EpochCycles)
@@ -153,7 +157,7 @@ func Fig8OptimalCPth(base core.Config, mixes []int, capacities []float64, warmup
 			if len(eh) > epochs {
 				eh = eh[len(eh)-epochs:]
 			}
-			mixCounts := make([]float64, nc)
+			counts := make([]float64, nc)
 			for _, hits := range eh {
 				best := 0
 				for k := 1; k < nc; k++ {
@@ -162,16 +166,28 @@ func Fig8OptimalCPth(base core.Config, mixes []int, capacities []float64, warmup
 					}
 				}
 				counts[best]++
-				mixCounts[best]++
-				total++
+			}
+			wins[i] = counts
+			return nil
+		}}
+	}
+	if err := cliutil.ErrOf(cliutil.RunTasks(tasks, cliutil.PoolConfig{})); err != nil {
+		return res, err
+	}
+	res.ByMix = make([][]float64, len(mixes))
+	for ci, capacity := range capacities {
+		counts := make([]float64, nc)
+		for mi := range mixes {
+			cell := wins[ci*len(mixes)+mi]
+			for k, n := range cell {
+				counts[k] += n
 			}
 			if capacity == 1.0 {
-				normalize(mixCounts)
-				res.ByMix[mi] = mixCounts
+				normalize(cell)
+				res.ByMix[mi] = cell
 			}
 		}
 		normalize(counts)
-		_ = total
 		res.ByCapacity = append(res.ByCapacity, counts)
 	}
 	return res, nil
@@ -266,22 +282,31 @@ type EpochSizeRow struct {
 }
 
 // EpochSizeSweep evaluates CP_SD under different set-dueling epoch sizes
-// (the paper selects 2M cycles).
+// (the paper selects 2M cycles). Each size runs on the hardened pool;
+// the first failure fails the whole sweep.
 func EpochSizeSweep(base core.Config, mixes []int, sizes []uint64, warmup, measure uint64) ([]EpochSizeRow, error) {
-	var out []EpochSizeRow
-	for _, sz := range sizes {
-		cfg := base
-		cfg.PolicyName = "CP_SD"
-		cfg.EpochCycles = sz
-		_, m, err := core.MeasureMixes(cfg, mixes, warmup, measure)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, EpochSizeRow{
-			EpochCycles: sz,
-			Hits:        float64(m.Hits) / float64(measure),
-			HitRate:     m.HitRate,
-		})
+	out := make([]EpochSizeRow, len(sizes))
+	tasks := make([]cliutil.Task, len(sizes))
+	for i, sz := range sizes {
+		i, sz := i, sz
+		tasks[i] = cliutil.Task{Name: fmt.Sprintf("epoch=%d", sz), Run: func() error {
+			cfg := base
+			cfg.PolicyName = "CP_SD"
+			cfg.EpochCycles = sz
+			_, m, err := core.MeasureMixes(cfg, mixes, warmup, measure)
+			if err != nil {
+				return err
+			}
+			out[i] = EpochSizeRow{
+				EpochCycles: sz,
+				Hits:        float64(m.Hits) / float64(measure),
+				HitRate:     m.HitRate,
+			}
+			return nil
+		}}
+	}
+	if err := cliutil.ErrOf(cliutil.RunTasks(tasks, cliutil.PoolConfig{})); err != nil {
+		return nil, err
 	}
 	return out, nil
 }

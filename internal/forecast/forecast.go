@@ -9,6 +9,7 @@ package forecast
 
 import (
 	"container/heap"
+	"context"
 	"math"
 
 	"repro/internal/hier"
@@ -144,8 +145,39 @@ func Run(sys *hier.System, cfg Config) Result {
 	return RunTarget(SystemTarget(sys), cfg)
 }
 
-// RunTarget executes the forecast loop against any target.
+// RunTarget executes the forecast loop (Trajectory) against any target
+// and, when aging reached the target capacity, measures one final window
+// there.
 func RunTarget(t Target, cfg Config) Result {
+	res, _ := Trajectory(context.Background(), t, cfg)
+	if math.IsInf(res.LifetimeSeconds, 1) || res.Points[len(res.Points)-1].Capacity <= cfg.TargetCapacity {
+		return res
+	}
+	capacity := t.CapacityFraction()
+	dropped := settle(t)
+	t.Run(cfg.WarmupCycles)
+	t.ResetPhase()
+	st := t.Run(cfg.PhaseCycles)
+	res.Points = append(res.Points, Point{
+		TimeSeconds: res.LifetimeSeconds, Capacity: capacity, MeanIPC: st.MeanIPC,
+		HitRate:    st.HitRate,
+		LiveFrames: t.LiveFrames(), EntriesDropped: dropped,
+	})
+	return res
+}
+
+// Trajectory is the forecast loop. Each phase warms the target up and
+// measures one window, which yields a trajectory point and the per-frame
+// byte rates; a prediction then ages the frames at those rates by one
+// CapacityStep. The loop records the lifetime and returns as soon as a
+// prediction reaches TargetCapacity, without measuring the aged system
+// (RunTarget does). A prediction whose written frames all die above its
+// stop capacity is not the end: the next phase measures where their
+// traffic went. The lifetime stays +Inf (censored) when a prediction
+// kills no byte, when the next death lies past MaxPredictSeconds, or
+// after MaxPhases phases. The only error is ctx's, checked after every
+// window.
+func Trajectory(ctx context.Context, t Target, cfg Config) (Result, error) {
 	res := Result{Policy: t.PolicyName(), LifetimeSeconds: math.Inf(1)}
 	frames := t.Frames()
 	if frames == nil {
@@ -156,7 +188,7 @@ func RunTarget(t Target, cfg Config) Result {
 		res.Points = append(res.Points, Point{
 			Capacity: 1, MeanIPC: st.MeanIPC, HitRate: st.HitRate,
 		})
-		return res
+		return res, ctx.Err()
 	}
 
 	elapsed := 0.0
@@ -165,6 +197,9 @@ func RunTarget(t Target, cfg Config) Result {
 		t.Run(cfg.WarmupCycles)
 		t.ResetPhase()
 		st := t.Run(cfg.PhaseCycles)
+		if err := ctx.Err(); err != nil {
+			return res, err
+		}
 		phaseSeconds := float64(st.Cycles) / cfg.ClockHz
 		cap := t.CapacityFraction()
 		res.Points = append(res.Points, Point{
@@ -185,30 +220,30 @@ func RunTarget(t Target, cfg Config) Result {
 			stop = cfg.TargetCapacity
 		}
 		dt, newCap := AgeFrames(frames, phaseSeconds, stop, cfg.MaxPredictSeconds)
+		if newCap == cap {
+			break // no byte died: the traffic never reaches the target
+		}
 		elapsed += dt
-		dropped = t.InvalidateUnfit()
-		// Rotate the global wear-leveling counter, as hardware does over
-		// long periods (§III-B1).
-		t.AdvanceWearCounter(7)
 		if newCap <= cfg.TargetCapacity {
 			res.LifetimeSeconds = elapsed
-			// One final measurement at the target capacity.
-			t.Run(cfg.WarmupCycles)
-			t.ResetPhase()
-			st := t.Run(cfg.PhaseCycles)
-			res.Points = append(res.Points, Point{
-				TimeSeconds: elapsed, Capacity: newCap, MeanIPC: st.MeanIPC,
-				HitRate:    st.HitRate,
-				LiveFrames: t.LiveFrames(), EntriesDropped: dropped,
-			})
 			break
 		}
 		if dt >= cfg.MaxPredictSeconds {
-			// Write traffic too low to ever reach the target.
-			break
+			break // the next death lies past the horizon
 		}
+		dropped = settle(t)
 	}
-	return res
+	return res, nil
+}
+
+// settle brings the simulated system in line with a prediction: it drops
+// the LLC entries their aged frames can no longer hold and rotates the
+// global wear-leveling counter, as hardware does over long periods
+// (§III-B1). It returns the number of entries dropped.
+func settle(t Target) int {
+	dropped := t.InvalidateUnfit()
+	t.AdvanceWearCounter(7)
+	return dropped
 }
 
 // frameAger tracks one frame's analytic aging between simulation phases.
@@ -269,16 +304,14 @@ func (h *ageHeap) Pop() interface{} {
 	return x
 }
 
-// Age advances the array's wear analytically; see AgeFrames.
-func Age(arr *nvm.Array, phaseSeconds, stopCapacity, maxSeconds float64) (elapsed, capacity float64) {
-	return AgeFrames(arr.Frames(), phaseSeconds, stopCapacity, maxSeconds)
-}
-
 // AgeFrames advances the frames' wear analytically, assuming each frame
 // keeps receiving bytes at the rate observed over the last simulation
-// phase (PhaseWritten / phaseSeconds), until their combined effective
-// capacity fraction falls to stopCapacity or maxSeconds elapse. It
-// returns the elapsed time and the resulting capacity fraction.
+// phase (PhaseWritten / phaseSeconds). It stops when their combined
+// effective capacity fraction falls to stopCapacity, when no frame has a
+// byte left to lose at its rate, or when the next death lies past
+// maxSeconds. It returns the elapsed time — the last death's time in the
+// second case, maxSeconds in the third — and the resulting capacity
+// fraction.
 //
 // The computation is exact: within a frame, wear accrues linearly at
 // rate/liveBytes and jumps discretely as bytes die; across frames, a
@@ -286,26 +319,12 @@ func Age(arr *nvm.Array, phaseSeconds, stopCapacity, maxSeconds float64) (elapse
 // simultaneous-death ties by the frames' slice order — so a fixed frame
 // order gives a bit-identical trajectory.
 func AgeFrames(frames []*nvm.Frame, phaseSeconds, stopCapacity, maxSeconds float64) (elapsed, capacity float64) {
-	rates := make([]float64, len(frames))
-	for i, f := range frames {
-		rates[i] = float64(f.PhaseWritten()) / phaseSeconds
-	}
-	return AgeFramesAtRates(frames, rates, stopCapacity, maxSeconds)
-}
-
-// AgeFramesAtRates is AgeFrames with the per-frame byte rates supplied
-// by the caller instead of read from the frames' phase counters. The
-// analytic fast path (internal/analytic) uses it to age under model
-// rates — e.g. the uniform-redistribution fallback for policies whose
-// calibration window concentrates writes on too few frames to ever
-// reach the target capacity at frozen per-frame rates.
-func AgeFramesAtRates(frames []*nvm.Frame, rates []float64, stopCapacity, maxSeconds float64) (elapsed, capacity float64) {
 	agers := make([]frameAger, len(frames))
 	h := make(ageHeap, 0, len(frames))
 	totalUnits := float64(len(frames) * nvm.DataBytes)
 	capUnits := 0
 	for i, f := range frames {
-		agers[i] = frameAger{f: f, rate: rates[i]}
+		agers[i] = frameAger{f: f, rate: float64(f.PhaseWritten()) / phaseSeconds}
 		capUnits += f.EffectiveCapacity()
 		if d := agers[i].nextDeath(); !math.IsInf(d, 1) {
 			h = append(h, ageEvent{d, i})
@@ -318,7 +337,6 @@ func AgeFramesAtRates(frames []*nvm.Frame, rates []float64, stopCapacity, maxSec
 		ev := heap.Pop(&h).(ageEvent)
 		if ev.t > maxSeconds {
 			T = maxSeconds
-			h = h[:0]
 			break
 		}
 		fa := &agers[ev.idx]
@@ -329,12 +347,6 @@ func AgeFramesAtRates(frames []*nvm.Frame, rates []float64, stopCapacity, maxSec
 		T = ev.t
 		if d := fa.nextDeath(); !math.IsInf(d, 1) {
 			heap.Push(&h, ageEvent{d, ev.idx})
-		}
-	}
-	if h.Len() == 0 && float64(capUnits)/totalUnits > stopCapacity {
-		// No more deaths possible at these rates within the horizon.
-		if T < maxSeconds {
-			T = maxSeconds
 		}
 	}
 	// Apply partial wear to every frame up to T.

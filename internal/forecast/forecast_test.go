@@ -17,12 +17,14 @@ func agedArray(t *testing.T, sets, ways int, gran nvm.Granularity, mean float64)
 	return nvm.NewArray(sets, ways, nvm.EnduranceModel{Mean: mean, CV: 0.2}, stats.NewRNG(7), gran)
 }
 
+// TestAgeZeroRatesNeverKills: with no phase writes there is no death to
+// wait for, so aging takes no time and leaves the capacity whole.
 func TestAgeZeroRatesNeverKills(t *testing.T) {
 	arr := agedArray(t, 8, 4, nvm.ByteDisabling, 1000)
 	// No PhaseWritten: all rates zero.
-	elapsed, cap := Age(arr, 1.0, 0.5, 3600)
-	if elapsed != 3600 {
-		t.Fatalf("elapsed = %v, want full horizon", elapsed)
+	elapsed, cap := AgeFrames(arr.Frames(), 1.0, 0.5, 3600)
+	if elapsed != 0 {
+		t.Fatalf("elapsed = %v, want 0", elapsed)
 	}
 	if cap != 1.0 {
 		t.Fatalf("capacity = %v, want 1.0", cap)
@@ -47,7 +49,7 @@ func TestAgeUniformWearTiming(t *testing.T) {
 	for _, f := range arr.Frames() {
 		f.RecordWrite(nvm.FrameBytes)
 	}
-	elapsed, cap := Age(arr, 1.0, 0.9, 1e9)
+	elapsed, cap := AgeFrames(arr.Frames(), 1.0, 0.9, 1e9)
 	if cap > 0.9+1e-9 {
 		t.Fatalf("capacity %v did not reach 0.9", cap)
 	}
@@ -63,7 +65,7 @@ func TestAgeStopsAtRequestedCapacity(t *testing.T) {
 	for _, f := range arr.Frames() {
 		f.RecordWrite(660)
 	}
-	_, cap := Age(arr, 1.0, 0.75, 1e12)
+	_, cap := AgeFrames(arr.Frames(), 1.0, 0.75, 1e12)
 	if cap > 0.75+0.01 {
 		t.Fatalf("capacity %v, want <= ~0.75", cap)
 	}
@@ -82,8 +84,8 @@ func TestAgeFrameDisablingFasterCapacityLoss(t *testing.T) {
 	for _, f := range byteArr.Frames() {
 		f.RecordWrite(660)
 	}
-	tf, _ := Age(frameArr, 1.0, 0.5, 1e12)
-	tb, _ := Age(byteArr, 1.0, 0.5, 1e12)
+	tf, _ := AgeFrames(frameArr.Frames(), 1.0, 0.5, 1e12)
+	tb, _ := AgeFrames(byteArr.Frames(), 1.0, 0.5, 1e12)
 	if tf >= tb {
 		t.Fatalf("frame disabling (%.0fs) should reach 50%% before byte disabling (%.0fs)", tf, tb)
 	}
@@ -96,7 +98,7 @@ func TestAgeMonotonicCapacity(t *testing.T) {
 	}
 	prev := 1.0
 	for stop := 0.95; stop >= 0.5; stop -= 0.05 {
-		_, cap := Age(arr, 1.0, stop, 1e12)
+		_, cap := AgeFrames(arr.Frames(), 1.0, stop, 1e12)
 		if cap > prev+1e-9 {
 			t.Fatalf("capacity rose from %v to %v", prev, cap)
 		}
@@ -113,7 +115,7 @@ func TestAgeHonoursMaxSeconds(t *testing.T) {
 	for _, f := range arr.Frames() {
 		f.RecordWrite(66)
 	}
-	elapsed, cap := Age(arr, 1.0, 0.5, 1000)
+	elapsed, cap := AgeFrames(arr.Frames(), 1.0, 0.5, 1000)
 	if elapsed > 1000+1e-6 {
 		t.Fatalf("elapsed %v exceeded horizon", elapsed)
 	}
@@ -248,8 +250,8 @@ func TestAgeScaleInvariance(t *testing.T) {
 		}
 		return arr
 	}
-	t1, _ := Age(mk(1), 1.0, 0.8, 1e12)
-	t2, _ := Age(mk(2), 1.0, 0.8, 1e12)
+	t1, _ := AgeFrames(mk(1).Frames(), 1.0, 0.8, 1e12)
+	t2, _ := AgeFrames(mk(2).Frames(), 1.0, 0.8, 1e12)
 	if t1 <= 0 || t2 <= 0 {
 		t.Fatal("no aging happened")
 	}
@@ -333,5 +335,86 @@ func TestRunWithRotatingColoring(t *testing.T) {
 	}
 	if rot.stale != 0 {
 		t.Fatalf("%d entries survived the flush of their remapped rows", rot.stale)
+	}
+}
+
+// partialTarget is a test-local forecast target over a bare array: each
+// Run writes one full block into each of the first share live frames,
+// so a window writes only some frames and, once those die, the next
+// window moves its traffic onto frames that are still alive.
+type partialTarget struct {
+	arr   *nvm.Array
+	share int
+	runs  int
+}
+
+func (p *partialTarget) PolicyName() string { return "partial" }
+
+func (p *partialTarget) Run(cycles uint64) Window {
+	p.runs++
+	written := 0
+	for _, f := range p.arr.Frames() {
+		if written == p.share {
+			break
+		}
+		if !f.Dead() {
+			f.RecordWrite(nvm.FrameBytes)
+			written++
+		}
+	}
+	return Window{Cycles: cycles, NVMBytesWritten: uint64(written * nvm.FrameBytes)}
+}
+
+func (p *partialTarget) Frames() []*nvm.Frame      { return p.arr.Frames() }
+func (p *partialTarget) ResetPhase()               { p.arr.ResetPhase() }
+func (p *partialTarget) CapacityFraction() float64 { return p.arr.EffectiveCapacityFraction() }
+func (p *partialTarget) LiveFrames() int           { return p.arr.LiveFrames() }
+func (p *partialTarget) InvalidateUnfit() int      { return 0 }
+func (p *partialTarget) AdvanceWearCounter(int)    {}
+
+// partialConfig ages from full capacity to 50% in one step.
+func partialConfig() Config {
+	cfg := DefaultConfig()
+	cfg.WarmupCycles = 1000
+	cfg.PhaseCycles = 1_000_000
+	cfg.CapacityStep = 0.5
+	cfg.MaxPhases = 10
+	return cfg
+}
+
+// TestRunTargetResimulatesExhaustedStep: the first window writes a
+// quarter of the frames, which all die at 75% capacity, above the
+// step's 50% stop. The forecast must not call that immortal: the next
+// window writes another quarter, whose deaths reach the target.
+func TestRunTargetResimulatesExhaustedStep(t *testing.T) {
+	arr := agedArray(t, 8, 4, nvm.FrameDisabling, 1000)
+	p := &partialTarget{arr: arr, share: len(arr.Frames()) / 4}
+	res := RunTarget(p, partialConfig())
+	if math.IsInf(res.LifetimeSeconds, 1) {
+		t.Fatalf("censored a target whose next window kills the rest: %+v", res.Points)
+	}
+	// Two measured windows, then the final one at the target.
+	if len(res.Points) != 3 {
+		t.Fatalf("%d points, want 3: %+v", len(res.Points), res.Points)
+	}
+	if c := res.Points[1].Capacity; c != 0.75 {
+		t.Fatalf("second window measured at capacity %v, want 0.75", c)
+	}
+	if last := res.Points[2]; last.Capacity > 0.5 || last.TimeSeconds != res.LifetimeSeconds {
+		t.Fatalf("final point %+v, want capacity <= 0.5 at the lifetime %v", last, res.LifetimeSeconds)
+	}
+}
+
+// TestRunTargetStopsWhenNothingIsWritten: a phase that writes nothing
+// kills nothing, so the loop censors after that one phase instead of
+// simulating until MaxPhases.
+func TestRunTargetStopsWhenNothingIsWritten(t *testing.T) {
+	p := &partialTarget{arr: agedArray(t, 8, 4, nvm.FrameDisabling, 1000)}
+	res := RunTarget(p, partialConfig())
+	if !math.IsInf(res.LifetimeSeconds, 1) {
+		t.Fatalf("lifetime %v, want +Inf", res.LifetimeSeconds)
+	}
+	if len(res.Points) != 1 || p.runs != 2 {
+		t.Fatalf("%d points over %d runs, want one phase (warm-up and window)", len(res.Points), p.runs)
 	}
 }

@@ -216,8 +216,8 @@ func TestEstimateStoreRoundTrip(t *testing.T) {
 		t.Fatalf("artifact round trip drifted:\n%+v\n%+v", first.Estimate, got.Estimate)
 	}
 
-	// Corrupt the artifact on disk (PutArtifact treats re-puts as no-ops):
-	// the estimator must recalibrate, not trust it.
+	// Corrupt the artifact on disk: the estimator must recalibrate, not
+	// trust it.
 	if err := os.WriteFile(filepath.Join(dir, "artifacts", spec.CacheKey()), []byte("not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -231,6 +231,78 @@ func TestEstimateStoreRoundTrip(t *testing.T) {
 	}
 	if redo.Estimate != first.Estimate {
 		t.Fatalf("recalibration drifted:\n%+v\n%+v", first.Estimate, redo.Estimate)
+	}
+}
+
+// TestEstimateRecalibratesRetiredModelArtifact: a store may hold an
+// estimate artifact from the retired uniform-redistribution model,
+// marked "redistributed": true. It must not be served; the manager
+// recalibrates, overwrites the artifact, and a restart over the same
+// store then serves the new calibration as a cache hit.
+func TestEstimateRecalibratesRetiredModelArtifact(t *testing.T) {
+	dir := t.TempDir()
+	st, err := jobstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := DecodeEstimateSpec([]byte(estimateTestBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "artifacts", spec.CacheKey())
+	stale := []byte(`{
+  "policy": "BH",
+  "mix_id": 0,
+  "young_ipc": 0.5,
+  "hit_rate": 0.5,
+  "nvm_byte_rate": 1,
+  "lifetime_seconds": 1,
+  "censored": false,
+  "redistributed": true,
+  "warmup_cycles": 100000,
+  "calibration_cycles": 300000,
+  "target_capacity": 0.5
+}`)
+	if _, err := st.PutArtifact(spec.CacheKey(), stale); err != nil {
+		t.Fatal(err)
+	}
+
+	m1 := newTestManager(t, Options{Workers: 1, Store: st})
+	first, err := m1.Estimate(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CacheHit || m1.estCalibrations.Load() != 1 {
+		t.Fatalf("redistributed artifact served: cache_hit %v, %d calibrations", first.CacheHit, m1.estCalibrations.Load())
+	}
+	if first.Estimate.YoungIPC == 0.5 {
+		t.Fatalf("estimate carries the stale artifact's numbers: %+v", first.Estimate)
+	}
+	onDisk, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := analytic.EncodeCalibration(first.Calibration); !bytes.Equal(onDisk, want) {
+		t.Fatalf("artifact not overwritten:\n%s", onDisk)
+	}
+	m1.Close()
+	st.Close()
+
+	st2, err := jobstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	m2 := newTestManager(t, Options{Workers: 1, Store: st2})
+	again, err := m2.Estimate(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.CacheHit || m2.estCalibrations.Load() != 0 {
+		t.Fatalf("restart recalibrated: cache_hit %v, %d calibrations", again.CacheHit, m2.estCalibrations.Load())
+	}
+	if again.Estimate != first.Estimate {
+		t.Fatalf("restart served a different estimate:\n%+v\n%+v", first.Estimate, again.Estimate)
 	}
 }
 
