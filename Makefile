@@ -99,8 +99,8 @@ bench-go:
 bench-figures:
 	$(GO) test -bench='Fig|Table' -benchtime 1x -v .
 
-# Regenerate the calibration outputs under results/ (256 s wall on a
-# 2-vCPU Xeon with Go 1.24).
+# Regenerate the calibration outputs under results/ (173-181 s wall over
+# two runs on a 2-vCPU Xeon with Go 1.24).
 experiments:
 	mkdir -p results
 	$(GO) run ./cmd/compressprofile                     > results/fig2.txt

@@ -217,19 +217,15 @@ func quickForecastCfg() forecast.Config {
 	return f
 }
 
-func runForecastBench(b *testing.B, mutate func(*core.Config), specs []experiments.ForecastSpec) []experiments.PolicyForecast {
+func runForecastBench(b *testing.B, mutate func(*core.Config), specs []experiments.Variant) []experiments.PolicyForecast {
 	b.Helper()
 	base := benchBase()
 	if mutate != nil {
 		mutate(&base)
 	}
 	var fs []experiments.PolicyForecast
-	var err error
 	for i := 0; i < b.N; i++ {
-		fs, _, err = experiments.ForecastComparison(base, specs, benchMixes, quickForecastCfg())
-		if err != nil {
-			b.Fatal(err)
-		}
+		fs, _ = experiments.ForecastComparison(base, specs, benchMixes, experiments.SimulateCell(quickForecastCfg()))
 	}
 	bound := 0.0
 	if up, ok := experiments.FindSpec(fs, "SRAM16"); ok {
@@ -314,7 +310,7 @@ func BenchmarkFig11bNVMLatency(b *testing.B) {
 // BenchmarkFig11cEqualizedCost reduces CP_SD's NVM ways to 11 and 10 so
 // its total storage matches LHybrid's (§V-G).
 func BenchmarkFig11cEqualizedCost(b *testing.B) {
-	specs := []experiments.ForecastSpec{
+	specs := []experiments.Variant{
 		{Label: "LHybrid", Mutate: func(c *core.Config) { c.PolicyName = "LHybrid" }},
 		{Label: "CP_SD", Mutate: func(c *core.Config) { c.PolicyName = "CP_SD" }},
 		{Label: "CP_SD-11w", Mutate: func(c *core.Config) { c.PolicyName = "CP_SD"; c.NVMWays = 11 }},
@@ -458,14 +454,10 @@ func BenchmarkAblationNoMigration(b *testing.B) {
 // bench reports each policy's total relative to BH).
 func BenchmarkEnergyComparison(b *testing.B) {
 	var rows []experiments.EnergyRow
-	var err error
 	for i := 0; i < b.N; i++ {
-		rows, _, err = experiments.EnergyComparison(benchBase(),
+		rows, _ = experiments.EnergyComparison(benchBase(),
 			[]string{"BH", "BH_CP", "LHybrid", "TAP", "CP_SD"}, benchMixes,
 			benchWarmup, benchMeasure)
-		if err != nil {
-			b.Fatal(err)
-		}
 	}
 	for _, r := range rows {
 		b.Logf("%-8s %s  (%.3f of BH, %.4f mJ/KI, IPC %.4f)",

@@ -50,11 +50,5 @@ func main() {
 		fmt.Fprintln(os.Stderr, "appstudy:", err)
 		os.Exit(1)
 	}
-	if fails := cliutil.Failures(results); len(fails) > 0 {
-		fmt.Fprintf(os.Stderr, "appstudy: %d of %d applications failed:\n", len(fails), len(results))
-		for _, f := range fails {
-			fmt.Fprintf(os.Stderr, "  %s [%s]: %v\n", f.Name, f.Kind(), f.Err)
-		}
-		os.Exit(1)
-	}
+	cliutil.ExitIfFailed("appstudy", results)
 }

@@ -46,13 +46,14 @@ func main() {
 	}
 
 	var rep *report.Report
+	var results []cliutil.TaskResult // Fig. 8 and the epoch sweep fail whole
 	switch {
 	case *fig8:
 		rep, err = runFig8(cfg, mixes)
 	case *epochSweep:
 		rep, err = runEpochSweep(cfg, mixes, *warmup, *measure)
 	default:
-		rep, err = runFig67(cfg, mixes, *warmup, *measure)
+		rep, results, err = runFig67(cfg, mixes, *warmup, *measure)
 	}
 	if err != nil {
 		fatal(err)
@@ -60,12 +61,13 @@ func main() {
 	if err := rep.Write(os.Stdout, report.FormatOf(*jsonOut, *csvOut)); err != nil {
 		fatal(err)
 	}
+	cliutil.ExitIfFailed("cpthsweep", results)
 }
 
-func runFig67(cfg core.Config, mixes []int, warmup, measure uint64) (*report.Report, error) {
+func runFig67(cfg core.Config, mixes []int, warmup, measure uint64) (*report.Report, []cliutil.TaskResult, error) {
 	sweep, results, err := experiments.Fig6And7CPthSweep(cfg, mixes, warmup, measure)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	rep := report.NewReport("Fig. 6 / Fig. 7 — normalised to BH")
 	rep.AddField("cpsd_hits_vs_bh", sweep.NormalizedHitRate(sweep.CPSDHits))
@@ -81,7 +83,7 @@ func runFig67(cfg core.Config, mixes []int, warmup, measure uint64) (*report.Rep
 	}
 	rep.AddTable(tab)
 	cliutil.AddRunSummary(rep, results)
-	return rep, nil
+	return rep, results, nil
 }
 
 func runFig8(cfg core.Config, mixes []int) (*report.Report, error) {

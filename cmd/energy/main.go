@@ -40,10 +40,7 @@ func main() {
 	}
 
 	policies := []string{"BH", "BH_CP", "LHybrid", "TAP", "CA_RWR", "CP_SD", "CP_SD_Th"}
-	rows, results, err := experiments.EnergyComparison(cfg, policies, mixes, *warmup, *measure)
-	if err != nil {
-		fatal(err)
-	}
+	rows, results := experiments.EnergyComparison(cfg, policies, mixes, *warmup, *measure)
 
 	rep := report.NewReport("LLC energy per policy (mJ per measurement window)")
 	tab := report.New("energy breakdown",
@@ -58,6 +55,7 @@ func main() {
 	if err := rep.Write(os.Stdout, report.FormatOf(*jsonOut, *csvOut)); err != nil {
 		fatal(err)
 	}
+	cliutil.ExitIfFailed("energy", results)
 }
 
 func fatal(err error) {

@@ -76,16 +76,11 @@ func main() {
 	fcfg.WarmupCycles = *warm
 	fcfg.CapacityStep = *step
 
-	var fs []experiments.PolicyForecast
-	var results []cliutil.TaskResult
+	cell := experiments.SimulateCell(fcfg)
 	if *analyticFast {
-		fs, results, err = experiments.AnalyticComparison(cfg, specs, mixes, *warm, *phase)
-	} else {
-		fs, results, err = experiments.ForecastComparison(cfg, specs, mixes, fcfg)
+		cell = experiments.EstimateCell(*warm, *phase)
 	}
-	if err != nil {
-		fatal(err)
-	}
+	fs, results := experiments.ForecastComparison(cfg, specs, mixes, cell)
 
 	// Normalise to the SRAM16 upper bound if it was run.
 	bound := 0.0
@@ -157,6 +152,7 @@ func main() {
 	if err := rep.Write(os.Stdout, report.FormatOf(*jsonOut, *csvOut)); err != nil {
 		fatal(err)
 	}
+	cliutil.ExitIfFailed("forecast", results)
 }
 
 func fatal(err error) {

@@ -50,6 +50,7 @@ func main() {
 	if err := rep.Write(os.Stdout, report.FormatOf(*jsonOut, *csvOut)); err != nil {
 		fatal(err)
 	}
+	cliutil.ExitIfFailed("thsweep", results)
 }
 
 func fatal(err error) {

@@ -13,11 +13,12 @@ import (
 )
 
 // This file is the hardened fan-out runner shared by the long-running
-// experiment drivers (cpthsweep, thsweep, appstudy, forecast,
-// faultstudy). Every task runs behind a recover() barrier; failures
-// become structured records instead of aborting the whole sweep, so an
-// hours-long run always produces a report — with the casualties listed
-// in it.
+// experiment drivers: the experiments package's cell grid behind
+// cpthsweep, thsweep, energy and forecast, and the per-application
+// study behind appstudy. Every task runs behind a recover() barrier;
+// failures become structured records instead of aborting the whole
+// sweep, so an hours-long run always produces a report — with the
+// casualties listed in it — and then exits 1 (ExitIfFailed).
 
 // PanicTaskEnv names the environment variable that makes the pool panic
 // inside the task whose Name matches its value. It exists to prove the
@@ -163,4 +164,19 @@ func AddRunSummary(rep *report.Report, results []TaskResult) {
 	if t := FailureTable(results); t != nil {
 		rep.AddTable(t)
 	}
+}
+
+// ExitIfFailed is how every multi-cell command ends once its report is
+// written: when any task failed it names each failure on stderr and
+// exits 1, so a partial figure never passes for a whole one.
+func ExitIfFailed(cmd string, results []TaskResult) {
+	fails := Failures(results)
+	if len(fails) == 0 {
+		return
+	}
+	fmt.Fprintf(os.Stderr, "%s: %d of %d tasks failed:\n", cmd, len(fails), len(results))
+	for _, f := range fails {
+		fmt.Fprintf(os.Stderr, "  %s [%s]: %v\n", f.Name, f.Kind(), f.Err)
+	}
+	os.Exit(1)
 }

@@ -295,42 +295,6 @@ func Measure(sys *hier.System, warmupCycles, measureCycles uint64) Summary {
 	return s
 }
 
-// MeasureMixes runs the same config across several mixes and returns the
-// per-mix summaries plus the across-mix means of IPC, hit rate and NVM
-// bytes (the paper averages its ten multiprogrammed mixes).
-func MeasureMixes(base Config, mixes []int, warmup, measure uint64) ([]Summary, Summary, error) {
-	if len(mixes) == 0 {
-		return nil, Summary{}, fmt.Errorf("core: no mixes")
-	}
-	out := make([]Summary, 0, len(mixes))
-	var mean Summary
-	for _, m := range mixes {
-		cfg := base
-		cfg.MixID = m
-		sys, err := cfg.Build()
-		if err != nil {
-			return nil, Summary{}, err
-		}
-		s := Measure(sys, warmup, measure)
-		out = append(out, s)
-		mean.MeanIPC += s.MeanIPC
-		mean.HitRate += s.HitRate
-		mean.Hits += s.Hits
-		mean.Misses += s.Misses
-		mean.NVMBytesWritten += s.NVMBytesWritten
-		mean.NVMBlockWrites += s.NVMBlockWrites
-	}
-	n := float64(len(mixes))
-	mean.Policy = out[0].Policy
-	mean.MeanIPC /= n
-	mean.HitRate /= n
-	mean.Hits = uint64(float64(mean.Hits) / n)
-	mean.Misses = uint64(float64(mean.Misses) / n)
-	mean.NVMBytesWritten = uint64(float64(mean.NVMBytesWritten) / n)
-	mean.NVMBlockWrites = uint64(float64(mean.NVMBlockWrites) / n)
-	return out, mean, nil
-}
-
 // AllMixes returns every registered mix index: the paper's Table V set
 // (0..9) plus the skewed-traffic scenario mixes.
 func AllMixes() []int {

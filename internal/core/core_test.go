@@ -153,24 +153,6 @@ func TestMeasure(t *testing.T) {
 	}
 }
 
-func TestMeasureMixes(t *testing.T) {
-	cfg := QuickConfig()
-	sums, mean, err := MeasureMixes(cfg, []int{0, 1}, 100_000, 300_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(sums) != 2 {
-		t.Fatalf("%d summaries", len(sums))
-	}
-	wantIPC := (sums[0].MeanIPC + sums[1].MeanIPC) / 2
-	if math.Abs(mean.MeanIPC-wantIPC) > 1e-12 {
-		t.Errorf("mean IPC %v, want %v", mean.MeanIPC, wantIPC)
-	}
-	if _, _, err := MeasureMixes(cfg, nil, 1, 1); err == nil {
-		t.Error("empty mix list accepted")
-	}
-}
-
 func TestAllMixes(t *testing.T) {
 	// The paper's ten Table V mixes plus the skewed-traffic scenarios
 	// (zipfian set pressure, multi-tenant interference).

@@ -5,12 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/cliutil"
-	"repro/internal/core"
 	"repro/internal/forecast"
 )
 
 // TestAnalyticDifferentialAccuracy is the differential accuracy suite:
-// the analytic estimator against the full forecast over three seeded
+// the analytic estimator against the full forecast over four seeded
 // mixes × three policies, every cell required to respect the estimate's
 // own reported error bounds. The calibration window is deliberately
 // SHORTER than the forecast's phase window — with equal windows the
@@ -23,22 +22,10 @@ func TestAnalyticDifferentialAccuracy(t *testing.T) {
 	fcfg.PhaseCycles = 800_000
 	fcfg.CapacityStep = 0.125
 	fcfg.MaxPhases = 8
-	specs := []ForecastSpec{
-		{"BH", func(c *core.Config) { c.PolicyName = "BH" }},
-		{"LHybrid", func(c *core.Config) { c.PolicyName = "LHybrid" }},
-		{"CP_SD", func(c *core.Config) { c.PolicyName = "CP_SD" }},
-	}
-	// Mix 5 is excluded deliberately: LHybrid's write behavior there
-	// changes qualitatively as the array ages (the forecast censors only
-	// after re-measuring an aged cache), which no young-window model can
-	// see — the estimator's validity domain is cells whose censoring
-	// verdict is age-stable.
-	mixes := []int{0, 3, 6}
+	specs := []Variant{policyVariant("BH"), policyVariant("LHybrid"), policyVariant("CP_SD")}
+	mixes := []int{0, 3, 4, 6}
 
-	cells, taskResults, err := AnalyticValidation(base, specs, mixes, fcfg, 200_000, 600_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cells, taskResults := AnalyticValidation(base, specs, mixes, fcfg, 200_000, 600_000)
 	if fails := cliutil.Failures(taskResults); len(fails) != 0 {
 		t.Fatalf("task failures: %+v", fails)
 	}
@@ -72,20 +59,14 @@ func TestAnalyticDifferentialAccuracy(t *testing.T) {
 // error, 0.153.
 const steadyLifetimeBound = 0.40
 
-// TestAnalyticComparisonQuick pins the fast-path counterpart of
-// ForecastComparison (cmd/forecast -analytic): same aggregate shape,
-// one calibration per cell.
+// TestAnalyticComparisonQuick pins ForecastComparison on the one-step
+// EstimateCell (cmd/forecast -analytic): same aggregate shape, one
+// calibration per cell.
 func TestAnalyticComparisonQuick(t *testing.T) {
 	base := quickBase()
 	base.EnduranceMean = 2e4
-	specs := []ForecastSpec{
-		{"BH", func(c *core.Config) { c.PolicyName = "BH" }},
-		{"SRAM16", func(c *core.Config) { c.PolicyName = "SRAM16" }},
-	}
-	fs, taskResults, err := AnalyticComparison(base, specs, []int{0}, 200_000, 400_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := []Variant{policyVariant("BH"), policyVariant("SRAM16")}
+	fs, taskResults := ForecastComparison(base, specs, []int{0}, EstimateCell(200_000, 400_000))
 	if fails := cliutil.Failures(taskResults); len(fails) != 0 {
 		t.Fatalf("task failures: %+v", fails)
 	}

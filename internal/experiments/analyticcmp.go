@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"math"
 
 	"repro/internal/analytic"
@@ -12,69 +11,44 @@ import (
 )
 
 // This file connects the analytic fast path to the experiment harness:
-// AnalyticComparison is the fast-path counterpart of ForecastComparison
-// (one calibration per cell instead of a full forecast — cmd/forecast
+// EstimateCell is the one-step lifetime cell of ForecastComparison (one
+// calibration per cell instead of a full forecast — cmd/forecast
 // -analytic), and AnalyticValidation is the cross-validation that fits
 // and polices the estimator's error bounds by running both paths per
 // cell (the differential accuracy suite pins it).
 
-// AnalyticSpecFor derives the estimate spec for a config and a
-// calibration window, with the paper's 50% capacity target.
-func AnalyticSpecFor(cfg core.Config, warmupCycles, calibrationCycles uint64) analytic.Spec {
-	return analytic.Spec{
-		Config:            cfg,
-		WarmupCycles:      warmupCycles,
-		CalibrationCycles: calibrationCycles,
-		TargetCapacity:    0.5,
-	}
+// calibrate runs a cell's one-step forecast: analytic.Calibrate over
+// one calibration window, to the paper's 50% capacity target.
+func calibrate(cfg core.Config, warmupCycles, calibrationCycles uint64) (*analytic.Calibration, error) {
+	return analytic.Calibrate(context.Background(), analytic.Spec{Config: cfg,
+		WarmupCycles: warmupCycles, CalibrationCycles: calibrationCycles, TargetCapacity: 0.5})
 }
 
-// synthResult lifts a calibration into a one-point forecast.Result so
-// the analytic comparison reuses every forecast aggregate and renderer
-// (PolicyForecast, IPCAt, the cmd/forecast tables).
-func synthResult(label string, cal *analytic.Calibration) forecast.Result {
-	res := forecast.Result{
-		Policy: label,
-		Points: []forecast.Point{{
-			Capacity:    1,
-			MeanIPC:     cal.YoungIPC,
-			HitRate:     cal.HitRate,
-			NVMByteRate: cal.NVMByteRate,
-		}},
-		LifetimeSeconds: cal.LifetimeSeconds,
+// EstimateCell is the one-step forecast: one analytic.Calibrate per
+// cell, lifted into a one-point forecast.Result so the comparison
+// reuses every forecast aggregate and renderer (PolicyForecast, IPCAt,
+// the cmd/forecast tables).
+func EstimateCell(warmupCycles, calibrationCycles uint64) ForecastCell {
+	return func(v Variant, cfg core.Config) (forecast.Result, error) {
+		cal, err := calibrate(cfg, warmupCycles, calibrationCycles)
+		if err != nil {
+			return forecast.Result{}, err
+		}
+		res := forecast.Result{
+			Policy: v.Label,
+			Points: []forecast.Point{{
+				Capacity:    1,
+				MeanIPC:     cal.YoungIPC,
+				HitRate:     cal.HitRate,
+				NVMByteRate: cal.NVMByteRate,
+			}},
+			LifetimeSeconds: cal.LifetimeSeconds,
+		}
+		if cal.Censored {
+			res.LifetimeSeconds = math.Inf(1)
+		}
+		return res, nil
 	}
-	if cal.Censored {
-		res.LifetimeSeconds = math.Inf(1)
-	}
-	return res
-}
-
-// AnalyticComparison is ForecastComparison on the fast path: one
-// calibration per (spec, mix) cell, the forecast loop with a single
-// capacity step. Cells run in parallel on the hardened pool; a
-// failed cell is dropped from its policy's aggregates and reported in
-// the task records.
-func AnalyticComparison(base core.Config, specs []ForecastSpec, mixes []int, warmupCycles, calibrationCycles uint64) ([]PolicyForecast, []cliutil.TaskResult, error) {
-	results := make([]forecast.Result, len(specs)*len(mixes))
-	tasks := make([]cliutil.Task, len(results))
-	for i := range tasks {
-		i := i
-		spec := specs[i/len(mixes)]
-		m := mixes[i%len(mixes)]
-		tasks[i] = cliutil.Task{Name: fmt.Sprintf("curve=%s/mix=%d", spec.Label, m+1), Run: func() error {
-			cfg := base
-			cfg.MixID = m
-			spec.Mutate(&cfg)
-			cal, err := analytic.Calibrate(context.Background(), AnalyticSpecFor(cfg, warmupCycles, calibrationCycles))
-			if err != nil {
-				return err
-			}
-			results[i] = synthResult(spec.Label, cal)
-			return nil
-		}}
-	}
-	taskResults := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
-	return aggregateForecasts(specs, mixes, results, taskResults), taskResults, nil
 }
 
 // AnalyticCell is one cross-validated (policy, mix) cell: the exact
@@ -119,64 +93,49 @@ func relErr(est, ref float64) float64 {
 
 // AnalyticValidation cross-validates the analytic estimator against the
 // full forecast over a mix × policy matrix: each cell runs both paths
-// (in parallel across cells on the hardened pool) and reports the
-// relative errors. Each estimate carries the bounds the service would
-// report, so callers can assert cell.WithinBounds — exactly what the
-// differential accuracy suite does.
-func AnalyticValidation(base core.Config, specs []ForecastSpec, mixes []int, fcfg forecast.Config, warmupCycles, calibrationCycles uint64) ([]AnalyticCell, []cliutil.TaskResult, error) {
-	cells := make([]AnalyticCell, len(specs)*len(mixes))
-	ok := make([]bool, len(cells))
-	tasks := make([]cliutil.Task, len(cells))
-	for i := range tasks {
-		i := i
-		spec := specs[i/len(mixes)]
-		m := mixes[i%len(mixes)]
-		tasks[i] = cliutil.Task{Name: fmt.Sprintf("curve=%s/mix=%d", spec.Label, m+1), Run: func() error {
-			cfg := base
-			cfg.MixID = m
-			spec.Mutate(&cfg)
+// and reports the relative errors; failed cells are left out and
+// reported in the task records. Each estimate carries the bounds the
+// service would report, so callers can assert cell.WithinBounds —
+// exactly what the differential accuracy suite does.
+func AnalyticValidation(base core.Config, curves []Variant, mixes []int, fcfg forecast.Config, warmupCycles, calibrationCycles uint64) ([]AnalyticCell, []cliutil.TaskResult) {
+	g := runGrid(base, curves, mixes, func(_ int, cfg core.Config) (AnalyticCell, error) {
+		sim, err := SimulateCell(fcfg)(Variant{}, cfg)
+		if err != nil {
+			return AnalyticCell{}, err
+		}
+		cal, err := calibrate(cfg, warmupCycles, calibrationCycles)
+		if err != nil {
+			return AnalyticCell{}, err
+		}
 
-			sys, err := cfg.Build()
-			if err != nil {
-				return err
+		cell := AnalyticCell{
+			Policy:            cal.Policy,
+			Mix:               cfg.MixID,
+			SimCensored:       math.IsInf(sim.LifetimeSeconds, 1),
+			SimLifetimeMonths: sim.LifetimeMonths(),
+			Est:               cal.Estimate(),
+		}
+		if len(sim.Points) > 0 {
+			cell.SimYoungIPC = sim.Points[0].MeanIPC
+		}
+		cell.IPCRelErr = relErr(cell.Est.YoungIPC, cell.SimYoungIPC)
+		switch {
+		case cell.SimCensored && cell.Est.Censored:
+			cell.LifetimeRelErr = 0
+		case cell.SimCensored != cell.Est.Censored:
+			cell.LifetimeRelErr = math.Inf(1)
+		default:
+			cell.LifetimeRelErr = relErr(cell.Est.LifetimeMonths, cell.SimLifetimeMonths)
+		}
+		return cell, nil
+	})
+	var out []AnalyticCell
+	for v, row := range g.rows {
+		for m, cell := range row {
+			if !g.failed(v, m) {
+				out = append(out, cell)
 			}
-			sim := forecast.Run(sys, fcfg)
-
-			cal, err := analytic.Calibrate(context.Background(), AnalyticSpecFor(cfg, warmupCycles, calibrationCycles))
-			if err != nil {
-				return err
-			}
-
-			cell := AnalyticCell{
-				Policy:            cal.Policy,
-				Mix:               m,
-				SimCensored:       math.IsInf(sim.LifetimeSeconds, 1),
-				SimLifetimeMonths: sim.LifetimeMonths(),
-				Est:               cal.Estimate(),
-			}
-			if len(sim.Points) > 0 {
-				cell.SimYoungIPC = sim.Points[0].MeanIPC
-			}
-			cell.IPCRelErr = relErr(cell.Est.YoungIPC, cell.SimYoungIPC)
-			switch {
-			case cell.SimCensored && cell.Est.Censored:
-				cell.LifetimeRelErr = 0
-			case cell.SimCensored != cell.Est.Censored:
-				cell.LifetimeRelErr = math.Inf(1)
-			default:
-				cell.LifetimeRelErr = relErr(cell.Est.LifetimeMonths, cell.SimLifetimeMonths)
-			}
-			cells[i] = cell
-			ok[i] = true
-			return nil
-		}}
-	}
-	taskResults := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
-	out := cells[:0]
-	for i := range cells {
-		if ok[i] {
-			out = append(out, cells[i])
 		}
 	}
-	return out, taskResults, nil
+	return out, g.results
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -21,61 +19,64 @@ type EnergyRow struct {
 // mixes. It mirrors the motivation of TAP ([32] reports −25% LLC energy
 // vs LRU): NVM-conservative policies avoid expensive NVM writes, and
 // compression shrinks each write that remains.
-// A failed policy is dropped from the result (and from the BH
-// normalisation) and reported in the returned task records.
-func EnergyComparison(base core.Config, policies []string, mixes []int, warmup, measure uint64) ([]EnergyRow, []cliutil.TaskResult, error) {
+// A policy with a failed cell is dropped from the result (and from the
+// BH normalisation) and its failures are reported in the task records.
+func EnergyComparison(base core.Config, policies []string, mixes []int, warmup, measure uint64) ([]EnergyRow, []cliutil.TaskResult) {
 	model := energy.Default()
-	rows := make([]EnergyRow, len(policies))
-	tasks := make([]cliutil.Task, len(policies))
-	for pi := range tasks {
-		pi := pi
-		name := policies[pi]
-		tasks[pi] = cliutil.Task{Name: fmt.Sprintf("policy=%s", name), Run: func() error {
-			var agg energy.Breakdown
-			var instr uint64
-			var ipc float64
-			for _, m := range mixes {
-				cfg := base
-				cfg.MixID = m
-				cfg.PolicyName = name
-				cfg.Th = 4
-				sys, err := cfg.Build()
-				if err != nil {
-					return err
-				}
-				sys.Run(warmup)
-				r := sys.Run(measure)
-				g := energy.Geometry{
-					Sets:     sys.LLC().Sets(),
-					SRAMWays: sys.LLC().SRAMWays(),
-					NVMWays:  sys.LLC().NVMWays(),
-				}
-				b := model.Window(r.LLC, r.Cycles, g)
-				agg.SRAMDynamic += b.SRAMDynamic
-				agg.NVMDynamic += b.NVMDynamic
-				agg.TagDynamic += b.TagDynamic
-				agg.SRAMLeak += b.SRAMLeak
-				agg.NVMLeak += b.NVMLeak
-				for _, n := range r.Insts {
-					instr += n
-				}
-				ipc += r.MeanIPC / float64(len(mixes))
-			}
-			rows[pi] = EnergyRow{
-				Policy:    name,
-				Breakdown: agg,
-				PerKI:     energy.PerKiloInstr(agg, instr),
-				MeanIPC:   ipc,
-			}
-			return nil
+	type window struct {
+		energy energy.Breakdown
+		instr  uint64
+		ipc    float64
+	}
+	variants := make([]Variant, len(policies))
+	for i, name := range policies {
+		variants[i] = Variant{name, func(c *core.Config) {
+			c.PolicyName = name
+			c.Th = 4
 		}}
 	}
-	results := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
-	var out []EnergyRow
-	for pi, r := range results {
-		if !r.Failed() {
-			out = append(out, rows[pi])
+	g := runGrid(base, variants, mixes, func(_ int, cfg core.Config) (window, error) {
+		sys, err := cfg.Build()
+		if err != nil {
+			return window{}, err
 		}
+		sys.Run(warmup)
+		r := sys.Run(measure)
+		geo := energy.Geometry{
+			Sets:     sys.LLC().Sets(),
+			SRAMWays: sys.LLC().SRAMWays(),
+			NVMWays:  sys.LLC().NVMWays(),
+		}
+		w := window{energy: model.Window(r.LLC, r.Cycles, geo), ipc: r.MeanIPC}
+		for _, n := range r.Insts {
+			w.instr += n
+		}
+		return w, nil
+	})
+	var out []EnergyRow
+	for i, name := range policies {
+		row, ok := g.row(i)
+		if !ok {
+			continue
+		}
+		var agg energy.Breakdown
+		var instr uint64
+		var ipc float64
+		for _, w := range row {
+			agg.SRAMDynamic += w.energy.SRAMDynamic
+			agg.NVMDynamic += w.energy.NVMDynamic
+			agg.TagDynamic += w.energy.TagDynamic
+			agg.SRAMLeak += w.energy.SRAMLeak
+			agg.NVMLeak += w.energy.NVMLeak
+			instr += w.instr
+			ipc += w.ipc / float64(len(mixes))
+		}
+		out = append(out, EnergyRow{
+			Policy:    name,
+			Breakdown: agg,
+			PerKI:     energy.PerKiloInstr(agg, instr),
+			MeanIPC:   ipc,
+		})
 	}
 	var bhTotal float64
 	for _, row := range out {
@@ -88,5 +89,5 @@ func EnergyComparison(base core.Config, policies []string, mixes []int, warmup, 
 			out[i].RelativeToBH = out[i].Breakdown.Total() / bhTotal
 		}
 	}
-	return out, results, nil
+	return out, g.results
 }

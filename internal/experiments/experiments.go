@@ -3,8 +3,10 @@
 // structured result; the cmd tools and the benchmark harness render these
 // to text. EXPERIMENTS.md records paper-vs-measured values.
 //
-// Sweeps fan their configurations out on the shared cliutil pool. Results
-// equal the serial order because each task writes only to its own index.
+// Every figure is a grid of variants crossed with mixes; runGrid runs
+// each (variant, mix) cell on the shared cliutil pool, and each driver
+// folds the cells over the mixes. Results equal the serial order because
+// each task writes only to its own cell.
 package experiments
 
 import (

@@ -183,14 +183,8 @@ func TestForecastComparisonQuick(t *testing.T) {
 	fcfg.PhaseCycles = 800_000
 	fcfg.CapacityStep = 0.125
 	fcfg.MaxPhases = 8
-	specs := []ForecastSpec{
-		{"BH", func(c *core.Config) { c.PolicyName = "BH" }},
-		{"CP_SD", func(c *core.Config) { c.PolicyName = "CP_SD" }},
-	}
-	fs, taskResults, err := ForecastComparison(base, specs, []int{0}, fcfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	specs := []Variant{policyVariant("BH"), policyVariant("CP_SD")}
+	fs, taskResults := ForecastComparison(base, specs, []int{0}, SimulateCell(fcfg))
 	if fails := cliutil.Failures(taskResults); len(fails) != 0 {
 		t.Fatalf("task failures: %+v", fails)
 	}
@@ -234,9 +228,9 @@ func TestNormalizeTo(t *testing.T) {
 }
 
 func TestEnergyComparison(t *testing.T) {
-	rows, _, err := EnergyComparison(quickBase(), []string{"BH", "LHybrid", "CP_SD"}, []int{0}, 300_000, 1_500_000)
-	if err != nil {
-		t.Fatal(err)
+	rows, taskResults := EnergyComparison(quickBase(), []string{"BH", "LHybrid", "CP_SD"}, []int{0}, 300_000, 1_500_000)
+	if fails := cliutil.Failures(taskResults); len(fails) != 0 {
+		t.Fatalf("task failures: %+v", fails)
 	}
 	if len(rows) != 3 {
 		t.Fatalf("%d rows", len(rows))

@@ -10,25 +10,18 @@ import (
 	"repro/internal/forecast"
 )
 
-// ForecastSpec names one curve of Figs. 1/10/11 and how to derive its
-// configuration from the base.
-type ForecastSpec struct {
-	Label  string
-	Mutate func(*core.Config)
-}
-
 // StandardForecastSpecs returns the paper's Fig. 1 / Fig. 10a curve set:
 // the two SRAM bounds, BH, BH_CP, LHybrid, TAP, CP_SD and the Th4/Th8
 // rule variants.
-func StandardForecastSpecs() []ForecastSpec {
-	return []ForecastSpec{
-		{"SRAM16", func(c *core.Config) { c.PolicyName = "SRAM16" }},
-		{"SRAM4", func(c *core.Config) { c.PolicyName = "SRAM4" }},
-		{"BH", func(c *core.Config) { c.PolicyName = "BH" }},
-		{"BH_CP", func(c *core.Config) { c.PolicyName = "BH_CP" }},
-		{"LHybrid", func(c *core.Config) { c.PolicyName = "LHybrid" }},
-		{"TAP", func(c *core.Config) { c.PolicyName = "TAP" }},
-		{"CP_SD", func(c *core.Config) { c.PolicyName = "CP_SD" }},
+func StandardForecastSpecs() []Variant {
+	return []Variant{
+		policyVariant("SRAM16"),
+		policyVariant("SRAM4"),
+		policyVariant("BH"),
+		policyVariant("BH_CP"),
+		policyVariant("LHybrid"),
+		policyVariant("TAP"),
+		policyVariant("CP_SD"),
 		{"CP_SD_Th4", func(c *core.Config) { c.PolicyName = "CP_SD_Th"; c.Th = 4; c.Tw = 5 }},
 		{"CP_SD_Th8", func(c *core.Config) { c.PolicyName = "CP_SD_Th"; c.Th = 8; c.Tw = 5 }},
 	}
@@ -45,9 +38,9 @@ func ForecastLabels() []string {
 }
 
 // CoreForecastSpecs is the subset used by quick harness runs.
-func CoreForecastSpecs() []ForecastSpec {
+func CoreForecastSpecs() []Variant {
 	all := StandardForecastSpecs()
-	out := make([]ForecastSpec, 0, 5)
+	out := make([]Variant, 0, 5)
 	for _, s := range all {
 		switch s.Label {
 		case "SRAM16", "BH", "LHybrid", "CP_SD":
@@ -58,8 +51,8 @@ func CoreForecastSpecs() []ForecastSpec {
 }
 
 // SelectForecastSpecs resolves a CLI curve selector — "standard", "core",
-// or a comma-separated list of curve labels — to forecast specs.
-func SelectForecastSpecs(arg string) ([]ForecastSpec, error) {
+// or a comma-separated list of curve labels — to forecast curves.
+func SelectForecastSpecs(arg string) ([]Variant, error) {
 	switch arg {
 	case "standard":
 		return StandardForecastSpecs(), nil
@@ -67,7 +60,7 @@ func SelectForecastSpecs(arg string) ([]ForecastSpec, error) {
 		return CoreForecastSpecs(), nil
 	}
 	all := StandardForecastSpecs()
-	var out []ForecastSpec
+	var out []Variant
 	for _, tok := range strings.Split(arg, ",") {
 		label := strings.TrimSpace(tok)
 		found := false
@@ -104,54 +97,42 @@ type PolicyForecast struct {
 	InitialIPC float64
 }
 
-// ForecastComparison runs the forecast for each spec across the mixes.
-// The (spec, mix) simulations are independent and run in parallel on the
-// hardened pool: a failed cell is excluded from its policy's aggregates
-// and reported in the returned task records instead of aborting the
-// whole comparison.
-func ForecastComparison(base core.Config, specs []ForecastSpec, mixes []int, fcfg forecast.Config) ([]PolicyForecast, []cliutil.TaskResult, error) {
-	results := make([]forecast.Result, len(specs)*len(mixes))
-	tasks := make([]cliutil.Task, len(results))
-	for i := range tasks {
-		i := i
-		spec := specs[i/len(mixes)]
-		m := mixes[i%len(mixes)]
-		tasks[i] = cliutil.Task{Name: fmt.Sprintf("curve=%s/mix=%d", spec.Label, m+1), Run: func() error {
-			cfg := base
-			cfg.MixID = m
-			spec.Mutate(&cfg)
-			sys, err := cfg.Build()
-			if err != nil {
-				return err
-			}
-			results[i] = forecast.Run(sys, fcfg)
-			return nil
-		}}
+// ForecastCell computes one (curve, mix) cell of a lifetime comparison
+// from the curve and the cell's config.
+type ForecastCell func(v Variant, cfg core.Config) (forecast.Result, error)
+
+// SimulateCell is the full aging forecast: forecast.Run on the cell's
+// system.
+func SimulateCell(fcfg forecast.Config) ForecastCell {
+	return func(_ Variant, cfg core.Config) (forecast.Result, error) {
+		sys, err := cfg.Build()
+		if err != nil {
+			return forecast.Result{}, err
+		}
+		return forecast.Run(sys, fcfg), nil
 	}
-	taskResults := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
-	return aggregateForecasts(specs, mixes, results, taskResults), taskResults, nil
 }
 
-// aggregateForecasts folds per-cell forecast results into per-policy
-// aggregates, dropping failed cells. Shared by the full forecast
-// comparison and its analytic fast-path counterpart, which synthesizes
-// one-point forecast.Results from calibrations.
-func aggregateForecasts(specs []ForecastSpec, mixes []int, results []forecast.Result, taskResults []cliutil.TaskResult) []PolicyForecast {
-	out := make([]PolicyForecast, 0, len(specs))
-	for si, spec := range specs {
-		pf := PolicyForecast{Label: spec.Label}
+// ForecastComparison runs a lifetime cell for each curve across the
+// mixes — the full forecast (SimulateCell) or its one-step analytic case
+// (EstimateCell). A failed cell is excluded from its curve's aggregates
+// and reported in the returned task records instead of aborting the
+// whole comparison.
+func ForecastComparison(base core.Config, curves []Variant, mixes []int, cell ForecastCell) ([]PolicyForecast, []cliutil.TaskResult) {
+	g := runGrid(base, curves, mixes, func(v int, cfg core.Config) (forecast.Result, error) {
+		return cell(curves[v], cfg)
+	})
+	out := make([]PolicyForecast, 0, len(curves))
+	for v, curve := range curves {
+		pf := PolicyForecast{Label: curve.Label}
 		var lifeSum float64
 		var lifeN int
 		var ipcSum float64
-		var okMixes int
-		for mi := range mixes {
-			cell := si*len(mixes) + mi
-			if taskResults[cell].Failed() {
+		for m, res := range g.rows[v] {
+			if g.failed(v, m) {
 				continue
 			}
-			res := results[cell]
 			pf.PerMix = append(pf.PerMix, res)
-			okMixes++
 			if math.IsInf(res.LifetimeSeconds, 1) {
 				pf.CensoredMixes++
 			} else {
@@ -167,12 +148,12 @@ func aggregateForecasts(specs []ForecastSpec, mixes []int, results []forecast.Re
 		} else {
 			pf.MeanLifetimeMonths = math.Inf(1)
 		}
-		if okMixes > 0 {
-			pf.InitialIPC = ipcSum / float64(okMixes)
+		if len(pf.PerMix) > 0 {
+			pf.InitialIPC = ipcSum / float64(len(pf.PerMix))
 		}
 		out = append(out, pf)
 	}
-	return out
+	return out, g.results
 }
 
 // IPCAt returns the across-mix mean IPC of a policy at an absolute time,

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/cliutil"
+	"repro/internal/dueling"
 )
 
 func TestPerAppStudySurvivesInjectedPanic(t *testing.T) {
@@ -49,52 +50,84 @@ func TestSelectForecastSpecs(t *testing.T) {
 	}
 }
 
-// TestParallelDeterminism: the parallel harness must produce identical
-// results to a repeated run — each simulation is self-contained.
-func TestParallelDeterminism(t *testing.T) {
-	run := func() CPthSweep {
-		s, _, err := Fig6And7CPthSweep(quickBase(), []int{0}, 150_000, 500_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return s
+// TestFig67FailureRules pins the grid's failure rules on Fig. 6/7: a
+// panic in one CA cell drops exactly that CPth row and is reported; a
+// panic in a cell of the BH reference line fails the sweep.
+func TestFig67FailureRules(t *testing.T) {
+	mixes := []int{0, 3}
+	t.Setenv(cliutil.PanicTaskEnv, "CA/cpth=37/mix=4")
+	sweep, results, err := Fig6And7CPthSweep(quickBase(), mixes, 50_000, 200_000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	a, b := run(), run()
-	if a.BHHits != b.BHHits || a.CPSDHits != b.CPSDHits || a.CPSDBytes != b.CPSDBytes {
-		t.Fatal("parallel sweep not reproducible")
+	if len(sweep.Rows) != len(dueling.DefaultCandidates)-1 {
+		t.Fatalf("%d rows survived, want %d", len(sweep.Rows), len(dueling.DefaultCandidates)-1)
 	}
-	for i := range a.Rows {
-		if a.Rows[i] != b.Rows[i] {
-			t.Fatalf("row %d differs: %+v vs %+v", i, a.Rows[i], b.Rows[i])
+	for _, r := range sweep.Rows {
+		if r.CPth == 37 {
+			t.Fatal("the row of the crashed CA cell survived")
 		}
+	}
+	if n := len(results); n != (2+2*len(dueling.DefaultCandidates))*len(mixes) {
+		t.Fatalf("%d task records, want one per cell", n)
+	}
+	fails := cliutil.Failures(results)
+	if len(fails) != 1 || fails[0].Name != "CA/cpth=37/mix=4" || !fails[0].Panicked {
+		t.Fatalf("failures: %+v", fails)
+	}
+
+	t.Setenv(cliutil.PanicTaskEnv, "BH/mix=1")
+	if _, _, err := Fig6And7CPthSweep(quickBase(), mixes, 50_000, 200_000); err == nil {
+		t.Fatal("a failed BH reference cell did not fail the sweep")
 	}
 }
 
-// TestParallelScalingBench: job-level fan-out is the parallel path, and
-// it must be exact at any width. The CPth sweep pinned to one proc (the
-// pool then runs one task at a time, in order) is the serial baseline;
-// the same sweep at 2 and 4 procs must reproduce it bit for bit.
+// TestParallelScalingBench: cell-level fan-out is the parallel path,
+// and it must be exact at any width. Each grid driver pinned to one
+// proc (the pool then runs one cell at a time, in order) is the serial
+// baseline; the same driver at 2 and 4 procs must reproduce it bit for
+// bit. Two mixes make the mix axis fan out too.
 func TestParallelScalingBench(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	var base CPthSweep
-	for _, procs := range []int{1, 2, 4} {
-		runtime.GOMAXPROCS(procs)
-		s, results, err := Fig6And7CPthSweep(quickBase(), []int{0}, 100_000, 300_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cliutil.ErrOf(results); err != nil {
-			t.Fatalf("procs=%d: %v", procs, err)
-		}
-		if len(s.Rows) == 0 || s.BHHits == 0 {
-			t.Fatalf("procs=%d: empty sweep %+v", procs, s)
-		}
-		if procs == 1 {
-			base = s
-			continue
-		}
-		if !reflect.DeepEqual(s, base) {
-			t.Fatalf("procs=%d: sweep differs from the serial baseline:\n got %+v\nwant %+v", procs, s, base)
-		}
+	mixes := []int{0, 3}
+	const warmup, measure = 100_000, 300_000
+	drivers := []struct {
+		name string
+		run  func() (any, []cliutil.TaskResult, error)
+	}{
+		{"Fig6And7CPthSweep", func() (any, []cliutil.TaskResult, error) {
+			s, results, err := Fig6And7CPthSweep(quickBase(), mixes, warmup, measure)
+			return s, results, err
+		}},
+		{"Fig9ThTradeoff", func() (any, []cliutil.TaskResult, error) {
+			pts, results, err := Fig9ThTradeoff(quickBase(), mixes, []float64{0, 8}, []float64{1.0, 0.8}, 5, warmup, measure)
+			return pts, results, err
+		}},
+		{"EnergyComparison", func() (any, []cliutil.TaskResult, error) {
+			rows, results := EnergyComparison(quickBase(), []string{"BH", "LHybrid", "CP_SD"}, mixes, warmup, measure)
+			return rows, results, nil
+		}},
+	}
+	for _, d := range drivers {
+		t.Run(d.name, func(t *testing.T) {
+			var base any
+			for _, procs := range []int{1, 2, 4} {
+				runtime.GOMAXPROCS(procs)
+				v, results, err := d.run()
+				if err == nil {
+					err = cliutil.ErrOf(results)
+				}
+				if err != nil {
+					t.Fatalf("procs=%d: %v", procs, err)
+				}
+				if procs == 1 {
+					base = v
+					continue
+				}
+				if !reflect.DeepEqual(v, base) {
+					t.Fatalf("procs=%d: result differs from the serial baseline:\n got %+v\nwant %+v", procs, v, base)
+				}
+			}
+		})
 	}
 }

@@ -46,64 +46,71 @@ func (s *CPthSweep) NormalizedBytes(bytes float64) float64 {
 
 // Fig6And7CPthSweep evaluates CA and CA_RWR at every candidate CPth, plus
 // the BH reference and the CP_SD adaptive line, averaged across mixes.
-// Per-threshold failures do not abort the sweep: failed rows are dropped
-// from the result and returned as structured task records; only the
-// reference lines (BH, CP_SD), which the normalisation needs, are fatal.
+// Per-threshold failures do not abort the sweep: a CPth row is dropped
+// when any of its CA or CA_RWR cells failed, and the failures are
+// returned as structured task records; only the reference lines (BH,
+// CP_SD), which the normalisation needs, are fatal.
 func Fig6And7CPthSweep(base core.Config, mixes []int, warmup, measure uint64) (CPthSweep, []cliutil.TaskResult, error) {
-	var out CPthSweep
-	bh := base
-	bh.PolicyName = "BH"
-	_, bhMean, err := core.MeasureMixes(bh, mixes, warmup, measure)
-	if err != nil {
-		return out, nil, err
-	}
-	out.BHHits = float64(bhMean.Hits)
-	out.BHNVMBytes = float64(bhMean.NVMBytesWritten)
-
-	rows := make([]CPthRow, len(dueling.DefaultCandidates))
-	tasks := make([]cliutil.Task, len(dueling.DefaultCandidates))
-	for i := range tasks {
-		i := i
-		cpth := dueling.DefaultCandidates[i]
-		tasks[i] = cliutil.Task{Name: fmt.Sprintf("cpth=%d", cpth), Run: func() error {
-			row := CPthRow{CPth: cpth}
-			ca := base
-			ca.PolicyName, ca.CPth = "CA", cpth
-			_, m, err := core.MeasureMixes(ca, mixes, warmup, measure)
-			if err != nil {
-				return err
-			}
-			row.CAHits = float64(m.Hits)
-			row.CANVMBytes = float64(m.NVMBytesWritten)
-
-			rwr := base
-			rwr.PolicyName, rwr.CPth = "CA_RWR", cpth
-			_, m, err = core.MeasureMixes(rwr, mixes, warmup, measure)
-			if err != nil {
-				return err
-			}
-			row.CARWRHits = float64(m.Hits)
-			row.CARWRNVMBytes = float64(m.NVMBytesWritten)
-			rows[i] = row
-			return nil
-		}}
-	}
-	results := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
-	for i, r := range results {
-		if !r.Failed() {
-			out.Rows = append(out.Rows, rows[i])
+	// Variants 0 and 1 are the reference lines; CA and CA_RWR at
+	// candidate i are variants 2+2i and 3+2i.
+	variants := []Variant{policyVariant("BH"), policyVariant("CP_SD")}
+	for _, cpth := range dueling.DefaultCandidates {
+		for _, pol := range []string{"CA", "CA_RWR"} {
+			variants = append(variants, Variant{fmt.Sprintf("%s/cpth=%d", pol, cpth),
+				func(c *core.Config) { c.PolicyName, c.CPth = pol, cpth }})
 		}
 	}
-
-	sd := base
-	sd.PolicyName = "CP_SD"
-	_, m, err := core.MeasureMixes(sd, mixes, warmup, measure)
-	if err != nil {
-		return out, results, err
+	g := runGrid(base, variants, mixes, func(_ int, cfg core.Config) (core.Summary, error) {
+		return measureAt(cfg, 1, warmup, measure)
+	})
+	var out CPthSweep
+	if err := g.err(0, 1); err != nil {
+		return out, g.results, err
 	}
-	out.CPSDHits = float64(m.Hits)
-	out.CPSDBytes = float64(m.NVMBytesWritten)
-	return out, results, nil
+	out.BHHits, out.BHNVMBytes = meanCounts(g.rows[0])
+	out.CPSDHits, out.CPSDBytes = meanCounts(g.rows[1])
+	for i, cpth := range dueling.DefaultCandidates {
+		ca, okCA := g.row(2 + 2*i)
+		rwr, okRWR := g.row(3 + 2*i)
+		if !okCA || !okRWR {
+			continue
+		}
+		row := CPthRow{CPth: cpth}
+		row.CAHits, row.CANVMBytes = meanCounts(ca)
+		row.CARWRHits, row.CARWRNVMBytes = meanCounts(rwr)
+		out.Rows = append(out.Rows, row)
+	}
+	return out, g.results, nil
+}
+
+// measureAt is the cell of the single-window figures: it builds the
+// cell's system, pre-ages it to capacity (1 leaves it fresh) and
+// measures one window.
+func measureAt(cfg core.Config, capacity float64, warmup, measure uint64) (core.Summary, error) {
+	sys, err := cfg.Build()
+	if err != nil {
+		return core.Summary{}, err
+	}
+	core.PreAge(sys, capacity)
+	return core.Measure(sys, warmup, measure), nil
+}
+
+// sumCounts sums a row's hits and NVM bytes written in mix order.
+func sumCounts(row []core.Summary) (hits, bytes uint64) {
+	for _, s := range row {
+		hits += s.Hits
+		bytes += s.NVMBytesWritten
+	}
+	return hits, bytes
+}
+
+// meanCounts is the across-mix mean of a row's hits and NVM bytes
+// written, as whole counts: each sum divided by the mix count and
+// truncated.
+func meanCounts(row []core.Summary) (hits, bytes float64) {
+	h, b := sumCounts(row)
+	n := float64(len(row))
+	return float64(uint64(float64(h) / n)), float64(uint64(float64(b) / n))
 }
 
 // Fig8Result is the optimal-CPth epoch distribution of Fig. 8.
@@ -122,8 +129,7 @@ type Fig8Result struct {
 
 // Fig8OptimalCPth measures, per set-dueling epoch, which CPth candidate
 // achieved the most hits in its sampler sets, across NVM capacities and
-// mixes. Each (capacity, mix) cell runs on the hardened pool; the first
-// failure fails the whole result.
+// mixes. The first failed (capacity, mix) cell fails the whole result.
 func Fig8OptimalCPth(base core.Config, mixes []int, capacities []float64, warmupEpochs, epochs int) (Fig8Result, error) {
 	res := Fig8Result{
 		Candidates: append([]int(nil), dueling.DefaultCandidates...),
@@ -131,54 +137,46 @@ func Fig8OptimalCPth(base core.Config, mixes []int, capacities []float64, warmup
 		Mixes:      mixes,
 	}
 	nc := len(res.Candidates)
-	// wins[i] counts, per candidate, the epochs it won in cell i.
-	wins := make([][]float64, len(capacities)*len(mixes))
-	tasks := make([]cliutil.Task, len(wins))
-	for i := range tasks {
-		i := i
-		capacity := capacities[i/len(mixes)]
-		m := mixes[i%len(mixes)]
-		tasks[i] = cliutil.Task{Name: fmt.Sprintf("cap=%g/mix=%d", capacity, m+1), Run: func() error {
-			cfg := base
-			cfg.MixID = m
-			cfg.PolicyName = "CP_SD"
-			sys, err := cfg.Build()
-			if err != nil {
-				return err
-			}
-			core.PreAge(sys, capacity)
-			d, ok := core.Dueling(sys)
-			if !ok {
-				return fmt.Errorf("experiments: CP_SD system has no dueling controller")
-			}
-			d.RecordPerEpoch = true
-			sys.Run(uint64(warmupEpochs+epochs) * cfg.EpochCycles)
-			eh := d.EpochHits
-			if len(eh) > epochs {
-				eh = eh[len(eh)-epochs:]
-			}
-			counts := make([]float64, nc)
-			for _, hits := range eh {
-				best := 0
-				for k := 1; k < nc; k++ {
-					if hits[k] > hits[best] {
-						best = k
-					}
-				}
-				counts[best]++
-			}
-			wins[i] = counts
-			return nil
-		}}
+	variants := make([]Variant, len(capacities))
+	for i, capacity := range capacities {
+		variants[i] = Variant{fmt.Sprintf("cap=%g", capacity), func(c *core.Config) { c.PolicyName = "CP_SD" }}
 	}
-	if err := cliutil.ErrOf(cliutil.RunTasks(tasks, cliutil.PoolConfig{})); err != nil {
+	// A cell's value counts, per candidate, the epochs it won.
+	g := runGrid(base, variants, mixes, func(v int, cfg core.Config) ([]float64, error) {
+		sys, err := cfg.Build()
+		if err != nil {
+			return nil, err
+		}
+		core.PreAge(sys, capacities[v])
+		d, ok := core.Dueling(sys)
+		if !ok {
+			return nil, fmt.Errorf("experiments: CP_SD system has no dueling controller")
+		}
+		d.RecordPerEpoch = true
+		sys.Run(uint64(warmupEpochs+epochs) * cfg.EpochCycles)
+		eh := d.EpochHits
+		if len(eh) > epochs {
+			eh = eh[len(eh)-epochs:]
+		}
+		counts := make([]float64, nc)
+		for _, hits := range eh {
+			best := 0
+			for k := 1; k < nc; k++ {
+				if hits[k] > hits[best] {
+					best = k
+				}
+			}
+			counts[best]++
+		}
+		return counts, nil
+	})
+	if err := g.err(); err != nil {
 		return res, err
 	}
 	res.ByMix = make([][]float64, len(mixes))
 	for ci, capacity := range capacities {
 		counts := make([]float64, nc)
-		for mi := range mixes {
-			cell := wins[ci*len(mixes)+mi]
+		for mi, cell := range g.rows[ci] {
 			for k, n := range cell {
 				counts[k] += n
 			}
@@ -216,62 +214,48 @@ type ThPoint struct {
 }
 
 // Fig9ThTradeoff sweeps Th at Tw=tw across capacities. Th=0 reproduces
-// plain CP_SD. Failed (Th, capacity) points are dropped from the result
-// and returned as structured task records; the BH reference is fatal.
+// plain CP_SD. A (Th, capacity) point is dropped when any of its cells
+// failed and the failures are returned as structured task records; the
+// BH reference is fatal.
 func Fig9ThTradeoff(base core.Config, mixes []int, ths []float64, capacities []float64, tw float64, warmup, measure uint64) ([]ThPoint, []cliutil.TaskResult, error) {
-	bh := base
-	bh.PolicyName = "BH"
-	_, bhMean, err := core.MeasureMixes(bh, mixes, warmup, measure)
-	if err != nil {
-		return nil, nil, err
-	}
-	bhHits := float64(bhMean.Hits)
-	bhBytes := float64(bhMean.NVMBytesWritten)
-
-	pts := make([]ThPoint, len(capacities)*len(ths))
-	tasks := make([]cliutil.Task, len(pts))
-	for i := range tasks {
-		i := i
-		capacity := capacities[i/len(ths)]
-		th := ths[i%len(ths)]
-		tasks[i] = cliutil.Task{Name: fmt.Sprintf("th=%g/cap=%g", th, capacity), Run: func() error {
-			var hits, bytes float64
-			for _, m := range mixes {
-				cfg := base
-				cfg.MixID = m
+	// pts[v] is variant v's point, its capacity the cell's pre-aging;
+	// variant 0 is the fresh BH reference.
+	variants := []Variant{policyVariant("BH")}
+	pts := []ThPoint{{Capacity: 1}}
+	for _, capacity := range capacities {
+		for _, th := range ths {
+			variants = append(variants, Variant{fmt.Sprintf("th=%g/cap=%g", th, capacity), func(c *core.Config) {
 				if th == 0 {
-					cfg.PolicyName = "CP_SD"
+					c.PolicyName = "CP_SD"
 				} else {
-					cfg.PolicyName = "CP_SD_Th"
-					cfg.Th, cfg.Tw = th, tw
+					c.PolicyName = "CP_SD_Th"
+					c.Th, c.Tw = th, tw
 				}
-				sys, err := cfg.Build()
-				if err != nil {
-					return err
-				}
-				core.PreAge(sys, capacity)
-				s := core.Measure(sys, warmup, measure)
-				hits += float64(s.Hits)
-				bytes += float64(s.NVMBytesWritten)
-			}
-			n := float64(len(mixes))
-			pts[i] = ThPoint{
-				Th:       th,
-				Capacity: capacity,
-				Hits:     hits / n / bhHits,
-				NVMBytes: bytes / n / bhBytes,
-			}
-			return nil
-		}}
-	}
-	results := cliutil.RunTasks(tasks, cliutil.PoolConfig{})
-	var out []ThPoint
-	for i, r := range results {
-		if !r.Failed() {
-			out = append(out, pts[i])
+			}})
+			pts = append(pts, ThPoint{Th: th, Capacity: capacity})
 		}
 	}
-	return out, results, nil
+	g := runGrid(base, variants, mixes, func(v int, cfg core.Config) (core.Summary, error) {
+		return measureAt(cfg, pts[v].Capacity, warmup, measure)
+	})
+	if err := g.err(0); err != nil {
+		return nil, g.results, err
+	}
+	bhHits, bhBytes := meanCounts(g.rows[0])
+	n := float64(len(mixes))
+	var out []ThPoint
+	for v := 1; v < len(variants); v++ {
+		row, ok := g.row(v)
+		if !ok {
+			continue
+		}
+		hits, bytes := sumCounts(row)
+		p := pts[v]
+		p.Hits = float64(hits) / n / bhHits
+		p.NVMBytes = float64(bytes) / n / bhBytes
+		out = append(out, p)
+	}
+	return out, g.results, nil
 }
 
 // EpochSizeRow is one point of the §IV-C epoch-size sensitivity study.
@@ -282,31 +266,34 @@ type EpochSizeRow struct {
 }
 
 // EpochSizeSweep evaluates CP_SD under different set-dueling epoch sizes
-// (the paper selects 2M cycles). Each size runs on the hardened pool;
-// the first failure fails the whole sweep.
+// (the paper selects 2M cycles). The first failed cell fails the whole
+// sweep.
 func EpochSizeSweep(base core.Config, mixes []int, sizes []uint64, warmup, measure uint64) ([]EpochSizeRow, error) {
-	out := make([]EpochSizeRow, len(sizes))
-	tasks := make([]cliutil.Task, len(sizes))
+	variants := make([]Variant, len(sizes))
 	for i, sz := range sizes {
-		i, sz := i, sz
-		tasks[i] = cliutil.Task{Name: fmt.Sprintf("epoch=%d", sz), Run: func() error {
-			cfg := base
-			cfg.PolicyName = "CP_SD"
-			cfg.EpochCycles = sz
-			_, m, err := core.MeasureMixes(cfg, mixes, warmup, measure)
-			if err != nil {
-				return err
-			}
-			out[i] = EpochSizeRow{
-				EpochCycles: sz,
-				Hits:        float64(m.Hits) / float64(measure),
-				HitRate:     m.HitRate,
-			}
-			return nil
+		variants[i] = Variant{fmt.Sprintf("epoch=%d", sz), func(c *core.Config) {
+			c.PolicyName = "CP_SD"
+			c.EpochCycles = sz
 		}}
 	}
-	if err := cliutil.ErrOf(cliutil.RunTasks(tasks, cliutil.PoolConfig{})); err != nil {
+	g := runGrid(base, variants, mixes, func(_ int, cfg core.Config) (core.Summary, error) {
+		return measureAt(cfg, 1, warmup, measure)
+	})
+	if err := g.err(); err != nil {
 		return nil, err
+	}
+	out := make([]EpochSizeRow, len(sizes))
+	for i, row := range g.rows {
+		hits, _ := meanCounts(row)
+		var rate float64
+		for _, s := range row {
+			rate += s.HitRate
+		}
+		out[i] = EpochSizeRow{
+			EpochCycles: sizes[i],
+			Hits:        hits / float64(measure),
+			HitRate:     rate / float64(len(row)),
+		}
 	}
 	return out, nil
 }

@@ -3,9 +3,11 @@ package repro
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
+	"os"
 	"os/exec"
 	"regexp"
 	"slices"
@@ -13,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cliutil"
 	"repro/internal/fleet"
 	"repro/internal/server"
 )
@@ -90,6 +93,34 @@ func TestKillDrill(t *testing.T) {
 	})
 	if st := sweep(); st.Completed != 4 || st.CacheHits < 1 {
 		t.Fatalf("resumed sweep completed %d/4 children with %d served from artifacts", st.Completed, st.CacheHits)
+	}
+}
+
+// TestCellFailureExitStatus runs a multi-cell command with one cell made
+// to panic: the command must still write its whole report — the failure
+// table and every other policy's row — and then exit 1, so a partial
+// figure cannot pass for a whole one.
+func TestCellFailureExitStatus(t *testing.T) {
+	cmd := exec.Command(cmdPath(t, "energy"), "-mixes", "1", "-warmup", "50000", "-measure", "200000", "-scale", "0.1")
+	cmd.Env = append(os.Environ(), cliutil.PanicTaskEnv+"=LHybrid/mix=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("energy ended with %v, want exit status 1\nstdout:\n%s\nstderr:\n%s", err, &stdout, &stderr)
+	}
+	out := stdout.String()
+	if !regexp.MustCompile(`(?m)^task_failures$`).MatchString(out) ||
+		!regexp.MustCompile(`(?m)^LHybrid/mix=1 +panic `).MatchString(out) {
+		t.Errorf("no failure table naming the panicked cell:\n%s", out)
+	}
+	for _, pol := range []string{"BH", "BH_CP", "TAP", "CA_RWR", "CP_SD", "CP_SD_Th"} {
+		if !regexp.MustCompile(`(?m)^` + pol + ` +\d`).MatchString(out) {
+			t.Errorf("row %s missing:\n%s", pol, out)
+		}
+	}
+	if regexp.MustCompile(`(?m)^LHybrid +\d`).MatchString(out) {
+		t.Errorf("the failed policy kept its row:\n%s", out)
 	}
 }
 
