@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/cliutil"
@@ -47,8 +48,12 @@ func main() {
 		"policy", "sram_dyn", "nvm_dyn", "tag", "sram_leak", "nvm_leak", "total", "vs_bh", "uj_per_ki", "ipc")
 	for _, r := range rows {
 		b := r.Breakdown
+		var vsBH any = r.RelativeToBH
+		if math.IsNaN(r.RelativeToBH) {
+			vsBH = "-" // BH failed: no baseline
+		}
 		tab.AddRow(r.Policy, b.SRAMDynamic, b.NVMDynamic, b.TagDynamic,
-			b.SRAMLeak, b.NVMLeak, b.Total(), r.RelativeToBH, r.PerKI*1e3, r.MeanIPC)
+			b.SRAMLeak, b.NVMLeak, b.Total(), vsBH, r.PerKI*1e3, r.MeanIPC)
 	}
 	rep.AddTable(tab)
 	cliutil.AddRunSummary(rep, results)

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"math"
+
 	"repro/internal/cliutil"
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -12,7 +14,7 @@ type EnergyRow struct {
 	Breakdown    energy.Breakdown
 	PerKI        float64 // mJ per kilo-instruction
 	MeanIPC      float64
-	RelativeToBH float64 // total energy vs the BH baseline (set when BH ran)
+	RelativeToBH float64 // total energy vs the BH baseline; NaN without a completed BH row
 }
 
 // EnergyComparison measures the energy of each named policy on the same
@@ -21,6 +23,8 @@ type EnergyRow struct {
 // compression shrinks each write that remains.
 // A policy with a failed cell is dropped from the result (and from the
 // BH normalisation) and its failures are reported in the task records.
+// Without a completed BH row there is no baseline: every row's
+// RelativeToBH is NaN.
 func EnergyComparison(base core.Config, policies []string, mixes []int, warmup, measure uint64) ([]EnergyRow, []cliutil.TaskResult) {
 	model := energy.Default()
 	type window struct {
@@ -84,8 +88,9 @@ func EnergyComparison(base core.Config, policies []string, mixes []int, warmup, 
 			bhTotal = row.Breakdown.Total()
 		}
 	}
-	if bhTotal > 0 {
-		for i := range out {
+	for i := range out {
+		out[i].RelativeToBH = math.NaN() // no baseline
+		if bhTotal > 0 {
 			out[i].RelativeToBH = out[i].Breakdown.Total() / bhTotal
 		}
 	}

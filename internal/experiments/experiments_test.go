@@ -262,6 +262,18 @@ func TestEnergyComparison(t *testing.T) {
 	}
 }
 
+// TestEnergyComparisonWithoutBH checks that a comparison without a BH
+// row marks every ratio to BH as missing rather than reporting 0.
+func TestEnergyComparisonWithoutBH(t *testing.T) {
+	rows, taskResults := EnergyComparison(quickBase(), []string{"CP_SD"}, []int{0}, 100_000, 400_000)
+	if fails := cliutil.Failures(taskResults); len(fails) != 0 {
+		t.Fatalf("task failures: %+v", fails)
+	}
+	if len(rows) != 1 || !math.IsNaN(rows[0].RelativeToBH) {
+		t.Fatalf("rows %+v: want one CP_SD row with a NaN ratio to BH", rows)
+	}
+}
+
 func TestPerAppStudy(t *testing.T) {
 	cfg := quickBase()
 	cfg.Scale = 0.08 // keep the 20-app sweep fast

@@ -10,15 +10,17 @@ import (
 // frames, each with independent per-byte endurance. It also owns the
 // global wear-leveling counter.
 //
-// The frames live in one backing slice, and each publishes its effective
-// capacity into caps, a dense byte per frame in the same physical
-// set-major order. Only Frame methods write caps, so a row read through
-// CapRow is exact after any write, aging pass or fault injection.
+// The frame headers live in one backing slice. Each publishes its
+// effective capacity into the slab's caps, a dense byte per frame in the
+// same physical set-major order. Only Frame methods write caps, so a row
+// read through CapRow is exact after any write, aging pass or fault
+// injection. The slab holds the frames' drawn limits too, allocated at
+// the first draw (see limitSlab).
 type Array struct {
 	sets, ways int
 	backing    []Frame
 	frames     []*Frame // &backing[i], the view Frames returns
-	caps       []uint8  // caps[i] == frames[i].EffectiveCapacity()
+	slab       limitSlab
 	counter    WearLevelCounter
 	gran       Granularity
 	model      EnduranceModel
@@ -35,7 +37,8 @@ type Array struct {
 // endurance sampled from model using r. Each frame draws its limits on
 // first need (see Frame.ensureOrder), from the state r had at that
 // frame's turn, so the limits and r's final state are those of drawing
-// every frame's limits here in order.
+// every frame's limits here in order. Until then the array holds no
+// limit storage.
 func NewArray(sets, ways int, model EnduranceModel, r *stats.RNG, gran Granularity) *Array {
 	if sets <= 0 || ways < 0 {
 		panic("nvm: invalid array geometry")
@@ -45,12 +48,12 @@ func NewArray(sets, ways int, model EnduranceModel, r *stats.RNG, gran Granulari
 		sets: sets, ways: ways, gran: gran, model: model,
 		backing: make([]Frame, n),
 		frames:  make([]*Frame, n),
-		caps:    make([]uint8, n),
+		slab:    newLimitSlab(model, n),
 	}
 	for i := range a.backing {
 		f := &a.backing[i]
-		f.sample(model, r, gran)
-		f.capSlot = &a.caps[i]
+		f.slab, f.idx = &a.slab, uint32(i)
+		f.sample(r, gran)
 		f.publish()
 		a.frames[i] = f
 	}
@@ -91,14 +94,14 @@ func (a *Array) Frame(set, way int) *Frame {
 // storage; it stays current as the frames age and must not be written.
 func (a *Array) CapRow(set int) []uint8 {
 	i := a.physRow(set) * a.ways
-	return a.caps[i : i+a.ways : i+a.ways]
+	return a.slab.caps[i : i+a.ways : i+a.ways]
 }
 
 // CheckCapRows verifies that every frame's published capacity equals its
 // EffectiveCapacity, returning the first mismatch.
 func (a *Array) CheckCapRows() error {
 	for i, f := range a.frames {
-		if got, want := int(a.caps[i]), f.EffectiveCapacity(); got != want {
+		if got, want := int(a.slab.caps[i]), f.EffectiveCapacity(); got != want {
 			return fmt.Errorf("nvm: frame %d (row %d way %d) publishes capacity %d, has %d",
 				i, i/a.ways, i%a.ways, got, want)
 		}

@@ -71,15 +71,19 @@ type EnduranceModel struct {
 // dies when that shared wear level crosses its sampled endurance limit.
 // This is the same analytic treatment as the paper's forecast procedure.
 //
-// The fields the write path touches come first, ahead of the 528-byte
-// limits array, so a write reads one or two host cache lines of the frame.
+// A Frame is a 96-byte header. The fields the write path touches come
+// first, so a write reads one or two host cache lines of the frame. The
+// per-byte limits and the death order are not in it: they live in the
+// frame's entry of its owner's slab (see limitSlab), written when the
+// frame first draws them.
 type Frame struct {
 	wear float64 // per-live-byte accumulated writes
 	// nextLimit is at most the limit of the next live byte to die, so a
 	// write that kills no byte costs one compare. Once the limits are
-	// drawn it caches limits[order[next]] (+Inf once next reaches
-	// FrameBytes); before that it is the sampler's lower bound on the
-	// smallest limit (see sample).
+	// drawn it is that limit, limits[order[next]] with next kept past
+	// disabled bytes (+Inf once next reaches FrameBytes), so NextLimit
+	// reads no slab entry; before that it is the sampler's lower bound
+	// on the smallest limit (see sample).
 	nextLimit float64
 	// phaseWritten counts bytes written to this frame during the current
 	// simulation phase; the forecast turns it into a write rate.
@@ -88,70 +92,84 @@ type Frame struct {
 	// survives ResetPhase and feeds the metrics registry.
 	totalWritten uint64
 	faultLo      uint64 // fault map bits of bytes 0..63
-	// capSlot is where the frame publishes its EffectiveCapacity whenever
-	// it changes: the frame's entry in its array's dense capacity rows
-	// (see Array.CapRow). nil for a frame built outside an array.
-	capSlot *uint8
+	// slab is the frame's owner: its array's, or NewFrame's own. idx is
+	// the frame's entry there, both in the dense capacity bytes the frame
+	// publishes its EffectiveCapacity into and in the drawn limits.
+	slab    *limitSlab
 	faultHi uint8 // fault map bits of bytes 64..65
 	live    uint8 // non-faulty bytes
 	next    uint8 // index into order of the next byte to die
 	dead    bool  // frame disabled (always true when live < MinECB)
 	gran    Granularity
 	drawn   bool // limits, order and next are built (see ensureOrder)
-
-	order [FrameBytes]uint8 // byte indices by ascending limit, once drawn
-	// limits is the per-byte endurance (writes) once drawn; until then
-	// limits[ckState:ckState+4] hold the sampler's state at the frame's
-	// first draw, as float64 bit patterns, and limits[ckMean] and
-	// limits[ckSigma] the distribution.
-	limits [FrameBytes]float64
+	idx     uint32
+	// ckpt is the sampler's state at the frame's turn in set-up, from
+	// which drawLimits replays the frame's limit draws.
+	ckpt [4]uint64
 }
 
-// The sampling checkpoint's slots in an undrawn frame's limits.
-const (
-	ckState = 0
-	ckMean  = 4
-	ckSigma = 5
-)
+// limitSlab is what the frames of one array share: the endurance
+// distribution their limits are drawn from, the dense capacity bytes
+// they publish into, and the slab their drawn limits live in, one entry
+// per frame. The slab is allocated whole at the array's first draw, so
+// an array whose frames never come near a limit holds no limit storage
+// and every draw after the first allocates nothing.
+type limitSlab struct {
+	mean, sigma float64
+	caps        []uint8       // caps[i] == EffectiveCapacity of frame i
+	entries     []frameLimits // nil until the first draw, then len(caps)
+}
+
+// frameLimits is one frame's drawn endurance state.
+type frameLimits struct {
+	order  [FrameBytes]uint8   // byte indices by ascending limit
+	limits [FrameBytes]float64 // per-byte endurance (writes)
+}
+
+// newLimitSlab returns the owner of n frames drawing from model.
+func newLimitSlab(model EnduranceModel, n int) limitSlab {
+	return limitSlab{mean: model.Mean, sigma: model.Mean * model.CV, caps: make([]uint8, n)}
+}
 
 // NewFrame samples per-byte endurance from model using r and returns a
-// fully functional frame with the given disabling granularity.
+// fully functional frame with the given disabling granularity. The frame
+// owns a one-entry slab.
 func NewFrame(model EnduranceModel, r *stats.RNG, gran Granularity) *Frame {
-	f := &Frame{}
-	f.sample(model, r, gran)
+	s := newLimitSlab(model, 1)
+	f := &Frame{slab: &s}
+	f.sample(r, gran)
+	f.publish()
 	return f
 }
 
-// sample initialises f in place as a fresh frame and advances r past
-// its FrameBytes limit draws, as drawing them would. It does not draw
-// them: it stores r's state and the distribution in limits for
-// drawLimits, and sets nextLimit to SkipTruncNormal's lower bound on the
-// smallest limit, so the frame reads its limits only once its wear
-// reaches that bound.
-func (f *Frame) sample(model EnduranceModel, r *stats.RNG, gran Granularity) {
-	*f = Frame{live: FrameBytes, gran: gran}
-	sigma := model.Mean * model.CV
-	for i, w := range r.State() {
-		f.limits[ckState+i] = math.Float64frombits(w)
-	}
-	f.limits[ckMean], f.limits[ckSigma] = model.Mean, sigma
-	f.nextLimit = r.SkipTruncNormal(FrameBytes, model.Mean, sigma, 1)
+// sample initialises f in place as a fresh frame of its slab and
+// advances r past its FrameBytes limit draws, as drawing them would. It
+// does not draw them: it stores r's state in ckpt for drawLimits, and
+// sets nextLimit to SkipTruncNormal's lower bound on the smallest limit,
+// so the frame reads its limits only once its wear reaches that bound.
+func (f *Frame) sample(r *stats.RNG, gran Granularity) {
+	*f = Frame{live: FrameBytes, gran: gran, slab: f.slab, idx: f.idx, ckpt: r.State()}
+	f.nextLimit = r.SkipTruncNormal(FrameBytes, f.slab.mean, f.slab.sigma, 1)
 }
 
-// drawLimits replaces the sampling checkpoint with the limits that
-// FrameBytes TruncNormal draws from it give: the very values eager
-// sampling would have drawn at set-up. The generator is a stack value,
-// so drawing allocates nothing.
+// lim returns the frame's entry in its slab; it holds the frame's limits
+// and death order once they are drawn.
+func (f *Frame) lim() *frameLimits { return &f.slab.entries[f.idx] }
+
+// drawLimits writes into the frame's slab entry the limits that
+// FrameBytes TruncNormal draws from the checkpoint give: the very values
+// eager sampling would have drawn at set-up. The generator is a stack
+// value, and the slab is allocated at its owner's first draw only.
 func (f *Frame) drawLimits() {
-	var r stats.RNG
-	var st [4]uint64
-	for i := range st {
-		st[i] = math.Float64bits(f.limits[ckState+i])
+	s := f.slab
+	if s.entries == nil {
+		s.entries = make([]frameLimits, len(s.caps))
 	}
-	r.SetState(st)
-	mean, sigma := f.limits[ckMean], f.limits[ckSigma]
-	for i := range f.limits {
-		f.limits[i] = r.TruncNormal(mean, sigma, 1)
+	var r stats.RNG
+	r.SetState(f.ckpt)
+	l := f.lim()
+	for i := range l.limits {
+		l.limits[i] = r.TruncNormal(s.mean, s.sigma, 1)
 	}
 }
 
@@ -172,23 +190,25 @@ func (f *Frame) ensureOrder() {
 
 // sortOrder sets order to the byte indices by ascending limit, equal
 // limits in byte-index order, so the order depends on the limits alone.
-// The stable insertion sort runs in place on the frame and allocates
-// nothing.
+// The stable insertion sort runs in place on the slab entry and
+// allocates nothing.
 func (f *Frame) sortOrder() {
-	for i := range f.order {
+	l := f.lim()
+	for i := range l.order {
 		b := uint8(i)
 		j := i
-		for ; j > 0 && f.limits[f.order[j-1]] > f.limits[b]; j-- {
-			f.order[j] = f.order[j-1]
+		for ; j > 0 && l.limits[l.order[j-1]] > l.limits[b]; j-- {
+			l.order[j] = l.order[j-1]
 		}
-		f.order[j] = b
+		l.order[j] = b
 	}
 }
 
 // skipDisabled moves next past bytes already disabled, so nextLimit
 // names a live byte, and refreshes nextLimit.
 func (f *Frame) skipDisabled() {
-	for int(f.next) < FrameBytes && f.faulty(int(f.order[f.next])) {
+	l := f.lim()
+	for int(f.next) < FrameBytes && f.faulty(int(l.order[f.next])) {
 		f.next++
 	}
 	f.syncNext()
@@ -197,7 +217,8 @@ func (f *Frame) skipDisabled() {
 // syncNext refreshes the cached next-death limit after next moved.
 func (f *Frame) syncNext() {
 	if int(f.next) < FrameBytes {
-		f.nextLimit = f.limits[f.order[f.next]]
+		l := f.lim()
+		f.nextLimit = l.limits[l.order[f.next]]
 	} else {
 		f.nextLimit = math.Inf(1)
 	}
@@ -207,9 +228,7 @@ func (f *Frame) syncNext() {
 // Every mutator that changes live or dead calls it, so the array's
 // capacity rows never go stale.
 func (f *Frame) publish() {
-	if f.capSlot != nil {
-		*f.capSlot = uint8(f.EffectiveCapacity())
-	}
+	f.slab.caps[f.idx] = uint8(f.EffectiveCapacity())
 }
 
 // faulty reports whether byte i is disabled.
@@ -273,12 +292,7 @@ func (f *Frame) Wear() float64 { return f.wear }
 // every byte has already failed.
 func (f *Frame) NextLimit() float64 {
 	f.ensureOrder()
-	for i := int(f.next); i < FrameBytes; i++ {
-		if !f.faulty(int(f.order[i])) {
-			return f.limits[f.order[i]]
-		}
-	}
-	return math.Inf(1)
+	return f.nextLimit
 }
 
 // RecordWrite accounts for a block write of ecbBytes bytes into the frame:
@@ -306,9 +320,10 @@ func (f *Frame) AddWear(delta float64) int {
 		return 0 // the common case: no limit crossed
 	}
 	f.ensureOrder()
+	l := f.lim()
 	died := 0
-	for int(f.next) < FrameBytes && f.limits[f.order[f.next]] <= f.wear {
-		bi := int(f.order[f.next])
+	for int(f.next) < FrameBytes && l.limits[l.order[f.next]] <= f.wear {
+		bi := int(l.order[f.next])
 		f.next++
 		if f.faulty(bi) {
 			continue // already disabled by fault injection
@@ -317,7 +332,7 @@ func (f *Frame) AddWear(delta float64) int {
 		f.live--
 		died++
 	}
-	f.syncNext()
+	f.skipDisabled()
 	if died > 0 {
 		if f.gran == FrameDisabling || f.live < MinECB {
 			f.dead = true

@@ -46,7 +46,7 @@ func FuzzLazyLimits(f *testing.F) {
 				t.Fatalf("%+v frame %d: bound %v, smallest limit %v", model, i, bound, lowest)
 			}
 			fr.ensureOrder()
-			for j, got := range fr.limits {
+			for j, got := range fr.lim().limits {
 				if math.Float64bits(got) != math.Float64bits(want[j]) {
 					t.Fatalf("%+v frame %d byte %d: drew %v, eager %v", model, i, j, got, want[j])
 				}

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -37,7 +38,7 @@ func TestFrameEnduranceSampling(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		f := NewFrame(testModel, r, ByteDisabling)
 		f.ensureOrder()
-		for _, lim := range f.limits {
+		for _, lim := range f.lim().limits {
 			m.Add(lim)
 		}
 	}
@@ -152,11 +153,11 @@ func TestInjectFault(t *testing.T) {
 func TestNextLimitSkipsInjected(t *testing.T) {
 	f := newTestFrame(ByteDisabling)
 	f.ensureOrder()
-	weakest := int(f.order[0])
+	weakest := int(f.lim().order[0])
 	f.InjectFault(weakest)
 	nl := f.NextLimit()
-	if nl <= f.limits[weakest] {
-		t.Fatalf("NextLimit %v should skip the injected weakest byte (%v)", nl, f.limits[weakest])
+	if nl <= f.lim().limits[weakest] {
+		t.Fatalf("NextLimit %v should skip the injected weakest byte (%v)", nl, f.lim().limits[weakest])
 	}
 }
 
@@ -332,7 +333,9 @@ func TestArrayBasics(t *testing.T) {
 
 // TestNewArrayAllocsPerFrame pins set-up cost: building an array makes
 // the same allocations whatever its frame count, because sampling a frame
-// and ordering its byte deaths allocate nothing.
+// and ordering its byte deaths allocate nothing, and holds no limit
+// storage: a DefaultConfig-sized array of 12,288 frames stays under
+// 1.5 MB, about 105 bytes a frame.
 func TestNewArrayAllocsPerFrame(t *testing.T) {
 	allocs := func(sets, ways int) float64 {
 		r := stats.NewRNG(1)
@@ -341,17 +344,81 @@ func TestNewArrayAllocsPerFrame(t *testing.T) {
 	if small, large := allocs(4, 2), allocs(64, 12); large != small {
 		t.Fatalf("NewArray allocates %v times for 4x2 frames but %v for 64x12", small, large)
 	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	NewArray(1024, 12, testModel, stats.NewRNG(1), ByteDisabling)
+	runtime.ReadMemStats(&after)
+	if b := after.TotalAlloc - before.TotalAlloc; b >= 1_500_000 {
+		t.Fatalf("NewArray(1024, 12) allocates %d bytes, want under 1.5 MB", b)
+	}
+}
+
+// TestSlabAllocatesOnFirstDraw pins the limit slab's allocation
+// contract: an array's first draw allocates the whole slab at once, and
+// every later draw, whether by wear, fault injection or NextLimit, takes
+// its entry with no allocation. mallocs counts every allocation in the
+// process, so a first draw that does not count exactly one is measured
+// again on a new array: a draw that allocates more does so every time.
+func TestSlabAllocatesOnFirstDraw(t *testing.T) {
+	var a *Array
+	n := uint64(0)
+	for try := 0; try < 3 && n != 1; try++ {
+		a = NewArray(16, 4, testModel, stats.NewRNG(3), ByteDisabling)
+		if a.slab.entries != nil {
+			t.Fatal("NewArray allocated the limit slab")
+		}
+		n = mallocs(func() { a.Frames()[0].NextLimit() })
+	}
+	if n != 1 {
+		t.Fatalf("the first draw allocated %d times, want 1", n)
+	}
+	frames := a.Frames()
+	if len(a.slab.entries) != len(frames) {
+		t.Fatalf("slab has %d entries for %d frames", len(a.slab.entries), len(frames))
+	}
+	i := 1
+	draw := func() {
+		f := frames[i]
+		switch i % 3 {
+		case 0:
+			f.AddWear(math.MaxFloat64 / 2)
+		case 1:
+			f.InjectFault(i % FrameBytes)
+		default:
+			f.NextLimit()
+		}
+		i++
+	}
+	if n := testing.AllocsPerRun(len(frames)-2, draw); n != 0 {
+		t.Fatalf("later draws allocated %v times each, want 0", n)
+	}
+	for j, f := range frames {
+		if !f.drawn {
+			t.Fatalf("frame %d was not drawn", j)
+		}
+	}
+}
+
+// mallocs returns the heap allocations one call of f makes. Unlike
+// testing.AllocsPerRun it makes no warm-up call, so it sees a first
+// call's allocations.
+func mallocs(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
 }
 
 // TestNewArrayBuildsNoOrder pins the lazy limits and death order:
 // sampled frames leave both unbuilt, a write below nextLimit's bound
 // leaves them so, wear reaching the bound draws them without killing a
 // byte below the first limit, and the first death, an injected fault or
-// NextLimit builds them. Frame keeps its size, the unbuilt flag fitting
-// in the header's padding.
+// NextLimit builds them. Frame is a 96-byte header: the limits and the
+// order live in the array's slab.
 func TestNewArrayBuildsNoOrder(t *testing.T) {
-	if got := unsafe.Sizeof(Frame{}); got != 648 {
-		t.Fatalf("Frame is %d bytes, want 648", got)
+	if got := unsafe.Sizeof(Frame{}); got != 96 {
+		t.Fatalf("Frame is %d bytes, want 96", got)
 	}
 	a := NewArray(4, 3, testModel, stats.NewRNG(11), ByteDisabling)
 	for i, f := range a.Frames() {
@@ -451,6 +518,7 @@ var paperModel = EnduranceModel{Mean: 1e10, CV: 0.2}
 // BenchmarkNewArray is the set-up cost of a QuickConfig-sized NVM array.
 func BenchmarkNewArray(b *testing.B) {
 	r := stats.NewRNG(1)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		NewArray(256, 12, paperModel, r, ByteDisabling)
 	}
@@ -461,19 +529,20 @@ func BenchmarkNewArray(b *testing.B) {
 // set-up did before sampling became lazy and as drawLimits still does.
 func BenchmarkFrameSample(b *testing.B) {
 	r := stats.NewRNG(1)
-	var f Frame
+	f := NewFrame(paperModel, r, ByteDisabling)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f.sample(paperModel, r, ByteDisabling)
+		f.sample(r, ByteDisabling)
 	}
 }
 
 func BenchmarkFrameEager(b *testing.B) {
 	r := stats.NewRNG(1)
-	var f Frame
+	var l frameLimits
 	sigma := paperModel.Mean * paperModel.CV
 	for i := 0; i < b.N; i++ {
-		for j := range f.limits {
-			f.limits[j] = r.TruncNormal(paperModel.Mean, sigma, 1)
+		for j := range l.limits {
+			l.limits[j] = r.TruncNormal(paperModel.Mean, sigma, 1)
 		}
 	}
 }

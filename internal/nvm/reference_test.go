@@ -195,7 +195,7 @@ func TestFrameMatchesReference(t *testing.T) {
 						ref.liveBytes(), ref.dead, ref.capacity(), ref.wear)
 					return false
 				}
-				exact := f.drawn && (int(f.next) == FrameBytes || !f.faulty(int(f.order[f.next])))
+				exact := f.drawn && (int(f.next) == FrameBytes || !f.faulty(int(f.lim().order[f.next])))
 				if want := ref.nextLimit(); f.nextLimit > want || (exact && f.nextLimit != want) {
 					t.Logf("seed %d step %d op %d frame %d: cached nextLimit %v (limits drawn %v), next live limit %v",
 						seed, step, op, j, f.nextLimit, f.drawn, want)
@@ -231,7 +231,7 @@ func TestCheckCapRowsCatchesStaleRow(t *testing.T) {
 	if err := a.CheckCapRows(); err != nil {
 		t.Fatal(err)
 	}
-	a.caps[5] = 7
+	a.slab.caps[5] = 7
 	if err := a.CheckCapRows(); err == nil {
 		t.Fatal("stale capacity byte not reported")
 	}

@@ -124,6 +124,34 @@ func TestCellFailureExitStatus(t *testing.T) {
 	}
 }
 
+// TestEnergyWithoutBH runs energy with the BH cell made to panic: with
+// no baseline, every remaining row prints "-" in the vs_bh column
+// instead of a ratio.
+func TestEnergyWithoutBH(t *testing.T) {
+	cmd := exec.Command(cmdPath(t, "energy"), "-mixes", "1", "-warmup", "50000", "-measure", "200000", "-scale", "0.1")
+	cmd.Env = append(os.Environ(), cliutil.PanicTaskEnv+"=BH/mix=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("energy succeeded with a panicked cell\nstderr:\n%s", &stderr)
+	}
+	out := stdout.String()
+	rows := 0
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		if len(f) != 10 || !slices.Contains([]string{"BH_CP", "LHybrid", "TAP", "CA_RWR", "CP_SD", "CP_SD_Th"}, f[0]) {
+			continue
+		}
+		rows++
+		if f[7] != "-" {
+			t.Errorf("row %s has vs_bh %s without a BH baseline", f[0], f[7])
+		}
+	}
+	if rows != 6 {
+		t.Fatalf("found %d policy rows, want 6:\n%s", rows, out)
+	}
+}
+
 // startProc starts bin with args. The test's cleanup kills it if it
 // still runs, and logs its output when the test failed.
 func startProc(t *testing.T, name, bin string, args ...string) *exec.Cmd {
