@@ -51,6 +51,14 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit JSON")
 	flag.Parse()
 
+	// Negated, so that NaN, which fails every comparison, is refused.
+	if !(*step > 0 && *step < 1) {
+		fatal(fmt.Errorf("-step %v outside (0, 1)", *step))
+	}
+	if *phase == 0 {
+		fatal(fmt.Errorf("-phase must be positive"))
+	}
+
 	cfg.SRAMWays, cfg.NVMWays = *sram, *nvmWays
 	cfg.EnduranceCV = *cv
 	cfg.EnduranceMean = *mean

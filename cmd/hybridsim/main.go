@@ -63,6 +63,11 @@ func main() {
 	coloring := flag.String("coloring", "", cliutil.ColoringUsage)
 	flag.Parse()
 
+	// Negated, so that NaN, which fails every comparison, is refused.
+	if !(*capacity > 0 && *capacity <= 1) {
+		fatal(fmt.Errorf("-capacity %v outside (0, 1]", *capacity))
+	}
+
 	cfg := def
 	if *configPath != "" {
 		data, err := os.ReadFile(*configPath)

@@ -29,7 +29,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/forecast"
-	"repro/internal/hier"
 )
 
 // Spec is one estimate query: the simulation config plus the calibration
@@ -151,7 +150,7 @@ func Calibrate(ctx context.Context, spec Spec) (*Calibration, error) {
 	cfg.PhaseCycles = spec.CalibrationCycles
 	cfg.CapacityStep = 1 - spec.TargetCapacity
 	cfg.TargetCapacity = spec.TargetCapacity
-	res, err := forecast.Trajectory(ctx, target{forecast.SystemTarget(sys), ctx, sys}, cfg)
+	res, err := forecast.Trajectory(ctx, forecast.SystemTarget(ctx, sys), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -171,28 +170,6 @@ func Calibrate(ctx context.Context, spec Spec) (*Calibration, error) {
 		cal.LifetimeSeconds, cal.Censored = 0, true
 	}
 	return cal, nil
-}
-
-// target is the system's forecast target with its windows run through
-// core.MeasureCtx, so a cancelled calibration stops mid-window.
-type target struct {
-	forecast.Target
-	ctx context.Context
-	sys *hier.System
-}
-
-func (t target) Run(cycles uint64) forecast.Window {
-	start := t.sys.Now()
-	sum, err := core.MeasureCtx(t.ctx, t.sys, 0, cycles, core.RunHooks{})
-	if err != nil {
-		return forecast.Window{} // Trajectory returns ctx's error
-	}
-	return forecast.Window{
-		Cycles:          t.sys.Now() - start,
-		MeanIPC:         sum.MeanIPC,
-		HitRate:         sum.HitRate,
-		NVMBytesWritten: sum.NVMBytesWritten,
-	}
 }
 
 // EncodeCalibration renders a calibration as its durable artifact bytes.

@@ -104,9 +104,9 @@ func (c *countdownCtx) Err() error {
 
 // TestCalibrateCancelMidWindow: a calibration whose context is cancelled
 // inside its window returns context.Canceled without simulating the
-// rest. The warm-up is one epoch-sized chunk and the window eight, each
-// preceded by one Err call; the third call, in the window's second
-// chunk, cancels.
+// rest. The system checks Err before the warm-up (shorter than an epoch)
+// and before the window; the third call, at the window's first epoch
+// close, cancels, and Trajectory's own check is the fourth.
 func TestCalibrateCancelMidWindow(t *testing.T) {
 	spec := quickSpec()
 	spec.CalibrationCycles = 8 * spec.Config.EpochCycles

@@ -11,8 +11,8 @@ import (
 )
 
 // summariesBitIdentical compares every summary field, floats by bit
-// pattern — the chunked MeasureCtx must not merely approximate the
-// one-shot window, it must reproduce it exactly.
+// pattern — MeasureCtx must not merely approximate its window's
+// statistics, it must reproduce them exactly.
 func summariesBitIdentical(t *testing.T, want, got Summary) {
 	t.Helper()
 	if want.Policy != got.Policy {
@@ -43,11 +43,14 @@ func summariesBitIdentical(t *testing.T, want, got Summary) {
 			t.Errorf("counter %d: want %d got %d", i, c[0], c[1])
 		}
 	}
+	if !reflect.DeepEqual(want.Metrics, got.Metrics) {
+		t.Error("registry delta of the measured window differs from the run's")
+	}
 }
 
-// oneShot is the reference the chunked runner must reproduce: one
+// oneShot is the reference MeasureCtx must reproduce: one
 // hier.System.Run call for the warm-up and one for the window, condensed
-// field for field.
+// by summarize.
 func oneShot(t *testing.T, cfg Config, warmup, measure uint64) Summary {
 	t.Helper()
 	sys, err := cfg.Build()
@@ -55,26 +58,11 @@ func oneShot(t *testing.T, cfg Config, warmup, measure uint64) Summary {
 		t.Fatal(err)
 	}
 	sys.Run(warmup)
-	r := sys.Run(measure)
-	return Summary{
-		Policy:          sys.LLC().Policy().Name(),
-		MeanIPC:         r.MeanIPC,
-		HitRate:         r.LLC.HitRate(),
-		Hits:            r.LLC.Hits,
-		Misses:          r.LLC.Misses,
-		NVMBytesWritten: r.LLC.NVMBytesWritten,
-		NVMBlockWrites:  r.LLC.NVMBlockWrites,
-		SRAMHits:        r.LLC.SRAMHits,
-		NVMHits:         r.LLC.NVMHits,
-		Inserts:         r.LLC.Inserts,
-		Migrations:      r.LLC.Migrations,
-		Capacity:        sys.LLC().EffectiveCapacityFraction(),
-		Metrics:         r.Metrics,
-	}
+	return summarize(sys, sys.Run(measure))
 }
 
-// chunked measures a freshly built system through MeasureCtx.
-func chunked(t *testing.T, cfg Config, warmup, measure uint64) Summary {
+// measured measures a freshly built system through MeasureCtx.
+func measured(t *testing.T, cfg Config, warmup, measure uint64) Summary {
 	t.Helper()
 	sys, err := cfg.Build()
 	if err != nil {
@@ -88,33 +76,27 @@ func chunked(t *testing.T, cfg Config, warmup, measure uint64) Summary {
 }
 
 // TestMeasureCtxMatchesMeasure pins the determinism claim the simd
-// result cache and the chunked-run hooks rest on: running the window in
-// epoch-sized chunks with cancellation checks produces a bit-identical
-// summary, registry delta included, to a direct hier.System.Run of the
-// warm-up and the window. The window deliberately does not divide
-// evenly into QuickConfig's epoch size.
+// result cache rests on: MeasureCtx's summary equals the statistics
+// hier.System.Run reports for the same warm-up and window, field for
+// field, floats by bit pattern, registry delta included. The window
+// deliberately does not divide evenly into QuickConfig's epoch size.
 func TestMeasureCtxMatchesMeasure(t *testing.T) {
 	const warmup, measure = 300_000, 1_100_000
 	cfg := QuickConfig()
-	want := oneShot(t, cfg, warmup, measure)
-	got := chunked(t, cfg, warmup, measure)
-	summariesBitIdentical(t, want, got)
-	if !reflect.DeepEqual(want.Metrics, got.Metrics) {
-		t.Error("registry delta of the chunked window differs from the one-shot run's")
-	}
+	summariesBitIdentical(t, oneShot(t, cfg, warmup, measure), measured(t, cfg, warmup, measure))
 }
 
 // TestMeasureCtxShardedMatches: a config that names the sequential shard
 // count (shards=1) shares the default's cache key, so its run must
-// reproduce the default's one-shot window bit for bit; a parallel shard
-// count builds no system at all.
+// reproduce the default's window bit for bit; a parallel shard count
+// builds no system at all.
 func TestMeasureCtxShardedMatches(t *testing.T) {
 	const warmup, measure = 300_000, 1_100_000
 	cfg := QuickConfig()
 	want := oneShot(t, cfg, warmup, measure)
 
 	cfg.Shards = 1
-	summariesBitIdentical(t, want, chunked(t, cfg, warmup, measure))
+	summariesBitIdentical(t, want, measured(t, cfg, warmup, measure))
 
 	cfg.Shards = 2
 	if _, err := cfg.Build(); err == nil {
@@ -154,8 +136,8 @@ func TestMeasureCtxHooks(t *testing.T) {
 }
 
 // TestMeasureCtxCheckpoints pins the progress checkpoints OnProgress
-// reports: one per chunk, never going backwards, with a constant total,
-// and the last one at exactly total/total.
+// reports: one per epoch close, never going backwards, with a constant
+// total, and the last one at exactly total/total.
 func TestMeasureCtxCheckpoints(t *testing.T) {
 	cfg := QuickConfig() // 500k-cycle epochs
 	sys, err := cfg.Build()
@@ -188,37 +170,65 @@ func TestMeasureCtxCheckpoints(t *testing.T) {
 	}
 }
 
+// TestMeasureCtxCancellation: a cancelled window returns the context's
+// error, and a pre-cancelled one advances nothing; hier's
+// TestRunCtxCancellation pins where a run stops.
 func TestMeasureCtxCancellation(t *testing.T) {
-	cfg := QuickConfig()
-	sys, err := cfg.Build()
+	sys, err := QuickConfig().Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	ctx, cancel := context.WithCancel(context.Background())
-	fired := 0
 	_, err = MeasureCtx(ctx, sys, 0, 50_000_000, RunHooks{
-		OnEpoch: func(metrics.Sample) {
-			fired++
-			if fired == 2 {
-				cancel() // cancel mid-run
-			}
-		},
+		OnEpoch: func(metrics.Sample) { cancel() },
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 	now := sys.Now()
-	if now == 0 || now >= 50_000_000 {
-		t.Fatalf("expected a partial run, stopped at cycle %d", now)
+	if now >= 50_000_000 {
+		t.Fatalf("cancelled window ran to cycle %d", now)
 	}
+	if _, err := MeasureCtx(ctx, sys, 100_000, 100_000, RunHooks{}); !errors.Is(err, context.Canceled) || sys.Now() != now {
+		t.Fatalf("pre-cancelled window: %v, clock %d -> %d", err, now, sys.Now())
+	}
+}
 
-	// A pre-canceled context stops before simulating anything further.
-	before := sys.Now()
-	if _, err := MeasureCtx(ctx, sys, 0, 1_000_000, RunHooks{}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("want context.Canceled, got %v", err)
+// TestEpochSamplesOwnStorage runs a window past the epoch ring's
+// capacity: every sample OnEpoch received must still hold the values it
+// had when it fired (the ring reuses its storage once it wraps), and the
+// stream's tail must be the series the ring retains.
+func TestEpochSamplesOwnStorage(t *testing.T) {
+	cfg := QuickConfig()
+	cfg.EpochCycles = 1000
+	sys, err := cfg.Build()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sys.Now() != before {
-		t.Fatalf("pre-canceled run advanced the clock %d -> %d", before, sys.Now())
+	capacity := sys.EpochRing().Capacity()
+	var got, atFire []metrics.Sample
+	_, err = MeasureCtx(context.Background(), sys, 100_000, uint64(capacity)*cfg.EpochCycles, RunHooks{
+		OnEpoch: func(s metrics.Sample) {
+			got = append(got, s)
+			atFire = append(atFire, metrics.Sample{Epoch: s.Epoch, Cycles: s.Cycles,
+				Values: append([]float64(nil), s.Values...)})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) <= capacity {
+		t.Fatalf("%d epochs did not wrap the %d-sample ring", len(got), capacity)
+	}
+	if !reflect.DeepEqual(got, atFire) {
+		t.Fatal("an epoch sample changed after its hook fired")
+	}
+	for i, s := range got {
+		if s.Epoch != i {
+			t.Fatalf("sample %d is epoch %d", i, s.Epoch)
+		}
+	}
+	if !reflect.DeepEqual(got[len(got)-capacity:], sys.EpochRing().Samples()) {
+		t.Fatal("the epoch stream's tail differs from the ring's series")
 	}
 }

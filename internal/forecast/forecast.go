@@ -109,15 +109,23 @@ type Target interface {
 }
 
 // sysTarget adapts *hier.System to Target.
-type sysTarget struct{ sys *hier.System }
+type sysTarget struct {
+	ctx context.Context
+	sys *hier.System
+}
 
-// SystemTarget wraps the sequential hierarchy as a forecast target.
-func SystemTarget(sys *hier.System) Target { return sysTarget{sys} }
+// SystemTarget wraps the sequential hierarchy as a forecast target whose
+// windows stop at the first epoch close after ctx is cancelled; pass
+// Trajectory the same ctx, which then returns its error.
+func SystemTarget(ctx context.Context, sys *hier.System) Target { return sysTarget{ctx, sys} }
 
 func (t sysTarget) PolicyName() string { return t.sys.LLC().Policy().Name() }
 
 func (t sysTarget) Run(cycles uint64) Window {
-	st := t.sys.Run(cycles)
+	st, err := t.sys.RunCtx(t.ctx, cycles, nil)
+	if err != nil {
+		return Window{} // Trajectory returns ctx's error
+	}
 	return Window{
 		Cycles:          st.Cycles,
 		MeanIPC:         st.MeanIPC,
@@ -142,7 +150,7 @@ func (t sysTarget) AdvanceWearCounter(n int)  { t.sys.LLC().Array().Counter().Ad
 // Run executes the forecast on a sequential system until its LLC's NVM
 // capacity reaches cfg.TargetCapacity.
 func Run(sys *hier.System, cfg Config) Result {
-	return RunTarget(SystemTarget(sys), cfg)
+	return RunTarget(SystemTarget(context.Background(), sys), cfg)
 }
 
 // RunTarget executes the forecast loop (Trajectory) against any target

@@ -13,6 +13,7 @@
 package hier
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/cache"
@@ -205,6 +206,8 @@ type System struct {
 	// Run window scratch, reused across calls.
 	runInsts  []uint64
 	runCycles []uint64
+	// onEpoch is the running window's epoch hook (nil outside RunCtx).
+	onEpoch func(metrics.Sample)
 }
 
 // EpochColumns are the per-epoch series recorded by the system, in ring
@@ -311,7 +314,9 @@ func (s *System) EpochSamples() []metrics.Sample { return s.ring.Samples() }
 
 // recordEpoch samples the just-closed epoch into the ring: per-epoch IPC
 // from the cores' deltas, the LLC counter deltas since the previous
-// boundary, and the CPth selected for the next epoch.
+// boundary, and the CPth selected for the next epoch. The running
+// window's epoch hook gets the sample in storage of its own, since the
+// ring reuses its storage once it wraps.
 func (s *System) recordEpoch(cycle uint64) {
 	var ipcSum float64
 	for i, c := range s.cores {
@@ -335,8 +340,13 @@ func (s *System) recordEpoch(cycle uint64) {
 	} else {
 		cpth = s.target.Thresholds().CPthFor(0)
 	}
-	s.ring.Record(s.Epochs-1, cycle, ipcSum/float64(len(s.cores)),
-		deltas[0], deltas[1], deltas[2], deltas[3], float64(cpth))
+	values := [...]float64{ipcSum / float64(len(s.cores)),
+		deltas[0], deltas[1], deltas[2], deltas[3], float64(cpth)}
+	s.ring.Record(s.Epochs-1, cycle, values[:]...)
+	if s.onEpoch != nil {
+		s.onEpoch(metrics.Sample{Epoch: s.Epochs - 1, Cycles: cycle,
+			Values: append([]float64(nil), values[:]...)})
+	}
 }
 
 // AccessProbe observes the simulation at access granularity: OnAccess is
@@ -397,6 +407,21 @@ type RunStats struct {
 // the window. Set-dueling epochs are closed as the clock crosses each
 // EpochCycles boundary.
 func (s *System) Run(cycles uint64) RunStats {
+	st, _ := s.RunCtx(context.Background(), cycles, nil)
+	return st
+}
+
+// RunCtx is Run honouring ctx and observing epochs: it checks ctx before
+// stepping and at every epoch close the window runs past, and hands
+// onEpoch (when non-nil) each epoch sample as it is recorded, warm-up or
+// not. Stopping only at epoch closes leaves the step sequence, and so
+// the statistics, bit-identical to an uninterrupted window: the
+// scheduler always steps the furthest-behind core. On cancellation it
+// returns the partial window's statistics and ctx's error, the system
+// intact; a pre-cancelled run advances nothing.
+func (s *System) RunCtx(ctx context.Context, cycles uint64, onEpoch func(metrics.Sample)) (RunStats, error) {
+	s.onEpoch = onEpoch
+	defer func() { s.onEpoch = nil }()
 	start := s.Now()
 	target := start + cycles
 	if s.runInsts == nil {
@@ -410,19 +435,27 @@ func (s *System) Run(cycles uint64) RunStats {
 	}
 	before := s.reg.Snapshot()
 
-	for {
-		// Advance the core that is furthest behind.
-		core := s.cores[0]
-		for _, c := range s.cores[1:] {
-			if c.cycles < core.cycles {
-				core = c
-			}
-		}
-		if core.cycles >= target {
+	var err error
+	for s.Now() < target {
+		if err = ctx.Err(); err != nil {
 			break
 		}
-		s.step(core)
-		s.closeEpochs()
+		// Step to the next epoch close or the window's end, if sooner.
+		stop := min(target, s.epochEnd)
+		for {
+			// Advance the core that is furthest behind.
+			core := s.cores[0]
+			for _, c := range s.cores[1:] {
+				if c.cycles < core.cycles {
+					core = c
+				}
+			}
+			if core.cycles >= stop {
+				break
+			}
+			s.step(core)
+			s.closeEpochs()
+		}
 	}
 
 	delta := s.reg.Snapshot().Delta(before)
@@ -444,7 +477,7 @@ func (s *System) Run(cycles uint64) RunStats {
 		sum += out.IPC[i]
 	}
 	out.MeanIPC = sum / float64(len(s.cores))
-	return out
+	return out, err
 }
 
 // closeEpochs closes set-dueling epochs as the global clock crosses

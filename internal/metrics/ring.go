@@ -19,7 +19,6 @@ type EpochRing struct {
 	samples []Sample
 	spare   []float64 // unused value storage for the next samples
 	head    int       // next write position once the ring is full
-	total   int       // samples ever recorded
 }
 
 // ringChunk is how many samples' value storage the ring allocates at once.
@@ -58,16 +57,11 @@ func (r *EpochRing) Capacity() int { return cap(r.samples) }
 // Len returns the number of currently retained samples.
 func (r *EpochRing) Len() int { return len(r.samples) }
 
-// Total returns the number of samples ever recorded, including ones the
-// ring has since overwritten.
-func (r *EpochRing) Total() int { return r.total }
-
 // Record appends one epoch sample; values must match the ring's columns.
 func (r *EpochRing) Record(epoch int, cycles uint64, values ...float64) {
 	if len(values) != len(r.columns) {
 		panic("metrics: epoch sample arity mismatch")
 	}
-	r.total++
 	if len(r.samples) < cap(r.samples) {
 		n := len(values)
 		if len(r.spare) < n {

@@ -152,6 +152,45 @@ func TestEnergyWithoutBH(t *testing.T) {
 	}
 }
 
+// TestCmdRejectsMeaninglessWindows runs forecast and hybridsim with a
+// capacity step, phase or pre-age capacity that has no meaning: each
+// must exit 1 naming the flag before it simulates, instead of printing
+// an infinite lifetime, a NaN or a fresh array's figures.
+func TestCmdRejectsMeaninglessWindows(t *testing.T) {
+	forecastArgs := []string{"-mixes", "1", "-policies", "CP_SD", "-warmup", "100000",
+		"-sets", "256", "-scale", "0.15", "-l2kb", "64"}
+	hybridsimArgs := []string{"-warmup", "50000", "-measure", "100000", "-sets", "256", "-scale", "0.15"}
+	cases := []struct {
+		cmd  string
+		args []string
+		flag string
+	}{
+		{"forecast", append(forecastArgs, "-phase", "300000", "-step", "0"), "-step"},
+		{"forecast", append(forecastArgs, "-phase", "300000", "-step", "-0.1"), "-step"},
+		{"forecast", append(forecastArgs, "-phase", "300000", "-step", "NaN"), "-step"},
+		{"forecast", append(forecastArgs, "-phase", "300000", "-step", "1"), "-step"},
+		{"forecast", append(forecastArgs, "-phase", "0"), "-phase"},
+		{"hybridsim", append(hybridsimArgs, "-capacity", "0"), "-capacity"},
+		{"hybridsim", append(hybridsimArgs, "-capacity", "-0.5"), "-capacity"},
+		{"hybridsim", append(hybridsimArgs, "-capacity", "NaN"), "-capacity"},
+		{"hybridsim", append(hybridsimArgs, "-capacity", "1.5"), "-capacity"},
+	}
+	for _, c := range cases {
+		cmd := exec.Command(cmdPath(t, c.cmd), c.args...)
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		if exit := (*exec.ExitError)(nil); !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%s %v ended with %v, want exit status 1\nstdout:\n%s", c.cmd, c.args, err, &stdout)
+			continue
+		}
+		if stdout.Len() != 0 || !strings.Contains(stderr.String(), c.flag) {
+			t.Errorf("%s %v: want no report and an error naming %s\nstdout:\n%s\nstderr:\n%s",
+				c.cmd, c.args, c.flag, &stdout, &stderr)
+		}
+	}
+}
+
 // startProc starts bin with args. The test's cleanup kills it if it
 // still runs, and logs its output when the test failed.
 func startProc(t *testing.T, name, bin string, args ...string) *exec.Cmd {
