@@ -116,7 +116,7 @@ func run(opt options) (*report.Report, error) {
 	// distribution and hides the rate imbalance the wear coloring acts
 	// on. These are the numbers wear-leveling quality is judged by.
 	simWV := arr.WearVariation()
-	seconds := float64(st.Cycles) / 3.5e9
+	seconds := float64(st.Cycles) / forecast.DefaultConfig().ClockHz
 	elapsed, capFrac := forecast.AgeFrames(arr.Frames(), seconds, opt.Capacity, 1e18)
 	sys.LLC().InvalidateUnfit()
 

@@ -8,7 +8,6 @@
 package forecast
 
 import (
-	"container/heap"
 	"context"
 	"math"
 
@@ -86,9 +85,8 @@ type Window struct {
 // Target abstracts the simulated system the forecast ages: the
 // hierarchy (SystemTarget) or an instrumenting wrapper around it.
 // Frames returns the NVM frames the forecast ages, in a stable
-// set-major order (nil for SRAM-only configurations); the order matters
-// because the aging heap breaks simultaneous-death ties by insertion
-// order, so identical frame orders give bit-identical trajectories.
+// set-major order (nil for SRAM-only configurations); aging does not
+// depend on that order (see AgeFrames).
 type Target interface {
 	// PolicyName labels the result.
 	PolicyName() string
@@ -277,9 +275,11 @@ func (fa *frameAger) nextDeath() float64 {
 
 // advanceTo applies wear up to absolute time T, handling the rate-per-byte
 // increase as bytes die (the frame's byte traffic concentrates on the
-// remaining live bytes).
+// remaining live bytes). Every death at or before T is applied, also
+// when the frame already stands at T, so the result does not depend on
+// which of the deaths tied at T AgeFrames popped before it stopped.
 func (fa *frameAger) advanceTo(T float64) {
-	for !fa.f.Dead() && fa.rate > 0 && fa.lastT < T {
+	for !fa.f.Dead() && fa.rate > 0 {
 		d := fa.nextDeath()
 		if d > T {
 			live := float64(fa.f.LiveBytes())
@@ -292,24 +292,42 @@ func (fa *frameAger) advanceTo(T float64) {
 	fa.lastT = T
 }
 
-// event queue over frame death times.
+// ageEvent is a frame's next byte death: its absolute time and the
+// frame's index.
 type ageEvent struct {
 	t   float64
 	idx int
 }
 
+// ageHeap is a binary min-heap of frame deaths keyed on t. AgeFrames
+// builds it once and then only moves its root later or removes it, so
+// down is the one sift it needs.
 type ageHeap []ageEvent
 
-func (h ageHeap) Len() int            { return len(h) }
-func (h ageHeap) Less(i, j int) bool  { return h[i].t < h[j].t }
-func (h ageHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *ageHeap) Push(x interface{}) { *h = append(*h, x.(ageEvent)) }
-func (h *ageHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	x := old[n-1]
-	*h = old[:n-1]
-	return x
+// init orders the heap.
+func (h ageHeap) init() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
+	}
+}
+
+// down restores the heap order below i after h[i].t grew.
+func (h ageHeap) down(i int) {
+	n := len(h)
+	for {
+		c := 2*i + 1
+		if c >= n {
+			return
+		}
+		if r := c + 1; r < n && h[r].t < h[c].t {
+			c = r
+		}
+		if !(h[c].t < h[i].t) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // AgeFrames advances the frames' wear analytically, assuming each frame
@@ -323,9 +341,11 @@ func (h *ageHeap) Pop() interface{} {
 //
 // The computation is exact: within a frame, wear accrues linearly at
 // rate/liveBytes and jumps discretely as bytes die; across frames, a
-// priority queue processes byte deaths in global time order, breaking
-// simultaneous-death ties by the frames' slice order — so a fixed frame
-// order gives a bit-identical trajectory.
+// min-heap processes byte deaths in global time order. A frame's deaths
+// depend on that frame alone, and the stop time is the first death time
+// at which the capacity reaches stopCapacity, whichever deaths tied there
+// came first; the closing pass then applies every death up to it. So
+// neither the frames' order nor the heap's tie order changes the result.
 func AgeFrames(frames []*nvm.Frame, phaseSeconds, stopCapacity, maxSeconds float64) (elapsed, capacity float64) {
 	agers := make([]frameAger, len(frames))
 	h := make(ageHeap, 0, len(frames))
@@ -338,11 +358,11 @@ func AgeFrames(frames []*nvm.Frame, phaseSeconds, stopCapacity, maxSeconds float
 			h = append(h, ageEvent{d, i})
 		}
 	}
-	heap.Init(&h)
+	h.init()
 
 	T := 0.0
-	for float64(capUnits)/totalUnits > stopCapacity && h.Len() > 0 {
-		ev := heap.Pop(&h).(ageEvent)
+	for float64(capUnits)/totalUnits > stopCapacity && len(h) > 0 {
+		ev := h[0]
 		if ev.t > maxSeconds {
 			T = maxSeconds
 			break
@@ -353,9 +373,15 @@ func AgeFrames(frames []*nvm.Frame, phaseSeconds, stopCapacity, maxSeconds float
 		fa.lastT = ev.t
 		capUnits -= before - fa.f.EffectiveCapacity()
 		T = ev.t
+		// The frame's next death replaces the root; a frame with none
+		// left leaves the heap.
 		if d := fa.nextDeath(); !math.IsInf(d, 1) {
-			heap.Push(&h, ageEvent{d, ev.idx})
+			h[0].t = d
+		} else {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		h.down(0)
 	}
 	// Apply partial wear to every frame up to T.
 	for i := range agers {
