@@ -195,7 +195,7 @@ func BenchmarkFig9ThTradeoff(b *testing.B) {
 	var err error
 	for i := 0; i < b.N; i++ {
 		pts, _, err = experiments.Fig9ThTradeoff(benchBase(), benchMixes,
-			[]float64{0, 4, 8}, []float64{1.0, 0.8}, 5, benchWarmup, benchMeasure)
+			[]float64{0, 4, 8}, []float64{1.0, 0.8}, benchWarmup, benchMeasure)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -20,28 +20,24 @@ import (
 )
 
 func main() {
-	cfg := core.QuickConfig()
-	policyName := flag.String("policy", cfg.PolicyName, "insertion policy: "+cliutil.PolicyNames())
-	cpth := flag.Int("cpth", cfg.CPth, "fixed threshold for CA/CA_RWR")
+	cf := cliutil.BindConfig(flag.CommandLine, "policy", "cpth")
 	warmup := flag.Uint64("warmup", 1_000_000, "warm-up cycles")
 	measure := flag.Uint64("measure", 4_000_000, "measured cycles")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	flag.Parse()
 
-	cfg.CPth = *cpth
-	probe := cfg
-	probe.PolicyName = *policyName
-	if err := probe.Validate(); err != nil {
+	cfg, err := cf.Config(core.QuickConfig())
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "appstudy:", err)
 		os.Exit(1)
 	}
-	rows, results, err := experiments.PerAppStudy(cfg, *policyName, *warmup, *measure)
+	rows, results, err := experiments.PerAppStudy(cfg, cfg.PolicyName, *warmup, *measure)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "appstudy:", err)
 		os.Exit(1)
 	}
 
-	tab := report.New(fmt.Sprintf("per-application behaviour under %s", *policyName),
+	tab := report.New(fmt.Sprintf("per-application behaviour under %s", cfg.PolicyName),
 		"app", "hit rate", "IPC", "NVM share", "compressible", "NVM bytes")
 	for _, r := range rows {
 		tab.AddRow(r.App, r.HitRate, r.MeanIPC, r.NVMShare, r.CompressibleFr, r.NVMBytes)

@@ -23,24 +23,16 @@ import (
 )
 
 func main() {
-	cfg := core.DefaultConfig()
-	mixesFlag := flag.String("mixes", "1,4", cliutil.MixesUsage)
+	cf := cliutil.BindConfig(flag.CommandLine, "mixes", "scale", "sets")
 	warmup := flag.Uint64("warmup", 2_000_000, "warm-up cycles")
 	measure := flag.Uint64("measure", 8_000_000, "measured cycles")
-	scale := flag.Float64("scale", cfg.Scale, "workload footprint scale")
-	sets := flag.Int("sets", cfg.LLCSets, "LLC sets")
 	fig8 := flag.Bool("fig8", false, "produce the Fig. 8 optimal-CPth distributions")
 	epochSweep := flag.Bool("epochsweep", false, "produce the epoch-size sensitivity table")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
 	flag.Parse()
 
-	cfg.Scale = *scale
-	cfg.LLCSets = *sets
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
-	mixes, err := cliutil.ParseMixes(*mixesFlag)
+	cfg, err := cf.Config(core.DefaultConfig())
 	if err != nil {
 		fatal(err)
 	}
@@ -49,11 +41,11 @@ func main() {
 	var results []cliutil.TaskResult // Fig. 8 and the epoch sweep fail whole
 	switch {
 	case *fig8:
-		rep, err = runFig8(cfg, mixes)
+		rep, err = runFig8(cfg, cf.Mixes)
 	case *epochSweep:
-		rep, err = runEpochSweep(cfg, mixes, *warmup, *measure)
+		rep, err = runEpochSweep(cfg, cf.Mixes, *warmup, *measure)
 	default:
-		rep, results, err = runFig67(cfg, mixes, *warmup, *measure)
+		rep, results, err = runFig67(cfg, cf.Mixes, *warmup, *measure)
 	}
 	if err != nil {
 		fatal(err)

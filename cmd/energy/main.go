@@ -22,26 +22,20 @@ import (
 )
 
 func main() {
-	cfg := core.DefaultConfig()
-	mixesFlag := flag.String("mixes", "1,4", cliutil.MixesUsage)
+	cf := cliutil.BindConfig(flag.CommandLine, "mixes", "scale")
 	warmup := flag.Uint64("warmup", 2_000_000, "warm-up cycles")
 	measure := flag.Uint64("measure", 8_000_000, "measured cycles")
-	scale := flag.Float64("scale", cfg.Scale, "workload footprint scale")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
 	flag.Parse()
 
-	cfg.Scale = *scale
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
-	mixes, err := cliutil.ParseMixes(*mixesFlag)
+	cfg, err := cf.Config(core.DefaultConfig())
 	if err != nil {
 		fatal(err)
 	}
 
 	policies := []string{"BH", "BH_CP", "LHybrid", "TAP", "CA_RWR", "CP_SD", "CP_SD_Th"}
-	rows, results := experiments.EnergyComparison(cfg, policies, mixes, *warmup, *measure)
+	rows, results := experiments.EnergyComparison(cfg, policies, cf.Mixes, *warmup, *measure)
 
 	rep := report.NewReport("LLC energy per policy (mJ per measurement window)")
 	tab := report.New("energy breakdown",

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -24,29 +25,29 @@ import (
 )
 
 type studyOptions struct {
-	Policy     string
-	Mix        int // 0-based
-	Seed       uint64
-	SpecPath   string  // campaign spec JSON; empty = capacity ramp
-	Target     float64 // ramp: final effective capacity fraction
-	Step       float64 // ramp: capacity drop per step
-	CheckEvery uint64  // continuous checker interval (0 = step-only checks)
-	Coloring   string  // set-coloring spec ("" = off)
-	Quick      bool
-	Warmup     uint64
-	Measure    uint64
+	Config   core.Config // validated by Build
+	SpecPath string      // campaign spec JSON; empty = capacity ramp
+	Target   float64     // ramp: final effective capacity fraction
+	Step     float64     // ramp: capacity drop per step
+	Warmup   uint64
+	Measure  uint64 // per step
+}
+
+// preset returns the base config and the warm-up and per-step measured
+// windows of the full or the -quick study.
+func preset(quick bool) (core.Config, uint64, uint64) {
+	if quick {
+		return core.QuickConfig(), 300_000, 300_000
+	}
+	return core.DefaultConfig(), 2_000_000, 2_000_000
 }
 
 func main() {
-	nMixes := len(core.AllMixes())
-	policy := flag.String("policy", "CP_SD", "insertion policy: "+cliutil.PolicyNames())
-	mix := flag.Int("mix", 1, fmt.Sprintf("mix number (1-%d)", nMixes))
-	seed := flag.Uint64("seed", 1, "campaign and workload seed")
+	cf := cliutil.BindConfig(flag.CommandLine, "policy", "mix", "seed", "coloring")
 	spec := flag.String("spec", "", "campaign spec JSON file (default: capacity ramp)")
 	target := flag.Float64("target", 0.5, "ramp target effective capacity fraction")
 	step := flag.Float64("step", 0.1, "ramp capacity drop per step")
 	checkEvery := flag.Uint64("checkevery", 10_000, "run the invariant checker every N LLC accesses (0 disables)")
-	coloring := flag.String("coloring", "", cliutil.ColoringUsage)
 	quick := flag.Bool("quick", false, "small configuration, short windows")
 	warmup := flag.Uint64("warmup", 0, "warm-up cycles (0 = preset default)")
 	measure := flag.Uint64("measure", 0, "measured cycles per step (0 = preset default)")
@@ -54,23 +55,14 @@ func main() {
 	jsonOut := flag.Bool("json", false, "emit JSON")
 	flag.Parse()
 
-	if *mix < 1 || *mix > nMixes {
-		fatal(fmt.Errorf("mix %d outside 1-%d", *mix, nMixes))
+	base, warm, meas := preset(*quick)
+	base.CheckEvery = *checkEvery
+	cfg, err := cf.Config(base)
+	if err != nil {
+		fatal(err)
 	}
-	opt := studyOptions{
-		Policy:     *policy,
-		Mix:        *mix - 1,
-		Seed:       *seed,
-		SpecPath:   *spec,
-		Target:     *target,
-		Step:       *step,
-		CheckEvery: *checkEvery,
-		Coloring:   *coloring,
-		Quick:      *quick,
-		Warmup:     *warmup,
-		Measure:    *measure,
-	}
-	rep, violations, err := runStudy(opt)
+	rep, violations, err := runStudy(studyOptions{Config: cfg, SpecPath: *spec, Target: *target, Step: *step,
+		Warmup: cmp.Or(*warmup, warm), Measure: cmp.Or(*measure, meas)})
 	if err != nil {
 		fatal(err)
 	}
@@ -87,26 +79,7 @@ func main() {
 // number of invariant violations observed (step checks and the
 // continuous checker combined).
 func runStudy(opt studyOptions) (*report.Report, int, error) {
-	cfg := core.DefaultConfig()
-	warmup, measure := uint64(2_000_000), uint64(2_000_000)
-	if opt.Quick {
-		cfg = core.QuickConfig()
-		warmup, measure = 300_000, 300_000
-	}
-	if opt.Warmup > 0 {
-		warmup = opt.Warmup
-	}
-	if opt.Measure > 0 {
-		measure = opt.Measure
-	}
-	cfg.PolicyName = opt.Policy
-	cfg.MixID = opt.Mix
-	cfg.Seed = opt.Seed
-	cfg.CheckEvery = opt.CheckEvery
-	// ApplyColoring validates the whole config (coloring included).
-	if err := cliutil.ApplyColoring(&cfg, opt.Coloring); err != nil {
-		return nil, 0, err
-	}
+	cfg := opt.Config
 	sys, err := cfg.Build()
 	if err != nil {
 		return nil, 0, err
@@ -129,26 +102,26 @@ func runStudy(opt studyOptions) (*report.Report, int, error) {
 			return nil, 0, fmt.Errorf("bad ramp step=%v target=%v (at most %.0f steps, one per NVM data byte)",
 				opt.Step, opt.Target, maxSteps)
 		}
-		spec = faultinject.CapacityRamp(opt.Seed, 1, opt.Target, opt.Step)
+		spec = faultinject.CapacityRamp(cfg.Seed, 1, opt.Target, opt.Step)
 	}
 	camp, err := faultinject.NewCampaign(arr, spec)
 	if err != nil {
 		return nil, 0, err
 	}
 
-	rep := report.NewReport(fmt.Sprintf("fault-injection study: %s, mix %d", opt.Policy, opt.Mix+1))
-	rep.AddField("policy", opt.Policy)
-	rep.AddField("mix", opt.Mix+1)
-	rep.AddField("seed", opt.Seed)
+	rep := report.NewReport(fmt.Sprintf("fault-injection study: %s, mix %d", cfg.PolicyName, cfg.MixID+1))
+	rep.AddField("policy", cfg.PolicyName)
+	rep.AddField("mix", cfg.MixID+1)
+	rep.AddField("seed", cfg.Seed)
 	rep.AddField("campaign_steps", len(spec.Steps))
 
 	tab := report.New("degradation curve",
 		"step", "kind", "capacity", "live_frames", "bytes_disabled",
 		"frames_killed", "hit_rate", "mean_ipc", "violations")
 
-	sys.Run(warmup)
+	sys.Run(opt.Warmup)
 	llc := sys.LLC()
-	base := sys.Run(measure)
+	base := sys.Run(opt.Measure)
 	tab.AddRow(0, "baseline", llc.EffectiveCapacityFraction(), llc.Array().LiveFrames(),
 		0, 0, base.LLC.HitRate(), base.MeanIPC, 0)
 
@@ -168,7 +141,7 @@ func runStudy(opt studyOptions) (*report.Report, int, error) {
 			viol.AddRow(res.Index+1, v.Invariant, v.Detail)
 		}
 		totalViolations += len(vs)
-		r := sys.Run(measure)
+		r := sys.Run(opt.Measure)
 		tab.AddRow(res.Index+1, string(res.Kind), res.Capacity, res.LiveFrames,
 			res.BytesDisabled, res.FramesKilled, r.LLC.HitRate(), r.MeanIPC, len(vs))
 	}

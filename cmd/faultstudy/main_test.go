@@ -9,21 +9,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/report"
 )
 
 func quickOpts() studyOptions {
-	return studyOptions{
-		Policy:     "CP_SD",
-		Mix:        0,
-		Seed:       11,
-		Target:     0.5,
-		Step:       0.125,
-		CheckEvery: 5_000,
-		Quick:      true,
-		Warmup:     150_000,
-		Measure:    150_000,
-	}
+	cfg := core.QuickConfig()
+	cfg.Seed = 11
+	cfg.CheckEvery = 5_000
+	return studyOptions{Config: cfg, Target: 0.5, Step: 0.125, Warmup: 150_000, Measure: 150_000}
 }
 
 // TestStudyDeterminism: two same-seed studies must emit bit-identical
@@ -54,7 +48,9 @@ func TestStudyDeterminism(t *testing.T) {
 // the target with no invariant violation.
 func TestStudyReachesTarget(t *testing.T) {
 	t.Run("test", func(t *testing.T) { studyReachesTarget(t, quickOpts()) })
-	cli := studyOptions{Policy: "CP_SD", Seed: 1, Target: 0.5, Step: 0.1, CheckEvery: 10_000, Quick: true}
+	cfg, warmup, measure := preset(true)
+	cfg.CheckEvery = 10_000
+	cli := studyOptions{Config: cfg, Target: 0.5, Step: 0.1, Warmup: warmup, Measure: measure}
 	t.Run("cli-quick", func(t *testing.T) { studyReachesTarget(t, cli) })
 }
 
@@ -110,7 +106,7 @@ func studyReachesTarget(t *testing.T, opt studyOptions) {
 
 func TestStudyRejectsBadConfig(t *testing.T) {
 	opt := quickOpts()
-	opt.Policy = "NOPE"
+	opt.Config.PolicyName = "NOPE"
 	if _, _, err := runStudy(opt); err == nil || !strings.Contains(err.Error(), "unknown policy") {
 		t.Fatalf("bad policy not rejected: %v", err)
 	}

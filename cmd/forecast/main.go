@@ -31,21 +31,11 @@ import (
 )
 
 func main() {
-	cfg := core.DefaultConfig()
 	policies := flag.String("policies", "standard", `"standard", "core" or comma-separated curve labels: `+strings.Join(experiments.ForecastLabels(), ", "))
-	mixesFlag := flag.String("mixes", "1,4", cliutil.MixesUsage)
-	sram := flag.Int("sram", cfg.SRAMWays, "SRAM ways")
-	nvmWays := flag.Int("nvm", cfg.NVMWays, "NVM ways")
-	cv := flag.Float64("cv", cfg.EnduranceCV, "endurance coefficient of variation")
-	mean := flag.Float64("mean", cfg.EnduranceMean, "endurance mean writes")
-	l2kb := flag.Int("l2kb", cfg.L2SizeKB, "L2 size in KB")
-	nvmlat := flag.Float64("nvmlat", cfg.NVMLatencyFactor, "NVM data-array latency factor")
-	scale := flag.Float64("scale", cfg.Scale, "workload footprint scale")
-	sets := flag.Int("sets", cfg.LLCSets, "LLC sets")
+	cf := cliutil.BindConfig(flag.CommandLine, "mixes", "sram", "nvm", "cv", "mean", "l2kb", "nvmlat", "scale", "sets", "coloring")
 	phase := flag.Uint64("phase", 10_000_000, "measured cycles per forecast phase")
 	warm := flag.Uint64("warmup", 2_000_000, "warm-up cycles per phase")
 	step := flag.Float64("step", 0.025, "capacity drop per prediction phase")
-	coloring := flag.String("coloring", "", cliutil.ColoringUsage)
 	analyticFast := flag.Bool("analytic", false, "use the analytic fast path: the forecast loop with one capacity step per cell (-warmup sizes the warm-up, -phase the calibration window)")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
@@ -58,23 +48,11 @@ func main() {
 	if *phase == 0 {
 		fatal(fmt.Errorf("-phase must be positive"))
 	}
-
-	cfg.SRAMWays, cfg.NVMWays = *sram, *nvmWays
-	cfg.EnduranceCV = *cv
-	cfg.EnduranceMean = *mean
-	cfg.L2SizeKB = *l2kb
-	cfg.NVMLatencyFactor = *nvmlat
-	cfg.Scale = *scale
-	cfg.LLCSets = *sets
-	if err := cliutil.ApplyColoring(&cfg, *coloring); err != nil {
-		fatal(err)
-	}
-
-	specs, err := experiments.SelectForecastSpecs(*policies)
+	cfg, err := cf.Config(core.DefaultConfig())
 	if err != nil {
 		fatal(err)
 	}
-	mixes, err := cliutil.ParseMixes(*mixesFlag)
+	specs, err := experiments.SelectForecastSpecs(*policies)
 	if err != nil {
 		fatal(err)
 	}
@@ -88,7 +66,7 @@ func main() {
 	if *analyticFast {
 		cell = experiments.EstimateCell(*warm, *phase)
 	}
-	fs, results := experiments.ForecastComparison(cfg, specs, mixes, cell)
+	fs, results := experiments.ForecastComparison(cfg, specs, cf.Mixes, cell)
 
 	// Normalise to the SRAM16 upper bound if it was run.
 	bound := 0.0

@@ -34,22 +34,10 @@ import (
 )
 
 func main() {
-	def := core.DefaultConfig()
 	configPath := flag.String("config", "", "load a core.Config JSON file (flags set explicitly still override)")
 	tracePrefix := flag.String("trace", "", "replay recorded traces from prefix.coreN.trc instead of live generation")
-	policyName := flag.String("policy", def.PolicyName, "insertion policy: "+cliutil.PolicyNames())
-	mix := flag.Int("mix", 1, fmt.Sprintf("mix number (1-%d: Table V plus skewed-traffic scenarios)", len(core.AllMixes())))
-	seed := flag.Uint64("seed", def.Seed, "deterministic seed")
-	scale := flag.Float64("scale", def.Scale, "workload footprint scale")
-	sets := flag.Int("sets", def.LLCSets, "LLC sets")
-	sram := flag.Int("sram", def.SRAMWays, "SRAM ways")
-	nvmWays := flag.Int("nvm", def.NVMWays, "NVM ways")
-	l2kb := flag.Int("l2kb", def.L2SizeKB, "L2 size in KB")
-	cpth := flag.Int("cpth", def.CPth, "fixed compression threshold for CA/CA_RWR")
-	th := flag.Float64("th", def.Th, "CP_SD_Th hit-sacrifice percentage")
-	tw := flag.Float64("tw", def.Tw, "CP_SD_Th write-reduction percentage")
-	cv := flag.Float64("cv", def.EnduranceCV, "endurance coefficient of variation")
-	nvmlat := flag.Float64("nvmlat", def.NVMLatencyFactor, "NVM data-array latency factor")
+	cf := cliutil.BindConfig(flag.CommandLine, "policy", "mix", "seed", "scale", "sets", "sram", "nvm", "l2kb",
+		"cpth", "th", "tw", "cv", "nvmlat", "prefetch", "rrip", "checkevery", "coloring")
 	capacity := flag.Float64("capacity", 1.0, "pre-age the NVM part to this capacity fraction")
 	warmup := flag.Uint64("warmup", 2_000_000, "warm-up cycles")
 	measure := flag.Uint64("measure", 10_000_000, "measured cycles")
@@ -57,10 +45,6 @@ func main() {
 	csvOut := flag.Bool("csv", false, "emit the report as CSV")
 	epochs := flag.Bool("epochs", false, "include the per-epoch series (IPC, LLC traffic, NVM bytes, CPth)")
 	allMetrics := flag.Bool("metrics", false, "include the full registry delta of the measured window")
-	prefetch := flag.Bool("prefetch", false, "enable the L2 stride prefetcher")
-	rrip := flag.Bool("rrip", false, "use fit-RRIP NVM replacement instead of fit-LRU")
-	checkEvery := flag.Uint64("checkevery", 0, "run the invariant checker every N LLC accesses (0 disables)")
-	coloring := flag.String("coloring", "", cliutil.ColoringUsage)
 	flag.Parse()
 
 	// Negated, so that NaN, which fails every comparison, is refused.
@@ -68,7 +52,7 @@ func main() {
 		fatal(fmt.Errorf("-capacity %v outside (0, 1]", *capacity))
 	}
 
-	cfg := def
+	cfg := core.DefaultConfig()
 	if *configPath != "" {
 		data, err := os.ReadFile(*configPath)
 		if err != nil {
@@ -78,61 +62,14 @@ func main() {
 			fatal(fmt.Errorf("%s: config: %w", *configPath, err))
 		}
 	}
-
-	// Explicitly set flags win over the config file; with no -config this
-	// reduces to the classic flags-over-defaults behaviour.
-	coloringSet := false
-	flag.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "policy":
-			cfg.PolicyName = *policyName
-		case "mix":
-			cfg.MixID = *mix - 1
-		case "seed":
-			cfg.Seed = *seed
-		case "scale":
-			cfg.Scale = *scale
-		case "sets":
-			cfg.LLCSets = *sets
-		case "sram":
-			cfg.SRAMWays = *sram
-		case "nvm":
-			cfg.NVMWays = *nvmWays
-		case "l2kb":
-			cfg.L2SizeKB = *l2kb
-		case "cpth":
-			cfg.CPth = *cpth
-		case "th":
-			cfg.Th = *th
-		case "tw":
-			cfg.Tw = *tw
-		case "cv":
-			cfg.EnduranceCV = *cv
-		case "nvmlat":
-			cfg.NVMLatencyFactor = *nvmlat
-		case "prefetch":
-			cfg.EnablePrefetcher = *prefetch
-		case "rrip":
-			cfg.NVMRRIP = *rrip
-		case "checkevery":
-			cfg.CheckEvery = *checkEvery
-		case "coloring":
-			coloringSet = true
-		}
-	})
-	// An explicit -coloring flag replaces (or with "off", clears) any
-	// coloring block loaded from -config; ApplyColoring validates.
-	if coloringSet {
-		if err := cliutil.ApplyColoring(&cfg, *coloring); err != nil {
-			fatal(err)
-		}
-	}
-	if err := cfg.Validate(); err != nil {
+	// Flags set on the command line win over the config file; with no
+	// -config this is the classic flags-over-defaults behaviour.
+	cfg, err := cf.Config(cfg)
+	if err != nil {
 		fatal(err)
 	}
 
 	var sys *hier.System
-	var err error
 	if *tracePrefix != "" {
 		progs, perr := cliutil.LoadMixPrograms(*tracePrefix, cfg.MixID, cfg.Seed, cfg.Scale)
 		if perr != nil {

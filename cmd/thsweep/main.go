@@ -15,32 +15,25 @@ import (
 )
 
 func main() {
-	cfg := core.DefaultConfig()
-	mixesFlag := flag.String("mixes", "1,4", cliutil.MixesUsage)
+	cf := cliutil.BindConfig(flag.CommandLine, "mixes", "scale", "tw")
 	warmup := flag.Uint64("warmup", 2_000_000, "warm-up cycles")
 	measure := flag.Uint64("measure", 8_000_000, "measured cycles")
-	scale := flag.Float64("scale", cfg.Scale, "workload footprint scale")
-	tw := flag.Float64("tw", cfg.Tw, "Tw: minimum write reduction percentage")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
 	flag.Parse()
 
-	cfg.Scale = *scale
-	if err := cfg.Validate(); err != nil {
-		fatal(err)
-	}
-	mixes, err := cliutil.ParseMixes(*mixesFlag)
+	cfg, err := cf.Config(core.DefaultConfig())
 	if err != nil {
 		fatal(err)
 	}
 
 	ths := []float64{0, 2, 4, 6, 8}
 	caps := []float64{1.0, 0.9, 0.8}
-	pts, results, err := experiments.Fig9ThTradeoff(cfg, mixes, ths, caps, *tw, *warmup, *measure)
+	pts, results, err := experiments.Fig9ThTradeoff(cfg, cf.Mixes, ths, caps, *warmup, *measure)
 	if err != nil {
 		fatal(err)
 	}
-	rep := report.NewReport(fmt.Sprintf("Fig. 9 — CP_SD_Th trade-off (Tw = %g%%), normalised to BH @ 100%%", *tw))
+	rep := report.NewReport(fmt.Sprintf("Fig. 9 — CP_SD_Th trade-off (Tw = %g%%), normalised to BH @ 100%%", cfg.Tw))
 	tab := report.New("hits vs NVM bytes", "capacity", "th", "hits", "nvm_bytes")
 	for _, p := range pts {
 		tab.AddRow(fmt.Sprintf("%.0f%%", p.Capacity*100), fmt.Sprintf("%g", p.Th), p.Hits, p.NVMBytes)

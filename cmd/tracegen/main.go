@@ -22,6 +22,7 @@ import (
 	"sort"
 
 	"repro/internal/cliutil"
+	"repro/internal/core"
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
@@ -32,8 +33,9 @@ func main() {
 	n := flag.Int("n", 1_000_000, "number of accesses to record")
 	out := flag.String("o", "trace.trc", "output file (or prefix for -mix)")
 	gzipOut := flag.Bool("gzip", false, "gzip-compress -mix output (appends .gz to each per-core file)")
-	seed := flag.Uint64("seed", 1, "deterministic seed")
-	scale := flag.Float64("scale", 0.25, "footprint scale")
+	// Replay needs the seed and scale hybridsim -trace is given, so both
+	// share its defaults and its validation.
+	cf := cliutil.BindConfig(flag.CommandLine, "seed", "scale")
 	list := flag.Bool("list", false, "list available application profiles")
 	flag.Parse()
 
@@ -48,6 +50,10 @@ func main() {
 		}
 		return
 	}
+	cfg, err := cf.Config(core.DefaultConfig())
+	if err != nil {
+		fatal(err)
+	}
 
 	switch {
 	case *appName != "":
@@ -55,7 +61,7 @@ func main() {
 		if !ok {
 			fatal(fmt.Errorf("unknown application %q (use -list)", *appName))
 		}
-		app, err := workload.NewApp(prof.Scale(*scale), workload.AppSpacing, *seed)
+		app, err := workload.NewApp(prof.Scale(cfg.Scale), workload.AppSpacing, cfg.Seed)
 		if err != nil {
 			fatal(err)
 		}
@@ -64,7 +70,7 @@ func main() {
 		}
 		fmt.Printf("wrote %d accesses of %s to %s\n", *n, *appName, *out)
 	case *mix >= 1 && *mix <= len(workload.Mixes()):
-		apps, err := workload.NewMix(*mix-1, *seed, *scale)
+		apps, err := workload.NewMix(*mix-1, cfg.Seed, cfg.Scale)
 		if err != nil {
 			fatal(err)
 		}

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
@@ -27,44 +28,37 @@ import (
 // options carries everything run needs, so the golden-file test can
 // drive the full pipeline without going through flag parsing.
 type options struct {
-	Policy   string
-	Mix      int // 0-based
-	Seed     uint64
+	Config   core.Config // validated by Build
 	Capacity float64
-	Warmup   uint64 // 0 = preset default
-	Measure  uint64 // 0 = preset default
-	Coloring string // set-coloring spec ("" = off)
-	Quick    bool
+	Warmup   uint64
+	Measure  uint64
+}
+
+// preset returns the base config and the warm-up and measured windows
+// of the full or the -quick wear map.
+func preset(quick bool) (core.Config, uint64, uint64) {
+	if quick {
+		return core.QuickConfig(), 300_000, 1_000_000
+	}
+	return core.DefaultConfig(), 2_000_000, 8_000_000
 }
 
 func main() {
-	def := core.DefaultConfig()
-	nMixes := len(core.AllMixes())
-	policyName := flag.String("policy", def.PolicyName, "insertion policy: "+cliutil.PolicyNames())
-	mix := flag.Int("mix", 1, fmt.Sprintf("mix number (1-%d: Table V plus skewed-traffic scenarios)", nMixes))
-	seed := flag.Uint64("seed", def.Seed, "deterministic seed")
+	cf := cliutil.BindConfig(flag.CommandLine, "policy", "mix", "seed", "coloring")
 	capacity := flag.Float64("capacity", 0.8, "age until this capacity fraction")
 	warmup := flag.Uint64("warmup", 0, "warm-up cycles (0 = preset default)")
 	measure := flag.Uint64("measure", 0, "cycles to measure write rates over (0 = preset default)")
-	coloring := flag.String("coloring", "", cliutil.ColoringUsage)
 	quick := flag.Bool("quick", false, "small configuration, short windows")
 	csvOut := flag.Bool("csv", false, "emit CSV")
 	jsonOut := flag.Bool("json", false, "emit JSON")
 	flag.Parse()
 
-	if *mix < 1 || *mix > nMixes {
-		fatal(fmt.Errorf("mix %d outside 1-%d", *mix, nMixes))
+	base, warm, meas := preset(*quick)
+	cfg, err := cf.Config(base)
+	if err != nil {
+		fatal(err)
 	}
-	rep, err := run(options{
-		Policy:   *policyName,
-		Mix:      *mix - 1,
-		Seed:     *seed,
-		Capacity: *capacity,
-		Warmup:   *warmup,
-		Measure:  *measure,
-		Coloring: *coloring,
-		Quick:    *quick,
-	})
+	rep, err := run(options{Config: cfg, Capacity: *capacity, Warmup: cmp.Or(*warmup, warm), Measure: cmp.Or(*measure, meas)})
 	if err != nil {
 		fatal(err)
 	}
@@ -79,38 +73,20 @@ func run(opt options) (*report.Report, error) {
 	if !(opt.Capacity > 0 && opt.Capacity <= 1) {
 		return nil, fmt.Errorf("capacity %v outside (0, 1]", opt.Capacity)
 	}
-	cfg := core.DefaultConfig()
-	warmup, measure := uint64(2_000_000), uint64(8_000_000)
-	if opt.Quick {
-		cfg = core.QuickConfig()
-		warmup, measure = 300_000, 1_000_000
-	}
-	if opt.Warmup > 0 {
-		warmup = opt.Warmup
-	}
-	if opt.Measure > 0 {
-		measure = opt.Measure
-	}
-	cfg.PolicyName = opt.Policy
-	cfg.MixID = opt.Mix
-	cfg.Seed = opt.Seed
-	// ApplyColoring validates the whole config (coloring included).
-	if err := cliutil.ApplyColoring(&cfg, opt.Coloring); err != nil {
-		return nil, err
-	}
+	cfg := opt.Config
 	sys, err := cfg.Build()
 	if err != nil {
 		return nil, err
 	}
 	arr := sys.LLC().Array()
 	if arr == nil {
-		return nil, fmt.Errorf("policy %s has no NVM part", opt.Policy)
+		return nil, fmt.Errorf("policy %s has no NVM part", cfg.PolicyName)
 	}
 
 	// Measure real per-frame write rates, then age with them.
-	sys.Run(warmup)
+	sys.Run(opt.Warmup)
 	arr.ResetPhase()
-	st := sys.Run(measure)
+	st := sys.Run(opt.Measure)
 	// Wear variation of the simulated window itself, before aging: aging
 	// runs frames into their endurance limits, which truncates the wear
 	// distribution and hides the rate imbalance the wear coloring acts
@@ -134,11 +110,11 @@ func run(opt options) (*report.Report, error) {
 	pctF := func(xs []float64, p float64) float64 { return xs[int(p*float64(len(xs)-1))] }
 
 	rep := report.NewReport(fmt.Sprintf("NVM wear map: %s mix %d aged to %.0f%% capacity",
-		opt.Policy, opt.Mix+1, capFrac*100))
-	rep.AddField("policy", opt.Policy)
-	rep.AddField("mix", opt.Mix+1)
-	if opt.Coloring != "" && opt.Coloring != "off" {
-		rep.AddField("coloring", opt.Coloring)
+		cfg.PolicyName, cfg.MixID+1, capFrac*100))
+	rep.AddField("policy", cfg.PolicyName)
+	rep.AddField("mix", cfg.MixID+1)
+	if cfg.Coloring != nil {
+		rep.AddField("coloring", cliutil.ColoringSpec(cfg.Coloring))
 	}
 	rep.AddField("capacity", capFrac)
 	rep.AddField("aged_months", elapsed/forecast.SecondsPerMonth)

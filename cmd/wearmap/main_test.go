@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/report"
 )
 
@@ -18,16 +19,11 @@ var update = flag.Bool("update", false, "rewrite the golden files")
 // zipfian set-pressure mix: small windows keep it test-speed while still
 // spanning several epochs, so the per-set heat columns carry real remaps.
 func goldenOptions() options {
-	return options{
-		Policy:   "CP_SD",
-		Mix:      11, // CLI mix 12: the multi-tenant interference scenario
-		Seed:     42,
-		Capacity: 0.5,
-		Warmup:   100_000,
-		Measure:  400_000,
-		Coloring: "wear:interval=1,pairs=16",
-		Quick:    true,
-	}
+	cfg := core.QuickConfig()
+	cfg.MixID = 11 // CLI mix 12: the multi-tenant interference scenario
+	cfg.Seed = 42
+	cfg.Coloring = &core.ColoringConfig{Scheme: core.ColoringWear, IntervalEpochs: 1, Pairs: 16}
+	return options{Config: cfg, Capacity: 0.5, Warmup: 100_000, Measure: 400_000}
 }
 
 func checkGolden(t *testing.T, name string, got []byte) {
@@ -98,19 +94,19 @@ func TestWearmapColumns(t *testing.T) {
 }
 
 // TestWearmapRejects pins the error paths: an SRAM-only policy has no
-// NVM array to map, and a malformed coloring spec or a capacity outside
+// NVM array to map, and an invalid coloring or a capacity outside
 // (0, 1] must fail before the simulation is built.
 func TestWearmapRejects(t *testing.T) {
 	opt := goldenOptions()
-	opt.Policy = "SRAM16"
-	opt.Coloring = ""
+	opt.Config.PolicyName = "SRAM16"
+	opt.Config.Coloring = nil
 	if _, err := run(opt); err == nil {
 		t.Fatal("SRAM-only policy produced a wear map")
 	}
 	opt = goldenOptions()
-	opt.Coloring = "wear:pairs=bogus"
+	opt.Config.Coloring.Pairs = -1
 	if _, err := run(opt); err == nil {
-		t.Fatal("malformed coloring spec accepted")
+		t.Fatal("invalid coloring accepted")
 	}
 	for _, c := range []float64{0, -0.5, 1.5, math.NaN(), math.Inf(1)} {
 		opt = goldenOptions()
@@ -129,9 +125,13 @@ func TestWearmapRejects(t *testing.T) {
 // results/coloring_smoke_{off,wear}.json byte for byte.
 func TestWearColoringLevelsSets(t *testing.T) {
 	var cov, months [2]float64
-	for i, c := range []struct{ name, coloring string }{{"off", ""}, {"wear", "wear:interval=2,pairs=32"}} {
-		rep, err := run(options{Policy: "CP_SD", Mix: 11, Seed: 1, Capacity: 0.5,
-			Measure: 8_000_000, Coloring: c.coloring, Quick: true})
+	for i, c := range []struct {
+		name     string
+		coloring *core.ColoringConfig
+	}{{"off", nil}, {"wear", &core.ColoringConfig{Scheme: core.ColoringWear, IntervalEpochs: 2, Pairs: 32}}} {
+		cfg, warmup, _ := preset(true)
+		cfg.MixID, cfg.Coloring = 11, c.coloring
+		rep, err := run(options{Config: cfg, Capacity: 0.5, Warmup: warmup, Measure: 8_000_000})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -75,9 +75,9 @@ func flagUsage(help, name string) string {
 	in := false
 	for _, line := range strings.Split(help, "\n") {
 		if strings.HasPrefix(line, "  -") {
-			in = strings.HasPrefix(line, "  -"+name+" ")
+			in = line == "  -"+name || strings.HasPrefix(line, "  -"+name+" ")
 		}
-		if in {
+		if in && (strings.HasPrefix(line, "  -") || strings.HasPrefix(line, "    \t")) {
 			b.WriteString(line)
 			b.WriteByte('\n')
 		}
@@ -85,62 +85,93 @@ func flagUsage(help, name string) string {
 	return b.String()
 }
 
-// TestCmdPolicyHelp checks that the -h text of every cmd that takes a
-// policy flag names each policy the flag accepts — the full registry, or
-// for forecast the curve labels — so the help cannot drift from what the
-// registry accepts.
-func TestCmdPolicyHelp(t *testing.T) {
+// TestCmdSharedFlags checks every shared flag of every command against
+// what core accepts: the flag is there, its default is
+// core.DefaultConfig's, its help names the range Validate or the
+// registry accepts, and every command that has it shows the same help,
+// so no command's help can drift from core or from another command's.
+func TestCmdSharedFlags(t *testing.T) {
 	help := cmdHelp(t)
-	cases := []struct {
-		cmd, flag string
-		want      []string
+	def := core.DefaultConfig()
+	mixRange := fmt.Sprintf("1-%d", len(core.AllMixes()))
+	type want struct {
+		def   string   // as -h prints it; "" when it prints none
+		words []string // the usage must name each
+	}
+	shared := map[string]want{
+		"policy":     {fmt.Sprintf("%q", def.PolicyName), core.Policies()},
+		"mix":        {fmt.Sprint(def.MixID + 1), []string{mixRange}},
+		"mixes":      {`"1,4"`, []string{mixRange, `"all"`}},
+		"seed":       {fmt.Sprint(def.Seed), nil},
+		"scale":      {fmt.Sprint(def.Scale), []string{fmt.Sprintf("(0, %d]", core.MaxScale)}},
+		"sets":       {fmt.Sprint(def.LLCSets), []string{fmt.Sprintf("1-%d", core.MaxLLCSets)}},
+		"sram":       {fmt.Sprint(def.SRAMWays), []string{fmt.Sprint(core.MaxLLCWays)}},
+		"nvm":        {fmt.Sprint(def.NVMWays), []string{fmt.Sprint(core.MaxLLCWays)}},
+		"l2kb":       {fmt.Sprint(def.L2SizeKB), []string{fmt.Sprintf("1-%d", core.MaxL2SizeKB)}},
+		"cpth":       {fmt.Sprint(def.CPth), nil},
+		"th":         {fmt.Sprint(def.Th), nil},
+		"tw":         {fmt.Sprint(def.Tw), nil},
+		"mean":       {fmt.Sprint(def.EnduranceMean), []string{fmt.Sprintf("(0, %g]", float64(core.MaxEnduranceMean))}},
+		"cv":         {fmt.Sprint(def.EnduranceCV), []string{fmt.Sprintf("[0, %d]", core.MaxEnduranceCV)}},
+		"nvmlat":     {fmt.Sprint(def.NVMLatencyFactor), []string{fmt.Sprintf("[0, %d]", core.MaxNVMLatencyFactor)}},
+		"prefetch":   {"", nil},
+		"rrip":       {"", nil},
+		"checkevery": {"", nil},
+		"coloring":   {"", []string{`"wear:interval=N,pairs=N"`, `"off"`}},
+	}
+	cmds := []struct {
+		cmd   string
+		flags []string
+		local map[string]want // the command's own flags, checked the same way
 	}{
-		{"hybridsim", "policy", core.Policies()},
-		{"faultstudy", "policy", core.Policies()},
-		{"appstudy", "policy", core.Policies()},
-		{"wearmap", "policy", core.Policies()},
-		{"forecast", "policies", experiments.ForecastLabels()},
+		{"hybridsim", []string{"policy", "mix", "seed", "scale", "sets", "sram", "nvm", "l2kb",
+			"cpth", "th", "tw", "cv", "nvmlat", "prefetch", "rrip", "checkevery", "coloring"}, nil},
+		{"forecast", []string{"mixes", "sram", "nvm", "cv", "mean", "l2kb", "nvmlat", "scale", "sets", "coloring"},
+			map[string]want{"policies": {`"standard"`, experiments.ForecastLabels()}}},
+		{"cpthsweep", []string{"mixes", "scale", "sets"}, nil},
+		{"energy", []string{"mixes", "scale"}, nil},
+		{"thsweep", []string{"mixes", "scale", "tw"}, nil},
+		{"appstudy", []string{"policy", "cpth"}, nil},
+		{"wearmap", []string{"policy", "mix", "seed", "coloring"}, nil},
+		{"faultstudy", []string{"policy", "mix", "seed", "coloring"}, nil},
+		// tracegen's -mix is its own: 0 selects -app instead.
+		{"tracegen", []string{"seed", "scale"}, map[string]want{"mix": {"", []string{mixRange}}}},
 	}
-	word := regexp.MustCompile(`[A-Za-z0-9_]+`)
-	for _, c := range cases {
-		usage := flagUsage(help[c.cmd], c.flag)
+	check := func(cmd, name string, w want) string {
+		usage := flagUsage(help[cmd], name)
 		if usage == "" {
-			t.Errorf("%s: no -%s flag in help:\n%s", c.cmd, c.flag, help[c.cmd])
-			continue
+			t.Errorf("%s: no -%s flag in help:\n%s", cmd, name, help[cmd])
+			return ""
 		}
-		named := map[string]bool{}
-		for _, w := range word.FindAllString(usage, -1) {
-			named[w] = true
+		if shown := strings.Contains(usage, "(default "); w.def == "" && shown {
+			t.Errorf("%s -%s help shows a default, want none:\n%s", cmd, name, usage)
+		} else if w.def != "" && !strings.Contains(usage, "(default "+w.def+")") {
+			t.Errorf("%s -%s help does not show default %s:\n%s", cmd, name, w.def, usage)
 		}
-		for _, p := range c.want {
-			if !named[p] {
-				t.Errorf("%s -%s help does not name %s:\n%s", c.cmd, c.flag, p, usage)
+		for _, word := range w.words {
+			if !regexp.MustCompile(`(^|\W)` + regexp.QuoteMeta(word) + `($|\W)`).MatchString(usage) {
+				t.Errorf("%s -%s help does not name %s:\n%s", cmd, name, word, usage)
 			}
+		}
+		return usage
+	}
+	seen := map[string]string{} // flag -> the first command's help for it
+	for _, c := range cmds {
+		for _, name := range c.flags {
+			usage := check(c.cmd, name, shared[name])
+			if first, ok := seen[name]; ok && usage != first {
+				t.Errorf("%s -%s help differs from another command's:\n%s\nvs\n%s", c.cmd, name, usage, first)
+			}
+			seen[name] = usage
+		}
+		for name, w := range c.local {
+			check(c.cmd, name, w)
 		}
 	}
-}
-
-// TestCmdMixHelp checks that every cmd's -mix or -mixes help names the
-// full mix range cliutil.ParseMixes and core accept, Table V plus the
-// skewed-traffic scenarios, so no help text understates the mix table.
-func TestCmdMixHelp(t *testing.T) {
-	help := cmdHelp(t)
-	want := fmt.Sprintf("1-%d", len(core.AllMixes()))
-	flags := 0
-	for cmd, h := range help {
-		for _, name := range []string{"mix", "mixes"} {
-			usage := flagUsage(h, name)
-			if usage == "" {
-				continue
-			}
-			flags++
-			if !strings.Contains(usage, want) {
-				t.Errorf("%s -%s help does not name %s:\n%s", cmd, name, want, usage)
-			}
+	for name := range shared {
+		if _, ok := seen[name]; !ok {
+			t.Errorf("no command checked for shared flag -%s", name)
 		}
-	}
-	if flags == 0 {
-		t.Fatal("no cmd has a -mix or -mixes flag; the help parser is broken")
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/check"
 	"repro/internal/dueling"
@@ -303,14 +302,6 @@ func AllMixes() []int {
 		out[i] = i
 	}
 	return out
-}
-
-// SortedPolicyNames returns the policy registry sorted alphabetically
-// (diagnostic helper for CLIs).
-func SortedPolicyNames() []string {
-	ps := Policies()
-	sort.Strings(ps)
-	return ps
 }
 
 // BuildPolicy resolves the config's policy selection into the policy

@@ -161,18 +161,6 @@ func TestAllMixes(t *testing.T) {
 	}
 }
 
-func TestSortedPolicyNames(t *testing.T) {
-	names := SortedPolicyNames()
-	if len(names) != len(Policies()) {
-		t.Fatal("length mismatch")
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatal("not sorted")
-		}
-	}
-}
-
 // TestPolicyOrderingSanity is the repo's headline smoke check: on a real
 // (small) run, the policy hit-rate and NVM-write orderings the paper
 // relies on must hold: BH is the hit-rate reference, LHybrid/TAP write far

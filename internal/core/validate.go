@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/workload"
 )
@@ -45,7 +46,9 @@ func (c Config) Validate() error {
 	if n := len(workload.Mixes()); c.MixID < 0 || c.MixID >= n {
 		bad("mix id %d out of range [0,%d)", c.MixID, n)
 	}
-	if c.Scale <= 0 || c.Scale > MaxScale {
+	// The float checks are negated, so that NaN, which fails every
+	// comparison, is refused.
+	if !(c.Scale > 0 && c.Scale <= MaxScale) {
 		bad("scale %v outside (0,%d]", c.Scale, MaxScale)
 	}
 	if c.LLCSets < 1 || c.LLCSets > MaxLLCSets {
@@ -76,19 +79,19 @@ func (c Config) Validate() error {
 			errs = append(errs, err)
 		}
 	}
-	if c.Th < 0 || c.Tw < 0 {
-		bad("negative CP_SD_Th parameters Th=%v Tw=%v", c.Th, c.Tw)
+	if !(c.Th >= 0 && c.Th <= math.MaxFloat64 && c.Tw >= 0 && c.Tw <= math.MaxFloat64) {
+		bad("CP_SD_Th parameters Th=%v Tw=%v not finite and non-negative", c.Th, c.Tw)
 	}
-	if c.EnduranceMean <= 0 || c.EnduranceMean > MaxEnduranceMean {
+	if !(c.EnduranceMean > 0 && c.EnduranceMean <= MaxEnduranceMean) {
 		bad("endurance mean %v outside (0,%g]", c.EnduranceMean, float64(MaxEnduranceMean))
 	}
-	if c.EnduranceCV < 0 || c.EnduranceCV > MaxEnduranceCV {
+	if !(c.EnduranceCV >= 0 && c.EnduranceCV <= MaxEnduranceCV) {
 		bad("endurance CV %v outside [0,%d]", c.EnduranceCV, MaxEnduranceCV)
 	}
 	if c.EpochCycles < 1 || c.EpochCycles > MaxEpochCycles {
 		bad("epoch of %d cycles outside [1,%d]", c.EpochCycles, MaxEpochCycles)
 	}
-	if c.NVMLatencyFactor < 0 || c.NVMLatencyFactor > MaxNVMLatencyFactor {
+	if !(c.NVMLatencyFactor >= 0 && c.NVMLatencyFactor <= MaxNVMLatencyFactor) {
 		bad("NVM latency factor %v outside [0,%d]", c.NVMLatencyFactor, MaxNVMLatencyFactor)
 	}
 	if c.PrefetchDegree < 0 || c.PrefetchDegree > MaxPrefetchDegree {

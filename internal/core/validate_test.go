@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -73,6 +74,16 @@ func TestValidateRejections(t *testing.T) {
 		{"nvmlat-huge", func(c *Config) { c.NVMLatencyFactor = MaxNVMLatencyFactor + 1 }, "latency factor"},
 		{"prefetch-huge", func(c *Config) { c.PrefetchDegree = MaxPrefetchDegree + 1 }, "prefetch"},
 		{"banks-huge", func(c *Config) { c.LLCBanks = MaxLLCBanks + 1 }, "bank"},
+		// NaN fails every comparison, so each float field needs a
+		// check that refuses it; Th and Tw have no upper bound but +Inf.
+		{"scale-nan", func(c *Config) { c.Scale = math.NaN() }, "scale"},
+		{"endurance-nan", func(c *Config) { c.EnduranceMean = math.NaN() }, "endurance mean"},
+		{"cv-nan", func(c *Config) { c.EnduranceCV = math.NaN() }, "endurance CV"},
+		{"nvmlat-nan", func(c *Config) { c.NVMLatencyFactor = math.NaN() }, "latency factor"},
+		{"th-nan", func(c *Config) { c.Th = math.NaN() }, "Th"},
+		{"tw-nan", func(c *Config) { c.Tw = math.NaN() }, "Tw"},
+		{"th-inf", func(c *Config) { c.Th = math.Inf(1) }, "Th"},
+		{"tw-inf", func(c *Config) { c.Tw = math.Inf(1) }, "Tw"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -53,7 +53,7 @@ func TestExperimentDigests(t *testing.T) {
 			return res, nil, err
 		}},
 		{"fig9", func() (any, []cliutil.TaskResult, error) {
-			pts, results, err := Fig9ThTradeoff(base, mixes, []float64{0, 4}, []float64{1.0, 0.8}, 5, warmup, measure)
+			pts, results, err := Fig9ThTradeoff(base, mixes, []float64{0, 4}, []float64{1.0, 0.8}, warmup, measure)
 			return pts, results, err
 		}},
 		{"epochsweep", func() (any, []cliutil.TaskResult, error) {

@@ -147,7 +147,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	pts, _, err := Fig9ThTradeoff(quickBase(), []int{0}, []float64{0, 8}, []float64{1.0}, 5, 300_000, 1_000_000)
+	pts, _, err := Fig9ThTradeoff(quickBase(), []int{0}, []float64{0, 8}, []float64{1.0}, 300_000, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -100,7 +100,7 @@ func TestParallelScalingBench(t *testing.T) {
 			return s, results, err
 		}},
 		{"Fig9ThTradeoff", func() (any, []cliutil.TaskResult, error) {
-			pts, results, err := Fig9ThTradeoff(quickBase(), mixes, []float64{0, 8}, []float64{1.0, 0.8}, 5, warmup, measure)
+			pts, results, err := Fig9ThTradeoff(quickBase(), mixes, []float64{0, 8}, []float64{1.0, 0.8}, warmup, measure)
 			return pts, results, err
 		}},
 		{"EnergyComparison", func() (any, []cliutil.TaskResult, error) {

@@ -213,11 +213,11 @@ type ThPoint struct {
 	NVMBytes float64 // normalised to BH @ 100%
 }
 
-// Fig9ThTradeoff sweeps Th at Tw=tw across capacities. Th=0 reproduces
+// Fig9ThTradeoff sweeps Th at base's Tw across capacities. Th=0 reproduces
 // plain CP_SD. A (Th, capacity) point is dropped when any of its cells
 // failed and the failures are returned as structured task records; the
 // BH reference is fatal.
-func Fig9ThTradeoff(base core.Config, mixes []int, ths []float64, capacities []float64, tw float64, warmup, measure uint64) ([]ThPoint, []cliutil.TaskResult, error) {
+func Fig9ThTradeoff(base core.Config, mixes []int, ths []float64, capacities []float64, warmup, measure uint64) ([]ThPoint, []cliutil.TaskResult, error) {
 	// pts[v] is variant v's point, its capacity the cell's pre-aging;
 	// variant 0 is the fresh BH reference.
 	variants := []Variant{policyVariant("BH")}
@@ -228,8 +228,7 @@ func Fig9ThTradeoff(base core.Config, mixes []int, ths []float64, capacities []f
 				if th == 0 {
 					c.PolicyName = "CP_SD"
 				} else {
-					c.PolicyName = "CP_SD_Th"
-					c.Th, c.Tw = th, tw
+					c.PolicyName, c.Th = "CP_SD_Th", th
 				}
 			}})
 			pts = append(pts, ThPoint{Th: th, Capacity: capacity})

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"os"
 	"os/exec"
+	"path/filepath"
 	"regexp"
 	"slices"
 	"strings"
@@ -152,10 +153,11 @@ func TestEnergyWithoutBH(t *testing.T) {
 	}
 }
 
-// TestCmdRejectsMeaninglessWindows runs forecast and hybridsim with a
-// capacity step, phase or pre-age capacity that has no meaning: each
-// must exit 1 naming the flag before it simulates, instead of printing
-// an infinite lifetime, a NaN or a fresh array's figures.
+// TestCmdRejectsMeaninglessWindows runs the commands with a capacity
+// step, phase, pre-age capacity or config value that has no meaning:
+// each must exit 1 naming the flag or value before it simulates or
+// writes anything, instead of printing an infinite lifetime, a NaN or a
+// fresh array's figures.
 func TestCmdRejectsMeaninglessWindows(t *testing.T) {
 	forecastArgs := []string{"-mixes", "1", "-policies", "CP_SD", "-warmup", "100000",
 		"-sets", "256", "-scale", "0.15", "-l2kb", "64"}
@@ -163,7 +165,7 @@ func TestCmdRejectsMeaninglessWindows(t *testing.T) {
 	cases := []struct {
 		cmd  string
 		args []string
-		flag string
+		flag string // what the error must name
 	}{
 		{"forecast", append(forecastArgs, "-phase", "300000", "-step", "0"), "-step"},
 		{"forecast", append(forecastArgs, "-phase", "300000", "-step", "-0.1"), "-step"},
@@ -174,6 +176,12 @@ func TestCmdRejectsMeaninglessWindows(t *testing.T) {
 		{"hybridsim", append(hybridsimArgs, "-capacity", "-0.5"), "-capacity"},
 		{"hybridsim", append(hybridsimArgs, "-capacity", "NaN"), "-capacity"},
 		{"hybridsim", append(hybridsimArgs, "-capacity", "1.5"), "-capacity"},
+		// Config.Validate refuses a NaN in any float field.
+		{"hybridsim", append(hybridsimArgs, "-scale", "NaN"), "scale NaN"},
+		{"forecast", append(forecastArgs, "-phase", "300000", "-cv", "NaN"), "endurance CV NaN"},
+		// thsweep's -tw and tracegen's -scale go through Config.Validate.
+		{"thsweep", []string{"-tw", "-5", "-mixes", "1", "-warmup", "1000", "-measure", "1000", "-scale", "0.05"}, "Tw=-5"},
+		{"tracegen", []string{"-mix", "1", "-scale", "0", "-n", "1000", "-o", filepath.Join(t.TempDir(), "mix1")}, "scale 0"},
 	}
 	for _, c := range cases {
 		cmd := exec.Command(cmdPath(t, c.cmd), c.args...)
