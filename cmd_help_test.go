@@ -85,6 +85,65 @@ func flagUsage(help, name string) string {
 	return b.String()
 }
 
+// TestCmdPolicyHelp checks that the -h text of every cmd that takes a
+// policy flag names each policy the flag accepts — the full registry, or
+// for forecast the curve labels — so the help cannot drift from what the
+// registry accepts.
+func TestCmdPolicyHelp(t *testing.T) {
+	help := cmdHelp(t)
+	cases := []struct {
+		cmd, flag string
+		want      []string
+	}{
+		{"hybridsim", "policy", core.Policies()},
+		{"faultstudy", "policy", core.Policies()},
+		{"appstudy", "policy", core.Policies()},
+		{"wearmap", "policy", core.Policies()},
+		{"forecast", "policies", experiments.ForecastLabels()},
+	}
+	word := regexp.MustCompile(`[A-Za-z0-9_]+`)
+	for _, c := range cases {
+		usage := flagUsage(help[c.cmd], c.flag)
+		if usage == "" {
+			t.Errorf("%s: no -%s flag in help:\n%s", c.cmd, c.flag, help[c.cmd])
+			continue
+		}
+		named := map[string]bool{}
+		for _, w := range word.FindAllString(usage, -1) {
+			named[w] = true
+		}
+		for _, p := range c.want {
+			if !named[p] {
+				t.Errorf("%s -%s help does not name %s:\n%s", c.cmd, c.flag, p, usage)
+			}
+		}
+	}
+}
+
+// TestCmdMixHelp checks that every cmd's -mix or -mixes help names the
+// full mix range cliutil.ParseMixes and core accept, Table V plus the
+// skewed-traffic scenarios, so no help text understates the mix table.
+func TestCmdMixHelp(t *testing.T) {
+	help := cmdHelp(t)
+	want := fmt.Sprintf("1-%d", len(core.AllMixes()))
+	flags := 0
+	for cmd, h := range help {
+		for _, name := range []string{"mix", "mixes"} {
+			usage := flagUsage(h, name)
+			if usage == "" {
+				continue
+			}
+			flags++
+			if !strings.Contains(usage, want) {
+				t.Errorf("%s -%s help does not name %s:\n%s", cmd, name, want, usage)
+			}
+		}
+	}
+	if flags == 0 {
+		t.Fatal("no cmd has a -mix or -mixes flag; the help parser is broken")
+	}
+}
+
 // TestCmdSharedFlags checks every shared flag of every command against
 // what core accepts: the flag is there, its default is
 // core.DefaultConfig's, its help names the range Validate or the
