@@ -547,7 +547,8 @@ func BenchmarkPerAppStudy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cfg := benchBase()
 		cfg.Scale = 0.08
-		rows, _, err = experiments.PerAppStudy(cfg, "CA", 300_000, 1_200_000)
+		cfg.PolicyName = "CA"
+		rows, _, err = experiments.PerAppStudy(cfg, 300_000, 1_200_000)
 		if err != nil {
 			b.Fatal(err)
 		}

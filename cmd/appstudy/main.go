@@ -31,7 +31,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "appstudy:", err)
 		os.Exit(1)
 	}
-	rows, results, err := experiments.PerAppStudy(cfg, cfg.PolicyName, *warmup, *measure)
+	rows, results, err := experiments.PerAppStudy(cfg, *warmup, *measure)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "appstudy:", err)
 		os.Exit(1)

@@ -320,3 +320,16 @@ func TestLookupZeroAlloc(t *testing.T) {
 		t.Fatalf("Lookup allocates %v objects per call, want 0", allocs)
 	}
 }
+
+// BenchmarkCalibrate is one cold calibration of DefaultSpec: building
+// the system, the warm-up and calibration windows, and the one aging
+// pass to half capacity, which draws every frame's limits. It is the
+// calibration a default POST /v1/estimate pays on a cache miss.
+func BenchmarkCalibrate(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := Calibrate(context.Background(), DefaultSpec()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

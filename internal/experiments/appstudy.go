@@ -24,15 +24,13 @@ type AppRow struct {
 	CompressibleFr float64 // fraction of inserted blocks that compressed
 }
 
-// PerAppStudy runs each profiled application homogeneously under the given
-// policy configuration and reports the per-app placement behaviour. Rows
+// PerAppStudy runs each profiled application homogeneously under base,
+// policy included, and reports the per-app placement behaviour. Rows
 // are sorted by application name. An invalid policy fails fast; a failure
 // inside one application's simulation drops that row and is reported in
 // the returned task records while the remaining applications complete.
-func PerAppStudy(base core.Config, policyName string, warmup, measure uint64) ([]AppRow, []cliutil.TaskResult, error) {
-	probe := base
-	probe.PolicyName = policyName
-	if _, _, _, _, err := core.BuildPolicy(probe); err != nil {
+func PerAppStudy(base core.Config, warmup, measure uint64) ([]AppRow, []cliutil.TaskResult, error) {
+	if _, _, _, _, err := core.BuildPolicy(base); err != nil {
 		return nil, nil, err
 	}
 
@@ -52,9 +50,7 @@ func PerAppStudy(base core.Config, policyName string, warmup, measure uint64) ([
 		i := i
 		name := names[i]
 		tasks[i] = cliutil.Task{Name: fmt.Sprintf("app=%s", name), Run: func() error {
-			cfg := base
-			cfg.PolicyName = policyName
-			sys, err := buildHomogeneous(cfg, profs[name])
+			sys, err := buildHomogeneous(base, profs[name])
 			if err != nil {
 				return err
 			}

@@ -277,7 +277,8 @@ func TestEnergyComparisonWithoutBH(t *testing.T) {
 func TestPerAppStudy(t *testing.T) {
 	cfg := quickBase()
 	cfg.Scale = 0.08 // keep the 20-app sweep fast
-	rows, taskResults, err := PerAppStudy(cfg, "CA", 200_000, 800_000)
+	cfg.PolicyName = "CA"
+	rows, taskResults, err := PerAppStudy(cfg, 200_000, 800_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,8 @@ func TestPerAppStudy(t *testing.T) {
 	if gems := byName["GemsFDTD06"]; gems.NVMShare < 0.7 {
 		t.Errorf("GemsFDTD06 NVM share %.3f under CA; should be near one", gems.NVMShare)
 	}
-	if _, _, err := PerAppStudy(cfg, "NOPE", 1, 1); err == nil {
+	cfg.PolicyName = "NOPE"
+	if _, _, err := PerAppStudy(cfg, 1, 1); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -314,7 +316,8 @@ func TestPerAppStudyHonoursConfig(t *testing.T) {
 	study := func(cfg core.Config) []AppRow {
 		t.Helper()
 		cfg.Scale = 0.08
-		rows, taskResults, err := PerAppStudy(cfg, "CA", 100_000, 400_000)
+		cfg.PolicyName = "CA"
+		rows, taskResults, err := PerAppStudy(cfg, 100_000, 400_000)
 		if err != nil {
 			t.Fatal(err)
 		}

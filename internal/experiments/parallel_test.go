@@ -13,7 +13,8 @@ func TestPerAppStudySurvivesInjectedPanic(t *testing.T) {
 	t.Setenv(cliutil.PanicTaskEnv, "app=xz17")
 	cfg := quickBase()
 	cfg.Scale = 0.05
-	rows, results, err := PerAppStudy(cfg, "CA", 50_000, 200_000)
+	cfg.PolicyName = "CA"
+	rows, results, err := PerAppStudy(cfg, 50_000, 200_000)
 	if err != nil {
 		t.Fatal(err)
 	}

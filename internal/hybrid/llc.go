@@ -404,6 +404,9 @@ func (l *LLC) GetX(block uint64) AccessResult {
 // updated in place.
 func (l *LLC) Insert(block uint64, dirty bool, tag BlockTag, content []byte) InsertOutcome {
 	set, way, e := l.find(block)
+	if e != nil && !dirty {
+		return InsertOutcome{} // already present and up to date
+	}
 	cb := bdi.BlockSize
 	if l.traits.Compressed && content != nil {
 		cb = bdi.SizeOf(content)
@@ -412,9 +415,6 @@ func (l *LLC) Insert(block uint64, dirty bool, tag BlockTag, content []byte) Ins
 		}
 	}
 	if e != nil {
-		if !dirty {
-			return InsertOutcome{} // already present and up to date
-		}
 		l.updateInPlace(set, way, e, dirty, tag, cb, content)
 		return InsertOutcome{Wrote: true, Part: l.partOf(way)}
 	}

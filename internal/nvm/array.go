@@ -19,7 +19,7 @@ import (
 type Array struct {
 	sets, ways int
 	backing    []Frame
-	frames     []*Frame // &backing[i], the view Frames returns
+	frames     []*Frame // &backing[i], the view Frames builds on first call
 	slab       limitSlab
 	counter    WearLevelCounter
 	gran       Granularity
@@ -34,11 +34,11 @@ type Array struct {
 }
 
 // NewArray builds an NVM array of sets x ways frames with per-byte
-// endurance sampled from model using r. Each frame draws its limits on
-// first need (see Frame.ensureOrder), from the state r had at that
-// frame's turn, so the limits and r's final state are those of drawing
-// every frame's limits here in order. Until then the array holds no
-// limit storage.
+// endurance sampled from model using r. The frames' limits are drawn on
+// the first need of one (see Frame.ensureOrder), all of them from the
+// state r has here, so the limits and r's final state are those of
+// drawing every frame's limits here in order. Until then the array holds
+// no limit storage.
 func NewArray(sets, ways int, model EnduranceModel, r *stats.RNG, gran Granularity) *Array {
 	if sets <= 0 || ways < 0 {
 		panic("nvm: invalid array geometry")
@@ -47,15 +47,13 @@ func NewArray(sets, ways int, model EnduranceModel, r *stats.RNG, gran Granulari
 	a := &Array{
 		sets: sets, ways: ways, gran: gran, model: model,
 		backing: make([]Frame, n),
-		frames:  make([]*Frame, n),
-		slab:    newLimitSlab(model, n),
+		slab:    newLimitSlab(model, n, r),
 	}
 	for i := range a.backing {
 		f := &a.backing[i]
 		f.slab, f.idx = &a.slab, uint32(i)
 		f.sample(r, gran)
 		f.publish()
-		a.frames[i] = f
 	}
 	return a
 }
@@ -85,7 +83,7 @@ func (a *Array) physRow(set int) int {
 // Frame returns the frame backing the logical (set, way) position under
 // the current inter-set rotation.
 func (a *Array) Frame(set, way int) *Frame {
-	return a.frames[a.physRow(set)*a.ways+way]
+	return &a.backing[a.physRow(set)*a.ways+way]
 }
 
 // CapRow returns the effective capacities of the frames backing logical
@@ -100,8 +98,8 @@ func (a *Array) CapRow(set int) []uint8 {
 // CheckCapRows verifies that every frame's published capacity equals its
 // EffectiveCapacity, returning the first mismatch.
 func (a *Array) CheckCapRows() error {
-	for i, f := range a.frames {
-		if got, want := int(a.slab.caps[i]), f.EffectiveCapacity(); got != want {
+	for i := range a.backing {
+		if got, want := int(a.slab.caps[i]), a.backing[i].EffectiveCapacity(); got != want {
 			return fmt.Errorf("nvm: frame %d (row %d way %d) publishes capacity %d, has %d",
 				i, i/a.ways, i%a.ways, got, want)
 		}
@@ -119,8 +117,17 @@ func (a *Array) AdvanceSetRemap(n int) {
 }
 
 // Frames returns the flat frame slice (set-major). The forecast iterates
-// it directly.
-func (a *Array) Frames() []*Frame { return a.frames }
+// it directly. The view is built on the first call and kept; the array's
+// own passes iterate its frames without it.
+func (a *Array) Frames() []*Frame {
+	if a.frames == nil {
+		a.frames = make([]*Frame, len(a.backing))
+		for i := range a.backing {
+			a.frames[i] = &a.backing[i]
+		}
+	}
+	return a.frames
+}
 
 // Counter returns the global wear-leveling counter.
 func (a *Array) Counter() *WearLevelCounter { return &a.counter }
@@ -130,21 +137,21 @@ func (a *Array) Counter() *WearLevelCounter { return &a.counter }
 // bytes). This is the paper's aging metric: lifetime is the time for it to
 // fall to 0.5.
 func (a *Array) EffectiveCapacityFraction() float64 {
-	if len(a.frames) == 0 {
+	if len(a.backing) == 0 {
 		return 0
 	}
 	var have int
-	for _, f := range a.frames {
-		have += f.EffectiveCapacity()
+	for i := range a.backing {
+		have += a.backing[i].EffectiveCapacity()
 	}
-	return float64(have) / float64(len(a.frames)*DataBytes)
+	return float64(have) / float64(len(a.backing)*DataBytes)
 }
 
 // LiveFrames returns the number of frames that can still hold a block.
 func (a *Array) LiveFrames() int {
 	n := 0
-	for _, f := range a.frames {
-		if !f.Dead() {
+	for i := range a.backing {
+		if !a.backing[i].Dead() {
 			n++
 		}
 	}
@@ -153,16 +160,16 @@ func (a *Array) LiveFrames() int {
 
 // ResetPhase clears every frame's phase byte-write counter.
 func (a *Array) ResetPhase() {
-	for _, f := range a.frames {
-		f.ResetPhase()
+	for i := range a.backing {
+		a.backing[i].ResetPhase()
 	}
 }
 
 // PhaseBytesWritten sums bytes written across all frames this phase.
 func (a *Array) PhaseBytesWritten() uint64 {
 	var total uint64
-	for _, f := range a.frames {
-		total += f.PhaseWritten()
+	for i := range a.backing {
+		total += a.backing[i].PhaseWritten()
 	}
 	return total
 }
@@ -173,14 +180,14 @@ func (a *Array) PhaseBytesWritten() uint64 {
 func (a *Array) MetadataOverhead() int64 {
 	switch a.gran {
 	case ByteDisabling:
-		return int64(len(a.frames)) * FrameBytes
+		return int64(len(a.backing)) * FrameBytes
 	default:
-		return int64(len(a.frames))
+		return int64(len(a.backing))
 	}
 }
 
 // DataArrayBits returns the size of the NVM data array in bits (66 bytes
 // per frame, as stored: data + CE + SECDED).
 func (a *Array) DataArrayBits() int64 {
-	return int64(len(a.frames)) * FrameBytes * 8
+	return int64(len(a.backing)) * FrameBytes * 8
 }

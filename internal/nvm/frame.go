@@ -71,19 +71,18 @@ type EnduranceModel struct {
 // dies when that shared wear level crosses its sampled endurance limit.
 // This is the same analytic treatment as the paper's forecast procedure.
 //
-// A Frame is a 96-byte header. The fields the write path touches come
-// first, so a write reads one or two host cache lines of the frame. The
-// per-byte limits and the death order are not in it: they live in the
-// frame's entry of its owner's slab (see limitSlab), written when the
-// frame first draws them.
+// A Frame is a 64-byte header, one host cache line. The per-byte limits
+// and the death order are not in it: they live in the frame's entry of
+// its owner's slab (see limitSlab), drawn when the owner first needs a
+// limit.
 type Frame struct {
 	wear float64 // per-live-byte accumulated writes
 	// nextLimit is at most the limit of the next live byte to die, so a
-	// write that kills no byte costs one compare. Once the limits are
-	// drawn it is that limit, limits[order[next]] with next kept past
-	// disabled bytes (+Inf once next reaches FrameBytes), so NextLimit
-	// reads no slab entry; before that it is the sampler's lower bound
-	// on the smallest limit (see sample).
+	// write that kills no byte costs one compare. Once the frame is
+	// drawn it is that limit, sorted[next] with next kept past disabled
+	// bytes (+Inf once next reaches FrameBytes), so NextLimit reads no
+	// slab entry; before that it is the sampler's lower bound on the
+	// smallest limit (see sample).
 	nextLimit float64
 	// phaseWritten counts bytes written to this frame during the current
 	// simulation phase; the forecast turns it into a write rate.
@@ -98,44 +97,46 @@ type Frame struct {
 	slab    *limitSlab
 	faultHi uint8 // fault map bits of bytes 64..65
 	live    uint8 // non-faulty bytes
-	next    uint8 // index into order of the next byte to die
+	next    uint8 // index into the death order of the next byte to die
 	dead    bool  // frame disabled (always true when live < MinECB)
 	gran    Granularity
-	drawn   bool // limits, order and next are built (see ensureOrder)
+	drawn   bool // next and nextLimit read the slab entry (see ensureOrder)
 	idx     uint32
-	// ckpt is the sampler's state at the frame's turn in set-up, from
-	// which drawLimits replays the frame's limit draws.
-	ckpt [4]uint64
 }
 
 // limitSlab is what the frames of one array share: the endurance
-// distribution their limits are drawn from, the dense capacity bytes
-// they publish into, and the slab their drawn limits live in, one entry
-// per frame. The slab is allocated whole at the array's first draw, so
-// an array whose frames never come near a limit holds no limit storage
-// and every draw after the first allocates nothing.
+// distribution their limits are drawn from, the sampler's state before
+// the first frame's draws, the dense capacity bytes they publish into,
+// and the drawn limits, one entry per frame. The first frame that needs
+// a limit draws every entry at once (see draw), so an array whose
+// frames never come near a limit holds no limit storage and every later
+// need allocates nothing.
 type limitSlab struct {
 	mean, sigma float64
+	ckpt        [4]uint64     // the sampler's state at frame 0's turn in set-up
 	caps        []uint8       // caps[i] == EffectiveCapacity of frame i
 	entries     []frameLimits // nil until the first draw, then len(caps)
 }
 
-// frameLimits is one frame's drawn endurance state.
+// frameLimits is one frame's drawn endurance limits in death order.
 type frameLimits struct {
-	order  [FrameBytes]uint8   // byte indices by ascending limit
-	limits [FrameBytes]float64 // per-byte endurance (writes)
+	sorted [FrameBytes]float64 // per-byte endurance (writes), ascending
+	// order[k] is the byte whose limit is sorted[k]; equal limits are in
+	// byte-index order, so the order depends on the limits alone.
+	order [FrameBytes]uint8
 }
 
-// newLimitSlab returns the owner of n frames drawing from model.
-func newLimitSlab(model EnduranceModel, n int) limitSlab {
-	return limitSlab{mean: model.Mean, sigma: model.Mean * model.CV, caps: make([]uint8, n)}
+// newLimitSlab returns the owner of n frames drawing from model, whose
+// limits are the next n·FrameBytes draws of r.
+func newLimitSlab(model EnduranceModel, n int, r *stats.RNG) limitSlab {
+	return limitSlab{mean: model.Mean, sigma: model.Mean * model.CV, ckpt: r.State(), caps: make([]uint8, n)}
 }
 
 // NewFrame samples per-byte endurance from model using r and returns a
 // fully functional frame with the given disabling granularity. The frame
 // owns a one-entry slab.
 func NewFrame(model EnduranceModel, r *stats.RNG, gran Granularity) *Frame {
-	s := newLimitSlab(model, 1)
+	s := newLimitSlab(model, 1, r)
 	f := &Frame{slab: &s}
 	f.sample(r, gran)
 	f.publish()
@@ -144,64 +145,93 @@ func NewFrame(model EnduranceModel, r *stats.RNG, gran Granularity) *Frame {
 
 // sample initialises f in place as a fresh frame of its slab and
 // advances r past its FrameBytes limit draws, as drawing them would. It
-// does not draw them: it stores r's state in ckpt for drawLimits, and
-// sets nextLimit to SkipTruncNormal's lower bound on the smallest limit,
-// so the frame reads its limits only once its wear reaches that bound.
+// does not draw them: it sets nextLimit to SkipTruncNormal's lower bound
+// on the smallest limit, so the frame reads its limits only once its
+// wear reaches that bound.
 func (f *Frame) sample(r *stats.RNG, gran Granularity) {
-	*f = Frame{live: FrameBytes, gran: gran, slab: f.slab, idx: f.idx, ckpt: r.State()}
+	*f = Frame{live: FrameBytes, gran: gran, slab: f.slab, idx: f.idx}
 	f.nextLimit = r.SkipTruncNormal(FrameBytes, f.slab.mean, f.slab.sigma, 1)
 }
 
 // lim returns the frame's entry in its slab; it holds the frame's limits
-// and death order once they are drawn.
+// in death order once the slab is drawn.
 func (f *Frame) lim() *frameLimits { return &f.slab.entries[f.idx] }
 
-// drawLimits writes into the frame's slab entry the limits that
-// FrameBytes TruncNormal draws from the checkpoint give: the very values
-// eager sampling would have drawn at set-up. The generator is a stack
-// value, and the slab is allocated at its owner's first draw only.
-func (f *Frame) drawLimits() {
-	s := f.slab
-	if s.entries == nil {
-		s.entries = make([]frameLimits, len(s.caps))
+// draw allocates the entries and fills them, in frame order, with the
+// FrameBytes TruncNormal draws of each frame from ckpt: the very values
+// eager sampling would have drawn at set-up. It does nothing once the
+// slab is drawn. The generator is a stack value.
+func (s *limitSlab) draw() {
+	if s.entries != nil {
+		return
 	}
+	s.entries = make([]frameLimits, len(s.caps))
 	var r stats.RNG
-	r.SetState(f.ckpt)
-	l := f.lim()
-	for i := range l.limits {
-		l.limits[i] = r.TruncNormal(s.mean, s.sigma, 1)
+	r.SetState(s.ckpt)
+	var lim [FrameBytes]float64
+	for i := range s.entries {
+		for b := range lim {
+			lim[b] = r.TruncNormal(s.mean, s.sigma, 1)
+		}
+		s.entries[i].sort(&lim, s.mean, s.sigma)
 	}
 }
 
-// ensureOrder draws the limits and builds the death order on first need,
-// and puts next past the bytes already disabled. Most frames never come
-// near an endurance limit, so sampling leaves both undone; only the
-// operations that read a limit do them: AddWear once the wear reaches
-// nextLimit's bound, InjectFault and NextLimit.
+// sortBuckets is the number of value ranges sort's counting pass uses.
+const sortBuckets = 128
+
+// sort stores the per-byte limits lim, drawn with the given mean and
+// sigma, in death order. A counting pass places the bytes by bucket,
+// the bucket never decreasing as the limit grows, and keeps byte-index
+// order within a bucket; a stable insertion pass then orders each
+// bucket's few bytes. The buckets cut mean ± 3σ evenly, so one holds
+// about two bytes; for σ = 0 the scaled value is NaN or ±Inf and the
+// clamp to [0, sortBuckets) still keeps the bucket monotone. It
+// allocates nothing.
+func (l *frameLimits) sort(lim *[FrameBytes]float64, mean, sigma float64) {
+	lo, scale := mean-3*sigma, sortBuckets/(6*sigma)
+	var bucket [FrameBytes]uint8
+	var start [sortBuckets + 1]uint8
+	for i, v := range lim {
+		x := (v - lo) * scale
+		if !(x >= 0) {
+			x = 0
+		}
+		bucket[i] = uint8(min(x, sortBuckets-1))
+		start[bucket[i]+1]++
+	}
+	for i := 1; i < sortBuckets; i++ {
+		start[i] += start[i-1]
+	}
+	for i, b := range bucket {
+		l.order[start[b]] = uint8(i)
+		start[b]++
+	}
+	for k := range l.order {
+		b := l.order[k]
+		v := lim[b]
+		j := k
+		for ; j > 0 && l.sorted[j-1] > v; j-- {
+			l.sorted[j], l.order[j] = l.sorted[j-1], l.order[j-1]
+		}
+		l.sorted[j], l.order[j] = v, b
+	}
+}
+
+// ensureOrder points the frame at its drawn limits on first need, and
+// puts next past the bytes already disabled. Most frames never come
+// near an endurance limit, so sampling leaves the slab undrawn; only the
+// operations that read a limit draw it: AddWear once the wear reaches
+// nextLimit's bound, InjectFault and NextLimit. The first of them draws
+// every frame's entry; each other frame keeps its bound until it needs
+// a limit itself.
 func (f *Frame) ensureOrder() {
 	if f.drawn {
 		return
 	}
-	f.drawLimits()
-	f.sortOrder()
+	f.slab.draw()
 	f.drawn = true
 	f.skipDisabled()
-}
-
-// sortOrder sets order to the byte indices by ascending limit, equal
-// limits in byte-index order, so the order depends on the limits alone.
-// The stable insertion sort runs in place on the slab entry and
-// allocates nothing.
-func (f *Frame) sortOrder() {
-	l := f.lim()
-	for i := range l.order {
-		b := uint8(i)
-		j := i
-		for ; j > 0 && l.limits[l.order[j-1]] > l.limits[b]; j-- {
-			l.order[j] = l.order[j-1]
-		}
-		l.order[j] = b
-	}
 }
 
 // skipDisabled moves next past bytes already disabled, so nextLimit
@@ -217,8 +247,7 @@ func (f *Frame) skipDisabled() {
 // syncNext refreshes the cached next-death limit after next moved.
 func (f *Frame) syncNext() {
 	if int(f.next) < FrameBytes {
-		l := f.lim()
-		f.nextLimit = l.limits[l.order[f.next]]
+		f.nextLimit = f.lim().sorted[f.next]
 	} else {
 		f.nextLimit = math.Inf(1)
 	}
@@ -322,7 +351,7 @@ func (f *Frame) AddWear(delta float64) int {
 	f.ensureOrder()
 	l := f.lim()
 	died := 0
-	for int(f.next) < FrameBytes && l.limits[l.order[f.next]] <= f.wear {
+	for int(f.next) < FrameBytes && l.sorted[f.next] <= f.wear {
 		bi := int(l.order[f.next])
 		f.next++
 		if f.faulty(bi) {

@@ -19,11 +19,12 @@ type ArrayStats struct {
 // Stats computes the array aggregates in one pass.
 func (a *Array) Stats() ArrayStats {
 	var st ArrayStats
-	if len(a.frames) == 0 {
+	if len(a.backing) == 0 {
 		return st
 	}
 	have := 0
-	for _, f := range a.frames {
+	for i := range a.backing {
+		f := &a.backing[i]
 		st.BytesWritten += f.totalWritten
 		st.PhaseBytesWritten += f.phaseWritten
 		st.FaultyBytes += f.FaultyBytes()
@@ -38,8 +39,8 @@ func (a *Array) Stats() ArrayStats {
 			st.WearMax = f.wear
 		}
 	}
-	st.WearMean /= float64(len(a.frames))
-	st.CapacityFraction = float64(have) / float64(len(a.frames)*DataBytes)
+	st.WearMean /= float64(len(a.backing))
+	st.CapacityFraction = float64(have) / float64(len(a.backing)*DataBytes)
 	return st
 }
 

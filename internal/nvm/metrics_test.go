@@ -127,3 +127,27 @@ func TestTotalWrittenSurvivesPhaseReset(t *testing.T) {
 		t.Fatalf("FaultyBytes = %d after one injected fault", got)
 	}
 }
+
+// TestFramesViewOnDemand pins the pointer view: a registry snapshot of
+// an unaged array leaves it unbuilt, and once built it names the frames
+// Frame returns, physical row-major while the set remap is 0.
+func TestFramesViewOnDemand(t *testing.T) {
+	a := NewArray(8, 4, testModel, stats.NewRNG(17), ByteDisabling)
+	reg := metrics.NewRegistry()
+	a.RegisterMetrics(reg)
+	if reg.Snapshot(); a.frames != nil {
+		t.Fatal("a registry snapshot built the frame view")
+	}
+	frames := a.Frames()
+	if len(frames) != 8*4 {
+		t.Fatalf("view has %d frames, want 32", len(frames))
+	}
+	for i, f := range frames {
+		if f != a.Frame(i/4, i%4) {
+			t.Fatalf("Frames()[%d] is not Frame(%d, %d)", i, i/4, i%4)
+		}
+	}
+	if &a.Frames()[0] != &frames[0] {
+		t.Fatal("Frames built a second view")
+	}
+}

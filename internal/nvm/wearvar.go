@@ -42,7 +42,7 @@ func RowWearInto(dst []float64, frames []*Frame, sets, ways int) []float64 {
 // WearVariationOf computes the metric family over an explicit set-major
 // frame slice (the array gauges call it over the array's own frames). A
 // nil/empty slice or mismatched geometry yields the zero value.
-func WearVariationOf(frames []*Frame, sets, ways int) WearVariation {
+func WearVariationOf(frames []Frame, sets, ways int) WearVariation {
 	var wv WearVariation
 	if len(frames) == 0 || sets < 1 || ways < 1 || sets*ways != len(frames) {
 		return wv
@@ -94,12 +94,12 @@ func WearVariationOf(frames []*Frame, sets, ways int) WearVariation {
 // giniOfFrames computes the Gini coefficient of per-frame wear via the
 // sorted-order formula G = (2·Σ i·x_i)/(n·Σ x) − (n+1)/n with 1-based
 // ranks over ascending x.
-func giniOfFrames(frames []*Frame) float64 {
+func giniOfFrames(frames []Frame) float64 {
 	n := len(frames)
 	xs := make([]float64, n)
 	var total float64
-	for i, f := range frames {
-		xs[i] = f.Wear()
+	for i := range frames {
+		xs[i] = frames[i].Wear()
 		total += xs[i]
 	}
 	if total <= 0 {
@@ -115,5 +115,5 @@ func giniOfFrames(frames []*Frame) float64 {
 
 // WearVariation computes the metric family for the array's own frames.
 func (a *Array) WearVariation() WearVariation {
-	return WearVariationOf(a.frames, a.sets, a.ways)
+	return WearVariationOf(a.backing, a.sets, a.ways)
 }

@@ -10,12 +10,11 @@ import (
 // framesWithWear builds byte-disabling frames carrying exact wear levels:
 // the endurance mean is far above any fixture wear, so AddWear moves the
 // wear gauge without killing bytes.
-func framesWithWear(wears ...float64) []*Frame {
-	fs := make([]*Frame, len(wears))
+func framesWithWear(wears ...float64) []Frame {
+	fs := make([]Frame, len(wears))
 	for i, w := range wears {
-		f := NewFrame(EnduranceModel{Mean: 1e12, CV: 0}, stats.NewRNG(1), ByteDisabling)
-		f.AddWear(w)
-		fs[i] = f
+		fs[i] = *NewFrame(EnduranceModel{Mean: 1e12, CV: 0}, stats.NewRNG(1), ByteDisabling)
+		fs[i].AddWear(w)
 	}
 	return fs
 }
@@ -97,20 +96,23 @@ func TestWearVariationEdges(t *testing.T) {
 // TestRowWearInto pins the set-major accumulation the LLC's wear
 // feedback and the wearmap heat table both rely on.
 func TestRowWearInto(t *testing.T) {
-	rows := RowWearInto(make([]float64, 2), framesWithWear(1, 3, 5, 7), 2, 2)
+	fs := framesWithWear(1, 3, 5, 7)
+	rows := RowWearInto(make([]float64, 2), []*Frame{&fs[0], &fs[1], &fs[2], &fs[3]}, 2, 2)
 	approx(t, "row 0", rows[0], 4)
 	approx(t, "row 1", rows[1], 12)
 }
 
 // TestArrayWearVariationMatchesOf: the array method is exactly
-// WearVariationOf over its own frames.
+// WearVariationOf over copies of its frames.
 func TestArrayWearVariationMatchesOf(t *testing.T) {
 	arr := NewArray(4, 2, EnduranceModel{Mean: 1e6, CV: 0.2}, stats.NewRNG(11), ByteDisabling)
+	copies := make([]Frame, 0, 8)
 	for i, f := range arr.Frames() {
 		f.AddWear(float64(i * i % 13))
+		copies = append(copies, *f)
 	}
 	got := arr.WearVariation()
-	want := WearVariationOf(arr.Frames(), 4, 2)
+	want := WearVariationOf(copies, 4, 2)
 	if got != want {
 		t.Fatalf("array metrics %+v != explicit %+v", got, want)
 	}
