@@ -10,6 +10,7 @@ package forecast
 import (
 	"context"
 	"math"
+	"math/bits"
 
 	"repro/internal/hier"
 	"repro/internal/nvm"
@@ -257,6 +258,7 @@ type frameAger struct {
 	f     *nvm.Frame
 	rate  float64 // bytes written per second (from the last phase)
 	lastT float64 // time up to which wear has been applied
+	link  int32   // the next frame in its deathQueue bucket, -1 at the end
 }
 
 // nextDeath returns the absolute time of the frame's next byte death, or
@@ -273,11 +275,17 @@ func (fa *frameAger) nextDeath() float64 {
 	return fa.lastT + need
 }
 
+// die applies the frame's next byte death, due at d = nextDeath().
+func (fa *frameAger) die(d float64) {
+	fa.f.AdvanceTo(fa.f.NextLimit())
+	fa.lastT = d
+}
+
 // advanceTo applies wear up to absolute time T, handling the rate-per-byte
 // increase as bytes die (the frame's byte traffic concentrates on the
 // remaining live bytes). Every death at or before T is applied, also
 // when the frame already stands at T, so the result does not depend on
-// which of the deaths tied at T AgeFrames popped before it stopped.
+// which of those deaths AgeFrames committed before it found T.
 func (fa *frameAger) advanceTo(T float64) {
 	for !fa.f.Dead() && fa.rate > 0 {
 		d := fa.nextDeath()
@@ -286,47 +294,173 @@ func (fa *frameAger) advanceTo(T float64) {
 			fa.f.AddWear(fa.rate * (T - fa.lastT) / live)
 			break
 		}
-		fa.f.AdvanceTo(fa.f.NextLimit())
-		fa.lastT = d
+		fa.die(d)
 	}
 	fa.lastT = T
 }
 
-// ageEvent is a frame's next byte death: its absolute time and the
-// frame's index.
-type ageEvent struct {
-	t   float64
-	idx int
+// A death time's bucket key is its float bits cut to the exponent and
+// the top keyBits bits of the mantissa, so a bucket spans 1/16 of an
+// octave and the keys of positive times grow with the times.
+const (
+	keyBits  = 4
+	keyShift = 52 - keyBits
+	oneKey   = 0x3FF0000000000000 >> keyShift // the key of 1.0
+	// fanout is the number of sub-ranges one stopTime pass splits its
+	// range of float bits into.
+	fanout = 256
+)
+
+// deathQueue is a monotone bucket queue of frame deaths. Bucket 0 holds
+// the deaths before 1 s, the last bucket (beyond) those after top, and
+// every bucket between one key's deaths. Each frame with a death to come
+// is linked, through frameAger.link, into the bucket of its next death.
+// AgeFrames takes the buckets in key order, so it only ever links a
+// frame into a later bucket.
+type deathQueue struct {
+	agers []frameAger
+	heads []int32 // the first frame of each bucket, -1 when empty
+	top   float64 // the latest death time kept out of the beyond bucket
+	// capUnits is the frames' summed EffectiveCapacity; aging stops
+	// when capUnits/totalUnits falls to stop.
+	capUnits         int
+	totalUnits, stop float64
 }
 
-// ageHeap is a binary min-heap of frame deaths keyed on t. AgeFrames
-// builds it once and then only moves its root later or removes it, so
-// down is the one sift it needs.
-type ageHeap []ageEvent
-
-// init orders the heap.
-func (h ageHeap) init() {
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		h.down(i)
+// key returns the bucket of a death at time d.
+func (q *deathQueue) key(d float64) int {
+	if !(d <= q.top) {
+		return len(q.heads) - 1
 	}
+	return bucketOf(d)
 }
 
-// down restores the heap order below i after h[i].t grew.
-func (h ageHeap) down(i int) {
-	n := len(h)
+// bucketOf returns the bucket of a time d at most top.
+func bucketOf(d float64) int {
+	if d < 1 {
+		return 0
+	}
+	return int(math.Float64bits(d)>>keyShift) - oneKey + 1
+}
+
+// bucketBits returns the range of float bits, both ends included, of the
+// times in bucket b below beyond.
+func bucketBits(b int) (lo, hi uint64) {
+	if b == 0 {
+		return 0, oneKey<<keyShift - 1
+	}
+	lo = uint64(b-1+oneKey) << keyShift
+	return lo, lo + 1<<keyShift - 1
+}
+
+// push links frame i into the bucket of its next death d; a frame
+// without one stays out of the queue.
+func (q *deathQueue) push(i int, d float64) {
+	if math.IsInf(d, 1) {
+		return
+	}
+	k := q.key(d)
+	q.agers[i].link = q.heads[k]
+	q.heads[k] = int32(i)
+}
+
+// above reports whether the capacity stays above the stop after a drop
+// of drop units.
+func (q *deathQueue) above(drop int) bool {
+	return float64(q.capUnits-drop)/q.totalUnits > q.stop
+}
+
+// bucketCap is the summed EffectiveCapacity of bucket b's frames: no set
+// of its deaths drops more.
+func (q *deathQueue) bucketCap(b int) int {
+	c := 0
+	for i := q.heads[b]; i >= 0; i = q.agers[i].link {
+		c += q.agers[i].f.EffectiveCapacity()
+	}
+	return c
+}
+
+// commit applies every death of bucket b, one frame at a time, and
+// links each frame into the bucket of the death after them. It returns
+// the latest of those deaths' times.
+func (q *deathQueue) commit(b int) (last float64) {
+	i := q.heads[b]
+	q.heads[b] = -1
+	for i >= 0 {
+		fa := &q.agers[i]
+		next := fa.link
+		before := fa.f.EffectiveCapacity()
+		d := fa.nextDeath()
+		for ; q.key(d) == b; d = fa.nextDeath() {
+			fa.die(d)
+			last = max(last, d)
+		}
+		q.capUnits -= before - fa.f.EffectiveCapacity()
+		q.push(int(i), d)
+		i = next
+	}
+	return last
+}
+
+// scan runs bucket b's deaths at times whose bits are at most hi on its
+// frames and then restores the frames, so it changes nothing. It adds
+// each such death's capacity drop to hist[(bits-lo)>>shift] and returns
+// the drop of the deaths below lo.
+func (q *deathQueue) scan(b int, lo, hi uint64, shift uint, hist *[fanout]int) (below int) {
+	*hist = [fanout]int{}
+	for i := q.heads[b]; i >= 0; i = q.agers[i].link {
+		fa := &q.agers[i]
+		saved, lastT := *fa.f, fa.lastT
+		c := fa.f.EffectiveCapacity()
+		for d := fa.nextDeath(); q.key(d) == b; d = fa.nextDeath() {
+			x := math.Float64bits(d)
+			if x > hi {
+				break
+			}
+			fa.die(d)
+			drop := c - fa.f.EffectiveCapacity()
+			c -= drop
+			if x < lo {
+				below += drop
+			} else {
+				hist[(x-lo)>>shift] += drop
+			}
+		}
+		fa.f.Restore(saved)
+		fa.lastT = lastT
+	}
+	return below
+}
+
+// stopTime returns the first death time in bucket b at which the
+// capacity reaches the stop, or ok false when all of b's deaths leave it
+// above. It leaves the frames as they were. Each scan splits the range
+// of float bits that holds the answer into fanout sub-ranges and keeps
+// the first one whose deaths, with all before them, reach the stop,
+// until the range is one float: a bucket takes six scans, bucket 0
+// eight.
+func (q *deathQueue) stopTime(b int) (t float64, ok bool) {
+	lo, hi := bucketBits(b)
+	var hist [fanout]int
 	for {
-		c := 2*i + 1
-		if c >= n {
-			return
+		shift := uint(max(bits.Len64(hi-lo)-8, 0)) // fanout is 1<<8
+		drop := q.scan(b, lo, hi, shift, &hist)
+		j := 0
+		for ; j < fanout; j++ {
+			if drop += hist[j]; !q.above(drop) {
+				break
+			}
 		}
-		if r := c + 1; r < n && h[r].t < h[c].t {
-			c = r
+		if j == fanout {
+			// Only the first scan, of the whole bucket, gets here:
+			// each later range holds the stop.
+			return 0, false
 		}
-		if !(h[c].t < h[i].t) {
-			return
+		lo += uint64(j) << shift
+		hi = min(hi, lo+1<<shift-1)
+		if lo == hi {
+			return math.Float64frombits(lo), true
 		}
-		h[i], h[c] = h[c], h[i]
-		i = c
 	}
 }
 
@@ -340,52 +474,65 @@ func (h ageHeap) down(i int) {
 // fraction.
 //
 // The computation is exact: within a frame, wear accrues linearly at
-// rate/liveBytes and jumps discretely as bytes die; across frames, a
-// min-heap processes byte deaths in global time order. A frame's deaths
+// rate/liveBytes and jumps discretely as bytes die. A frame's deaths
 // depend on that frame alone, and the stop time is the first death time
 // at which the capacity reaches stopCapacity, whichever deaths tied there
-// came first; the closing pass then applies every death up to it. So
-// neither the frames' order nor the heap's tie order changes the result.
+// came first; the closing pass then applies every death up to it. So the
+// deaths need not be taken in global time order, only bucket by bucket:
+// a deathQueue orders the buckets, and within a bucket each frame runs
+// through its deaths there in one go, reading its limits in order. A
+// bucket whose deaths cannot bring the capacity to the stop is committed
+// at once; the one that does is run read-only by stopTime, which finds
+// the stop time exactly. Neither the frames' order nor the order within
+// a bucket changes the result.
+//
+// It allocates two slices, the agers and the bucket heads, and nothing
+// per byte death.
 func AgeFrames(frames []*nvm.Frame, phaseSeconds, stopCapacity, maxSeconds float64) (elapsed, capacity float64) {
-	agers := make([]frameAger, len(frames))
-	h := make(ageHeap, 0, len(frames))
-	totalUnits := float64(len(frames) * nvm.DataBytes)
-	capUnits := 0
-	for i, f := range frames {
-		agers[i] = frameAger{f: f, rate: float64(f.PhaseWritten()) / phaseSeconds}
-		capUnits += f.EffectiveCapacity()
-		if d := agers[i].nextDeath(); !math.IsInf(d, 1) {
-			h = append(h, ageEvent{d, i})
-		}
+	top := maxSeconds
+	if !(top < math.MaxFloat64) {
+		top = math.MaxFloat64 // +Inf and NaN cut no death off
 	}
-	h.init()
+	q := deathQueue{
+		agers:      make([]frameAger, len(frames)),
+		heads:      make([]int32, bucketOf(top)+2), // up to top's, and beyond
+		top:        top,
+		totalUnits: float64(len(frames) * nvm.DataBytes),
+		stop:       stopCapacity,
+	}
+	for k := range q.heads {
+		q.heads[k] = -1
+	}
+	for i, f := range frames {
+		q.agers[i] = frameAger{f: f, rate: float64(f.PhaseWritten()) / phaseSeconds}
+		q.capUnits += f.EffectiveCapacity()
+		q.push(i, q.agers[i].nextDeath())
+	}
 
 	T := 0.0
-	for float64(capUnits)/totalUnits > stopCapacity && len(h) > 0 {
-		ev := h[0]
-		if ev.t > maxSeconds {
+	beyond := len(q.heads) - 1
+	for b := range q.heads {
+		if !q.above(0) {
+			break
+		}
+		if q.heads[b] < 0 {
+			continue
+		}
+		if b == beyond {
 			T = maxSeconds
 			break
 		}
-		fa := &agers[ev.idx]
-		before := fa.f.EffectiveCapacity()
-		fa.f.AdvanceTo(fa.f.NextLimit())
-		fa.lastT = ev.t
-		capUnits -= before - fa.f.EffectiveCapacity()
-		T = ev.t
-		// The frame's next death replaces the root; a frame with none
-		// left leaves the heap.
-		if d := fa.nextDeath(); !math.IsInf(d, 1) {
-			h[0].t = d
-		} else {
-			h[0] = h[len(h)-1]
-			h = h[:len(h)-1]
+		if !q.above(q.bucketCap(b)) {
+			if t, ok := q.stopTime(b); ok {
+				T = t
+				break
+			}
 		}
-		h.down(0)
+		T = q.commit(b)
 	}
 	// Apply partial wear to every frame up to T.
-	for i := range agers {
-		agers[i].advanceTo(T)
+	for i := range q.agers {
+		q.agers[i].advanceTo(T)
 	}
 	return T, capacityOfFrames(frames)
 }

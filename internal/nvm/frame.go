@@ -158,9 +158,10 @@ func (f *Frame) sample(r *stats.RNG, gran Granularity) {
 func (f *Frame) lim() *frameLimits { return &f.slab.entries[f.idx] }
 
 // draw allocates the entries and fills them, in frame order, with the
-// FrameBytes TruncNormal draws of each frame from ckpt: the very values
-// eager sampling would have drawn at set-up. It does nothing once the
-// slab is drawn. The generator is a stack value.
+// FrameBytes TruncNormal draws of each frame from ckpt, one TruncNormals
+// call a frame: the very values eager sampling would have drawn at
+// set-up. It does nothing once the slab is drawn. The generator is a
+// stack value.
 func (s *limitSlab) draw() {
 	if s.entries != nil {
 		return
@@ -170,9 +171,7 @@ func (s *limitSlab) draw() {
 	r.SetState(s.ckpt)
 	var lim [FrameBytes]float64
 	for i := range s.entries {
-		for b := range lim {
-			lim[b] = r.TruncNormal(s.mean, s.sigma, 1)
-		}
+		r.TruncNormals(lim[:], s.mean, s.sigma, 1)
 		s.entries[i].sort(&lim, s.mean, s.sigma)
 	}
 }
@@ -400,6 +399,17 @@ func (f *Frame) ResetPhase() { f.phaseWritten = 0 }
 // a disabled frame reports zero live bytes and zero effective capacity.
 func (f *Frame) Disable() {
 	f.dead = true
+	f.publish()
+}
+
+// Restore puts f back in the state v, a value copied from f itself
+// (v := *f), and republishes its capacity. A caller can so run a frame's
+// aging ahead and take it back: AgeFrames does, to find the time its
+// stop is reached without committing the deaths after it. The slab is
+// not rolled back: its draw is made once and gives the same limits
+// whenever it is made.
+func (f *Frame) Restore(v Frame) {
+	*f = v
 	f.publish()
 }
 

@@ -553,9 +553,8 @@ func BenchmarkNewArray(b *testing.B) {
 }
 
 // BenchmarkFrameSample is one frame's set-up: the skip pass.
-// BenchmarkFrameEager is the same frame's limits drawn outright, as
-// set-up did before sampling became lazy and as the slab's draw still
-// does before it sorts them.
+// BenchmarkFrameEager is the same frame's limits drawn outright in one
+// TruncNormals batch, as the slab's draw does before it sorts them.
 func BenchmarkFrameSample(b *testing.B) {
 	r := stats.NewRNG(1)
 	f := NewFrame(paperModel, r, ByteDisabling)
@@ -570,9 +569,7 @@ func BenchmarkFrameEager(b *testing.B) {
 	var lim [FrameBytes]float64
 	sigma := paperModel.Mean * paperModel.CV
 	for i := 0; i < b.N; i++ {
-		for j := range lim {
-			lim[j] = r.TruncNormal(paperModel.Mean, sigma, 1)
-		}
+		r.TruncNormals(lim[:], paperModel.Mean, sigma, 1)
 	}
 }
 

@@ -54,7 +54,7 @@ func (r *RNG) Uint64() uint64 {
 func (r *RNG) Uint32() uint32 { return uint32(r.Uint64() >> 32) }
 
 // Intn returns a uniformly distributed integer in [0, n). It panics if
-// n <= 0. Uses Lemire's multiply-shift rejection method.
+// n <= 0. It draws through Uint64n, so it rejects as Uint64n does.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("stats: Intn with non-positive n")
@@ -62,7 +62,8 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64n(uint64(n)))
 }
 
-// Uint64n returns a uniformly distributed integer in [0, n).
+// Uint64n returns a uniformly distributed integer in [0, n), by modulo
+// rejection: a draw at or above the largest multiple of n is redrawn.
 func (r *RNG) Uint64n(n uint64) uint64 {
 	if n == 0 {
 		panic("stats: Uint64n with zero n")
@@ -111,21 +112,75 @@ func (r *RNG) Normal(mean, stddev float64) float64 {
 }
 
 // polar turns a polar-method pair (u, v) with s = u²+v² in (0, 1) into a
-// normal sample. Normal and SkipTruncNormal share it, so both compute
-// every value they compare bit for bit alike.
+// normal sample. Normal, TruncNormals and SkipTruncNormal share it, so
+// all compute every value they compare bit for bit alike.
 func polar(mean, stddev, u, s float64) float64 {
 	return mean + stddev*u*math.Sqrt(-2*math.Log(s)/s)
 }
 
 // TruncNormal returns a normal sample truncated below at lo, by resampling.
 // It is used for endurance limits, which are physically non-negative.
+// It is TruncNormals' one-element case.
 func (r *RNG) TruncNormal(mean, stddev, lo float64) float64 {
-	for i := 0; i < 1024; i++ {
-		if v := r.Normal(mean, stddev); v >= lo {
-			return v
+	var v [1]float64
+	r.TruncNormals(v[:], mean, stddev, lo)
+	return v[0]
+}
+
+// truncBatch is the number of polar pairs TruncNormals evaluates in one
+// go.
+const truncBatch = 64
+
+// oneBits is the bit pattern of 1.0.
+const oneBits = 0x3FF0000000000000
+
+// TruncNormals fills dst with len(dst) successive TruncNormal draws: each
+// a Normal sample, resampled while it lies below lo, and lo itself after
+// 1024 rejections in a row.
+//
+// It draws in batches. A batch first collects as many polar-accepted
+// pairs (u, s) as dst has values left to fill, then evaluates their
+// samples in a separate loop, so the Log, Sqrt and division of one
+// sample need not wait for the next pair. A pair yields at most one
+// value, so a batch never draws a pair a draw-by-draw loop would not
+// have drawn: the values and the generator's final state are the
+// draw-by-draw ones.
+func (r *RNG) TruncNormals(dst []float64, mean, stddev, lo float64) {
+	var us, ss [truncBatch]float64
+	rejected := 0 // rejections of the value dst[0] is waiting for
+	for len(dst) > 0 {
+		n := min(len(dst), truncBatch)
+		s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+		for k := 0; k < n; {
+			var a, b uint64
+			a, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			b, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+			u := 2*unit(a) - 1
+			v := 2*unit(b) - 1
+			s := u*u + v*v
+			// Store every pair and keep it by moving k, without a
+			// branch: s ≥ 0, so 0 < s < 1 exactly when its bits x
+			// have 1 ≤ x < bits(1), read off two sign bits.
+			us[k], ss[k] = u, s
+			x := int64(math.Float64bits(s))
+			k += int(uint64(^(x-1)&(x-oneBits)) >> 63)
 		}
+		r.s = [4]uint64{s0, s1, s2, s3}
+		for k := range n {
+			us[k] = polar(mean, stddev, us[k], ss[k])
+		}
+		j := 0
+		for _, x := range us[:n] {
+			if x >= lo {
+				dst[j] = x
+				j, rejected = j+1, 0
+			} else if rejected++; rejected == 1024 {
+				dst[j] = lo
+				j, rejected = j+1, 0
+			}
+		}
+		dst = dst[j:]
 	}
-	return lo
 }
 
 // SkipTruncNormal advances r past n TruncNormal(mean, stddev, lo) draws,

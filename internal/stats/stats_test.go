@@ -188,3 +188,42 @@ func TestSetStateResumesStream(t *testing.T) {
 		t.Fatal("all-zero state produced zeros")
 	}
 }
+
+// refTruncNormal is one TruncNormal draw as a scalar loop over Normal:
+// resample below lo, and give lo after 1024 rejections.
+func refTruncNormal(r *RNG, mean, stddev, lo float64) float64 {
+	for i := 0; i < 1024; i++ {
+		if v := r.Normal(mean, stddev); v >= lo {
+			return v
+		}
+	}
+	return lo
+}
+
+// TestTruncNormalsMatchesDraws checks the batched draw against a loop of
+// scalar ones: every value and the final state bit for bit, for lengths
+// 0, 1, one frame's 66 and more than a batch, on the paper's model, a lo
+// at the mean (every other sample rejected), a lo far above it (the
+// 1024-rejection fallback every time), and a lo a few deviations up, so
+// a fallback now and then falls between accepted values.
+func TestTruncNormalsMatchesDraws(t *testing.T) {
+	for _, c := range []struct{ mean, sd, lo float64 }{
+		{1e10, 2e9, 1}, {1000, 200, 1000}, {0, 1, 50}, {0, 1, 3.2}, {5, 0, 1}, {1, 0, 1},
+	} {
+		for _, n := range []int{0, 1, 66, 5*truncBatch + 3} {
+			for seed := uint64(0); seed < 4; seed++ {
+				batch, scalar := NewRNG(seed), NewRNG(seed)
+				got := make([]float64, n)
+				batch.TruncNormals(got, c.mean, c.sd, c.lo)
+				for i, v := range got {
+					if want := refTruncNormal(scalar, c.mean, c.sd, c.lo); math.Float64bits(v) != math.Float64bits(want) {
+						t.Fatalf("%+v n %d seed %d: value %d is %v, want %v", c, n, seed, i, v, want)
+					}
+				}
+				if batch.State() != scalar.State() {
+					t.Fatalf("%+v n %d seed %d: batch leaves another state than the draws", c, n, seed)
+				}
+			}
+		}
+	}
+}
