@@ -308,7 +308,8 @@ const (
 	oneKey   = 0x3FF0000000000000 >> keyShift // the key of 1.0
 	// fanout is the number of sub-ranges one stopTime pass splits its
 	// range of float bits into.
-	fanout = 256
+	fanoutBits = 8
+	fanout     = 1 << fanoutBits
 )
 
 // deathQueue is a monotone bucket queue of frame deaths. Bucket 0 holds
@@ -443,7 +444,7 @@ func (q *deathQueue) stopTime(b int) (t float64, ok bool) {
 	lo, hi := bucketBits(b)
 	var hist [fanout]int
 	for {
-		shift := uint(max(bits.Len64(hi-lo)-8, 0)) // fanout is 1<<8
+		shift := uint(max(bits.Len64(hi-lo)-fanoutBits, 0))
 		drop := q.scan(b, lo, hi, shift, &hist)
 		j := 0
 		for ; j < fanout; j++ {
