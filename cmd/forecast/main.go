@@ -34,7 +34,7 @@ func main() {
 	policies := flag.String("policies", "standard", `"standard", "core" or comma-separated curve labels: `+strings.Join(experiments.ForecastLabels(), ", "))
 	cf := cliutil.BindConfig(flag.CommandLine, "mixes", "sram", "nvm", "cv", "mean", "l2kb", "nvmlat", "scale", "sets", "coloring")
 	phase := flag.Uint64("phase", 10_000_000, "measured cycles per forecast phase")
-	warm := flag.Uint64("warmup", 2_000_000, "warm-up cycles per phase")
+	warm := flag.Uint64("warmup", 2_000_000, "warm-up cycles before the first forecast phase (and before the window at the target capacity)")
 	step := flag.Float64("step", 0.025, "capacity drop per prediction phase")
 	analyticFast := flag.Bool("analytic", false, "use the analytic fast path: the forecast loop with one capacity step per cell (-warmup sizes the warm-up, -phase the calibration window)")
 	csvOut := flag.Bool("csv", false, "emit CSV")

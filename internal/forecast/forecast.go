@@ -23,7 +23,9 @@ const SecondsPerMonth = 365.25 * 24 * 3600 / 12
 type Config struct {
 	// ClockHz is the core clock (Table IV: 3.5 GHz).
 	ClockHz float64
-	// WarmupCycles are simulated before each measurement window.
+	// WarmupCycles are simulated once, before the first measurement
+	// window; later windows follow on the warm system. RunTarget's
+	// window at the target capacity warms up again.
 	WarmupCycles uint64
 	// PhaseCycles is the measured simulation window per phase.
 	PhaseCycles uint64
@@ -173,17 +175,19 @@ func RunTarget(t Target, cfg Config) Result {
 	return res
 }
 
-// Trajectory is the forecast loop. Each phase warms the target up and
-// measures one window, which yields a trajectory point and the per-frame
-// byte rates; a prediction then ages the frames at those rates by one
-// CapacityStep. The loop records the lifetime and returns as soon as a
-// prediction reaches TargetCapacity, without measuring the aged system
-// (RunTarget does). A prediction whose written frames all die above its
-// stop capacity is not the end: the next phase measures where their
-// traffic went. The lifetime stays +Inf (censored) when a prediction
-// kills no byte, when the next death lies past MaxPredictSeconds, or
-// after MaxPhases phases. The only error is ctx's, checked after every
-// window.
+// Trajectory is the forecast loop. It warms the target up once, before
+// the first window: the system stays warm from one window to the next,
+// since a prediction only drops the LLC entries its aged frames can no
+// longer hold, and the next window refills them. Each phase measures one
+// window, which yields a trajectory point and the per-frame byte rates;
+// a prediction then ages the frames at those rates by one CapacityStep.
+// The loop records the lifetime and returns as soon as a prediction
+// reaches TargetCapacity, without measuring the aged system (RunTarget
+// does). A prediction whose written frames all die above its stop
+// capacity is not the end: the next phase measures where their traffic
+// went. The lifetime stays +Inf (censored) when a prediction kills no
+// byte, when the next death lies past MaxPredictSeconds, or after
+// MaxPhases phases. The only error is ctx's, checked after every window.
 func Trajectory(ctx context.Context, t Target, cfg Config) (Result, error) {
 	res := Result{Policy: t.PolicyName(), LifetimeSeconds: math.Inf(1)}
 	frames := t.Frames()
@@ -201,7 +205,9 @@ func Trajectory(ctx context.Context, t Target, cfg Config) (Result, error) {
 	elapsed := 0.0
 	dropped := 0
 	for phase := 0; phase < cfg.MaxPhases; phase++ {
-		t.Run(cfg.WarmupCycles)
+		if phase == 0 {
+			t.Run(cfg.WarmupCycles)
+		}
 		t.ResetPhase()
 		st := t.Run(cfg.PhaseCycles)
 		if err := ctx.Err(); err != nil {

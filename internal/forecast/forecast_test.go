@@ -1,7 +1,10 @@
 package forecast
 
 import (
+	"context"
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/hier"
@@ -417,4 +420,89 @@ func TestRunTargetStopsWhenNothingIsWritten(t *testing.T) {
 	if len(res.Points) != 1 || p.runs != 2 {
 		t.Fatalf("%d points over %d runs, want one phase (warm-up and window)", len(res.Points), p.runs)
 	}
+}
+
+// callLog is a forecast target that records its Run and ResetPhase
+// calls: "warm" and "window" name a Run of partialConfig's warm-up and
+// phase cycles. With sram set it has no frames, like an SRAM-only LLC.
+type callLog struct {
+	*partialTarget
+	sram  bool
+	calls []string
+}
+
+func (c *callLog) Run(cycles uint64) Window {
+	cfg := partialConfig()
+	switch cycles {
+	case cfg.WarmupCycles:
+		c.calls = append(c.calls, "warm")
+	case cfg.PhaseCycles:
+		c.calls = append(c.calls, "window")
+	default:
+		c.calls = append(c.calls, fmt.Sprintf("run %d", cycles))
+	}
+	return c.partialTarget.Run(cycles)
+}
+
+func (c *callLog) ResetPhase() {
+	c.calls = append(c.calls, "reset")
+	c.partialTarget.ResetPhase()
+}
+
+func (c *callLog) Frames() []*nvm.Frame {
+	if c.sram {
+		return nil
+	}
+	return c.partialTarget.Frames()
+}
+
+func wantCalls(t *testing.T, got []string, want ...string) {
+	t.Helper()
+	if !slices.Equal(got, want) {
+		t.Fatalf("calls %q, want %q", got, want)
+	}
+}
+
+// TestTrajectoryWarmsUpOnce: the forecast warms up before its first
+// window only. The later window of a resimulated step follows on the warm
+// system, while RunTarget's window at the target capacity and the
+// SRAM-only branch each still warm up first.
+func TestTrajectoryWarmsUpOnce(t *testing.T) {
+	newLog := func(sram bool) *callLog {
+		arr := agedArray(t, 8, 4, nvm.FrameDisabling, 1000)
+		return &callLog{partialTarget: &partialTarget{arr: arr, share: len(arr.Frames()) / 4}, sram: sram}
+	}
+
+	c := newLog(false)
+	res, err := Trajectory(context.Background(), c, partialConfig())
+	if err != nil || len(res.Points) != 2 {
+		t.Fatalf("%d points, err %v; want two windows", len(res.Points), err)
+	}
+	wantCalls(t, c.calls, "warm", "reset", "window", "reset", "window")
+
+	c = newLog(false)
+	if res := RunTarget(c, partialConfig()); len(res.Points) != 3 {
+		t.Fatalf("%d points, want two windows and the one at the target", len(res.Points))
+	}
+	wantCalls(t, c.calls, "warm", "reset", "window", "reset", "window", "warm", "reset", "window")
+
+	c = newLog(true)
+	RunTarget(c, partialConfig())
+	wantCalls(t, c.calls, "warm", "window")
+}
+
+// TestOneStepCalibrationCalls: a calibration in analytic.Calibrate's
+// shape (one capacity step to the target, no window at the target)
+// warms up, resets the phase counters and measures one window, as it
+// did when every window warmed up.
+func TestOneStepCalibrationCalls(t *testing.T) {
+	arr := agedArray(t, 8, 4, nvm.FrameDisabling, 1000)
+	c := &callLog{partialTarget: &partialTarget{arr: arr, share: len(arr.Frames())}}
+	cfg := partialConfig()
+	cfg.CapacityStep = 1 - cfg.TargetCapacity
+	res, err := Trajectory(context.Background(), c, cfg)
+	if err != nil || len(res.Points) != 1 || math.IsInf(res.LifetimeSeconds, 1) {
+		t.Fatalf("points %+v, lifetime %v, err %v; want one window that reaches the target", res.Points, res.LifetimeSeconds, err)
+	}
+	wantCalls(t, c.calls, "warm", "reset", "window")
 }
