@@ -100,8 +100,9 @@ bench-go:
 bench-figures:
 	$(GO) test -bench='Fig|Table' -benchtime 1x -v .
 
-# Regenerate the calibration outputs under results/ (173-181 s wall over
-# two runs on a 2-vCPU Xeon with Go 1.24).
+# Regenerate the calibration outputs under results/ (107 s wall, 207 s
+# CPU on a 2-vCPU Xeon with Go 1.24; the same day, with a warm-up before
+# every forecast window, it took 124 s wall, 237 s CPU).
 experiments:
 	mkdir -p results
 	$(GO) run ./cmd/compressprofile                     > results/fig2.txt
