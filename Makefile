@@ -64,7 +64,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLeaseComplete$$' -fuzztime=10s ./internal/server
 	$(GO) test -run='^$$' -fuzz='^FuzzJournalReplay$$' -fuzztime=10s ./internal/jobstore
 	$(GO) test -run='^$$' -fuzz='^FuzzColoringConfigDecode$$' -fuzztime=10s ./internal/core
-	$(GO) test -run='^$$' -fuzz='^FuzzLazyLimits$$' -fuzztime=10s ./internal/nvm
+	$(GO) test -run='^$$' -fuzz='^FuzzDeathStream$$' -fuzztime=10s ./internal/nvm
 	$(GO) test -run='^$$' -fuzz='^FuzzAgeFrames$$' -fuzztime=10s ./internal/forecast
 
 # Run the simulation daemon on :8080 (see README for the curl quickstart).

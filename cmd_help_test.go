@@ -172,7 +172,7 @@ func TestCmdSharedFlags(t *testing.T) {
 		"tw":         {fmt.Sprint(def.Tw), nil},
 		"mean":       {fmt.Sprint(def.EnduranceMean), []string{fmt.Sprintf("(0, %g]", float64(core.MaxEnduranceMean))}},
 		"cv":         {fmt.Sprint(def.EnduranceCV), []string{fmt.Sprintf("[0, %d]", core.MaxEnduranceCV)}},
-		"nvmlat":     {fmt.Sprint(def.NVMLatencyFactor), []string{fmt.Sprintf("[0, %d]", core.MaxNVMLatencyFactor)}},
+		"nvmlat":     {fmt.Sprint(def.NVMLatencyFactor), []string{fmt.Sprintf("(0, %d]", core.MaxNVMLatencyFactor)}},
 		"prefetch":   {"", nil},
 		"rrip":       {"", nil},
 		"checkevery": {"", nil},

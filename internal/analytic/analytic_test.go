@@ -323,7 +323,8 @@ func TestLookupZeroAlloc(t *testing.T) {
 
 // BenchmarkCalibrate is one cold calibration of DefaultSpec: building
 // the system, the warm-up and calibration windows, and the one aging
-// pass to half capacity, which draws every frame's limits. It is the
+// pass to half capacity, each of whose byte deaths draws the frame's
+// next limit. It is the
 // calibration a default POST /v1/estimate pays on a cache miss.
 func BenchmarkCalibrate(b *testing.B) {
 	b.ReportAllocs()

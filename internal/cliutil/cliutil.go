@@ -36,7 +36,7 @@ var knobs = map[string]knob{
 	"tw":         {"CP_SD_Th write-reduction percentage", func(c *core.Config) any { return &c.Tw }},
 	"mean":       {fmt.Sprintf("endurance mean writes, in (0, %g]", float64(core.MaxEnduranceMean)), func(c *core.Config) any { return &c.EnduranceMean }},
 	"cv":         {fmt.Sprintf("endurance coefficient of variation, in [0, %d]", core.MaxEnduranceCV), func(c *core.Config) any { return &c.EnduranceCV }},
-	"nvmlat":     {fmt.Sprintf("NVM data-array latency factor, in [0, %d]", core.MaxNVMLatencyFactor), func(c *core.Config) any { return &c.NVMLatencyFactor }},
+	"nvmlat":     {fmt.Sprintf("NVM data-array latency factor, in (0, %d]", core.MaxNVMLatencyFactor), func(c *core.Config) any { return &c.NVMLatencyFactor }},
 	"prefetch":   {"enable the L2 stride prefetcher", func(c *core.Config) any { return &c.EnablePrefetcher }},
 	"rrip":       {"use fit-RRIP NVM replacement instead of fit-LRU", func(c *core.Config) any { return &c.NVMRRIP }},
 	"checkevery": {"run the invariant checker every N LLC accesses (0 disables)", func(c *core.Config) any { return &c.CheckEvery }},

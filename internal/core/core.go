@@ -155,12 +155,8 @@ func QuickConfig() Config {
 // 32-cycle load-use delay, Table IV).
 func (c Config) Latencies() hier.Latencies {
 	lat := hier.DefaultLatencies()
-	f := c.NVMLatencyFactor
-	if f <= 0 {
-		f = 1
-	}
 	base := lat.LLCNVM - 8 // tag + routing portion
-	lat.LLCNVM = base + int(math.Round(8*f))
+	lat.LLCNVM = base + int(math.Round(8*c.NVMLatencyFactor))
 	return lat
 }
 

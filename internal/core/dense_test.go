@@ -66,11 +66,11 @@ func TestNonPowerOfTwoGeometryUnderChecker(t *testing.T) {
 // sampling — at zero allocations per access in steady state, on the
 // default configuration under BH and CP_SD, and under CP_SD with the
 // wear coloring remapping and flushing rows at every epoch boundary. The
-// aging inputs add the NVM
-// frames' first-need work: at an accelerated endurance of 3e4 writes
-// (CV 0.02), every frame is pre-worn to three standard deviations below
-// the mean, so during the measured call frames draw their endurance
-// limits and bytes die; the test asserts that bytes do die there.
+// aging inputs add the NVM frames' byte deaths: at an accelerated
+// endurance of 3e4 writes (CV 0.02), every frame is pre-worn to three
+// standard deviations below the mean, so during the measured call bytes
+// die and frames draw their next endurance limits; the test asserts
+// that bytes do die there.
 //
 // testing.AllocsPerRun counts every allocation in the process, so one
 // stray allocation outside the simulator can land in the measured call.

@@ -91,8 +91,8 @@ func (c Config) Validate() error {
 	if c.EpochCycles < 1 || c.EpochCycles > MaxEpochCycles {
 		bad("epoch of %d cycles outside [1,%d]", c.EpochCycles, MaxEpochCycles)
 	}
-	if !(c.NVMLatencyFactor >= 0 && c.NVMLatencyFactor <= MaxNVMLatencyFactor) {
-		bad("NVM latency factor %v outside [0,%d]", c.NVMLatencyFactor, MaxNVMLatencyFactor)
+	if !(c.NVMLatencyFactor > 0 && c.NVMLatencyFactor <= MaxNVMLatencyFactor) {
+		bad("NVM latency factor %v outside (0,%d]", c.NVMLatencyFactor, MaxNVMLatencyFactor)
 	}
 	if c.PrefetchDegree < 0 || c.PrefetchDegree > MaxPrefetchDegree {
 		bad("prefetch degree %d outside [0,%d]", c.PrefetchDegree, MaxPrefetchDegree)

@@ -53,6 +53,7 @@ func TestValidateRejections(t *testing.T) {
 		{"cv", func(c *Config) { c.EnduranceCV = -0.1 }, "endurance CV"},
 		{"epoch", func(c *Config) { c.EpochCycles = 0 }, "epoch"},
 		{"nvmlat", func(c *Config) { c.NVMLatencyFactor = -1 }, "latency factor"},
+		{"nvmlat-zero", func(c *Config) { c.NVMLatencyFactor = 0 }, "latency factor"},
 		{"prefetch", func(c *Config) { c.PrefetchDegree = -1 }, "prefetch"},
 		{"banks", func(c *Config) { c.LLCBanks = -1 }, "bank"},
 		{"shards-neg", func(c *Config) { c.Shards = -1 }, "shards"},

@@ -188,20 +188,18 @@ func TestAgeFramesIgnoresFrameOrder(t *testing.T) {
 }
 
 // skewedFrames returns an array of sets x ways byte-disabling frames
-// written at rates 1, 2, 4, 8 and 16 blocks a second by turns, with
-// every frame's limits drawn.
+// written at rates 1, 2, 4, 8 and 16 blocks a second by turns.
 func skewedFrames(sets, ways int) []*nvm.Frame {
 	arr := nvm.NewArray(sets, ways, nvm.EnduranceModel{Mean: 1e10, CV: 0.2}, stats.NewRNG(5), nvm.ByteDisabling)
 	frames := arr.Frames()
 	for i, f := range frames {
 		f.RecordWrite(nvm.FrameBytes << (i % 5))
-		f.NextLimit()
 	}
 	return frames
 }
 
-// TestAgeFramesAllocatesOnlyItsSlices: with the limits drawn, aging
-// allocates its two per-call slices and nothing per byte death.
+// TestAgeFramesAllocatesOnlyItsSlices: aging allocates its two per-call
+// slices and nothing per byte death.
 func TestAgeFramesAllocatesOnlyItsSlices(t *testing.T) {
 	setup := testing.AllocsPerRun(3, func() { skewedFrames(256, 12) })
 	faulty := 0
@@ -222,8 +220,8 @@ func TestAgeFramesAllocatesOnlyItsSlices(t *testing.T) {
 }
 
 // BenchmarkAgeFrames ages a default-sized array (1024 sets x 12 NVM
-// ways) from full capacity to half at skewed rates; building the array
-// and drawing its limits is not timed.
+// ways) from full capacity to half at skewed rates, each byte death
+// drawing the next limit; building the array is not timed.
 func BenchmarkAgeFrames(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

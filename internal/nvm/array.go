@@ -14,8 +14,8 @@ import (
 // effective capacity into the slab's caps, a dense byte per frame in the
 // same physical set-major order. Only Frame methods write caps, so a row
 // read through CapRow is exact after any write, aging pass or fault
-// injection. The slab holds the frames' drawn limits too, allocated at
-// the first draw (see limitSlab).
+// injection. The slab holds no limits: each frame draws its own as it
+// needs them, from the slab's keyed stream (see limitSlab.after).
 type Array struct {
 	sets, ways int
 	backing    []Frame
@@ -34,11 +34,10 @@ type Array struct {
 }
 
 // NewArray builds an NVM array of sets x ways frames with per-byte
-// endurance sampled from model using r. The frames' limits are drawn on
-// the first need of one (see Frame.ensureOrder), all of them from the
-// state r has here, so the limits and r's final state are those of
-// drawing every frame's limits here in order. Until then the array holds
-// no limit storage.
+// endurance following model. It takes one value from r, the key of every
+// frame's stream, and draws each frame's smallest limit: a frame's limits
+// depend on the key and its index alone, so no frame's draws wait on
+// another's.
 func NewArray(sets, ways int, model EnduranceModel, r *stats.RNG, gran Granularity) *Array {
 	if sets <= 0 || ways < 0 {
 		panic("nvm: invalid array geometry")
@@ -52,7 +51,7 @@ func NewArray(sets, ways int, model EnduranceModel, r *stats.RNG, gran Granulari
 	for i := range a.backing {
 		f := &a.backing[i]
 		f.slab, f.idx = &a.slab, uint32(i)
-		f.sample(r, gran)
+		f.sample(gran)
 		f.publish()
 	}
 	return a

@@ -1,8 +1,9 @@
 // Package nvm models the non-volatile part of the hybrid LLC at the level
-// the paper's policies care about: per-byte write endurance drawn from a
-// normal distribution (§II-A), a per-frame fault map with byte- or
-// frame-granularity disabling (§III-B), intra-frame wear leveling via a
-// global rotation counter, and the block-rearrangement circuitry that
+// the paper's policies care about: per-byte write endurance from a
+// truncated normal distribution (§II-A), drawn frame by frame as an
+// ascending stream of order statistics, a per-frame fault map with byte-
+// or frame-granularity disabling (§III-B), intra-frame wear leveling via
+// a global rotation counter, and the block-rearrangement circuitry that
 // scatters compressed blocks across the non-faulty bytes of a frame
 // (Fig. 5).
 package nvm
@@ -71,18 +72,16 @@ type EnduranceModel struct {
 // dies when that shared wear level crosses its sampled endurance limit.
 // This is the same analytic treatment as the paper's forecast procedure.
 //
-// A Frame is a 64-byte header, one host cache line. The per-byte limits
-// and the death order are not in it: they live in the frame's entry of
-// its owner's slab (see limitSlab), drawn when the owner first needs a
-// limit.
+// So a frame only ever needs the smallest limit of its live bytes. It
+// draws its limits one at a time, in ascending order, as order
+// statistics (see limitSlab.after), from a stream keyed by its owner's
+// key, its index and its draw count. A Frame is a 64-byte header, one
+// host cache line, and that header fixes its whole future.
 type Frame struct {
 	wear float64 // per-live-byte accumulated writes
-	// nextLimit is at most the limit of the next live byte to die, so a
-	// write that kills no byte costs one compare. Once the frame is
-	// drawn it is that limit, sorted[next] with next kept past disabled
-	// bytes (+Inf once next reaches FrameBytes), so NextLimit reads no
-	// slab entry; before that it is the sampler's lower bound on the
-	// smallest limit (see sample).
+	// nextLimit is the endurance limit of the next live byte to die,
+	// +Inf once the frame is dead, so a write that kills no byte costs
+	// one compare.
 	nextLimit float64
 	// phaseWritten counts bytes written to this frame during the current
 	// simulation phase; the forecast turns it into a write rate.
@@ -92,164 +91,160 @@ type Frame struct {
 	totalWritten uint64
 	faultLo      uint64 // fault map bits of bytes 0..63
 	// slab is the frame's owner: its array's, or NewFrame's own. idx is
-	// the frame's entry there, both in the dense capacity bytes the frame
-	// publishes its EffectiveCapacity into and in the drawn limits.
+	// the frame's entry in its dense capacity bytes and, with draws, the
+	// counter of the frame's next draw from the owner's keyed stream.
 	slab    *limitSlab
 	faultHi uint8 // fault map bits of bytes 64..65
 	live    uint8 // non-faulty bytes
-	next    uint8 // index into the death order of the next byte to die
+	draws   uint8 // values drawn from the frame's stream so far
 	dead    bool  // frame disabled (always true when live < MinECB)
 	gran    Granularity
-	drawn   bool // next and nextLimit read the slab entry (see ensureOrder)
 	idx     uint32
+	// ls is ln S(nextLimit), S the survival function of the truncated
+	// distribution, so the next draw starts from it without inverting
+	// nextLimit. A float32 keeps the header in one cache line; its
+	// relative rounding, 6e-8, is far below what a frame's 66 draws can
+	// show of the law.
+	ls float32
 }
+
+// truncLo is the truncation point of the endurance distribution: a
+// byte survives at least one write.
+const truncLo = 1
 
 // limitSlab is what the frames of one array share: the endurance
-// distribution their limits are drawn from, the sampler's state before
-// the first frame's draws, the dense capacity bytes they publish into,
-// and the drawn limits, one entry per frame. The first frame that needs
-// a limit draws every entry at once (see draw), so an array whose
-// frames never come near a limit holds no limit storage and every later
-// need allocates nothing.
+// distribution, the key of their streams and the dense capacity bytes
+// they publish into.
 type limitSlab struct {
 	mean, sigma float64
-	ckpt        [4]uint64     // the sampler's state at frame 0's turn in set-up
-	caps        []uint8       // caps[i] == EffectiveCapacity of frame i
-	entries     []frameLimits // nil until the first draw, then len(caps)
+	// p0 and q0 are Φ and Φ̄ at the truncation point in standard units:
+	// the normal's mass below and above it.
+	p0, q0 float64
+	key    uint64
+	caps   []uint8 // caps[i] == EffectiveCapacity of frame i
 }
 
-// frameLimits is one frame's drawn endurance limits in death order.
-type frameLimits struct {
-	sorted [FrameBytes]float64 // per-byte endurance (writes), ascending
-	// order[k] is the byte whose limit is sorted[k]; equal limits are in
-	// byte-index order, so the order depends on the limits alone.
-	order [FrameBytes]uint8
-}
-
-// newLimitSlab returns the owner of n frames drawing from model, whose
-// limits are the next n·FrameBytes draws of r.
+// newLimitSlab returns the owner of n frames drawing from model, keyed
+// by one draw of r.
 func newLimitSlab(model EnduranceModel, n int, r *stats.RNG) limitSlab {
-	return limitSlab{mean: model.Mean, sigma: model.Mean * model.CV, ckpt: r.State(), caps: make([]uint8, n)}
+	s := limitSlab{mean: model.Mean, sigma: model.Mean * model.CV, key: r.Uint64(), caps: make([]uint8, n)}
+	if s.sigma > 0 {
+		s.p0, s.q0 = tails((truncLo - s.mean) / s.sigma)
+	}
+	return s
 }
 
-// NewFrame samples per-byte endurance from model using r and returns a
-// fully functional frame with the given disabling granularity. The frame
-// owns a one-entry slab.
+// tails returns Φ(z) and Φ̄(z), each computed from Erfc on the side
+// where it is small.
+func tails(z float64) (p, q float64) {
+	if z < 0 {
+		p = math.Erfc(-z/math.Sqrt2) / 2
+		return p, 1 - p
+	}
+	q = math.Erfc(z/math.Sqrt2) / 2
+	return 1 - q, q
+}
+
+// NewFrame returns a fully functional frame with the given disabling
+// granularity, whose per-byte endurance follows model, keyed by one draw
+// of r. The frame owns a one-entry slab.
 func NewFrame(model EnduranceModel, r *stats.RNG, gran Granularity) *Frame {
 	s := newLimitSlab(model, 1, r)
 	f := &Frame{slab: &s}
-	f.sample(r, gran)
+	f.sample(gran)
 	f.publish()
 	return f
 }
 
-// sample initialises f in place as a fresh frame of its slab and
-// advances r past its FrameBytes limit draws, as drawing them would. It
-// does not draw them: it sets nextLimit to SkipTruncNormal's lower bound
-// on the smallest limit, so the frame reads its limits only once its
-// wear reaches that bound.
-func (f *Frame) sample(r *stats.RNG, gran Granularity) {
+// sample initialises f in place as a fresh frame of its slab: every byte
+// live, no wear, and its smallest limit drawn.
+func (f *Frame) sample(gran Granularity) {
 	*f = Frame{live: FrameBytes, gran: gran, slab: f.slab, idx: f.idx}
-	f.nextLimit = r.SkipTruncNormal(FrameBytes, f.slab.mean, f.slab.sigma, 1)
+	f.draw(truncLo, 0)
 }
 
-// lim returns the frame's entry in its slab; it holds the frame's limits
-// in death order once the slab is drawn.
-func (f *Frame) lim() *frameLimits { return &f.slab.entries[f.idx] }
-
-// draw allocates the entries and fills them, in frame order, with the
-// FrameBytes TruncNormal draws of each frame from ckpt, one TruncNormals
-// call a frame: the very values eager sampling would have drawn at
-// set-up. It does nothing once the slab is drawn. The generator is a
-// stack value.
-func (s *limitSlab) draw() {
-	if s.entries != nil {
-		return
-	}
-	s.entries = make([]frameLimits, len(s.caps))
-	var r stats.RNG
-	r.SetState(s.ckpt)
-	var lim [FrameBytes]float64
-	for i := range s.entries {
-		r.TruncNormals(lim[:], s.mean, s.sigma, 1)
-		s.entries[i].sort(&lim, s.mean, s.sigma)
-	}
+// next returns the frame's next draw from its stream and counts it: a
+// uniform in [0, 1) and 64 uniform bits.
+func (f *Frame) next() (u float64, bits uint64) {
+	u, bits = stats.Keyed(f.slab.key, uint64(f.idx)<<8|uint64(f.draws))
+	f.draws++
+	return u, bits
 }
 
-// sortBuckets is the number of value ranges sort's counting pass uses.
-const sortBuckets = 128
-
-// sort stores the per-byte limits lim, drawn with the given mean and
-// sigma, in death order. A counting pass places the bytes by bucket,
-// the bucket never decreasing as the limit grows, and keeps byte-index
-// order within a bucket; a stable insertion pass then orders each
-// bucket's few bytes. The buckets cut mean ± 3σ evenly, so one holds
-// about two bytes; for σ = 0 the scaled value is NaN or ±Inf and the
-// clamp to [0, sortBuckets) still keeps the bucket monotone. It
-// allocates nothing.
-func (l *frameLimits) sort(lim *[FrameBytes]float64, mean, sigma float64) {
-	lo, scale := mean-3*sigma, sortBuckets/(6*sigma)
-	var bucket [FrameBytes]uint8
-	var start [sortBuckets + 1]uint8
-	for i, v := range lim {
-		x := (v - lo) * scale
-		if !(x >= 0) {
-			x = 0
-		}
-		bucket[i] = uint8(min(x, sortBuckets-1))
-		start[bucket[i]+1]++
-	}
-	for i := 1; i < sortBuckets; i++ {
-		start[i] += start[i-1]
-	}
-	for i, b := range bucket {
-		l.order[start[b]] = uint8(i)
-		start[b]++
-	}
-	for k := range l.order {
-		b := l.order[k]
-		v := lim[b]
-		j := k
-		for ; j > 0 && l.sorted[j-1] > v; j-- {
-			l.sorted[j], l.order[j] = l.sorted[j-1], l.order[j-1]
-		}
-		l.sorted[j], l.order[j] = v, b
-	}
+// draw sets the next limit to the smallest of the live bytes', given
+// that all of them lie above base, where ln S is ls.
+func (f *Frame) draw(base float64, ls float32) {
+	u, _ := f.next()
+	f.nextLimit, f.ls = f.slab.after(base, ls, int(f.live), u)
 }
 
-// ensureOrder points the frame at its drawn limits on first need, and
-// puts next past the bytes already disabled. Most frames never come
-// near an endurance limit, so sampling leaves the slab undrawn; only the
-// operations that read a limit draw it: AddWear once the wear reaches
-// nextLimit's bound, InjectFault and NextLimit. The first of them draws
-// every frame's entry; each other frame keeps its bound until it needs
-// a limit itself.
-func (f *Frame) ensureOrder() {
-	if f.drawn {
-		return
+// after returns the smallest of m limits drawn from the slab's
+// distribution, a normal truncated below at truncLo, given that all m
+// lie above base, and ln S there. S is the survival function and ls is
+// ln S(base). It inverts S at the uniform u in [0, 1):
+//
+//	S(X) = S(base) · (1−u)^(1/m).
+//
+// Started at truncLo and fed each death's limit, this yields a frame's
+// limits in ascending order with the law of the sorted draws (Rényi's
+// representation of order statistics). With Φ the standard normal CDF,
+// S(x) = Φ̄(z)/q0 for x in standard units z. Early deaths lie in the
+// lower tail, where S is close to 1, so there the CDF is inverted
+// instead, Φ(z) = p0 + q0·(1−S). Erfcinv(y), which is Erfinv(1−y),
+// resolves y only to 2^-53, so exp and log (1−u is exact on u's 2^-53
+// grid) lose nothing here against the slower expm1 and log1p. σ = 0
+// puts every limit at the mean, or at truncLo if higher. The limit is
+// never below base; where the inverse overflows (mass that far into a
+// tail underflows) it is base itself.
+func (s *limitSlab) after(base float64, ls float32, m int, u float64) (float64, float32) {
+	base = max(base, truncLo)
+	if s.sigma == 0 {
+		return max(base, s.mean), 0
 	}
-	f.slab.draw()
-	f.drawn = true
-	f.skipDisabled()
-}
-
-// skipDisabled moves next past bytes already disabled, so nextLimit
-// names a live byte, and refreshes nextLimit.
-func (f *Frame) skipDisabled() {
-	l := f.lim()
-	for int(f.next) < FrameBytes && f.faulty(int(l.order[f.next])) {
-		f.next++
-	}
-	f.syncNext()
-}
-
-// syncNext refreshes the cached next-death limit after next moved.
-func (f *Frame) syncNext() {
-	if int(f.next) < FrameBytes {
-		f.nextLimit = f.lim().sorted[f.next]
+	l := float64(ls) + math.Log(1-u)/float64(m)
+	sv := math.Exp(l)
+	var z float64
+	if p := s.p0 + s.q0*(1-sv); p < 0.5 {
+		z = -math.Sqrt2 * math.Erfcinv(2*p)
 	} else {
-		f.nextLimit = math.Inf(1)
+		z = math.Sqrt2 * math.Erfcinv(2*s.q0*sv)
 	}
+	if x := s.mean + s.sigma*z; x >= base && !math.IsInf(x, 1) {
+		return x, float32(l)
+	}
+	return base, ls
+}
+
+// logSurvival returns ln S(x), S the survival function of the slab's
+// distribution.
+func (s *limitSlab) logSurvival(x float64) float32 {
+	if s.sigma == 0 || x <= truncLo {
+		return 0
+	}
+	p, q := tails((x - s.mean) / s.sigma)
+	if q < 0.5 {
+		return float32(math.Log(q / s.q0))
+	}
+	return float32(math.Log1p(-(p - s.p0) / s.q0))
+}
+
+// liveByte returns the index of the j-th live byte, counting from 0. It
+// halves the 64-bit word that holds it six times, without a branch on
+// the random j.
+func (f *Frame) liveByte(j int) int {
+	x, at := ^f.faultLo, 0
+	if c := bits.OnesCount64(x); j >= c {
+		x, at, j = uint64(^f.faultHi&3), 64, j-c
+	}
+	for w := 32; w > 0; w >>= 1 {
+		// up is 1 when the byte lies above the low w bits of x.
+		c := bits.OnesCount64(x & (1<<w - 1))
+		up := int(uint(c-j-1) >> 63)
+		x >>= w * up
+		at += w * up
+		j -= c * up
+	}
+	return at
 }
 
 // publish writes the frame's effective capacity into its capacity slot.
@@ -316,12 +311,9 @@ func (f *Frame) FaultMap() FaultMap { return FaultMap{lo: f.faultLo, hi: uint64(
 // Wear returns the shared per-live-byte accumulated write count.
 func (f *Frame) Wear() float64 { return f.wear }
 
-// NextLimit returns the endurance limit of the next byte to die, or +Inf if
-// every byte has already failed.
-func (f *Frame) NextLimit() float64 {
-	f.ensureOrder()
-	return f.nextLimit
-}
+// NextLimit returns the endurance limit of the next byte to die, or +Inf
+// once the frame is dead.
+func (f *Frame) NextLimit() float64 { return f.nextLimit }
 
 // RecordWrite accounts for a block write of ecbBytes bytes into the frame:
 // it bumps the phase byte-write counter and advances the shared wear level
@@ -339,6 +331,11 @@ func (f *Frame) RecordWrite(ecbBytes int) int {
 // AddWear advances the shared wear level by delta per-byte writes and
 // disables any bytes whose limit is crossed. It returns the number of bytes
 // that died.
+//
+// Each death disables a live byte picked uniformly, so the fault map
+// keeps the law of disabling the byte with the smallest limit, and draws
+// the next limit above the one just crossed. A frame that the death
+// disables draws no more.
 func (f *Frame) AddWear(delta float64) int {
 	if f.dead {
 		return 0
@@ -347,27 +344,27 @@ func (f *Frame) AddWear(delta float64) int {
 	if f.nextLimit > f.wear {
 		return 0 // the common case: no limit crossed
 	}
-	f.ensureOrder()
-	l := f.lim()
 	died := 0
-	for int(f.next) < FrameBytes && l.sorted[f.next] <= f.wear {
-		bi := int(l.order[f.next])
-		f.next++
-		if f.faulty(bi) {
-			continue // already disabled by fault injection
-		}
-		f.setFaulty(bi)
+	for f.nextLimit <= f.wear {
+		u, pick := f.next()
+		hi, _ := bits.Mul64(pick, uint64(f.live))
+		f.setFaulty(f.liveByte(int(hi)))
 		f.live--
 		died++
-	}
-	f.skipDisabled()
-	if died > 0 {
 		if f.gran == FrameDisabling || f.live < MinECB {
-			f.dead = true
+			f.kill()
+			break
 		}
-		f.publish()
+		f.nextLimit, f.ls = f.slab.after(f.nextLimit, f.ls, int(f.live), u)
 	}
+	f.publish()
 	return died
+}
+
+// kill marks the frame dead; it never draws again.
+func (f *Frame) kill() {
+	f.dead = true
+	f.nextLimit = math.Inf(1)
 }
 
 // AdvanceTo raises the shared wear level to the absolute value w (no-op if
@@ -398,32 +395,34 @@ func (f *Frame) ResetPhase() { f.phaseWritten = 0 }
 // the fault map keep their current values; only the dead flag changes, so
 // a disabled frame reports zero live bytes and zero effective capacity.
 func (f *Frame) Disable() {
-	f.dead = true
+	f.kill()
 	f.publish()
 }
 
 // Restore puts f back in the state v, a value copied from f itself
 // (v := *f), and republishes its capacity. A caller can so run a frame's
 // aging ahead and take it back: AgeFrames does, to find the time its
-// stop is reached without committing the deaths after it. The slab is
-// not rolled back: its draw is made once and gives the same limits
-// whenever it is made.
+// stop is reached without committing the deaths after it. The header
+// holds the frame's draw count, so the restored frame draws the same
+// limits and picks the same bytes again.
 func (f *Frame) Restore(v Frame) {
 	*f = v
 	f.publish()
 }
 
 // InjectFault forcibly disables byte i (used by fault-injection tests).
+// The next limit is drawn again, for the live bytes left, above the
+// current wear: they have all survived it.
 func (f *Frame) InjectFault(i int) {
 	if f.dead || f.faulty(i) {
 		return
 	}
-	f.ensureOrder()
 	f.setFaulty(i)
 	f.live--
-	f.skipDisabled()
 	if f.gran == FrameDisabling || f.live < MinECB {
-		f.dead = true
+		f.kill()
+	} else {
+		f.draw(f.wear, f.slab.logSurvival(f.wear))
 	}
 	f.publish()
 }

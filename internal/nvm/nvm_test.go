@@ -36,9 +36,7 @@ func TestFrameEnduranceSampling(t *testing.T) {
 	r := stats.NewRNG(7)
 	var m stats.Mean
 	for i := 0; i < 200; i++ {
-		f := NewFrame(testModel, r, ByteDisabling)
-		f.ensureOrder()
-		for _, lim := range f.lim().sorted {
+		for _, lim := range streamLimits(NewFrame(testModel, r, ByteDisabling)) {
 			m.Add(lim)
 		}
 	}
@@ -150,14 +148,24 @@ func TestInjectFault(t *testing.T) {
 	}
 }
 
+// TestNextLimitSkipsInjected: an injected fault redraws the next limit
+// for the bytes left, never below the wear, and no later death picks the
+// injected byte again.
 func TestNextLimitSkipsInjected(t *testing.T) {
 	f := newTestFrame(ByteDisabling)
-	f.ensureOrder()
-	weakest := int(f.lim().order[0])
-	f.InjectFault(weakest)
+	f.AdvanceTo(f.NextLimit())
 	nl := f.NextLimit()
-	if nl <= f.lim().sorted[0] {
-		t.Fatalf("NextLimit %v should skip the injected weakest byte (%v)", nl, f.lim().sorted[0])
+	victim := f.liveByte(10)
+	f.InjectFault(victim)
+	if got := f.NextLimit(); got == nl || got < f.Wear() {
+		t.Fatalf("NextLimit %v after the injection (was %v, wear %v)", got, nl, f.Wear())
+	}
+	for !f.Dead() {
+		before := f.FaultMap().Count()
+		died := f.AdvanceTo(f.NextLimit())
+		if !f.FaultMap().Get(victim) || f.FaultMap().Count() != before+died {
+			t.Fatalf("%d deaths took the fault count from %d to %d", died, before, f.FaultMap().Count())
+		}
 	}
 }
 
@@ -334,9 +342,13 @@ func TestArrayBasics(t *testing.T) {
 // TestNewArrayAllocsPerFrame pins set-up cost: building an array makes
 // the same allocations whatever its frame count, because sampling a frame
 // allocates nothing, and holds no limit storage and no pointer view: a
-// DefaultConfig-sized array of 12,288 frames stays under 0.9 MB, about
-// 65 bytes a frame (its header and its capacity byte).
+// Frame is a 64-byte header, one host cache line, so a DefaultConfig-sized
+// array of 12,288 frames stays under 0.9 MB, about 65 bytes a frame (its
+// header and its capacity byte).
 func TestNewArrayAllocsPerFrame(t *testing.T) {
+	if got := unsafe.Sizeof(Frame{}); got != 64 {
+		t.Fatalf("Frame is %d bytes, want 64", got)
+	}
 	allocs := func(sets, ways int) float64 {
 		r := stats.NewRNG(1)
 		return testing.AllocsPerRun(10, func() { NewArray(sets, ways, testModel, r, ByteDisabling) })
@@ -353,136 +365,47 @@ func TestNewArrayAllocsPerFrame(t *testing.T) {
 	}
 }
 
-// TestSlabAllocatesOnFirstDraw pins the limit slab's allocation
-// contract: an array's first draw allocates the whole slab at once, and
-// every later draw, whether by wear, fault injection or NextLimit, takes
-// its entry with no allocation. The first draw goes through Frame, so
-// the count leaves out the pointer view Frames builds. mallocs counts
-// every allocation in the process, so a first draw that does not count
-// exactly one is measured again on a new array: a draw that allocates
-// more does so every time.
-func TestSlabAllocatesOnFirstDraw(t *testing.T) {
-	var a *Array
-	n := uint64(0)
-	for try := 0; try < 3 && n != 1; try++ {
-		a = NewArray(16, 4, testModel, stats.NewRNG(3), ByteDisabling)
-		if a.slab.entries != nil {
-			t.Fatal("NewArray allocated the limit slab")
-		}
-		n = mallocs(func() { a.Frame(0, 0).NextLimit() })
-	}
-	if n != 1 {
-		t.Fatalf("the first draw allocated %d times, want 1", n)
-	}
-	frames := a.Frames()
-	if len(a.slab.entries) != len(frames) {
-		t.Fatalf("slab has %d entries for %d frames", len(a.slab.entries), len(frames))
-	}
-	i := 1
+// TestDrawsAllocateNothing: a draw, whether by wear, fault injection or
+// set-up, allocates nothing.
+func TestDrawsAllocateNothing(t *testing.T) {
+	frames := NewArray(64, 4, testModel, stats.NewRNG(3), ByteDisabling).Frames()
+	i := 0
 	draw := func() {
-		f := frames[i]
+		f := frames[i%len(frames)]
 		switch i % 3 {
 		case 0:
 			f.AddWear(math.MaxFloat64 / 2)
 		case 1:
 			f.InjectFault(i % FrameBytes)
 		default:
-			f.NextLimit()
+			f.sample(ByteDisabling)
 		}
 		i++
 	}
-	if n := testing.AllocsPerRun(len(frames)-2, draw); n != 0 {
-		t.Fatalf("later draws allocated %v times each, want 0", n)
-	}
-	for j, f := range frames {
-		if !f.drawn {
-			t.Fatalf("frame %d was not drawn", j)
-		}
+	if n := testing.AllocsPerRun(len(frames), draw); n != 0 {
+		t.Fatalf("draws allocated %v times each, want 0", n)
 	}
 }
 
-// mallocs returns the heap allocations one call of f makes. Unlike
-// testing.AllocsPerRun it makes no warm-up call, so it sees a first
-// call's allocations.
-func mallocs(f func()) uint64 {
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	f()
-	runtime.ReadMemStats(&after)
-	return after.Mallocs - before.Mallocs
-}
-
-// TestNewArrayBuildsNoOrder pins the lazy limits and death order:
-// sampled frames leave both unbuilt, a write below nextLimit's bound
-// leaves them so, wear reaching the bound draws them without killing a
-// byte below the first limit, and the first death, an injected fault or
-// NextLimit builds them. Frame is a 64-byte header, one host cache
-// line: the limits and the order live in the array's slab.
-func TestNewArrayBuildsNoOrder(t *testing.T) {
-	if got := unsafe.Sizeof(Frame{}); got != 64 {
-		t.Fatalf("Frame is %d bytes, want 64", got)
+// TestFramesDrawIndependently pins the keyed stream: a frame's deaths
+// depend on its array's sampler and its own index alone, not on which
+// other frames drew before it, and the sampler gives the array one value.
+func TestFramesDrawIndependently(t *testing.T) {
+	r := stats.NewRNG(13)
+	a := NewArray(4, 3, testModel, r, ByteDisabling)
+	next := r.Uint64()
+	if r = stats.NewRNG(13); r.Uint64() == next || r.Uint64() != next {
+		t.Fatal("NewArray takes other than one value from its sampler")
 	}
-	a := NewArray(4, 3, testModel, stats.NewRNG(11), ByteDisabling)
-	for i, f := range a.Frames() {
-		if f.drawn {
-			t.Fatalf("frame %d: limits drawn at set-up", i)
-		}
+	b := NewArray(4, 3, testModel, stats.NewRNG(13), ByteDisabling)
+	fa, fb := a.Frames(), b.Frames()
+	for i := len(fb) - 1; i >= 0; i-- {
+		fb[i].AddWear(math.MaxFloat64 / 2)
 	}
-	// twin's frames are a's, drawn: NextLimit gives the exact first
-	// death of each.
-	twin := NewArray(4, 3, testModel, stats.NewRNG(11), ByteDisabling)
-	first := func(i int) float64 { return twin.Frames()[i].NextLimit() }
-
-	f := a.Frames()[0]
-	if n := f.AddWear(f.nextLimit / 2); n != 0 || f.drawn {
-		t.Fatalf("a write below the bound drew the limits (%d died)", n)
-	}
-	if n := f.AdvanceTo(first(0)); n == 0 || !f.drawn {
-		t.Fatalf("first death (%d bytes) left the limits undrawn", n)
-	}
-	f = a.Frames()[1]
-	bound := f.nextLimit
-	if bound >= first(1) {
-		t.Fatalf("bound %v is not below the first limit %v", bound, first(1))
-	}
-	if n := f.AdvanceTo(bound); n != 0 || !f.drawn {
-		t.Fatalf("wear at the bound %v below the first limit %v: %d died, drawn %v", bound, first(1), n, f.drawn)
-	}
-	if f.nextLimit != first(1) {
-		t.Fatalf("nextLimit %v after drawing, want %v", f.nextLimit, first(1))
-	}
-	f = a.Frames()[2]
-	if f.InjectFault(5); !f.drawn {
-		t.Fatal("InjectFault left the limits undrawn")
-	}
-	f = a.Frames()[3]
-	if f.NextLimit(); !f.drawn {
-		t.Fatal("NextLimit left the limits undrawn")
-	}
-}
-
-// TestFirstDrawFillsSlab pins the one draw per array: the first frame
-// that needs a limit fills every entry of the slab with its frame's
-// eager limits in death order, as the reference sorts them, while every
-// other frame stays undrawn on a bound at or below its smallest limit.
-func TestFirstDrawFillsSlab(t *testing.T) {
-	a := NewArray(4, 3, testModel, stats.NewRNG(13), ByteDisabling)
-	a.Frame(2, 1).NextLimit()
-	eager := stats.NewRNG(13)
-	for i := range a.backing {
-		f, ref := &a.backing[i], newRefFrame(eager, testModel, ByteDisabling)
-		if want := i == 2*3+1; f.drawn != want {
-			t.Fatalf("frame %d: drawn %v, want %v", i, f.drawn, want)
-		}
-		if !f.drawn && f.nextLimit > ref.limits[ref.order[0]] {
-			t.Fatalf("frame %d: bound %v above its smallest limit %v", i, f.nextLimit, ref.limits[ref.order[0]])
-		}
-		for k, b := range ref.order {
-			l := f.lim()
-			if l.order[k] != b || math.Float64bits(l.sorted[k]) != math.Float64bits(ref.limits[b]) {
-				t.Fatalf("frame %d death %d: byte %d limit %v, eager byte %d limit %v",
-					i, k, l.order[k], l.sorted[k], b, ref.limits[b])
-			}
+	for i := range fa {
+		fa[i].AddWear(math.MaxFloat64 / 2)
+		if fa[i].FaultMap() != fb[i].FaultMap() {
+			t.Fatalf("frame %d: faults %v aged first, %v aged last", i, fa[i].FaultMap(), fb[i].FaultMap())
 		}
 	}
 }
@@ -552,42 +475,18 @@ func BenchmarkNewArray(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameSample is one frame's set-up: the skip pass.
-// BenchmarkFrameEager is the same frame's limits drawn outright in one
-// TruncNormals batch, as the slab's draw does before it sorts them.
-func BenchmarkFrameSample(b *testing.B) {
-	r := stats.NewRNG(1)
-	f := NewFrame(paperModel, r, ByteDisabling)
+// BenchmarkNextDeath is one byte death of a paper-model frame: the pick
+// of the dying byte and the draw of the next limit. The frame is taken
+// back to its fresh state whenever it dies.
+func BenchmarkNextDeath(b *testing.B) {
+	f := NewFrame(paperModel, stats.NewRNG(1), ByteDisabling)
+	fresh := *f
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f.sample(r, ByteDisabling)
-	}
-}
-
-func BenchmarkFrameEager(b *testing.B) {
-	r := stats.NewRNG(1)
-	var lim [FrameBytes]float64
-	sigma := paperModel.Mean * paperModel.CV
-	for i := 0; i < b.N; i++ {
-		r.TruncNormals(lim[:], paperModel.Mean, sigma, 1)
-	}
-}
-
-// BenchmarkLimitSort is the rest of a frame's draw: putting its 66
-// limits in death order, over 1024 frames of the paper's model.
-func BenchmarkLimitSort(b *testing.B) {
-	r := stats.NewRNG(1)
-	sigma := paperModel.Mean * paperModel.CV
-	lims := make([][FrameBytes]float64, 1024)
-	for i := range lims {
-		for j := range lims[i] {
-			lims[i][j] = r.TruncNormal(paperModel.Mean, sigma, 1)
+		if f.Dead() {
+			f.Restore(fresh)
 		}
-	}
-	var l frameLimits
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l.sort(&lims[i%len(lims)], paperModel.Mean, sigma)
+		f.AdvanceTo(f.NextLimit())
 	}
 }
 

@@ -145,85 +145,31 @@ func TestUint64nBounds(t *testing.T) {
 	}
 }
 
-// TestSkipTruncNormalMatchesDraws checks the skip pass against the draws
-// it stands for: the same final state, and a bound at most the smallest
-// draw, on the paper's model, a mean near and below the truncation point,
-// zero spread and the 1024-rejection fallback.
-func TestSkipTruncNormalMatchesDraws(t *testing.T) {
-	for _, c := range []struct{ mean, sd float64 }{
-		{1e10, 2e9}, {1000, 200}, {1.001, 1}, {0.5, 0.5}, {5, 0}, {1, 0}, {0.5, 0}, {1e18, 1e19},
-	} {
-		for seed := uint64(0); seed < 8; seed++ {
-			skip, draw := NewRNG(seed), NewRNG(seed)
-			bound := skip.SkipTruncNormal(66, c.mean, c.sd, 1)
-			lowest := math.Inf(1)
-			for i := 0; i < 66; i++ {
-				lowest = min(lowest, draw.TruncNormal(c.mean, c.sd, 1))
+// TestKeyedStream checks the counter-based stream: a draw depends only
+// on its key and counter, neighbouring counters and keys give unrelated
+// bits, and the uniforms have the mean and variance of U[0, 1).
+func TestKeyedStream(t *testing.T) {
+	u1, b1 := Keyed(7, 3)
+	Keyed(7, 2)
+	if u2, b2 := Keyed(7, 3); u2 != u1 || b2 != b1 {
+		t.Fatal("a keyed draw changed with the draws made before it")
+	}
+	seen := make(map[uint64]bool)
+	var m Mean
+	for key := uint64(0); key < 4; key++ {
+		for n := uint64(0); n < 50_000; n++ {
+			u, b := Keyed(key, n)
+			if u < 0 || u >= 1 {
+				t.Fatalf("Keyed(%d, %d) = %v, outside [0, 1)", key, n, u)
 			}
-			if skip.State() != draw.State() {
-				t.Fatalf("mean %v sd %v seed %d: skip leaves another state than the draws", c.mean, c.sd, seed)
+			if seen[b] {
+				t.Fatalf("Keyed(%d, %d) repeats the bits %x", key, n, b)
 			}
-			if math.IsNaN(bound) || bound > lowest {
-				t.Fatalf("mean %v sd %v seed %d: bound %v, smallest draw %v", c.mean, c.sd, seed, bound, lowest)
-			}
+			seen[b] = true
+			m.Add(u)
 		}
 	}
-}
-
-// TestSetStateResumesStream checks that a value RNG set to a saved state
-// continues the stream, and that the all-zero state is not a fixed point.
-func TestSetStateResumesStream(t *testing.T) {
-	r := NewRNG(5)
-	r.Uint64()
-	var resumed RNG
-	resumed.SetState(r.State())
-	for i := 0; i < 100; i++ {
-		if a, b := r.Uint64(), resumed.Uint64(); a != b {
-			t.Fatalf("step %d: %x, resumed %x", i, a, b)
-		}
-	}
-	var zero RNG
-	zero.SetState([4]uint64{})
-	if zero.Uint64()|zero.Uint64() == 0 {
-		t.Fatal("all-zero state produced zeros")
-	}
-}
-
-// refTruncNormal is one TruncNormal draw as a scalar loop over Normal:
-// resample below lo, and give lo after 1024 rejections.
-func refTruncNormal(r *RNG, mean, stddev, lo float64) float64 {
-	for i := 0; i < 1024; i++ {
-		if v := r.Normal(mean, stddev); v >= lo {
-			return v
-		}
-	}
-	return lo
-}
-
-// TestTruncNormalsMatchesDraws checks the batched draw against a loop of
-// scalar ones: every value and the final state bit for bit, for lengths
-// 0, 1, one frame's 66 and more than a batch, on the paper's model, a lo
-// at the mean (every other sample rejected), a lo far above it (the
-// 1024-rejection fallback every time), and a lo a few deviations up, so
-// a fallback now and then falls between accepted values.
-func TestTruncNormalsMatchesDraws(t *testing.T) {
-	for _, c := range []struct{ mean, sd, lo float64 }{
-		{1e10, 2e9, 1}, {1000, 200, 1000}, {0, 1, 50}, {0, 1, 3.2}, {5, 0, 1}, {1, 0, 1},
-	} {
-		for _, n := range []int{0, 1, 66, 5*truncBatch + 3} {
-			for seed := uint64(0); seed < 4; seed++ {
-				batch, scalar := NewRNG(seed), NewRNG(seed)
-				got := make([]float64, n)
-				batch.TruncNormals(got, c.mean, c.sd, c.lo)
-				for i, v := range got {
-					if want := refTruncNormal(scalar, c.mean, c.sd, c.lo); math.Float64bits(v) != math.Float64bits(want) {
-						t.Fatalf("%+v n %d seed %d: value %d is %v, want %v", c, n, seed, i, v, want)
-					}
-				}
-				if batch.State() != scalar.State() {
-					t.Fatalf("%+v n %d seed %d: batch leaves another state than the draws", c, n, seed)
-				}
-			}
-		}
+	if math.Abs(m.Mean()-0.5) > 0.003 || math.Abs(m.StdDev()-math.Sqrt(1.0/12)) > 0.003 {
+		t.Fatalf("uniforms have mean %v and sd %v, want 0.5 and %v", m.Mean(), m.StdDev(), math.Sqrt(1.0/12))
 	}
 }
