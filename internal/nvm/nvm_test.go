@@ -342,13 +342,9 @@ func TestArrayBasics(t *testing.T) {
 // TestNewArrayAllocsPerFrame pins set-up cost: building an array makes
 // the same allocations whatever its frame count, because sampling a frame
 // allocates nothing, and holds no limit storage and no pointer view: a
-// Frame is a 64-byte header, one host cache line, so a DefaultConfig-sized
-// array of 12,288 frames stays under 0.9 MB, about 65 bytes a frame (its
-// header and its capacity byte).
+// DefaultConfig-sized array of 12,288 frames stays under 0.9 MB, about
+// 65 bytes a frame (its header and its capacity byte).
 func TestNewArrayAllocsPerFrame(t *testing.T) {
-	if got := unsafe.Sizeof(Frame{}); got != 64 {
-		t.Fatalf("Frame is %d bytes, want 64", got)
-	}
 	allocs := func(sets, ways int) float64 {
 		r := stats.NewRNG(1)
 		return testing.AllocsPerRun(10, func() { NewArray(sets, ways, testModel, r, ByteDisabling) })
@@ -362,6 +358,39 @@ func TestNewArrayAllocsPerFrame(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if b := after.TotalAlloc - before.TotalAlloc; b >= 900_000 {
 		t.Fatalf("NewArray(1024, 12) allocates %d bytes, want under 0.9 MB", b)
+	}
+}
+
+// TestNewArrayBuildsNoOrder: NewArray sorts no per-byte limits. Each
+// frame is a 64-byte header, one host cache line, that holds one drawn
+// value, its smallest limit; a write below that limit draws nothing,
+// each death draws one value, an injected fault draws one, and reading
+// NextLimit draws none. An array built from the same seed holds the same
+// limits.
+func TestNewArrayBuildsNoOrder(t *testing.T) {
+	if got := unsafe.Sizeof(Frame{}); got != 64 {
+		t.Fatalf("Frame is %d bytes, want 64", got)
+	}
+	a := NewArray(4, 3, testModel, stats.NewRNG(11), ByteDisabling)
+	twin := NewArray(4, 3, testModel, stats.NewRNG(11), ByteDisabling)
+	for i, f := range a.Frames() {
+		if f.draws != 1 {
+			t.Fatalf("frame %d: %d values drawn at set-up, want 1", i, f.draws)
+		}
+		if got, want := f.NextLimit(), twin.Frames()[i].NextLimit(); got != want || f.draws != 1 {
+			t.Fatalf("frame %d: limit %v, twin's %v, %d draws after NextLimit", i, got, want, f.draws)
+		}
+	}
+	f := a.Frames()[0]
+	if n := f.AddWear(f.NextLimit() / 2); n != 0 || f.draws != 1 {
+		t.Fatalf("a write below the limit drew %d values (%d died)", f.draws-1, n)
+	}
+	if n := f.AdvanceTo(f.NextLimit()); n == 0 || int(f.draws) != 1+n {
+		t.Fatalf("%d deaths took the draw count to %d, want %d", n, f.draws, 1+n)
+	}
+	f = a.Frames()[1]
+	if f.InjectFault(5); f.draws != 2 {
+		t.Fatalf("InjectFault took the draw count to %d, want 2", f.draws)
 	}
 }
 
